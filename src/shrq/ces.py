@@ -23,8 +23,8 @@ import math
 import secrets
 from dataclasses import dataclass
 
-from .errors import ConfigError, DataIntegrityError, NotFoundError, ProtocolError
-from .pairing import CURVE_A1, GTElement, group_from_descriptor, group_gen
+from .errors import ConfigError, DataIntegrityError, ProtocolError
+from .pairing import CURVE_A1, group_gen
 
 LAYOUT_SHRQ = "shrq"  # {m_1..m_d, 1, ||m||^2}, length d+2
 LAYOUT_UNIFIED = "unified"  # {m_1..m_d, 1, m_1^2..m_d^2}, length 2d+1
@@ -51,24 +51,6 @@ class Component:
     def __post_init__(self):
         if not 0 <= self.const_slot < len(self.entries):
             raise ConfigError("const_slot out of range")
-
-
-@dataclass(frozen=True)
-class PublicParams:
-    """Everything the server may hold: group shape and hash choice only."""
-
-    backend: str
-    N: int
-    p: int | None = None
-    l: int | None = None
-    hash_id: str = HASH_ID
-
-    def to_group(self):
-        desc = {"backend": self.backend, "N": str(self.N)}
-        if self.p is not None:
-            desc["p"] = str(self.p)
-            desc["l"] = str(self.l)
-        return group_from_descriptor(desc)
 
 
 @dataclass
@@ -119,7 +101,7 @@ def margin_bound(d, v, x_max):
 
 
 def keygen(lambda_bits, d, layout, v, x_max, backend=CURVE_A1, rng=None, group=None):
-    """Generate a secret key and the server-shareable parameters.
+    """Generate a secret key and the group's server-shareable descriptor.
 
     The B vector is solved so that A.B is a multiple of q1 mod N, which is
     what makes the blinding disappear inside compute().
@@ -160,8 +142,7 @@ def keygen(lambda_bits, d, layout, v, x_max, backend=CURVE_A1, rng=None, group=N
     aes_key = rng.randbytes(32)
 
     sk = SecretKey(group, g, u, s, h, A, B, alpha, beta, aes_key, layout, d, v, x_max)
-    pp = PublicParams(params.backend, N, params.p, params.l)
-    return sk, pp
+    return sk, params.describe()
 
 
 def _check_len(sk, comp):
@@ -232,77 +213,3 @@ def create_lookup_table(sk, v=None):
 def lookup_contains(table, group, t):
     """Membership test the server runs on each compute() output."""
     return _digest(group, t) in table.digests
-
-
-def serialize_lookup_table(table):
-    """8-byte big-endian count, then the raw digests in sorted order."""
-    out = [len(table.digests).to_bytes(8, "big")]
-    out.extend(sorted(table.digests))
-    return b"".join(out)
-
-
-def deserialize_lookup_table(data, v):
-    count = int.from_bytes(data[:8], "big")
-    body = data[8:]
-    if len(body) != 32 * count:
-        raise ProtocolError("lookup table payload length mismatch")
-    digests = frozenset(body[32 * i : 32 * (i + 1)] for i in range(count))
-    if len(digests) != count:
-        raise ProtocolError("lookup table contains duplicate digests")
-    return LookupTable(digests, v)
-
-
-# -- minimal BGN reference (validates the backends) --------------------------
-
-
-@dataclass
-class BgnPublicKey:
-    group: object
-    g: object
-    h: object  # u^q2, order q1
-
-
-@dataclass
-class BgnSecretKey:
-    q1: int
-
-
-def bgn_keygen(group, rng=None):
-    rng = rng if rng is not None else secrets.SystemRandom()
-    params = group.params
-    if params.q1 is None:
-        raise ConfigError("BGN keygen needs the factorization")
-    g = group.random_generator(rng)
-    u = group.random_generator(rng)
-    return BgnPublicKey(group, g, group.pow(u, params.q2)), BgnSecretKey(params.q1)
-
-
-def bgn_enc(pk, m, rng=None, blinding=None):
-    if blinding is None:
-        rng = rng if rng is not None else secrets.SystemRandom()
-        blinding = rng.randrange(1, pk.group.N)
-    return pk.group.mul(pk.group.pow(pk.g, m), pk.group.pow(pk.h, blinding))
-
-
-def bgn_add(pk, c1, c2):
-    return pk.group.mul(c1, c2)
-
-
-def bgn_mul(pk, c1, c2):
-    return pk.group.pair(c1, c2)
-
-
-def bgn_dec_lookup(sk, pk, c, bound):
-    """Kill the blinding by raising to q1, then scan g^{q1*i} for i <= bound."""
-    group = pk.group
-    if isinstance(c, GTElement):
-        base = group.pow(group.pair(pk.g, pk.g), sk.q1)
-    else:
-        base = group.pow(pk.g, sk.q1)
-    target = group.pow(c, sk.q1)
-    acc = group.identity_gt() if isinstance(c, GTElement) else group.identity_g()
-    for m in range(bound + 1):
-        if acc == target:
-            return m
-        acc = group.mul(acc, base)
-    raise NotFoundError(f"plaintext not within decryption bound {bound}")

@@ -126,7 +126,7 @@ def cmd_query_sphere(args):
     sk, config, offsets = _load_key(args.key)
     center = _shift(_parse_coords(args.center), offsets)
     query = SphereQuery(center, args.radius)
-    protocols.check_sphere_support(config, sk, query)  # reject before connecting
+    protocols.plan_sphere(config, sk, query)  # reject before connecting
     with connect(args.server) as conn:
         result = protocols.query_sphere(config, sk, query, conn)
     _emit_records(result.records, offsets)
@@ -152,7 +152,7 @@ def _resolve_range(args, offsets):
 def cmd_query_range(args):
     sk, config, offsets = _load_key(args.key)
     rq = _resolve_range(args, offsets)
-    protocols.check_range_support(config, sk, rq)  # reject before connecting
+    protocols.plan_range(config, sk, rq)  # reject before connecting
     with connect(args.server) as conn:
         result = protocols.query_range(config, sk, rq, conn)
     _emit_records(result.records, offsets)

@@ -1,5 +1,9 @@
 """Plaintext-side math: components, coarse transforms, level and layer planning.
 
+A plan is a tuple of Layer: each layer names a stored level (index), its
+coarsity factor and the integer radius the query runs with in that
+level's coarse space.
+
 Everything here is exact integer arithmetic except the planning helpers
 (square roots), which round conservatively: radii only ever grow and level
 selection only ever coarsens, so planning noise can add false positives but
@@ -44,17 +48,6 @@ class Layer:
     radius: float  # planning radius in base units
     scaled_radius: int  # integer radius used in the layer's coarse space
     factor: int  # coarsity factor b_c^index
-
-
-@dataclass(frozen=True)
-class LayerPlan:
-    layers: tuple
-
-    def __len__(self):
-        return len(self.layers)
-
-    def __iter__(self):
-        return iter(self.layers)
 
 
 def validate_point(coords, d, x_max, label=""):
@@ -145,8 +138,8 @@ def coarsity_base(v, d):
     return base
 
 
-def select_coarsity_exponent(r, v, d, e_max, base=2):
-    """Minimal level whose coarse radius fits the lookup table.
+def select_coarsity_exponent(r, v, d, e_max):
+    """Minimal base-2 level whose coarse radius fits the lookup table.
 
     Uses isqrt(v) rather than float sqrt so a non-square v can never admit
     a transformed radius whose square exceeds v.
@@ -156,48 +149,12 @@ def select_coarsity_exponent(r, v, d, e_max, base=2):
         return 0
     slack = math.sqrt(d)
     for e in range(1, e_max + 1):
-        if r / base**e + slack <= root_v + EPS:
+        if r / 2**e + slack <= root_v + EPS:
             return e
     raise QueryRejected(
         "radius-unsupported",
-        f"r / {base}^E_max + sqrt(d) > sqrt(v) (r={r}, E_max={e_max}, v={v}, d={d})",
+        f"r / 2^E_max + sqrt(d) > sqrt(v) (r={r}, E_max={e_max}, v={v}, d={d})",
     )
-
-
-def transform_sphere_query(q, factor, dim_slack=0.0):
-    """Carry a sphere query into the factor-coarser space; the caller passes
-    sqrt(active dims) as slack when the radius must absorb the floor error."""
-    if factor == 1:
-        return q
-    center = coarse_transform(q.center, factor)
-    return SphereQuery(center, math.ceil(q.radius / factor + dim_slack - EPS))
-
-
-def layered_radii(r, v, d, b_c, e_max=None):
-    """Width-based layer recurrence: peel sqrt(v) per layer, re-padding each
-    deeper layer by factor*sqrt(d) for the floor error.
-
-    This is the storage-economical recurrence; it under-reaches the exact
-    annulus edge sqrt(r^2 - v), so consecutive layers can leave a gap (see
-    covering_radii, which the query path uses).
-    """
-    if b_c < 2:
-        raise ConfigError("layered plan needs a coarsity base >= 2")
-    root_d, root_v = math.sqrt(d), math.sqrt(v)
-    layers = [Layer(0, float(r), int(r), 1)]
-    rem = r - root_v
-    i = 1
-    while rem > EPS:
-        if e_max is not None and i > e_max:
-            raise QueryRejected(
-                "radius-unsupported", f"radius {r} needs layer {i} > E_max = {e_max}"
-            )
-        factor = b_c**i
-        rem += factor * root_d
-        layers.append(Layer(i, rem, math.ceil(rem / factor - EPS), factor))
-        rem -= factor * root_v
-        i += 1
-    return LayerPlan(tuple(layers))
 
 
 def covering_radii(r, v, d, b_c, e_max):
@@ -214,7 +171,7 @@ def covering_radii(r, v, d, b_c, e_max):
     root_d = math.sqrt(d)
     layers = [Layer(0, float(r), int(r), 1)]
     if r * r <= v:
-        return LayerPlan(tuple(layers))
+        return tuple(layers)
     top = math.sqrt(r * r - v)  # points closer than this may have been missed
     i = 1
     while True:
@@ -226,7 +183,7 @@ def covering_radii(r, v, d, b_c, e_max):
         scaled = math.ceil(top / factor + root_d - EPS)
         layers.append(Layer(i, top, scaled, factor))
         if scaled * scaled <= v:
-            return LayerPlan(tuple(layers))
+            return tuple(layers)
         top = factor * (math.sqrt(scaled * scaled - v) + root_d)
         i += 1
 

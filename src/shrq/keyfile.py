@@ -13,7 +13,7 @@ import json
 from .ces import SecretKey, layout_len, margin_bound
 from .errors import KeyfileError
 from .geometry import coarsity_base
-from .pairing import CURVE_A1, GroupParams, TransparentGroup, CurveGroup
+from .pairing import group_from_descriptor
 from .protocols import DeploymentConfig, PROTOCOL_LAYERED, PROTOCOL_TABLE
 
 
@@ -22,10 +22,9 @@ def save_keyfile(path, sk, config, offsets=None):
     params = group.params
     doc = {
         "lambda": params.lambda_bits,
-        "backend": params.backend,
+        **params.describe(),
         "q1": str(params.q1),
         "q2": str(params.q2),
-        "N": str(params.N),
         "g": base64.b64encode(group.canonical_bytes(sk.g)).decode(),
         "u": base64.b64encode(group.canonical_bytes(sk.u)).decode(),
         "s": base64.b64encode(group.canonical_bytes(sk.s)).decode(),
@@ -44,9 +43,6 @@ def save_keyfile(path, sk, config, offsets=None):
         "b_c": config.b_c,
         "offset": list(offsets) if offsets is not None else [0] * sk.d,
     }
-    if params.backend == CURVE_A1:
-        doc["p"] = str(params.p)
-        doc["l"] = str(params.l)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
@@ -68,17 +64,9 @@ def load_keyfile(path):
 
 
 def _parse(doc):
-    backend = doc["backend"]
-    params = GroupParams(
-        backend,
-        int(doc["N"]),
-        int(doc["lambda"]),
-        int(doc["q1"]),
-        int(doc["q2"]),
-        int(doc["p"]) if "p" in doc else None,
-        int(doc["l"]) if "l" in doc else None,
-    )
-    group = CurveGroup(params) if backend == CURVE_A1 else TransparentGroup(params)
+    # the group descriptor's fields sit at the top level of the key file
+    group = group_from_descriptor(doc, int(doc["lambda"]), int(doc["q1"]), int(doc["q2"]))
+    params = group.params
     g = group.decode(base64.b64decode(doc["g"]))
     u = group.decode(base64.b64decode(doc["u"]))
     s = group.decode(base64.b64decode(doc["s"]))
@@ -115,7 +103,7 @@ def _parse(doc):
         raise KeyfileError("key file inconsistent: table protocol with E_max != 0")
     if protocol == PROTOCOL_LAYERED and b_c != coarsity_base(v, d):
         raise KeyfileError("key file inconsistent: stored coarsity base is wrong")
-    config = DeploymentConfig(protocol, layout, d, v, x_max, e_max, b_c, backend)
+    config = DeploymentConfig(protocol, layout, d, v, x_max, e_max, b_c, params.backend)
 
     offsets = [int(o) for o in doc["offset"]]
     if len(offsets) != d:

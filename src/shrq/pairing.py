@@ -178,9 +178,6 @@ class Group:
         raise NotImplementedError
 
     # -- shared helpers ---------------------------------------------------
-    def inv(self, x):
-        return self.pow(x, -1)
-
     def is_identity(self, x):
         ident = self.identity_gt() if isinstance(x, GTElement) else self.identity_g()
         return x == ident
@@ -445,12 +442,6 @@ def _find_curve(N, cofactor_cap):
     return None
 
 
-def _build(params):
-    if params.backend == TRANSPARENT:
-        return TransparentGroup(params)
-    return CurveGroup(params)
-
-
 def group_from_primes(q1, q2, backend=TRANSPARENT, lambda_bits=0, cofactor_cap=_DEFAULT_COFACTOR_CAP):
     """Build a group over explicitly chosen primes (toy/test parameter sets)."""
     N = q1 * q2
@@ -480,10 +471,19 @@ def group_gen(lambda_bits, backend=CURVE_A1, rng=None, cofactor_cap=_DEFAULT_COF
     raise SetupError(f"parameter search exhausted after {max_attempts} attempts")
 
 
-def group_from_descriptor(desc):
-    """Rebuild a (public, factorization-free) group from its wire descriptor."""
+def group_from_descriptor(desc, lambda_bits=0, q1=None, q2=None):
+    """Rebuild a group from its describe() output; keys other than the
+    descriptor's are ignored.  A server passes the descriptor alone and gets
+    a factorization-free group; the owner also passes q1, q2 and lambda."""
     backend = desc["backend"]
-    N = int(desc["N"])
-    if backend == CURVE_A1:
-        return CurveGroup(GroupParams(CURVE_A1, N, p=int(desc["p"]), l=int(desc["l"])))
-    return TransparentGroup(GroupParams(TRANSPARENT, N))
+    curve = backend == CURVE_A1
+    params = GroupParams(
+        backend,
+        int(desc["N"]),
+        lambda_bits,
+        q1,
+        q2,
+        int(desc["p"]) if curve else None,
+        int(desc["l"]) if curve else None,
+    )
+    return CurveGroup(params) if curve else TransparentGroup(params)

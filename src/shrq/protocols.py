@@ -1,19 +1,24 @@
 """Setup and query orchestration for the three sphere protocols and ranges.
 
-Protocol variants (DeploymentConfig.protocol):
+Protocol variants (DeploymentConfig.protocol) differ only in the plan,
+the tuple of geometry.Layer a sphere query runs at:
 
-    "t"  one store, radius capped at sqrt(v);
-    "c"  one coarse store per power-of-two level, query runs at the minimal
-         level whose transformed radius fits the lookup table;
-    "l"  stores per power-of-b_c level, query runs once per layer of a
-         gap-free layer plan and the union is deduplicated client-side.
+    "t"  one store; the plan is one layer at factor 1, radius capped at sqrt(v);
+    "c"  one coarse store per power-of-two level; the plan is one layer at
+         the minimal level whose transformed radius fits the lookup table;
+    "l"  stores per power-of-b_c level; the plan is covering_radii's
+         gap-free layers, and the union is deduplicated client-side.
 
-Every pipeline ends with client-side validation against the original
-integer predicate, so the returned ResultSet is exact regardless of how
-much the coarse execution over-covered.
+plan_sphere and plan_range check a query against the deployment and plan
+it without any I/O, so callers can reject a query before connecting; the
+query functions run the same step before they send anything.  Every layer
+is executed the same way, and every pipeline ends with client-side
+validation against the original integer predicate, so the returned
+ResultSet is exact regardless of how much the coarse execution over-covered.
 """
 
 import json
+import math
 import secrets
 from dataclasses import dataclass, field
 
@@ -21,8 +26,8 @@ from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from .ces import (
+    HASH_ID,
     LAYOUT_UNIFIED,
-    PublicParams,
     create_lookup_table,
     query_encrypt,
     tuple_encrypt,
@@ -37,6 +42,8 @@ from .errors import (
     SetupError,
 )
 from .geometry import (
+    EPS,
+    Layer,
     RangeQuery,
     SphereQuery,
     coarse_transform,
@@ -48,11 +55,10 @@ from .geometry import (
     range_to_sphere,
     select_coarsity_exponent,
     sphere_contains,
-    transform_sphere_query,
     validate_point,
 )
 from .pairing import CURVE_A1
-from .server import b64d, b64e
+from .server import b64d, b64e, lookup_message, tuple_message
 
 PROTOCOL_TABLE = "t"
 PROTOCOL_COARSE = "c"
@@ -111,11 +117,6 @@ class ResultSet:
     def __len__(self):
         return len(self.records)
 
-    def __eq__(self, other):
-        if isinstance(other, ResultSet):
-            return self.records == other.records
-        return NotImplemented
-
 
 # -- record encryption (db-store blobs) --------------------------------------
 
@@ -150,22 +151,15 @@ def _send(server, msg):
     return reply
 
 
-def hello_message(config, pp):
-    desc = pp.to_group().params.describe()
+def hello_message(config, descriptor):
+    """Pin the group (a GroupParams.describe() output) and the level count."""
+    backend = dict(descriptor)
     return {
         "type": "hello",
-        "N": desc.pop("N"),
-        "backend": desc,
-        "hash": pp.hash_id,
+        "N": backend.pop("N"),
+        "backend": backend,
+        "hash": HASH_ID,
         "levels": config.levels,
-    }
-
-
-def lookup_message(table):
-    return {
-        "type": "put_lookup",
-        "v": table.v,
-        "digests": [b64e(d) for d in sorted(table.digests)],
     }
 
 
@@ -173,27 +167,19 @@ def point_messages(config, sk, rid, coords, rng=None):
     """db-store blob plus one encrypted tuple per coarsity level."""
     rid = str(rid)
     coords = validate_point(coords, config.d, config.x_max, label=rid)
-    group = sk.group
     msgs = [{"type": "put_store", "id": rid, "blob": b64e(encrypt_record(sk, rid, coords))}]
     for level in range(config.levels):
         comp = make_data_component(
             coarse_transform(coords, config.level_factor(level)), config.layout
         )
         enc = tuple_encrypt(sk, comp, rid, rng=rng)
-        msgs.append(
-            {
-                "type": "put_tuple",
-                "level": level,
-                "id": rid,
-                "slots": [b64e(group.canonical_bytes(s)) for s in enc.slots],
-            }
-        )
+        msgs.append(tuple_message(sk.group, level, rid, enc.slots))
     return msgs
 
 
 def setup_messages(config, sk, dataset, rng=None):
     """The full upload stream: hello, lookup table, then every record."""
-    yield hello_message(config, _public_params(sk))
+    yield hello_message(config, sk.group.params.describe())
     yield lookup_message(create_lookup_table(sk))
     seen = set()
     for rid, coords in dataset:
@@ -202,11 +188,6 @@ def setup_messages(config, sk, dataset, rng=None):
             raise SetupError(f"duplicate record id {rid!r} in dataset")
         seen.add(rid)
         yield from point_messages(config, sk, rid, coords, rng=rng)
-
-
-def _public_params(sk):
-    params = sk.group.params
-    return PublicParams(params.backend, params.N, params.p, params.l)
 
 
 def run_setup(config, sk, dataset, server, rng=None):
@@ -251,45 +232,46 @@ def _wrap_guard(sk, scaled_radius):
         )
 
 
-def _plan(config, sk, sphere, active_dims):
-    """(level, transformed query, factor) triples the query will execute."""
-    r, v = sphere.radius, config.v
+def plan_sphere(config, sk, query, cols=None):
+    """Check a sphere query against the deployment, without any I/O, and
+    return the layers it runs at; every layer passes the wrap guard, which
+    cannot fire for t or c, whose scaled r^2 <= v < q2 - margin."""
+    for c in query.center:
+        if not 0 <= c <= config.x_max:
+            raise QueryRejected("center-out-of-domain", f"center coordinate {c} outside [0, {config.x_max}]")
+    active = config.d if cols is None else len(set(cols))
+    r, v = query.radius, config.v
     if config.protocol == PROTOCOL_TABLE:
         if r * r > v:
             raise QueryRejected(
                 "radius-unsupported", f"r > sqrt(v): radius {r} exceeds sqrt({v})"
             )
-        return [(0, sphere, 1)]
-    if config.protocol == PROTOCOL_COARSE:
-        e = select_coarsity_exponent(r, v, active_dims, config.e_max)
+        plan = (Layer(0, float(r), r, 1),)
+    elif config.protocol == PROTOCOL_COARSE:
+        e = select_coarsity_exponent(r, v, active, config.e_max)
         factor = 2**e
-        slack = active_dims**0.5 if e else 0.0
-        return [(e, transform_sphere_query(sphere, factor, slack), factor)]
-    plan = covering_radii(r, v, active_dims, config.b_c, config.e_max)
+        # a coarse layer's radius absorbs the floor error of every active dim
+        scaled = math.ceil(r / factor + math.sqrt(active) - EPS) if e else r
+        plan = (Layer(e, float(r), scaled, factor),)
+    else:
+        plan = covering_radii(r, v, active, config.b_c, config.e_max)
     for layer in plan:
         _wrap_guard(sk, layer.scaled_radius)
-    return [
-        (
-            layer.index,
-            SphereQuery(coarse_transform(sphere.center, layer.factor), layer.scaled_radius),
-            layer.factor,
-        )
-        for layer in plan
-    ]
+    return plan
 
 
-def check_sphere_support(config, sk, query, cols=None):
-    """Raise QueryRejected if the deployment cannot run this query; the
-    check is pure, so callers can fail fast before opening a connection."""
-    active = config.d if cols is None else len(set(cols))
-    _plan(config, sk, query, active)
-
-
-def check_range_support(config, sk, rq):
+def plan_range(config, sk, rq):
+    """Clamp a range to the domain and plan it as a one-column sphere;
+    returns (sphere, plan), and an empty plan when nothing is left."""
+    if config.layout != LAYOUT_UNIFIED:
+        raise ConfigError("range queries need a unified-layout deployment")
+    if rq.col > config.d:
+        raise ConfigError(f"column {rq.col} exceeds dimension count {config.d}")
     lo, hi = max(rq.lo, 0), min(rq.hi, config.x_max)
     if lo > hi:
-        return
-    _plan(config, sk, range_to_sphere(RangeQuery(rq.col, lo, hi), config.d), 1)
+        return None, ()
+    sphere = range_to_sphere(RangeQuery(rq.col, lo, hi), config.d)
+    return sphere, plan_sphere(config, sk, sphere, cols=(rq.col,))
 
 
 def query_message(sk, comp, level):
@@ -301,12 +283,13 @@ def query_message(sk, comp, level):
     }
 
 
-def _execute(config, sk, server, plan, cols):
-    """Run every planned level, union the matches by id (first blob wins)."""
+def _execute(config, sk, server, sphere, plan, cols):
+    """Run every planned layer, union the matches by id (first blob wins)."""
     raw = {}
-    for level, tsphere, _factor in plan:
-        comp = make_sphere_query_component(tsphere, config.layout, cols)
-        reply = _send(server, query_message(sk, comp, level))
+    for layer in plan:
+        coarse = SphereQuery(coarse_transform(sphere.center, layer.factor), layer.scaled_radius)
+        comp = make_sphere_query_component(coarse, config.layout, cols)
+        reply = _send(server, query_message(sk, comp, layer.index))
         if reply.get("type") != "result":
             raise ProtocolError(f"unexpected reply {reply.get('type')!r}")
         for match in reply["matches"]:
@@ -325,37 +308,17 @@ def _decrypt_all(sk, raw):
     return [(rid, decrypt_record(sk, rid, b64d(blob))) for rid, blob in raw.items()]
 
 
-def query_sphere(config, sk, query, server, cols=None, return_raw=False):
+def query_sphere(config, sk, query, server, cols=None):
     """Full sphere pipeline: plan, encrypt, execute, decrypt, validate."""
-    for c in query.center:
-        if not 0 <= c <= config.x_max:
-            raise QueryRejected("center-out-of-domain", f"center coordinate {c} outside [0, {config.x_max}]")
-    active = config.d if cols is None else len(set(cols))
-    plan = _plan(config, sk, query, active)
-    raw = _execute(config, sk, server, plan, cols)
-    records = _decrypt_all(sk, raw)
-    result = validate(records, lambda coords: sphere_contains(coords, query, cols))
-    if return_raw:
-        return result, {rid for rid, _ in records}
-    return result
+    plan = plan_sphere(config, sk, query, cols)
+    raw = _execute(config, sk, server, query, plan, cols)
+    return validate(_decrypt_all(sk, raw), lambda coords: sphere_contains(coords, query, cols))
 
 
-def query_range(config, sk, rq, server, return_raw=False):
+def query_range(config, sk, rq, server):
     """Range pipeline: clamp to the domain, run as a one-column sphere, trim
-    the odd-width over-cover during validation."""
-    if config.layout != LAYOUT_UNIFIED:
-        raise ConfigError("range queries need a unified-layout deployment")
-    if rq.col > config.d:
-        raise ConfigError(f"column {rq.col} exceeds dimension count {config.d}")
-    lo, hi = max(rq.lo, 0), min(rq.hi, config.x_max)
-    if lo > hi:
-        return (ResultSet([]), set()) if return_raw else ResultSet([])
-    clamped = RangeQuery(rq.col, lo, hi)
-    sphere = range_to_sphere(clamped, config.d)
-    plan = _plan(config, sk, sphere, 1)
-    raw = _execute(config, sk, server, plan, cols=(rq.col,))
-    records = _decrypt_all(sk, raw)
-    result = validate(records, lambda coords: range_contains(coords, clamped))
-    if return_raw:
-        return result, {rid for rid, _ in records}
-    return result
+    the odd-width over-cover during validation.  Clamping keeps membership
+    of in-domain points, so validation tests the range as given."""
+    sphere, plan = plan_range(config, sk, rq)
+    raw = _execute(config, sk, server, sphere, plan, cols=(rq.col,))
+    return validate(_decrypt_all(sk, raw), lambda coords: range_contains(coords, rq))

@@ -15,10 +15,20 @@ Requests carry a "type" field:
     delete     {id}                                 -> ack {found}
     query      {level, slots: [b64 canonical]}      -> result {matches: [{id, blob}]}
 
-Anything malformed gets {"type": "error", "error": ...} and the connection
-stays open.  Mutations are appended to a write-ahead log before they are
-acknowledged and replayed on restart, so an acknowledged mutation survives
-a crash between any two messages.
+Every line gets exactly one reply line: anything malformed (not JSON, not
+an object, nested more than four deep, an unknown type, a missing or ill-typed field, an element that
+does not decode, parameters that do not build a group) gets
+{"type": "error", "error": ...}, changes no state, and the connection stays
+open.  All tuples at a level have one slot count: the first tuple stored
+at an empty level fixes it, and a put_tuple with another count is an error,
+so one bad tuple cannot turn every later query at its level into an error.
+
+Mutations are appended to a write-ahead log and fsync'd before they are
+acknowledged, and replayed in order on restart, so an acknowledged mutation
+survives a crash between any two messages.  A final log line without its
+newline was cut by a crash before its ack: replay drops it and truncates
+the log to the last newline.  Any other line that is not a JSON object, or
+that the handler rejects, fails the restart with DataIntegrityError.
 """
 
 import base64
@@ -28,19 +38,26 @@ import socket
 import socketserver
 import threading
 
-from .ces import (
-    EncryptedQuery,
-    EncryptedTuple,
-    LookupTable,
-    compute,
-    lookup_contains,
-    serialize_lookup_table,
-)
-from .errors import DataIntegrityError, ProtocolError, ServerUnreachable
+from .ces import HASH_ID, EncryptedQuery, EncryptedTuple, LookupTable, compute, lookup_contains
+from .errors import DataIntegrityError, ProtocolError, ServerUnreachable, ShrqError
 from .pairing import group_from_descriptor
 
 _LOG_NAME = "log.jsonl"
-_MUTATIONS = ("hello", "put_lookup", "put_tuple", "put_store", "delete")
+# message type -> handler name, looked up on the instance at each call so a
+# handler patched onto the class (the traced benchmark server does) still runs
+_HANDLERS = {
+    "hello": "_do_hello",
+    "put_lookup": "_do_put_lookup",
+    "put_tuple": "_do_put_tuple",
+    "put_store": "_do_put_store",
+    "delete": "_do_delete",
+    "query": "_do_query",
+}
+# int() of a JSON number too large for a float (1e400) raises OverflowError
+_BAD_INPUT = (ShrqError, KeyError, TypeError, ValueError, OverflowError)
+# messages nest containers two deep; JSON nested near the interpreter's
+# recursion limit parses but may not serialize again for the log
+_MAX_NESTING = 4
 
 
 def b64e(raw):
@@ -54,18 +71,40 @@ def b64d(text):
         raise ProtocolError(f"bad base64 payload: {exc}") from None
 
 
+def _too_deep(value, depth=_MAX_NESTING):
+    if isinstance(value, dict):
+        value = value.values()
+    elif not isinstance(value, list):
+        return False
+    return depth == 0 or any(_too_deep(v, depth - 1) for v in value)
+
+
+def lookup_message(table):
+    return {
+        "type": "put_lookup",
+        "v": table.v,
+        "digests": [b64e(d) for d in sorted(table.digests)],
+    }
+
+
+def tuple_message(group, level, rid, slots):
+    return {
+        "type": "put_tuple",
+        "level": level,
+        "id": rid,
+        "slots": [b64e(group.canonical_bytes(s)) for s in slots],
+    }
+
+
 class ServerState:
     """All server-side state plus the message handler; transport-agnostic."""
 
     def __init__(self, state_dir=None, fsync=True, compact_every=10000):
-        self.descriptor = None
+        self.hello = None  # the pinned hello message
         self.group = None
-        self.hash_id = None
-        self.levels = None
         self.lookup = None
         self.db_store = {}  # id -> AES blob bytes
         self.db_query = {}  # level -> {id: tuple of G elements}
-        self.compute_calls = 0  # instrumentation: one per evaluated tuple
         self._state_dir = state_dir
         self._fsync = fsync
         self._compact_every = compact_every
@@ -82,14 +121,28 @@ class ServerState:
         path = os.path.join(self._state_dir, _LOG_NAME)
         if not os.path.exists(path):
             return
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
+        kept = 0
+        with open(path, "rb") as fh:
+            for number, line in enumerate(fh, start=1):
+                if not line.endswith(b"\n"):
+                    break  # torn tail: written, never acknowledged
+                kept += len(line)
+                if not line.strip():
                     continue
-                reply = self._dispatch(json.loads(line), log=False)
+                try:
+                    msg = json.loads(line)
+                except (ValueError, RecursionError) as exc:
+                    raise DataIntegrityError(f"corrupt state log line {number}: {exc}") from None
+                if not isinstance(msg, dict):
+                    raise DataIntegrityError(f"corrupt state log line {number}: not an object")
+                reply = self._dispatch(msg, log=False)
                 if reply.get("type") == "error":
-                    raise DataIntegrityError(f"corrupt state log: {reply['error']}")
+                    raise DataIntegrityError(f"corrupt state log line {number}: {reply['error']}")
+            size = fh.seek(0, os.SEEK_END)
+        if kept < size:
+            with open(path, "r+b") as fh:
+                fh.truncate(kept)
+                os.fsync(fh.fileno())
 
     def _append_log(self, msg):
         if self._log is None:
@@ -105,30 +158,15 @@ class ServerState:
     def snapshot_messages(self):
         """Current state as a minimal replayable message sequence."""
         msgs = []
-        if self.descriptor is not None:
-            msgs.append(
-                {
-                    "type": "hello",
-                    "N": self.descriptor["N"],
-                    "backend": {k: v for k, v in self.descriptor.items() if k != "N"},
-                    "hash": self.hash_id,
-                    "levels": self.levels,
-                }
-            )
+        if self.hello is not None:
+            msgs.append(self.hello)
         if self.lookup is not None:
-            msgs.append(
-                {
-                    "type": "put_lookup",
-                    "v": self.lookup.v,
-                    "digests": [b64e(d) for d in sorted(self.lookup.digests)],
-                }
-            )
+            msgs.append(lookup_message(self.lookup))
         for rid in sorted(self.db_store):
             msgs.append({"type": "put_store", "id": rid, "blob": b64e(self.db_store[rid])})
         for level in sorted(self.db_query):
-            for rid in sorted(self.db_query[level]):
-                slots = [b64e(self.group.canonical_bytes(s)) for s in self.db_query[level][rid]]
-                msgs.append({"type": "put_tuple", "level": level, "id": rid, "slots": slots})
+            for rid, slots in sorted(self.db_query[level].items()):
+                msgs.append(tuple_message(self.group, level, rid, slots))
         return msgs
 
     def compact(self):
@@ -159,10 +197,11 @@ class ServerState:
         with self._lock:
             try:
                 msg = json.loads(line)
-                if not isinstance(msg, dict):
-                    raise ProtocolError("message must be a JSON object")
-            except (json.JSONDecodeError, ProtocolError) as exc:
+            except (ValueError, RecursionError) as exc:
                 return json.dumps({"type": "error", "error": f"malformed message: {exc}"})
+            if not isinstance(msg, dict) or _too_deep(msg):
+                error = f"malformed message: not a JSON object nested at most {_MAX_NESTING} deep"
+                return json.dumps({"type": "error", "error": error})
             return json.dumps(self._dispatch(msg, log=True), sort_keys=True)
 
     def request(self, msg):
@@ -170,58 +209,47 @@ class ServerState:
         return json.loads(self.handle_line(json.dumps(msg)))
 
     def _dispatch(self, msg, log):
-        mtype = msg.get("type")
+        """Run the handler; a rejected message changes no state and is not logged."""
         try:
-            if mtype == "hello":
-                reply = self._do_hello(msg)
-            elif mtype == "put_lookup":
-                reply = self._do_put_lookup(msg)
-            elif mtype == "put_tuple":
-                reply = self._do_put_tuple(msg)
-            elif mtype == "put_store":
-                reply = self._do_put_store(msg)
-            elif mtype == "delete":
-                reply = self._do_delete(msg)
-            elif mtype == "query":
-                return self._do_query(msg)
-            else:
+            mtype = msg.get("type")
+            name = _HANDLERS.get(mtype)
+            if name is None:
                 raise ProtocolError(f"unknown message type {mtype!r}")
-        except (ProtocolError, DataIntegrityError, KeyError, TypeError, ValueError) as exc:
+            if self.hello is None and mtype != "hello":
+                raise ProtocolError("no parameters pinned: send hello first")
+            reply = getattr(self, name)(msg)
+        except _BAD_INPUT as exc:
             return {"type": "error", "error": str(exc)}
-        if log:
+        if log and mtype != "query":
             self._append_log(msg)
         return reply
 
-    def _require_params(self):
-        if self.group is None:
-            raise ProtocolError("no parameters pinned: send hello first")
-
     def _check_level(self, level):
-        if not isinstance(level, int) or not 0 <= level < self.levels:
-            raise ProtocolError(f"unknown level {level!r} (levels 0..{self.levels - 1})")
+        levels = self.hello["levels"]
+        if not isinstance(level, int) or not 0 <= level < levels:
+            raise ProtocolError(f"unknown level {level!r} (levels 0..{levels - 1})")
 
     def _do_hello(self, msg):
-        desc = dict(msg["backend"])
-        desc["N"] = str(msg["N"])
-        levels = int(msg["levels"])
-        if levels < 1:
+        hello = {
+            "type": "hello",
+            "N": str(msg["N"]),
+            "backend": dict(msg["backend"]),
+            "hash": msg["hash"],
+            "levels": int(msg["levels"]),
+        }
+        if hello["levels"] < 1:
             raise ProtocolError("levels must be >= 1")
-        pinned = {"descriptor": desc, "hash": msg["hash"], "levels": levels}
-        if self.descriptor is not None:
-            current = {"descriptor": self.descriptor, "hash": self.hash_id, "levels": self.levels}
-            if current != pinned:
+        if self.hello is not None:
+            if hello != self.hello:
                 raise ProtocolError("parameter mismatch with pinned hello")
             return {"type": "ack"}
-        if msg["hash"] != "SHA-256":
-            raise ProtocolError(f"unsupported hash {msg['hash']!r}")
-        self.group = group_from_descriptor(desc)
-        self.descriptor = desc
-        self.hash_id = msg["hash"]
-        self.levels = levels
+        if hello["hash"] != HASH_ID:
+            raise ProtocolError(f"unsupported hash {hello['hash']!r}")
+        self.group = group_from_descriptor(dict(hello["backend"], N=hello["N"]))
+        self.hello = hello
         return {"type": "ack"}
 
     def _do_put_lookup(self, msg):
-        self._require_params()
         digests = [b64d(d) for d in msg["digests"]]
         if any(len(d) != 32 for d in digests):
             raise ProtocolError("lookup digests must be 32 bytes")
@@ -232,21 +260,22 @@ class ServerState:
         return {"type": "ack"}
 
     def _do_put_tuple(self, msg):
-        self._require_params()
         level = msg["level"]
         self._check_level(level)
         rid = str(msg["id"])
         slots = tuple(self.group.decode(b64d(s)) for s in msg["slots"])
         if not slots:
             raise ProtocolError("tuple has no slots")
-        bucket = self.db_query.setdefault(level, {})
+        bucket = self.db_query.get(level, {})
         if rid in bucket:
             raise ProtocolError(f"duplicate id {rid!r} at level {level}")
-        bucket[rid] = slots
+        pinned = len(next(iter(bucket.values()), slots))
+        if len(slots) != pinned:
+            raise ProtocolError(f"tuple has {len(slots)} slots, level {level} holds {pinned}")
+        self.db_query.setdefault(level, {})[rid] = slots
         return {"type": "ack"}
 
     def _do_put_store(self, msg):
-        self._require_params()
         rid = str(msg["id"])
         if rid in self.db_store:
             raise ProtocolError(f"duplicate id {rid!r} in store")
@@ -254,7 +283,6 @@ class ServerState:
         return {"type": "ack"}
 
     def _do_delete(self, msg):
-        self._require_params()
         rid = str(msg["id"])
         found = rid in self.db_store
         self.db_store.pop(rid, None)
@@ -263,28 +291,20 @@ class ServerState:
         return {"type": "ack", "found": found}
 
     def _do_query(self, msg):
-        try:
-            self._require_params()
-            level = msg["level"]
-            self._check_level(level)
-            if self.lookup is None:
-                raise ProtocolError("no lookup table uploaded")
-            query = EncryptedQuery(
-                tuple(self.group.decode(b64d(s)) for s in msg["slots"]), level
-            )
-            matches = []
-            for rid in sorted(self.db_query.get(level, {})):
-                record = EncryptedTuple(rid, self.db_query[level][rid])
-                value = compute(self.group, record, query)
-                self.compute_calls += 1
-                if lookup_contains(self.lookup, self.group, value):
-                    blob = self.db_store.get(rid)
-                    if blob is None:
-                        raise DataIntegrityError(f"matched id {rid!r} missing from db-store")
-                    matches.append({"id": rid, "blob": b64e(blob)})
-            return {"type": "result", "matches": matches}
-        except (ProtocolError, DataIntegrityError, KeyError, TypeError, ValueError) as exc:
-            return {"type": "error", "error": str(exc)}
+        level = msg["level"]
+        self._check_level(level)
+        if self.lookup is None:
+            raise ProtocolError("no lookup table uploaded")
+        query = EncryptedQuery(tuple(self.group.decode(b64d(s)) for s in msg["slots"]), level)
+        matches = []
+        for rid in sorted(self.db_query.get(level, {})):
+            record = EncryptedTuple(rid, self.db_query[level][rid])
+            if lookup_contains(self.lookup, self.group, compute(self.group, record, query)):
+                blob = self.db_store.get(rid)
+                if blob is None:
+                    raise DataIntegrityError(f"matched id {rid!r} missing from db-store")
+                matches.append({"id": rid, "blob": b64e(blob)})
+        return {"type": "result", "matches": matches}
 
 
 class _Handler(socketserver.StreamRequestHandler):

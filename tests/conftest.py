@@ -49,3 +49,29 @@ def sk32_unified():
 
 def random_dataset(rng, n, d=2, x_max=100):
     return [(str(i), tuple(rng.randrange(0, x_max + 1) for _ in range(d))) for i in range(n)]
+
+
+class RecordingServer:
+    """Passes requests to a server and records, per query message, its
+    level and the ids the server matched (the answer before validation)."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.requests = 0
+        self.query_levels = []
+        self.matched = set()
+
+    def request(self, msg):
+        self.requests += 1
+        reply = self.inner.request(msg)
+        if msg.get("type") == "query":
+            self.query_levels.append(msg["level"])
+            self.matched.update(m["id"] for m in reply.get("matches", ()))
+        return reply
+
+    def query(self, run, *args, **kwargs):
+        """Run prot.query_sphere/query_range through this wrapper; returns
+        (validated result, ids the server matched for it)."""
+        self.query_levels.clear()
+        self.matched.clear()
+        return run(*args, self, **kwargs), set(self.matched)

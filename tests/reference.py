@@ -1,0 +1,101 @@
+"""Reference constructions the tests compare the package against.
+
+Neither is on a query path: the Boneh-Goh-Nissim scheme (TCC 2005) checks
+that both pairing backends carry a textbook homomorphic scheme, and
+layered_radii is the paper's width recurrence for layer radii, which the
+gap-free covering_radii replaced in the query path.
+"""
+
+import math
+import secrets
+from dataclasses import dataclass
+
+from shrq.errors import ConfigError, NotFoundError, QueryRejected
+from shrq.geometry import EPS, Layer
+from shrq.pairing import GTElement
+
+
+# -- minimal BGN reference (validates the backends) --------------------------
+
+
+@dataclass
+class BgnPublicKey:
+    group: object
+    g: object
+    h: object  # u^q2, order q1
+
+
+@dataclass
+class BgnSecretKey:
+    q1: int
+
+
+def bgn_keygen(group, rng=None):
+    rng = rng if rng is not None else secrets.SystemRandom()
+    params = group.params
+    if params.q1 is None:
+        raise ConfigError("BGN keygen needs the factorization")
+    g = group.random_generator(rng)
+    u = group.random_generator(rng)
+    return BgnPublicKey(group, g, group.pow(u, params.q2)), BgnSecretKey(params.q1)
+
+
+def bgn_enc(pk, m, rng=None, blinding=None):
+    if blinding is None:
+        rng = rng if rng is not None else secrets.SystemRandom()
+        blinding = rng.randrange(1, pk.group.N)
+    return pk.group.mul(pk.group.pow(pk.g, m), pk.group.pow(pk.h, blinding))
+
+
+def bgn_add(pk, c1, c2):
+    return pk.group.mul(c1, c2)
+
+
+def bgn_mul(pk, c1, c2):
+    return pk.group.pair(c1, c2)
+
+
+def bgn_dec_lookup(sk, pk, c, bound):
+    """Kill the blinding by raising to q1, then scan g^{q1*i} for i <= bound."""
+    group = pk.group
+    if isinstance(c, GTElement):
+        base = group.pow(group.pair(pk.g, pk.g), sk.q1)
+    else:
+        base = group.pow(pk.g, sk.q1)
+    target = group.pow(c, sk.q1)
+    acc = group.identity_gt() if isinstance(c, GTElement) else group.identity_g()
+    for m in range(bound + 1):
+        if acc == target:
+            return m
+        acc = group.mul(acc, base)
+    raise NotFoundError(f"plaintext not within decryption bound {bound}")
+
+
+# -- the paper's layer recurrence --------------------------------------------
+
+
+def layered_radii(r, v, d, b_c, e_max=None):
+    """Width-based layer recurrence: peel sqrt(v) per layer, re-padding each
+    deeper layer by factor*sqrt(d) for the floor error.
+
+    This is the storage-economical recurrence; it under-reaches the exact
+    annulus edge sqrt(r^2 - v), so consecutive layers can leave a gap (see
+    covering_radii, which the query path uses).
+    """
+    if b_c < 2:
+        raise ConfigError("layered plan needs a coarsity base >= 2")
+    root_d, root_v = math.sqrt(d), math.sqrt(v)
+    layers = [Layer(0, float(r), int(r), 1)]
+    rem = r - root_v
+    i = 1
+    while rem > EPS:
+        if e_max is not None and i > e_max:
+            raise QueryRejected(
+                "radius-unsupported", f"radius {r} needs layer {i} > E_max = {e_max}"
+            )
+        factor = b_c**i
+        rem += factor * root_d
+        layers.append(Layer(i, rem, math.ceil(rem / factor - EPS), factor))
+        rem -= factor * root_v
+        i += 1
+    return tuple(layers)

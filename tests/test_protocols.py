@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import random_dataset
+from conftest import RecordingServer, random_dataset
 from shrq import ces, protocols as prot
 from shrq.ces import LAYOUT_SHRQ, LAYOUT_UNIFIED
 from shrq.pairing import TRANSPARENT
@@ -16,7 +16,14 @@ from shrq.errors import (
     QueryRejected,
     SetupError,
 )
-from shrq.geometry import RangeQuery, SphereQuery, make_range_query_component, make_sphere_query_component
+from shrq.geometry import (
+    Layer,
+    RangeQuery,
+    SphereQuery,
+    covering_radii,
+    make_range_query_component,
+    make_sphere_query_component,
+)
 from shrq.oracle import hrq_oracle, range_oracle
 from shrq.server import ServerState
 
@@ -35,18 +42,6 @@ def loaded_server(config, sk, dataset, rng=None):
     server = ServerState()
     prot.run_setup(config, sk, dataset, server, rng=rng)
     return server
-
-
-class CountingServer:
-    """Wraps a ServerState and counts requests, for fail-fast assertions."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.requests = 0
-
-    def request(self, msg):
-        self.requests += 1
-        return self.inner.request(msg)
 
 
 # -- setup stream ---------------------------------------------------------------
@@ -108,10 +103,10 @@ def test_record_blob_roundtrip_and_binding(sk32):
 def test_table_protocol_oracle_exact(rng):
     ds = random_dataset(rng, 120)
     config, sk = deployment("t")
-    server = loaded_server(config, sk, ds, rng)
+    server = RecordingServer(loaded_server(config, sk, ds, rng))
     for _ in range(15):
         q = SphereQuery((rng.randrange(101), rng.randrange(101)), rng.randrange(0, 21))
-        result, pre = prot.query_sphere(config, sk, q, server, return_raw=True)
+        result, pre = server.query(prot.query_sphere, config, sk, q)
         want = hrq_oracle(ds, q)
         assert result.ids == want
         assert pre == want  # pre-validation already exact under the margin
@@ -119,7 +114,7 @@ def test_table_protocol_oracle_exact(rng):
 
 def test_table_protocol_rejects_fast(rng):
     config, sk = deployment("t")
-    server = CountingServer(loaded_server(config, sk, random_dataset(rng, 5), rng))
+    server = RecordingServer(loaded_server(config, sk, random_dataset(rng, 5), rng))
     with pytest.raises(QueryRejected, match=r"r > sqrt\(v\)"):
         prot.query_sphere(config, sk, SphereQuery((1, 1), 21), server)
     assert server.requests == 0  # rejected before anything went out
@@ -135,10 +130,10 @@ def test_query_with_r0_returns_coincident_points(rng):
 def test_coarse_protocol_oracle_exact(rng):
     ds = random_dataset(rng, 120)
     config, sk = deployment("c", e_max=3)
-    server = loaded_server(config, sk, ds, rng)
+    server = RecordingServer(loaded_server(config, sk, ds, rng))
     for _ in range(15):
         q = SphereQuery((rng.randrange(101), rng.randrange(101)), rng.randrange(0, 149))
-        result, pre = prot.query_sphere(config, sk, q, server, return_raw=True)
+        result, pre = server.query(prot.query_sphere, config, sk, q)
         want = hrq_oracle(ds, q)
         assert pre >= want  # no false negatives before validation
         assert result.ids == want
@@ -147,10 +142,10 @@ def test_coarse_protocol_oracle_exact(rng):
 def test_layered_protocol_oracle_exact(rng):
     ds = random_dataset(rng, 120)
     config, sk = deployment("l", e_max=3)
-    server = loaded_server(config, sk, ds, rng)
+    server = RecordingServer(loaded_server(config, sk, ds, rng))
     for _ in range(15):
         q = SphereQuery((rng.randrange(101), rng.randrange(101)), rng.randrange(0, 201))
-        result, pre = prot.query_sphere(config, sk, q, server, return_raw=True)
+        result, pre = server.query(prot.query_sphere, config, sk, q)
         want = hrq_oracle(ds, q)
         assert pre >= want
         assert result.ids == want
@@ -161,10 +156,10 @@ def test_zero_false_negatives_exhaustive_grid():
     rng = random.Random(4)
     for protocol, e_max, radii in (("t", 0, (0, 3, 10, 15)), ("c", 3, (0, 10, 40, 90)), ("l", 3, (0, 10, 40, 90))):
         config, sk = deployment(protocol, v=256, e_max=e_max, x_max=24, seed=55)
-        server = loaded_server(config, sk, grid, rng)
+        server = RecordingServer(loaded_server(config, sk, grid, rng))
         for r in radii:
             q = SphereQuery((rng.randrange(25), rng.randrange(25)), r)
-            result, pre = prot.query_sphere(config, sk, q, server, return_raw=True)
+            result, pre = server.query(prot.query_sphere, config, sk, q)
             want = hrq_oracle(grid, q)
             assert pre >= want, (protocol, q)
             assert result.ids == want, (protocol, q)
@@ -322,10 +317,24 @@ def test_wrap_guard_rejects_enormous_layer_radius():
         prot.query_sphere(config, sk, SphereQuery((0, 0), r), server)
 
 
+def test_plan_shapes():
+    # every protocol plans a tuple of Layer; t and c plan exactly one
+    config, sk = deployment("t")
+    assert prot.plan_sphere(config, sk, SphereQuery((10, 11), 20)) == (Layer(0, 20.0, 20, 1),)
+    config, sk = deployment("c", e_max=3)
+    assert prot.plan_sphere(config, sk, SphereQuery((10, 11), 20)) == (Layer(0, 20.0, 20, 1),)
+    # one level coarser: ceil(25 / 2 + sqrt(2)) absorbs the floor error
+    assert prot.plan_sphere(config, sk, SphereQuery((10, 11), 25)) == (Layer(1, 25.0, 14, 2),)
+    config, sk = deployment("l", e_max=3)
+    assert prot.plan_sphere(config, sk, SphereQuery((10, 11), 60)) == covering_radii(60, 400, 2, 5, 3)
+    config, sk = deployment("c", layout=LAYOUT_UNIFIED, e_max=3)
+    sphere, plan = prot.plan_range(config, sk, RangeQuery(2, 90, 500))
+    assert sphere == SphereQuery((0, 95), 5) and plan == (Layer(0, 5.0, 5, 1),)
+    assert prot.plan_range(config, sk, RangeQuery(1, 300, 400)) == (None, ())
+
+
 def test_level_count_economy():
     # stores needed to support radius R_max: layered (base 5) vs coarse (base 2)
-    from shrq.geometry import covering_radii
-
     v, d, b_c = 400, 2, 5
     for r_max in (50, 100, 160, 200):
         coarse_levels = 1 + min(
