@@ -181,14 +181,22 @@ def query_encrypt(sk, comp, level=0, rng=None, blinding=None):
     return EncryptedQuery(tuple(slots), level)
 
 
-def compute(group, enc_tuple, enc_query):
-    """Pair matching slots and multiply: e(s,s)^{alpha*(dot+beta)}."""
-    if len(enc_tuple.slots) != len(enc_query.slots):
+def prepare_query(group, enc_query):
+    """The query's slots in the group's fixed-argument form (Group.prepare),
+    made once per query and shared by every compute() over its tuples."""
+    return tuple(group.prepare(q) for q in enc_query.slots)
+
+
+def compute(group, enc_tuple, prepared_query):
+    """Pair matching slots and multiply: e(s,s)^{alpha*(dot+beta)}.
+
+    prepared_query is prepare_query() of the encrypted query.  The result is
+    prod_i pair(m_i, q_i) exactly; Group.pair_product shares one squaring
+    chain and one final exponentiation across the slots.
+    """
+    if len(enc_tuple.slots) != len(prepared_query):
         raise ProtocolError("encrypted tuple/query slot counts differ")
-    out = group.identity_gt()
-    for ms, qs in zip(enc_tuple.slots, enc_query.slots):
-        out = group.mul(out, group.pair(ms, qs))
-    return out
+    return group.pair_product(prepared_query, enc_tuple.slots)
 
 
 def _digest(group, t):

@@ -145,6 +145,8 @@ def _resolve_range(args, offsets):
         if args.col_max is None:
             raise ConfigError("open range [lo, inf) needs --col-max")
         hi = args.col_max
+    if not 1 <= args.col <= len(offsets):
+        raise ConfigError(f"--col {args.col} is not a column of this key (1..{len(offsets)})")
     off = offsets[args.col - 1]
     return RangeQuery(args.col, lo + off, hi + off)
 

@@ -2,8 +2,10 @@
 
 The server holds only public computation parameters (N, group descriptor,
 hash id), the lookup-table digests, AES blobs it cannot open, and encrypted
-tuples.  Its whole query-time behaviour is: pair slots, multiply, hash,
-check membership, return the blob on a hit.
+tuples.  Its whole query-time behaviour is: decode the query's slots and
+prepare each one once (ces.prepare_query records its Miller lines), then for
+every tuple at the queried level evaluate the product of the slot pairings
+(ces.compute), hash it, check membership and return the blob on a hit.
 
 Wire format: newline-delimited UTF-8 JSON over TCP, binary fields base64.
 Requests carry a "type" field:
@@ -24,11 +26,15 @@ at an empty level fixes it, and a put_tuple with another count is an error,
 so one bad tuple cannot turn every later query at its level into an error.
 
 Mutations are appended to a write-ahead log and fsync'd before they are
-acknowledged, and replayed in order on restart, so an acknowledged mutation
-survives a crash between any two messages.  A final log line without its
-newline was cut by a crash before its ack: replay drops it and truncates
-the log to the last newline.  Any other line that is not a JSON object, or
-that the handler rejects, fails the restart with DataIntegrityError.
+applied and acknowledged, and replayed in order on restart, so an
+acknowledged mutation survives a crash between any two messages.  If the
+append fails (a full disk), the log is cut back to its length before it,
+the state is left unchanged and the reply is an error; should that cut fail
+too, the line may stay, as after a crash before the ack.  A final log line
+without its newline was cut by a crash before its ack: replay drops it and
+truncates the log to the last newline.  Any other line that is not a JSON
+object, or that the handler rejects, fails the restart with
+DataIntegrityError.
 """
 
 import base64
@@ -38,7 +44,15 @@ import socket
 import socketserver
 import threading
 
-from .ces import HASH_ID, EncryptedQuery, EncryptedTuple, LookupTable, compute, lookup_contains
+from .ces import (
+    HASH_ID,
+    EncryptedQuery,
+    EncryptedTuple,
+    LookupTable,
+    compute,
+    lookup_contains,
+    prepare_query,
+)
 from .errors import DataIntegrityError, ProtocolError, ServerUnreachable, ShrqError
 from .pairing import group_from_descriptor
 
@@ -114,7 +128,7 @@ class ServerState:
         if state_dir is not None:
             os.makedirs(state_dir, exist_ok=True)
             self._replay()
-            self._log = open(os.path.join(state_dir, _LOG_NAME), "a", encoding="utf-8")
+            self._open_log()
 
     # -- persistence --------------------------------------------------------
     def _replay(self):
@@ -135,7 +149,7 @@ class ServerState:
                     raise DataIntegrityError(f"corrupt state log line {number}: {exc}") from None
                 if not isinstance(msg, dict):
                     raise DataIntegrityError(f"corrupt state log line {number}: not an object")
-                reply = self._dispatch(msg, log=False)
+                reply = self._dispatch(msg)
                 if reply.get("type") == "error":
                     raise DataIntegrityError(f"corrupt state log line {number}: {reply['error']}")
             size = fh.seek(0, os.SEEK_END)
@@ -144,16 +158,27 @@ class ServerState:
                 fh.truncate(kept)
                 os.fsync(fh.fileno())
 
+    def _open_log(self):
+        # unbuffered, so a failed write leaves no bytes behind to flush later
+        self._log = open(os.path.join(self._state_dir, _LOG_NAME), "ab", buffering=0)
+
     def _append_log(self, msg):
+        """Write msg to the log and fsync it.  A handler calls this after its
+        checks and before it changes any state; on OSError the log is cut
+        back to its length before the append and the error propagates."""
         if self._log is None:
             return
-        self._log.write(json.dumps(msg, sort_keys=True) + "\n")
-        self._log.flush()
-        if self._fsync:
-            os.fsync(self._log.fileno())
+        start = self._log.seek(0, os.SEEK_END)
+        data = memoryview((json.dumps(msg, sort_keys=True) + "\n").encode("utf-8"))
+        try:
+            while data:
+                data = data[self._log.write(data) :]
+            if self._fsync:
+                os.fsync(self._log.fileno())
+        except OSError:
+            self._log.truncate(start)
+            raise
         self._mutations_since_compact += 1
-        if self._compact_every and self._mutations_since_compact >= self._compact_every:
-            self.compact()
 
     def snapshot_messages(self):
         """Current state as a minimal replayable message sequence."""
@@ -183,7 +208,7 @@ class ServerState:
         os.replace(tmp, path)
         if self._log is not None:
             self._log.close()
-            self._log = open(path, "a", encoding="utf-8")
+            self._open_log()
         self._mutations_since_compact = 0
 
     def close(self):
@@ -202,14 +227,16 @@ class ServerState:
             if not isinstance(msg, dict) or _too_deep(msg):
                 error = f"malformed message: not a JSON object nested at most {_MAX_NESTING} deep"
                 return json.dumps({"type": "error", "error": error})
-            return json.dumps(self._dispatch(msg, log=True), sort_keys=True)
+            return json.dumps(self._dispatch(msg), sort_keys=True)
 
     def request(self, msg):
         """In-process transport: same code path as TCP, JSON round-tripped."""
         return json.loads(self.handle_line(json.dumps(msg)))
 
-    def _dispatch(self, msg, log):
-        """Run the handler; a rejected message changes no state and is not logged."""
+    def _dispatch(self, msg):
+        """Run the handler.  Each mutation handler checks its message, logs
+        it and only then applies it, so a rejected message or a failed log
+        append changes no state and gets an error reply."""
         try:
             mtype = msg.get("type")
             name = _HANDLERS.get(mtype)
@@ -220,8 +247,10 @@ class ServerState:
             reply = getattr(self, name)(msg)
         except _BAD_INPUT as exc:
             return {"type": "error", "error": str(exc)}
-        if log and mtype != "query":
-            self._append_log(msg)
+        except OSError as exc:
+            return {"type": "error", "error": f"state log append failed: {exc}"}
+        if self._compact_every and self._mutations_since_compact >= self._compact_every:
+            self.compact()
         return reply
 
     def _check_level(self, level):
@@ -242,11 +271,13 @@ class ServerState:
         if self.hello is not None:
             if hello != self.hello:
                 raise ProtocolError("parameter mismatch with pinned hello")
+            self._append_log(msg)
             return {"type": "ack"}
         if hello["hash"] != HASH_ID:
             raise ProtocolError(f"unsupported hash {hello['hash']!r}")
-        self.group = group_from_descriptor(dict(hello["backend"], N=hello["N"]))
-        self.hello = hello
+        group = group_from_descriptor(dict(hello["backend"], N=hello["N"]))
+        self._append_log(msg)
+        self.group, self.hello = group, hello
         return {"type": "ack"}
 
     def _do_put_lookup(self, msg):
@@ -256,7 +287,9 @@ class ServerState:
         uniq = frozenset(digests)
         if len(uniq) != len(digests):
             raise ProtocolError("duplicate lookup digests")
-        self.lookup = LookupTable(uniq, int(msg["v"]))
+        lookup = LookupTable(uniq, int(msg["v"]))
+        self._append_log(msg)
+        self.lookup = lookup
         return {"type": "ack"}
 
     def _do_put_tuple(self, msg):
@@ -272,6 +305,7 @@ class ServerState:
         pinned = len(next(iter(bucket.values()), slots))
         if len(slots) != pinned:
             raise ProtocolError(f"tuple has {len(slots)} slots, level {level} holds {pinned}")
+        self._append_log(msg)
         self.db_query.setdefault(level, {})[rid] = slots
         return {"type": "ack"}
 
@@ -279,12 +313,15 @@ class ServerState:
         rid = str(msg["id"])
         if rid in self.db_store:
             raise ProtocolError(f"duplicate id {rid!r} in store")
-        self.db_store[rid] = b64d(msg["blob"])
+        blob = b64d(msg["blob"])
+        self._append_log(msg)
+        self.db_store[rid] = blob
         return {"type": "ack"}
 
     def _do_delete(self, msg):
         rid = str(msg["id"])
         found = rid in self.db_store
+        self._append_log(msg)
         self.db_store.pop(rid, None)
         for bucket in self.db_query.values():
             found |= bucket.pop(rid, None) is not None
@@ -296,10 +333,11 @@ class ServerState:
         if self.lookup is None:
             raise ProtocolError("no lookup table uploaded")
         query = EncryptedQuery(tuple(self.group.decode(b64d(s)) for s in msg["slots"]), level)
+        prepared = prepare_query(self.group, query)
         matches = []
         for rid in sorted(self.db_query.get(level, {})):
             record = EncryptedTuple(rid, self.db_query[level][rid])
-            if lookup_contains(self.lookup, self.group, compute(self.group, record, query)):
+            if lookup_contains(self.lookup, self.group, compute(self.group, record, prepared)):
                 blob = self.db_store.get(rid)
                 if blob is None:
                     raise DataIntegrityError(f"matched id {rid!r} missing from db-store")

@@ -112,11 +112,12 @@ def test_c03_compute_correctness():
         c_q = make_sphere_query_component(q, LAYOUT_SHRQ)
         enc_m = ces.tuple_encrypt(sk, c_m, rng=rng)
         enc_q = ces.query_encrypt(sk, c_q, rng=rng)
-        value = ces.compute(grp, enc_m, enc_q)
+        value = ces.compute(grp, enc_m, ces.prepare_query(grp, enc_q))
         direct = grp.pow(ss, sk.alpha * (plaintext_dot(c_m, c_q) + sk.beta))
         assert grp.canonical_bytes(value) == grp.canonical_bytes(direct)
         # blinding independence: fresh randomness, same deterministic value
-        again = ces.compute(grp, ces.tuple_encrypt(sk, c_m, rng=rng), ces.query_encrypt(sk, c_q, rng=rng))
+        enc_q = ces.query_encrypt(sk, c_q, rng=rng)
+        again = ces.compute(grp, ces.tuple_encrypt(sk, c_m, rng=rng), ces.prepare_query(grp, enc_q))
         assert again == value
 
 

@@ -9,16 +9,19 @@ from shrq.ces import (
     LAYOUT_SHRQ,
     LAYOUT_UNIFIED,
     Component,
+    EncryptedQuery,
+    EncryptedTuple,
     compute,
     create_lookup_table,
     keygen,
     lookup_contains,
+    prepare_query,
     query_encrypt,
     tuple_encrypt,
 )
 from shrq.errors import ConfigError, NotFoundError, ProtocolError
 from shrq.geometry import SphereQuery, make_data_component, make_sphere_query_component, plaintext_dot
-from shrq.pairing import TRANSPARENT, group_from_descriptor, group_from_primes
+from shrq.pairing import CURVE_A1, TRANSPARENT, group_from_descriptor, group_from_primes
 from reference import bgn_add, bgn_dec_lookup, bgn_enc, bgn_keygen, bgn_mul
 
 
@@ -125,7 +128,8 @@ def test_compute_matches_lookup_entry(toy_transparent):
     c_m = Component((2, 1, 1), 1)
     c_q = Component((1, 1, 1), 1)
     assert plaintext_dot(c_m, c_q) == 4
-    t = compute(sk.group, tuple_encrypt(sk, c_m, blinding=1), query_encrypt(sk, c_q, blinding=1))
+    enc_q = query_encrypt(sk, c_q, blinding=1)
+    t = compute(sk.group, tuple_encrypt(sk, c_m, blinding=1), prepare_query(sk.group, enc_q))
     assert t == sk.group.pow(sk.group.pair(sk.s, sk.s), (4 + 3) * 2)
 
 
@@ -135,7 +139,8 @@ def test_compute_dot_oracle_d1(sk32):
     c_m = make_data_component((3,), LAYOUT_SHRQ)
     c_q = make_sphere_query_component(SphereQuery((2,), 2), LAYOUT_SHRQ)
     assert plaintext_dot(c_m, c_q) == 3
-    t = compute(sk.group, tuple_encrypt(sk, c_m, rng=random.Random(1)), query_encrypt(sk, c_q, rng=random.Random(2)))
+    enc_q = query_encrypt(sk, c_q, rng=random.Random(2))
+    t = compute(sk.group, tuple_encrypt(sk, c_m, rng=random.Random(1)), prepare_query(sk.group, enc_q))
     expected = sk.group.pow(sk.group.pair(sk.s, sk.s), sk.alpha * (3 + sk.beta))
     assert sk.group.canonical_bytes(t) == sk.group.canonical_bytes(expected)
 
@@ -143,8 +148,11 @@ def test_compute_dot_oracle_d1(sk32):
 def test_compute_blinding_invariance(sk32, rng):
     c_m = make_data_component((30, 40), LAYOUT_SHRQ)
     c_q = make_sphere_query_component(SphereQuery((28, 44), 9), LAYOUT_SHRQ)
-    plain = compute(sk32.group, tuple_encrypt(sk32, c_m, blinding=0), query_encrypt(sk32, c_q, blinding=0))
-    blinded = compute(sk32.group, tuple_encrypt(sk32, c_m, rng=rng), query_encrypt(sk32, c_q, rng=rng))
+    grp = sk32.group
+    plain_q = prepare_query(grp, query_encrypt(sk32, c_q, blinding=0))
+    plain = compute(grp, tuple_encrypt(sk32, c_m, blinding=0), plain_q)
+    blinded_q = prepare_query(grp, query_encrypt(sk32, c_q, rng=rng))
+    blinded = compute(grp, tuple_encrypt(sk32, c_m, rng=rng), blinded_q)
     assert plain == blinded
 
 
@@ -152,7 +160,41 @@ def test_compute_length_mismatch(sk32, sk32_unified, rng):
     t = tuple_encrypt(sk32, make_data_component((1, 2), LAYOUT_SHRQ), rng=rng)
     q = query_encrypt(sk32_unified, make_sphere_query_component(SphereQuery((1, 2), 1), LAYOUT_UNIFIED), rng=rng)
     with pytest.raises(ProtocolError):
-        compute(sk32.group, t, q)
+        compute(sk32.group, t, prepare_query(sk32.group, q))
+
+
+@pytest.fixture(scope="module", params=[LAYOUT_SHRQ, LAYOUT_UNIFIED])
+def curve_sk(request):
+    return keygen(32, 2, request.param, 400, 100, CURVE_A1, rng=random.Random(32))[0]
+
+
+def test_compute_is_product_of_pairs_on_curve(curve_sk, rng):
+    sk, grp = curve_sk, curve_sk.group
+
+    def slot():  # identity, pure s (order q2), pure h (order q1) or both
+        kind = rng.randrange(4)
+        s_part = grp.pow(sk.s, rng.randrange(1, grp.N)) if kind & 1 else grp.identity_g()
+        h_part = grp.pow(sk.h, rng.randrange(1, grp.N)) if kind & 2 else grp.identity_g()
+        return grp.mul(s_part, h_part)
+
+    def encrypted():  # a random data component against a random sphere query
+        c_m = make_data_component((rng.randrange(101), rng.randrange(101)), sk.layout)
+        q = SphereQuery((rng.randrange(101), rng.randrange(101)), rng.randrange(21))
+        c_q = make_sphere_query_component(q, sk.layout)
+        return tuple_encrypt(sk, c_m, rng=rng).slots, query_encrypt(sk, c_q, rng=rng).slots
+
+    cases = [encrypted() for _ in range(4)]
+    for _ in range(16):
+        cases.append((tuple(slot() for _ in range(sk.L)), tuple(slot() for _ in range(sk.L))))
+    cases.append(((grp.identity_g(),) * sk.L, cases[0][1]))
+    for ms, qs in cases:
+        want = grp.identity_gt()
+        for m, q in zip(ms, qs):
+            want = grp.mul(want, grp.pair(m, q))
+        got = compute(grp, EncryptedTuple(None, ms), prepare_query(grp, EncryptedQuery(qs)))
+        assert grp.canonical_bytes(got) == grp.canonical_bytes(want)
+    with pytest.raises(ProtocolError):
+        compute(grp, EncryptedTuple(None, ms[:-1]), prepare_query(grp, EncryptedQuery(qs)))
 
 
 def test_compute_correctness_fuzz(sk32, rng):
@@ -162,7 +204,8 @@ def test_compute_correctness_fuzz(sk32, rng):
         c_m = make_data_component((rng.randrange(101), rng.randrange(101)), LAYOUT_SHRQ)
         q = SphereQuery((rng.randrange(101), rng.randrange(101)), rng.randrange(21))
         c_q = make_sphere_query_component(q, LAYOUT_SHRQ)
-        t = compute(grp, tuple_encrypt(sk32, c_m, rng=rng), query_encrypt(sk32, c_q, rng=rng))
+        enc_q = query_encrypt(sk32, c_q, rng=rng)
+        t = compute(grp, tuple_encrypt(sk32, c_m, rng=rng), prepare_query(grp, enc_q))
         want = grp.pow(ss, sk32.alpha * (plaintext_dot(c_m, c_q) + sk32.beta))
         assert grp.canonical_bytes(t) == grp.canonical_bytes(want)
 

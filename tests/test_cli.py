@@ -100,6 +100,15 @@ def test_open_range_needs_bound(workspace):
     assert out.returncode == 0
 
 
+@pytest.mark.parametrize("col", ["0", "5"])
+def test_range_column_outside_key(workspace, col):
+    out = run_cli(
+        "query", "range", "--key", workspace["key"], "--server", workspace["server"],
+        "--col", col, "--lo", "1", "--hi", "5",
+    )
+    assert out.returncode == 3 and "Traceback" not in out.stderr
+
+
 def test_insert_then_delete(workspace):
     ws = workspace
     assert run_cli("insert", "--key", ws["key"], "--id", "zz", "--point", "77,78",

@@ -107,6 +107,19 @@ def test_pair_laws_fuzz(backend, rng):
         assert grp.pair(x, y) == grp.identity_gt()  # subgroup orthogonality
 
 
+@pytest.mark.parametrize("backend", [TRANSPARENT, CURVE_A1])
+def test_prepared_pairing_matches_pair_toy(backend, rng):
+    # every ordered pair of the 35 elements, the identity included; on the
+    # curve the prepared Miller loop runs over the other argument than pair's
+    grp = group_from_primes(5, 7, backend)
+    g = grp.random_generator(rng)
+    elems = [grp.pow(g, k) for k in range(35)]
+    for b in elems:
+        prepared = grp.prepare(b)
+        for a in elems:
+            assert grp.pair_product([prepared], [a]) == grp.pair(a, b)
+
+
 def test_pair_orthogonality_toy(toy_transparent):
     t = toy_transparent.pair(GElement(5), GElement(7))
     assert toy_transparent.is_identity(t)

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import random
@@ -9,9 +10,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import shrq.server
 from conftest import random_dataset
 from shrq import ces, protocols as prot
-from shrq.ces import LAYOUT_SHRQ
+from shrq.ces import LAYOUT_SHRQ, LAYOUT_UNIFIED
 from shrq.errors import DataIntegrityError
-from shrq.pairing import TRANSPARENT
+from shrq.pairing import CURVE_A1, TRANSPARENT
 from shrq.geometry import RangeQuery, SphereQuery, make_sphere_query_component
 from shrq.keyfile import load_keyfile, save_keyfile
 from shrq.oracle import hrq_oracle, range_oracle
@@ -239,6 +240,7 @@ def test_restart_replays_state(deployment, rng, tmp_path):
     reborn = ServerState(str(tmp_path))
     assert prot.query_sphere(config, sk, q, reborn) == want
     assert reborn.db_store.keys() == first.db_store.keys()
+    reborn.close()
 
 
 def test_restart_between_any_two_messages(deployment, rng, tmp_path):
@@ -258,6 +260,7 @@ def test_restart_between_any_two_messages(deployment, rng, tmp_path):
     for msg in msgs:
         fresh.request(msg)
     assert prot.query_sphere(config, sk, q, state) == prot.query_sphere(config, sk, q, fresh)
+    state.close()
 
 
 def test_compaction_preserves_state(deployment, rng, tmp_path):
@@ -272,6 +275,7 @@ def test_compaction_preserves_state(deployment, rng, tmp_path):
     state.close()
     reborn = ServerState(str(tmp_path))
     assert prot.query_sphere(config, sk, q, reborn) == want
+    reborn.close()
 
 
 def _logged_state(config, sk, rng, state_dir):
@@ -345,6 +349,50 @@ def test_slot_count_pinned_per_level(deployment, rng, tmp_path):
     fill(config, sk, [], fresh, rng)
     assert fresh.request(short)["type"] == "ack"
     assert fresh.request(dict(good, id="c"))["type"] == "error"
+
+
+@pytest.mark.parametrize("kind", ["put_tuple", "delete"])
+def test_failed_log_append_changes_nothing(deployment, rng, tmp_path, monkeypatch, kind):
+    config, sk = deployment
+    state = ServerState(str(tmp_path))
+    fill(config, sk, [("a", (1, 2))], state, rng)
+    if kind == "put_tuple":
+        msg = prot.point_messages(config, sk, "b", (5, 6), rng=rng)[1]  # b's tuple at level 0
+    else:
+        msg = {"type": "delete", "id": "a"}
+    before = state.snapshot_messages()
+    log = (tmp_path / "log.jsonl").read_bytes()
+    fsync = os.fsync
+
+    def full_disk_once(fd):
+        monkeypatch.setattr(shrq.server.os, "fsync", fsync)
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(shrq.server.os, "fsync", full_disk_once)
+    reply = state.request(msg)
+    assert reply["type"] == "error" and "log" in reply["error"]
+    assert state.snapshot_messages() == before
+    assert (tmp_path / "log.jsonl").read_bytes() == log  # cut back to before the append
+    assert state.request(msg)["type"] == "ack"  # the next line is answered
+    after = state.snapshot_messages()
+    assert after != before
+    state.close()
+    assert _restarted(tmp_path) == after
+
+
+def test_layered_curve_queries_match_oracle(rng):
+    config = prot.make_config("l", 2, 100, 60, e_max=3, backend=CURVE_A1, layout=LAYOUT_UNIFIED)
+    sk, _ = ces.keygen(32, 2, LAYOUT_UNIFIED, 100, 60, CURVE_A1, rng=random.Random(32))
+    ds = random_dataset(rng, 10, x_max=60)
+    state = ServerState()
+    fill(config, sk, ds, state, rng)
+    spheres = (SphereQuery((30, 30), 12), SphereQuery((10, 50), 25), SphereQuery((45, 15), 40))
+    ranges = (RangeQuery(1, 10, 30), RangeQuery(2, 0, 60))
+    for q in spheres:
+        assert prot.query_sphere(config, sk, q, state).ids == hrq_oracle(ds, q)
+    for rq in ranges:
+        assert prot.query_range(config, sk, rq, state).ids == range_oracle(ds, rq)
+    assert prot.query_range(config, sk, ranges[1], state).ids == {rid for rid, _ in ds}
 
 
 def test_mutations_logged_queries_not(deployment, rng, tmp_path):
