@@ -11,6 +11,10 @@ because the blinding factors pair to e(h,h)^{r_m * r_q * (A.B)} = 1
 e(s, h) vanish outright.  The server decides "dot value in [0, v]" by
 hashing T against a precomputed lookup table, learning nothing else.
 
+An encrypted tuple or query is a plain tuple of L group elements, one per
+component slot (L = layout_len(layout, d)); the record id and the level it
+is stored or asked at travel beside it in the wire message, not in it.
+
 alpha and beta are long-term key material: the lookup table is built from
 them once at setup, so they cannot be refreshed per query (only the
 blinding scalars r_m, r_q are fresh).  Correctness needs
@@ -77,18 +81,6 @@ class SecretKey:
         return layout_len(self.layout, self.d)
 
 
-@dataclass
-class EncryptedTuple:
-    id: str | None
-    slots: tuple
-
-
-@dataclass
-class EncryptedQuery:
-    slots: tuple
-    level: int = 0
-
-
 @dataclass(frozen=True)
 class LookupTable:
     digests: frozenset  # 32-byte SHA-256 values
@@ -150,27 +142,26 @@ def _check_len(sk, comp):
         raise ProtocolError(f"component has {len(comp.entries)} slots, key expects {sk.L}")
 
 
-def tuple_encrypt(sk, comp, record_id=None, rng=None, blinding=None):
-    """Encrypt a data component; fresh blinding scalar per call unless pinned."""
+def tuple_encrypt(sk, comp, rng=None):
+    """Encrypt a data component under a fresh blinding scalar; returns the
+    tuple of L slots."""
     _check_len(sk, comp)
-    if blinding is None:
-        rng = rng if rng is not None else secrets.SystemRandom()
-        blinding = rng.randrange(1, sk.group.N)
+    rng = rng if rng is not None else secrets.SystemRandom()
+    blinding = rng.randrange(1, sk.group.N)
     group = sk.group
-    slots = tuple(
+    return tuple(
         group.mul(group.pow(sk.s, int(m_i)), group.pow(sk.h, blinding * a_i))
         for m_i, a_i in zip(comp.entries, sk.A)
     )
-    return EncryptedTuple(record_id, slots)
 
 
-def query_encrypt(sk, comp, level=0, rng=None, blinding=None):
+def query_encrypt(sk, comp, rng=None):
     """Encrypt a query component; beta shifts only the slot facing the
-    data side's constant-1 slot, alpha scales every slot."""
+    data side's constant-1 slot, alpha scales every slot.  Returns the
+    tuple of L slots."""
     _check_len(sk, comp)
-    if blinding is None:
-        rng = rng if rng is not None else secrets.SystemRandom()
-        blinding = rng.randrange(1, sk.group.N)
+    rng = rng if rng is not None else secrets.SystemRandom()
+    blinding = rng.randrange(1, sk.group.N)
     group = sk.group
     slots = []
     for i, (q_i, b_i) in enumerate(zip(comp.entries, sk.B)):
@@ -178,36 +169,36 @@ def query_encrypt(sk, comp, level=0, rng=None, blinding=None):
         slots.append(
             group.mul(group.pow(sk.s, coeff * sk.alpha), group.pow(sk.h, blinding * b_i))
         )
-    return EncryptedQuery(tuple(slots), level)
+    return tuple(slots)
 
 
-def prepare_query(group, enc_query):
+def prepare_query(group, slots):
     """The query's slots in the group's fixed-argument form (Group.prepare),
     made once per query and shared by every compute() over its tuples."""
-    return tuple(group.prepare(q) for q in enc_query.slots)
+    return tuple(group.prepare(q) for q in slots)
 
 
-def compute(group, enc_tuple, prepared_query):
+def compute(group, slots, prepared_query):
     """Pair matching slots and multiply: e(s,s)^{alpha*(dot+beta)}.
 
-    prepared_query is prepare_query() of the encrypted query.  The result is
-    prod_i pair(m_i, q_i) exactly; Group.pair_product shares one squaring
-    chain and one final exponentiation across the slots.
+    slots is an encrypted tuple and prepared_query is prepare_query() of
+    the encrypted query.  The result is prod_i pair(m_i, q_i) exactly;
+    Group.pair_product shares one squaring chain and one final
+    exponentiation across the slots.
     """
-    if len(enc_tuple.slots) != len(prepared_query):
+    if len(slots) != len(prepared_query):
         raise ProtocolError("encrypted tuple/query slot counts differ")
-    return group.pair_product(prepared_query, enc_tuple.slots)
+    return group.pair_product(prepared_query, slots)
 
 
 def _digest(group, t):
     return hashlib.sha256(group.canonical_bytes(t)).digest()
 
 
-def create_lookup_table(sk, v=None):
-    """Hash e(s,s)^{(i+beta)*alpha} for i in [0, v]; abort on any collision
-    (it would mean the canonical encoding is broken)."""
-    v = sk.v if v is None else v
-    group = sk.group
+def create_lookup_table(sk):
+    """Hash e(s,s)^{(i+beta)*alpha} for i in [0, sk.v]; abort on any
+    collision (it would mean the canonical encoding is broken)."""
+    v, group = sk.v, sk.group
     base = group.pair(sk.s, sk.s)
     digests = set()
     for i in range(v + 1):

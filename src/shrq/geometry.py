@@ -113,14 +113,6 @@ def range_to_sphere(rq, d):
     return SphereQuery(tuple(center), radius)
 
 
-def make_range_query_component(rq, d, layout=LAYOUT_UNIFIED):
-    """Range query as a single-column sphere component (unified layout only)."""
-    if layout != LAYOUT_UNIFIED:
-        raise ConfigError("range queries need the unified layout")
-    sphere = range_to_sphere(rq, d)
-    return make_sphere_query_component(sphere, layout, cols=(rq.col,)), sphere
-
-
 def coarse_transform(coords, factor):
     """Map every coordinate to floor(x / factor)."""
     if factor < 1:
@@ -186,13 +178,6 @@ def covering_radii(r, v, d, b_c, e_max):
             return tuple(layers)
         top = factor * (math.sqrt(scaled * scaled - v) + root_d)
         i += 1
-
-
-def plaintext_dot(c_m, c_q):
-    """Exact integer dot product; the oracle for compute()."""
-    if len(c_m.entries) != len(c_q.entries):
-        raise ConfigError("component lengths differ")
-    return sum(int(a) * int(b) for a, b in zip(c_m.entries, c_q.entries))
 
 
 def dist_squared(a, b, cols=None):

@@ -3,7 +3,8 @@
 The file holds everything the owner needs to reopen a deployment: group
 primes, generators, blinding vectors, long-term scalars, the AES key, the
 layout/protocol configuration, and the coordinate offset applied at
-ingestion.  Loading re-derives s = g^q1, h = u^q2 and A.B = 0 mod q1, so a
+ingestion.  Loading re-derives s = g^q1, h = u^q2 and A.B = 0 mod q1, and
+rebuilds the deployment through protocols.make_config, as keygen does, so a
 tampered field fails closed instead of silently corrupting queries.
 """
 
@@ -12,9 +13,8 @@ import json
 
 from .ces import SecretKey, layout_len, margin_bound
 from .errors import KeyfileError
-from .geometry import coarsity_base
 from .pairing import group_from_descriptor
-from .protocols import DeploymentConfig, PROTOCOL_LAYERED, PROTOCOL_TABLE
+from .protocols import make_config
 
 
 def save_keyfile(path, sk, config, offsets=None):
@@ -96,14 +96,9 @@ def _parse(doc):
 
     sk = SecretKey(group, g, u, s, h, A, B, alpha, beta, aes_key, layout, d, v, x_max)
 
-    protocol = doc["protocol"]
-    e_max = int(doc["e_max"])
-    b_c = doc["b_c"] if doc["b_c"] is None else int(doc["b_c"])
-    if protocol == PROTOCOL_TABLE and e_max != 0:
-        raise KeyfileError("key file inconsistent: table protocol with E_max != 0")
-    if protocol == PROTOCOL_LAYERED and b_c != coarsity_base(v, d):
-        raise KeyfileError("key file inconsistent: stored coarsity base is wrong")
-    config = DeploymentConfig(protocol, layout, d, v, x_max, e_max, b_c, params.backend)
+    config = make_config(doc["protocol"], d, v, x_max, int(doc["e_max"]), params.backend, layout)
+    if (config.protocol, config.b_c) != (doc["protocol"], doc["b_c"]):
+        raise KeyfileError("key file inconsistent: stored protocol or coarsity base is wrong")
 
     offsets = [int(o) for o in doc["offset"]]
     if len(offsets) != d:

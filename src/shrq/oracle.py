@@ -1,21 +1,12 @@
-"""Plaintext reference implementations grounding the equivalence tests.
+"""Plaintext reference predicates for sphere and range queries.
 
-Two independent forms: the distance form (dist^2 vs r^2) and the dot form
-(component dot product sign/range); tests cross-check them against each
-other and against the encrypted pipeline.
+Each computes the exact answer from the plaintext points in the distance
+form: integer dist^2 <= r^2 for a sphere, lo <= m_col <= hi for a range.
+The CLI's oracle commands and the benchmark check encrypted answers
+against them.
 """
 
-from .ces import LAYOUT_UNIFIED
-from .geometry import (
-    coarse_transform,
-    dist_squared,
-    make_data_component,
-    make_range_query_component,
-    make_sphere_query_component,
-    plaintext_dot,
-    range_contains,
-    sphere_contains,
-)
+from .geometry import range_contains, sphere_contains
 
 
 def hrq_oracle(dataset, query, cols=None):
@@ -26,38 +17,3 @@ def hrq_oracle(dataset, query, cols=None):
 def range_oracle(dataset, rq):
     """ids of points with lo <= m_col <= hi."""
     return {rid for rid, coords in dataset if range_contains(coords, rq)}
-
-
-def annulus_oracle(dataset, center, scaled_radius, v, factor):
-    """ids a single layer captures: coarse dist^2 in [max(0, r^2-v), r^2]."""
-    chat = coarse_transform(center, factor)
-    lo = max(0, scaled_radius * scaled_radius - v)
-    hi = scaled_radius * scaled_radius
-    out = set()
-    for rid, coords in dataset:
-        d2 = dist_squared(coarse_transform(coords, factor), chat)
-        if lo <= d2 <= hi:
-            out.add(rid)
-    return out
-
-
-def hrq_oracle_dot_form(dataset, query, layout=LAYOUT_UNIFIED, cols=None):
-    """Same predicate via the component dot product (independent re-derivation)."""
-    q_comp = make_sphere_query_component(query, layout, cols)
-    out = set()
-    for rid, coords in dataset:
-        dot = plaintext_dot(make_data_component(coords, layout), q_comp)
-        if 0 <= dot <= query.radius * query.radius:
-            out.add(rid)
-    return out
-
-
-def range_oracle_dot_form(dataset, rq, d):
-    """Range predicate via the sphere reduction, with the odd-width trim."""
-    q_comp, sphere = make_range_query_component(rq, d)
-    out = set()
-    for rid, coords in dataset:
-        dot = plaintext_dot(make_data_component(coords, LAYOUT_UNIFIED), q_comp)
-        if 0 <= dot <= sphere.radius * sphere.radius and range_contains(coords, rq):
-            out.add(rid)
-    return out

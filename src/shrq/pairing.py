@@ -65,7 +65,9 @@ _TAG_GT_TRANSPARENT = 0x12
 _TAG_G_CURVE = 0x21
 _TAG_GT_CURVE = 0x22
 
-_DEFAULT_COFACTOR_CAP = 10**6
+# largest cofactor l tried for p = l*N - 1, and prime pairs drawn per group_gen
+_COFACTOR_CAP = 10**6
+_GEN_ATTEMPTS = 32
 
 
 def _is_prime(n, rounds=16):
@@ -535,42 +537,42 @@ class CurveGroup(Group):
         raise ConfigError(f"bad curve element tag {tag:#x}")
 
 
-def _find_curve(N, cofactor_cap):
+def _find_curve(N):
     """Scan cofactors l = 1, 2, 3, ... for a prime p = l*N - 1 with p = 3 mod 4."""
-    for l in range(1, cofactor_cap + 1):
+    for l in range(1, _COFACTOR_CAP + 1):
         p = l * N - 1
         if p % 4 == 3 and _is_prime(p):
             return l, p
     return None
 
 
-def group_from_primes(q1, q2, backend=TRANSPARENT, lambda_bits=0, cofactor_cap=_DEFAULT_COFACTOR_CAP):
+def group_from_primes(q1, q2, backend=TRANSPARENT, lambda_bits=0):
     """Build a group over explicitly chosen primes (toy/test parameter sets)."""
     N = q1 * q2
     if backend == CURVE_A1:
-        found = _find_curve(N, cofactor_cap)
+        found = _find_curve(N)
         if found is None:
-            raise SetupError(f"no prime p = l*N - 1 with l <= {cofactor_cap} for N={N}")
+            raise SetupError(f"no prime p = l*N - 1 with l <= {_COFACTOR_CAP} for N={N}")
         l, p = found
         return CurveGroup(GroupParams(CURVE_A1, N, lambda_bits, q1, q2, p, l))
     return TransparentGroup(GroupParams(TRANSPARENT, N, lambda_bits, q1, q2))
 
 
-def group_gen(lambda_bits, backend=CURVE_A1, rng=None, cofactor_cap=_DEFAULT_COFACTOR_CAP, max_attempts=32):
+def group_gen(lambda_bits, backend=CURVE_A1, rng=None):
     """Generate a fresh composite-order group with lambda_bits-bit primes."""
     if lambda_bits < 3:
         raise ConfigError("lambda must be at least 3 bits")
     rng = rng if rng is not None else secrets.SystemRandom()
-    for _ in range(max_attempts):
+    for _ in range(_GEN_ATTEMPTS):
         q1 = _random_prime(lambda_bits, rng)
         q2 = _random_prime(lambda_bits, rng)
         if q1 == q2:
             continue
         try:
-            return group_from_primes(q1, q2, backend, lambda_bits, cofactor_cap)
+            return group_from_primes(q1, q2, backend, lambda_bits)
         except SetupError:
             continue  # fresh primes, new cofactor scan
-    raise SetupError(f"parameter search exhausted after {max_attempts} attempts")
+    raise SetupError(f"parameter search exhausted after {_GEN_ATTEMPTS} attempts")
 
 
 def group_from_descriptor(desc, lambda_bits=0, q1=None, q2=None):

@@ -172,8 +172,7 @@ def point_messages(config, sk, rid, coords, rng=None):
         comp = make_data_component(
             coarse_transform(coords, config.level_factor(level)), config.layout
         )
-        enc = tuple_encrypt(sk, comp, rid, rng=rng)
-        msgs.append(tuple_message(sk.group, level, rid, enc.slots))
+        msgs.append(tuple_message(sk.group, level, rid, tuple_encrypt(sk, comp, rng=rng)))
     return msgs
 
 
@@ -275,11 +274,10 @@ def plan_range(config, sk, rq):
 
 
 def query_message(sk, comp, level):
-    enc = query_encrypt(sk, comp, level)
     return {
         "type": "query",
         "level": level,
-        "slots": [b64e(sk.group.canonical_bytes(s)) for s in enc.slots],
+        "slots": [b64e(sk.group.canonical_bytes(s)) for s in query_encrypt(sk, comp)],
     }
 
 

@@ -35,6 +35,14 @@ without its newline was cut by a crash before its ack: replay drops it and
 truncates the log to the last newline.  Any other line that is not a JSON
 object, or that the handler rejects, fails the restart with
 DataIntegrityError.
+
+Every _COMPACT_EVERY logged mutations the log is rewritten as a snapshot
+(compact): written to a temporary file and fsync'd, renamed over the log,
+and the state directory fsync'd, so the rename cannot be undone by a crash
+while later appends land in the new file.  Compaction runs after the
+mutation that triggers it is logged and applied; if it fails (a full disk),
+that mutation is durable all the same and still gets its reply, and the
+next mutation tries the compaction again.
 """
 
 import base64
@@ -44,19 +52,13 @@ import socket
 import socketserver
 import threading
 
-from .ces import (
-    HASH_ID,
-    EncryptedQuery,
-    EncryptedTuple,
-    LookupTable,
-    compute,
-    lookup_contains,
-    prepare_query,
-)
+from .ces import HASH_ID, LookupTable, compute, lookup_contains, prepare_query
 from .errors import DataIntegrityError, ProtocolError, ServerUnreachable, ShrqError
 from .pairing import group_from_descriptor
 
 _LOG_NAME = "log.jsonl"
+# logged mutations after which the log is rewritten as a snapshot
+_COMPACT_EVERY = 10000
 # message type -> handler name, looked up on the instance at each call so a
 # handler patched onto the class (the traced benchmark server does) still runs
 _HANDLERS = {
@@ -113,15 +115,13 @@ def tuple_message(group, level, rid, slots):
 class ServerState:
     """All server-side state plus the message handler; transport-agnostic."""
 
-    def __init__(self, state_dir=None, fsync=True, compact_every=10000):
+    def __init__(self, state_dir=None):
         self.hello = None  # the pinned hello message
         self.group = None
         self.lookup = None
         self.db_store = {}  # id -> AES blob bytes
         self.db_query = {}  # level -> {id: tuple of G elements}
         self._state_dir = state_dir
-        self._fsync = fsync
-        self._compact_every = compact_every
         self._mutations_since_compact = 0
         self._log = None
         self._lock = threading.Lock()
@@ -173,8 +173,7 @@ class ServerState:
         try:
             while data:
                 data = data[self._log.write(data) :]
-            if self._fsync:
-                os.fsync(self._log.fileno())
+            os.fsync(self._log.fileno())
         except OSError:
             self._log.truncate(start)
             raise
@@ -195,7 +194,9 @@ class ServerState:
         return msgs
 
     def compact(self):
-        """Rewrite the log as a snapshot, atomically."""
+        """Rewrite the log as a snapshot, atomically: the snapshot is written
+        and fsync'd beside the log, renamed over it, and the directory is
+        fsync'd so the rename, and every append after it, survives a crash."""
         if self._state_dir is None:
             return
         path = os.path.join(self._state_dir, _LOG_NAME)
@@ -209,6 +210,11 @@ class ServerState:
         if self._log is not None:
             self._log.close()
             self._open_log()
+        dir_fd = os.open(self._state_dir, os.O_RDONLY)
+        try:
+            os.fsync(dir_fd)
+        finally:
+            os.close(dir_fd)
         self._mutations_since_compact = 0
 
     def close(self):
@@ -249,8 +255,11 @@ class ServerState:
             return {"type": "error", "error": str(exc)}
         except OSError as exc:
             return {"type": "error", "error": f"state log append failed: {exc}"}
-        if self._compact_every and self._mutations_since_compact >= self._compact_every:
-            self.compact()
+        if self._mutations_since_compact >= _COMPACT_EVERY:
+            try:
+                self.compact()
+            except OSError:
+                pass  # the mutation is durable in the log; the next one retries
         return reply
 
     def _check_level(self, level):
@@ -332,12 +341,11 @@ class ServerState:
         self._check_level(level)
         if self.lookup is None:
             raise ProtocolError("no lookup table uploaded")
-        query = EncryptedQuery(tuple(self.group.decode(b64d(s)) for s in msg["slots"]), level)
-        prepared = prepare_query(self.group, query)
+        prepared = prepare_query(self.group, [self.group.decode(b64d(s)) for s in msg["slots"]])
         matches = []
-        for rid in sorted(self.db_query.get(level, {})):
-            record = EncryptedTuple(rid, self.db_query[level][rid])
-            if lookup_contains(self.lookup, self.group, compute(self.group, record, prepared)):
+        bucket = self.db_query.get(level, {})
+        for rid in sorted(bucket):
+            if lookup_contains(self.lookup, self.group, compute(self.group, bucket[rid], prepared)):
                 blob = self.db_store.get(rid)
                 if blob is None:
                     raise DataIntegrityError(f"matched id {rid!r} missing from db-store")
@@ -357,7 +365,7 @@ class _Handler(socketserver.StreamRequestHandler):
 
 
 class TcpServer(socketserver.ThreadingTCPServer):
-    """Serve one ServerState over TCP; usable as a context manager in tests."""
+    """Serve one ServerState over TCP."""
 
     allow_reuse_address = True
     daemon_threads = True
@@ -366,20 +374,11 @@ class TcpServer(socketserver.ThreadingTCPServer):
         super().__init__(address, _Handler)
         self.state = state
 
-    @property
-    def address(self):
-        return self.server_address[:2]
 
-    def start_background(self):
-        thread = threading.Thread(target=self.serve_forever, daemon=True)
-        thread.start()
-        return thread
-
-
-def serve(listen="127.0.0.1:9045", state_dir=None, fsync=True):
+def serve(listen="127.0.0.1:9045", state_dir=None):
     """Blocking entry point for the server process."""
     host, _, port = listen.rpartition(":")
-    state = ServerState(state_dir, fsync=fsync)
+    state = ServerState(state_dir)
     srv = TcpServer((host or "127.0.0.1", int(port)), state)
     try:
         srv.serve_forever()

@@ -1,18 +1,46 @@
-"""Reference constructions the tests compare the package against.
+"""Reference constructions and test doubles the tests compare the package against.
 
-Neither is on a query path: the Boneh-Goh-Nissim scheme (TCC 2005) checks
-that both pairing backends carry a textbook homomorphic scheme, and
-layered_radii is the paper's width recurrence for layer radii, which the
-gap-free covering_radii replaced in the query path.
+None is on a query path:
+- the Boneh-Goh-Nissim scheme (TCC 2005) checks that both pairing backends
+  carry a textbook homomorphic scheme;
+- layered_radii is the paper's width recurrence for layer radii, which the
+  gap-free covering_radii replaced in the query path;
+- the dot-form oracles re-derive the sphere and range predicates from the
+  plaintext component dot product (plaintext_dot, the value compute()
+  encrypts), independently of the distance form in shrq.oracle, and
+  annulus_oracle gives what one coarse layer captures on its own;
+- PinnedRng stands in for an rng to fix the blinding scalar an encryption
+  draws.
 """
 
 import math
 import secrets
 from dataclasses import dataclass
 
+from shrq.ces import LAYOUT_UNIFIED
 from shrq.errors import ConfigError, NotFoundError, QueryRejected
-from shrq.geometry import EPS, Layer
+from shrq.geometry import (
+    EPS,
+    Layer,
+    coarse_transform,
+    dist_squared,
+    make_data_component,
+    make_sphere_query_component,
+    range_contains,
+    range_to_sphere,
+)
 from shrq.pairing import GTElement
+
+
+class PinnedRng:
+    """An rng whose every randrange() returns value, so tuple_encrypt and
+    query_encrypt use it as their blinding scalar (0 included)."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def randrange(self, *args):
+        return self.value
 
 
 # -- minimal BGN reference (validates the backends) --------------------------
@@ -99,3 +127,56 @@ def layered_radii(r, v, d, b_c, e_max=None):
         rem -= factor * root_v
         i += 1
     return tuple(layers)
+
+
+# -- plaintext dot form (the value compute() encrypts) ------------------------
+
+
+def plaintext_dot(c_m, c_q):
+    """Exact integer dot product; the oracle for compute()."""
+    if len(c_m.entries) != len(c_q.entries):
+        raise ConfigError("component lengths differ")
+    return sum(int(a) * int(b) for a, b in zip(c_m.entries, c_q.entries))
+
+
+def make_range_query_component(rq, d, layout=LAYOUT_UNIFIED):
+    """Range query as a single-column sphere component (unified layout only)."""
+    if layout != LAYOUT_UNIFIED:
+        raise ConfigError("range queries need the unified layout")
+    sphere = range_to_sphere(rq, d)
+    return make_sphere_query_component(sphere, layout, cols=(rq.col,)), sphere
+
+
+def hrq_oracle_dot_form(dataset, query, layout=LAYOUT_UNIFIED, cols=None):
+    """Same predicate as hrq_oracle via the component dot product."""
+    q_comp = make_sphere_query_component(query, layout, cols)
+    out = set()
+    for rid, coords in dataset:
+        dot = plaintext_dot(make_data_component(coords, layout), q_comp)
+        if 0 <= dot <= query.radius * query.radius:
+            out.add(rid)
+    return out
+
+
+def range_oracle_dot_form(dataset, rq, d):
+    """Range predicate via the sphere reduction, with the odd-width trim."""
+    q_comp, sphere = make_range_query_component(rq, d)
+    out = set()
+    for rid, coords in dataset:
+        dot = plaintext_dot(make_data_component(coords, LAYOUT_UNIFIED), q_comp)
+        if 0 <= dot <= sphere.radius * sphere.radius and range_contains(coords, rq):
+            out.add(rid)
+    return out
+
+
+def annulus_oracle(dataset, center, scaled_radius, v, factor):
+    """ids a single layer captures: coarse dist^2 in [max(0, r^2-v), r^2]."""
+    chat = coarse_transform(center, factor)
+    lo = max(0, scaled_radius * scaled_radius - v)
+    hi = scaled_radius * scaled_radius
+    out = set()
+    for rid, coords in dataset:
+        d2 = dist_squared(coarse_transform(coords, factor), chat)
+        if lo <= d2 <= hi:
+            out.add(rid)
+    return out

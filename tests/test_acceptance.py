@@ -25,15 +25,13 @@ from shrq.geometry import (
     covering_radii,
     dist_squared,
     make_data_component,
-    make_range_query_component,
     make_sphere_query_component,
-    plaintext_dot,
     select_coarsity_exponent,
 )
-from shrq.oracle import annulus_oracle, hrq_oracle, range_oracle
+from shrq.oracle import hrq_oracle, range_oracle
 from shrq.pairing import CURVE_A1, TRANSPARENT, group_gen
 from shrq.server import ServerState
-from reference import layered_radii
+from reference import annulus_oracle, layered_radii, make_range_query_component, plaintext_dot
 
 
 def criterion(num, title):
@@ -284,6 +282,7 @@ def test_c09_dynamic_updates(tmp_path):
             assert set(server.db_store) == set(alive)
             check()
     check()
+    server.close()
 
 
 @criterion(10, "bench sweeps: times grow with dimensions and with data size")

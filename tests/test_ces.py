@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 
@@ -9,8 +10,6 @@ from shrq.ces import (
     LAYOUT_SHRQ,
     LAYOUT_UNIFIED,
     Component,
-    EncryptedQuery,
-    EncryptedTuple,
     compute,
     create_lookup_table,
     keygen,
@@ -20,9 +19,9 @@ from shrq.ces import (
     tuple_encrypt,
 )
 from shrq.errors import ConfigError, NotFoundError, ProtocolError
-from shrq.geometry import SphereQuery, make_data_component, make_sphere_query_component, plaintext_dot
+from shrq.geometry import SphereQuery, make_data_component, make_sphere_query_component
 from shrq.pairing import CURVE_A1, TRANSPARENT, group_from_descriptor, group_from_primes
-from reference import bgn_add, bgn_dec_lookup, bgn_enc, bgn_keygen, bgn_mul
+from reference import PinnedRng, bgn_add, bgn_dec_lookup, bgn_enc, bgn_keygen, bgn_mul, plaintext_dot
 
 
 def test_keygen_invariants(sk32):
@@ -70,45 +69,45 @@ def test_public_params_hold_no_secrets(sk32):
 
 def test_tuple_encrypt_zero_blinding_is_plain_power(sk32):
     comp = make_data_component((3, 4), LAYOUT_SHRQ)
-    enc = tuple_encrypt(sk32, comp, blinding=0)
+    enc = tuple_encrypt(sk32, comp, rng=PinnedRng(0))
     grp = sk32.group
-    assert list(enc.slots) == [grp.pow(sk32.s, m) for m in comp.entries]
+    assert list(enc) == [grp.pow(sk32.s, m) for m in comp.entries]
 
 
 def test_tuple_encrypt_exponent_trace_toy(toy_transparent):
     # slot exponent = q1*m_i + 21*r_m*A_i (mod 35) for the toy key
     sk = toy_secret_key(toy_transparent)
     comp = Component((2, 1, 4), 1)
-    enc = tuple_encrypt(sk, comp, blinding=2)
-    for slot, m_i, a_i in zip(enc.slots, comp.entries, sk.A):
+    enc = tuple_encrypt(sk, comp, rng=PinnedRng(2))
+    for slot, m_i, a_i in zip(enc, comp.entries, sk.A):
         assert slot.value == (5 * m_i + 21 * 2 * a_i) % 35
 
 
 def test_tuple_encrypt_lengths_both_layouts(sk32, sk32_unified):
     for sk, layout in ((sk32, LAYOUT_SHRQ), (sk32_unified, LAYOUT_UNIFIED)):
         enc = tuple_encrypt(sk, make_data_component((3, 4), layout), rng=random.Random(1))
-        assert len(enc.slots) == sk.L
+        assert len(enc) == sk.L
 
 
 def test_tuple_encrypt_randomized(sk32, rng):
     comp = make_data_component((3, 4), LAYOUT_SHRQ)
-    seen = {tuple_encrypt(sk32, comp, rng=rng).slots for _ in range(100)}
+    seen = {tuple_encrypt(sk32, comp, rng=rng) for _ in range(100)}
     assert len(seen) == 100
 
 
 def test_query_encrypt_hook_alpha1_beta0(toy_transparent):
     sk = toy_secret_key(toy_transparent, alpha=1, beta=0)
     comp = Component((4, 0, -1), 1)
-    enc = query_encrypt(sk, comp, blinding=0)
-    assert list(enc.slots) == [sk.group.pow(sk.s, q) for q in comp.entries]
+    enc = query_encrypt(sk, comp, rng=PinnedRng(0))
+    assert list(enc) == [sk.group.pow(sk.s, q) for q in comp.entries]
 
 
 def test_query_encrypt_const_slot_gets_beta(toy_transparent):
     sk = toy_secret_key(toy_transparent, alpha=2, beta=3)
     comp = Component((4, 1, -1), 1)
-    enc = query_encrypt(sk, comp, blinding=0)
-    assert enc.slots[1].value == 5 * (1 + 3) * 2 % 35
-    assert enc.slots[0].value == 5 * 4 * 2 % 35  # beta only on the const slot
+    enc = query_encrypt(sk, comp, rng=PinnedRng(0))
+    assert enc[1].value == 5 * (1 + 3) * 2 % 35
+    assert enc[0].value == 5 * 4 * 2 % 35  # beta only on the const slot
 
 
 def test_query_serialization_oblivious(sk32_unified, rng):
@@ -118,7 +117,7 @@ def test_query_serialization_oblivious(sk32_unified, rng):
     sizes = set()
     for comp in (sphere, one_col):
         enc = query_encrypt(sk32_unified, comp, rng=rng)
-        sizes.add(len(json.dumps([grp.canonical_bytes(s).hex() for s in enc.slots])))
+        sizes.add(len(json.dumps([grp.canonical_bytes(s).hex() for s in enc])))
     assert len(sizes) == 1
 
 
@@ -128,8 +127,8 @@ def test_compute_matches_lookup_entry(toy_transparent):
     c_m = Component((2, 1, 1), 1)
     c_q = Component((1, 1, 1), 1)
     assert plaintext_dot(c_m, c_q) == 4
-    enc_q = query_encrypt(sk, c_q, blinding=1)
-    t = compute(sk.group, tuple_encrypt(sk, c_m, blinding=1), prepare_query(sk.group, enc_q))
+    enc_q = query_encrypt(sk, c_q, rng=PinnedRng(1))
+    t = compute(sk.group, tuple_encrypt(sk, c_m, rng=PinnedRng(1)), prepare_query(sk.group, enc_q))
     assert t == sk.group.pow(sk.group.pair(sk.s, sk.s), (4 + 3) * 2)
 
 
@@ -149,8 +148,8 @@ def test_compute_blinding_invariance(sk32, rng):
     c_m = make_data_component((30, 40), LAYOUT_SHRQ)
     c_q = make_sphere_query_component(SphereQuery((28, 44), 9), LAYOUT_SHRQ)
     grp = sk32.group
-    plain_q = prepare_query(grp, query_encrypt(sk32, c_q, blinding=0))
-    plain = compute(grp, tuple_encrypt(sk32, c_m, blinding=0), plain_q)
+    plain_q = prepare_query(grp, query_encrypt(sk32, c_q, rng=PinnedRng(0)))
+    plain = compute(grp, tuple_encrypt(sk32, c_m, rng=PinnedRng(0)), plain_q)
     blinded_q = prepare_query(grp, query_encrypt(sk32, c_q, rng=rng))
     blinded = compute(grp, tuple_encrypt(sk32, c_m, rng=rng), blinded_q)
     assert plain == blinded
@@ -181,7 +180,7 @@ def test_compute_is_product_of_pairs_on_curve(curve_sk, rng):
         c_m = make_data_component((rng.randrange(101), rng.randrange(101)), sk.layout)
         q = SphereQuery((rng.randrange(101), rng.randrange(101)), rng.randrange(21))
         c_q = make_sphere_query_component(q, sk.layout)
-        return tuple_encrypt(sk, c_m, rng=rng).slots, query_encrypt(sk, c_q, rng=rng).slots
+        return tuple_encrypt(sk, c_m, rng=rng), query_encrypt(sk, c_q, rng=rng)
 
     cases = [encrypted() for _ in range(4)]
     for _ in range(16):
@@ -191,10 +190,10 @@ def test_compute_is_product_of_pairs_on_curve(curve_sk, rng):
         want = grp.identity_gt()
         for m, q in zip(ms, qs):
             want = grp.mul(want, grp.pair(m, q))
-        got = compute(grp, EncryptedTuple(None, ms), prepare_query(grp, EncryptedQuery(qs)))
+        got = compute(grp, ms, prepare_query(grp, qs))
         assert grp.canonical_bytes(got) == grp.canonical_bytes(want)
     with pytest.raises(ProtocolError):
-        compute(grp, EncryptedTuple(None, ms[:-1]), prepare_query(grp, EncryptedQuery(qs)))
+        compute(grp, ms[:-1], prepare_query(grp, qs))
 
 
 def test_compute_correctness_fuzz(sk32, rng):
@@ -211,12 +210,12 @@ def test_compute_correctness_fuzz(sk32, rng):
 
 
 def test_lookup_table_size_and_v0(sk32):
-    table = create_lookup_table(sk32, 0)
+    table = create_lookup_table(dataclasses.replace(sk32, v=0))
     grp = sk32.group
     entry = grp.pow(grp.pair(sk32.s, sk32.s), sk32.beta * sk32.alpha)
     assert lookup_contains(table, grp, entry)
     assert len(table.digests) == 1
-    assert len(create_lookup_table(sk32, 40).digests) == 41
+    assert len(create_lookup_table(dataclasses.replace(sk32, v=40)).digests) == 41
 
 
 def test_lookup_membership_sweep():

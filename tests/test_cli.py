@@ -20,6 +20,11 @@ def run_cli(*args, **kw):
     return subprocess.run(CLI + list(args), capture_output=True, text=True, timeout=120, **kw)
 
 
+def read_json(path):
+    with open(path) as fh:
+        return json.load(fh)
+
+
 def free_port():
     with socket.socket() as s:
         s.bind(("127.0.0.1", 0))
@@ -171,7 +176,7 @@ def test_negative_coordinates_get_offset(tmp_path):
         wait_for_port(port)
         out = run_cli("setup", "--key", key, "--data", str(data), "--server", f"127.0.0.1:{port}")
         assert out.returncode == 0
-        assert json.load(open(key))["offset"] == [5]
+        assert read_json(key)["offset"] == [5]
         out = run_cli("query", "range", "--key", key, "--col", "1", "--lo", "-5", "--hi", "0",
                       "--server", f"127.0.0.1:{port}")
         got = sorted(json.loads(line)["id"] for line in out.stdout.splitlines())
@@ -197,7 +202,7 @@ def test_curve_backend_cli_keygen(tmp_path):
                   "--x-max", "30", "--backend", "curve", "--protocol", "t", "--emax", "0",
                   "--out", key)
     assert out.returncode == 0
-    doc = json.load(open(key))
+    doc = read_json(key)
     assert doc["backend"] == "curveA1" and "p" in doc and "l" in doc
     sk, config, _ = load_keyfile(key)  # load-verify passes
     assert config.protocol == "t"
@@ -230,7 +235,7 @@ def test_keyfile_roundtrip(keyfile_pair):
 @pytest.mark.parametrize("field", ["s", "h", "A", "B"])
 def test_keyfile_single_field_tamper_rejected(keyfile_pair, tmp_path, field):
     path, sk, _ = keyfile_pair
-    doc = json.load(open(path))
+    doc = read_json(path)
     if field in ("s", "h"):
         doc[field] = doc["g"]
     else:
@@ -241,6 +246,22 @@ def test_keyfile_single_field_tamper_rejected(keyfile_pair, tmp_path, field):
     bad.write_text(json.dumps(doc))
     with pytest.raises(KeyfileError):
         load_keyfile(str(bad))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("protocol", "x"), ("protocol", "C"), ("protocol", "L"), ("protocol", 5), ("e_max", -1), ("b_c", 3)],
+)
+def test_keyfile_bad_deployment_rejected(keyfile_pair, tmp_path, field, value):
+    doc = read_json(keyfile_pair[0])
+    doc[field] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    with pytest.raises(KeyfileError):
+        load_keyfile(str(bad))
+    out = run_cli("query", "sphere", "--key", str(bad), "--center", "1,1", "--radius", "1",
+                  "--server", "127.0.0.1:9")
+    assert out.returncode == 3 and "Traceback" not in out.stderr
 
 
 def test_keyfile_garbage_rejected(tmp_path):

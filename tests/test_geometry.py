@@ -12,15 +12,13 @@ from shrq.geometry import (
     covering_radii,
     dist_squared,
     make_data_component,
-    make_range_query_component,
     make_sphere_query_component,
-    plaintext_dot,
     range_to_sphere,
     select_coarsity_exponent,
     sphere_contains,
     validate_point,
 )
-from reference import layered_radii
+from reference import layered_radii, make_range_query_component, plaintext_dot
 
 
 # -- components ---------------------------------------------------------------

@@ -1,12 +1,7 @@
 from conftest import random_dataset
 from shrq.geometry import RangeQuery, SphereQuery, covering_radii
-from shrq.oracle import (
-    annulus_oracle,
-    hrq_oracle,
-    hrq_oracle_dot_form,
-    range_oracle,
-    range_oracle_dot_form,
-)
+from shrq.oracle import hrq_oracle, range_oracle
+from reference import annulus_oracle, hrq_oracle_dot_form, range_oracle_dot_form
 
 
 def test_sphere_zero_radius_hits_exact_point(rng):

@@ -21,11 +21,11 @@ from shrq.geometry import (
     RangeQuery,
     SphereQuery,
     covering_radii,
-    make_range_query_component,
     make_sphere_query_component,
 )
 from shrq.oracle import hrq_oracle, range_oracle
 from shrq.server import ServerState
+from reference import make_range_query_component
 
 _KEY_CACHE = {}
 

@@ -3,6 +3,8 @@ import json
 import os
 import random
 import shutil
+import stat
+import threading
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -380,6 +382,56 @@ def test_failed_log_append_changes_nothing(deployment, rng, tmp_path, monkeypatc
     assert _restarted(tmp_path) == after
 
 
+@pytest.mark.parametrize("failing_fsync", ["snapshot", "directory"])
+def test_failed_compaction_still_acks(deployment, rng, tmp_path, monkeypatch, failing_fsync):
+    config, sk = deployment
+    monkeypatch.setattr(shrq.server, "_COMPACT_EVERY", 3)
+    state = ServerState(str(tmp_path))
+    fill(config, sk, [], state, rng)  # hello and put_lookup: two logged mutations
+    log = tmp_path / "log.jsonl"
+    fsync, calls = os.fsync, []
+    fail_at = 2 if failing_fsync == "snapshot" else 3  # after the append's fsync
+
+    def full_disk_in_compaction(fd):
+        calls.append(fd)
+        if len(calls) == fail_at:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        fsync(fd)
+
+    monkeypatch.setattr(shrq.server.os, "fsync", full_disk_in_compaction)
+    store = {"type": "put_store", "id": "x1", "blob": b64e(b"blob one")}
+    assert state.request(store) == {"type": "ack"}  # the third mutation triggers compaction
+    assert len(calls) == fail_at
+    assert [m.get("id") for m in _restarted(tmp_path)] == [None, None, "x1"]
+    inode = log.stat().st_ino
+    assert state.request(dict(store, id="x2", blob=b64e(b"blob two"))) == {"type": "ack"}
+    assert log.stat().st_ino != inode  # the next mutation compacted: a new file was renamed in
+    state.close()
+    assert [m.get("id") for m in _restarted(tmp_path)] == [None, None, "x1", "x2"]
+
+
+def test_compaction_fsyncs_directory_after_rename(deployment, rng, tmp_path, monkeypatch):
+    config, sk = deployment
+    state = ServerState(str(tmp_path))
+    fill(config, sk, [("a", (1, 2))], state, rng)
+    events = []
+    fsync, replace = os.fsync, os.replace
+
+    def recording_fsync(fd):
+        events.append("fsync directory" if stat.S_ISDIR(os.fstat(fd).st_mode) else "fsync file")
+        fsync(fd)
+
+    def recording_replace(src, dst):
+        events.append("replace")
+        replace(src, dst)
+
+    monkeypatch.setattr(shrq.server.os, "fsync", recording_fsync)
+    monkeypatch.setattr(shrq.server.os, "replace", recording_replace)
+    state.compact()
+    state.close()
+    assert events == ["fsync file", "replace", "fsync directory"]
+
+
 def test_layered_curve_queries_match_oracle(rng):
     config = prot.make_config("l", 2, 100, 60, e_max=3, backend=CURVE_A1, layout=LAYOUT_UNIFIED)
     sk, _ = ces.keygen(32, 2, LAYOUT_UNIFIED, 100, 60, CURVE_A1, rng=random.Random(32))
@@ -446,8 +498,8 @@ def test_tcp_round_trip(deployment, rng):
     ds = random_dataset(rng, 15)
     state = ServerState()
     srv = TcpServer(("127.0.0.1", 0), state)
-    srv.start_background()
-    host, port = srv.address
+    threading.Thread(target=srv.serve_forever, daemon=True).start()
+    host, port = srv.server_address[:2]
     try:
         with ServerConnection(host, port) as conn:
             prot.run_setup(config, sk, ds, conn, rng=rng)
@@ -463,8 +515,8 @@ def test_tcp_malformed_line_keeps_connection(deployment):
     config, sk = deployment
     state = ServerState()
     srv = TcpServer(("127.0.0.1", 0), state)
-    srv.start_background()
-    host, port = srv.address
+    threading.Thread(target=srv.serve_forever, daemon=True).start()
+    host, port = srv.server_address[:2]
     try:
         with ServerConnection(host, port) as conn:
             for line in ["zzz not json", *BAD_LINES]:
