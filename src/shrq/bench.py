@@ -14,22 +14,24 @@ from .pairing import TRANSPARENT
 from .server import ServerState
 
 FIELDS = ("sweep", "d", "points", "queries", "setup_s", "tuple_enc_s", "query_s")
+LAMBDA_BITS = 32
+LAYOUT = ces.LAYOUT_SHRQ
 
 
-def _measure(d, n_points, n_queries, lam, layout, rng):
-    config = protocols.make_config("t", d, 100, 100, layout=layout)
-    sk, _ = ces.keygen(lam, d, layout, 100, 100, backend=TRANSPARENT, rng=rng)
+def _measure(d, n_points, n_queries, rng):
+    config = protocols.make_config("t", d, 100, 100, layout=LAYOUT)
+    sk, _ = ces.keygen(LAMBDA_BITS, d, LAYOUT, 100, 100, backend=TRANSPARENT, rng=rng)
     dataset = [
         (str(i), tuple(rng.randrange(0, 101) for _ in range(d))) for i in range(n_points)
     ]
 
-    ces.tuple_encrypt(sk, make_data_component(dataset[0][1], layout), rng=rng)  # warm up
+    ces.tuple_encrypt(sk, make_data_component(dataset[0][1], LAYOUT), rng=rng)  # warm up
 
     tuple_enc_s = None
     for _ in range(3):  # min over repeats to shed scheduler noise
         t0 = time.perf_counter()
         for _, coords in dataset:
-            ces.tuple_encrypt(sk, make_data_component(coords, layout), rng=rng)
+            ces.tuple_encrypt(sk, make_data_component(coords, LAYOUT), rng=rng)
         elapsed = time.perf_counter() - t0
         tuple_enc_s = elapsed if tuple_enc_s is None else min(tuple_enc_s, elapsed)
 
@@ -49,12 +51,12 @@ def _measure(d, n_points, n_queries, lam, layout, rng):
     return setup_s, tuple_enc_s, query_s
 
 
-def run_bench(points=200, d_max=6, queries=10, lam=32, seed=1, layout=ces.LAYOUT_SHRQ):
+def run_bench(points=200, d_max=6, queries=10, seed=1):
     """Two sweeps: d = 1..d_max at fixed |D|, then |D| growing at d = 2."""
     rng = random.Random(seed)
     rows = []
     for d in range(1, d_max + 1):
-        setup_s, enc_s, qry_s = _measure(d, points, queries, lam, layout, rng)
+        setup_s, enc_s, qry_s = _measure(d, points, queries, rng)
         rows.append(
             {
                 "sweep": "dims",
@@ -68,7 +70,7 @@ def run_bench(points=200, d_max=6, queries=10, lam=32, seed=1, layout=ces.LAYOUT
         )
     for frac in (0.25, 0.5, 0.75, 1.0):
         n = max(1, int(points * frac))
-        setup_s, enc_s, qry_s = _measure(2, n, queries, lam, layout, rng)
+        setup_s, enc_s, qry_s = _measure(2, n, queries, rng)
         rows.append(
             {
                 "sweep": "size",

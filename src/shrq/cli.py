@@ -71,12 +71,6 @@ def _emit_records(records, offsets):
         print(json.dumps({"id": rid, "coords": list(_shift(coords, offsets, -1))}))
 
 
-def _load_key(path):
-    if not os.path.exists(path):
-        raise KeyfileError(f"key file {path} does not exist")
-    return load_keyfile(path)
-
-
 # -- subcommand bodies ---------------------------------------------------------
 
 
@@ -93,7 +87,7 @@ def cmd_keygen(args):
 
 
 def cmd_setup(args):
-    sk, config, offsets = _load_key(args.key)
+    sk, config, offsets = load_keyfile(args.key)
     rows = _read_csv(args.data, config.d)
     mins = [min((c[i] for _, c in rows), default=0) for i in range(config.d)]
     new_offsets = [max(0, -m) for m in mins]
@@ -123,7 +117,7 @@ def cmd_serve(args):
 
 
 def cmd_query_sphere(args):
-    sk, config, offsets = _load_key(args.key)
+    sk, config, offsets = load_keyfile(args.key)
     center = _shift(_parse_coords(args.center), offsets)
     query = SphereQuery(center, args.radius)
     protocols.plan_sphere(config, sk, query)  # reject before connecting
@@ -152,7 +146,7 @@ def _resolve_range(args, offsets):
 
 
 def cmd_query_range(args):
-    sk, config, offsets = _load_key(args.key)
+    sk, config, offsets = load_keyfile(args.key)
     rq = _resolve_range(args, offsets)
     protocols.plan_range(config, sk, rq)  # reject before connecting
     with connect(args.server) as conn:
@@ -162,7 +156,7 @@ def cmd_query_range(args):
 
 
 def cmd_insert(args):
-    sk, config, offsets = _load_key(args.key)
+    sk, config, offsets = load_keyfile(args.key)
     coords = _shift(_parse_coords(args.point), offsets)
     with connect(args.server) as conn:
         protocols.insert_point(config, sk, args.id, coords, conn)
@@ -170,7 +164,7 @@ def cmd_insert(args):
 
 
 def cmd_delete(args):
-    sk, config, _ = _load_key(args.key)
+    sk, config, _ = load_keyfile(args.key)
     with connect(args.server) as conn:
         protocols.delete_point(config, sk, args.id, conn)
     return 0

@@ -28,7 +28,7 @@ Backends:
 Products of pairings with a fixed argument (Group.prepare, pair_product).
 The server pairs every stored tuple slot m_i with the same query slot q_i,
 so it wants prod_i e(m_i, q_i) for many m and one fixed q.  Three facts let
-curveA1 do that with a fraction of pair()'s work:
+curveA1 do that with a fraction of the work of separate pairings:
 
   * symmetry: G is cyclic, so with m = g^a and q = g^b both e(m, q) and
     e(q, m) equal e(g, g)^{ab}; the Miller loop can run over q, the fixed
@@ -44,11 +44,12 @@ curveA1 do that with a fraction of pair()'s work:
     homomorphism, runs once on the product (Granger & Smart, "On computing
     products of pairings", ePrint 2006/172).
 
-The result is the same element of GT as the product of pair() calls, so its
-canonical bytes are identical.  Identity slots contribute 1.  pair() keeps
-its own loop over its first argument and is the reference that the tests
-hold the prepared product to.  The transparent backend's prepare() returns
-the element, and its pair_product() multiplies pair() results.
+The result is the same element of GT as the product of separate pairings,
+so its canonical bytes are identical.  Identity slots contribute 1.  The
+curve's pair(x, y) is the one-slot product, so the package has one Miller
+loop; reference_pair in tests/reference.py is the independent loop the
+tests hold it to.  The transparent backend's prepare() returns the element,
+and its pair_product() multiplies pair() results.
 """
 
 import secrets
@@ -323,21 +324,7 @@ class CurveGroup(Group):
 
     # -- affine point arithmetic; None is the point at infinity ------------
     def _pt_add(self, a, b):
-        if a is None:
-            return b
-        if b is None:
-            return a
-        p = self.p
-        x1, y1 = a
-        x2, y2 = b
-        if x1 == x2:
-            if (y1 + y2) % p == 0:
-                return None
-            lam = (3 * x1 * x1 + 1) * pow(2 * y1 % p, -1, p) % p
-        else:
-            lam = (y2 - y1) * pow((x2 - x1) % p, -1, p) % p
-        x3 = (lam * lam - x1 - x2) % p
-        return (x3, (lam * (x1 - x3) - y1) % p)
+        return a if b is None else self._step(a, b)[0]
 
     def _pt_mul(self, a, k):
         # raw scalar multiplication: callers reduce mod N where appropriate
@@ -397,43 +384,8 @@ class CurveGroup(Group):
             return GTElement(self._fp2_pow(x.value, k))
         return GElement(self._pt_mul(x.value, k) if k else None)
 
-    def _line(self, a, b, xq, yq):
-        """Line through a, b (tangent if equal) evaluated at (-xq, i*yq).
-
-        Returns an F_p^2 value, or None for vertical lines, which the final
-        exponentiation annihilates anyway.
-        """
-        p = self.p
-        x1, y1 = a
-        x2, y2 = b
-        if x1 == x2:
-            if (y1 + y2) % p == 0:
-                return None
-            lam = (3 * x1 * x1 + 1) * pow(2 * y1 % p, -1, p) % p
-        else:
-            lam = (y2 - y1) * pow((x2 - x1) % p, -1, p) % p
-        c = (y1 - lam * x1) % p
-        # y - lam*x - c at x = -xq, y = yq*i
-        return ((lam * xq - c) % p, yq)
-
     def pair(self, x, y):
-        if x.value is None or y.value is None:
-            return self.identity_gt()
-        xq, yq = y.value
-        f = (1, 0)
-        v = x.value
-        for bit in bin(self.N)[3:]:
-            g = None if v is None else self._line(v, v, xq, yq)
-            f = self._fp2_mul(f, f)
-            if g is not None:
-                f = self._fp2_mul(f, g)
-            v = self._pt_add(v, v)
-            if bit == "1":
-                g = None if v is None else self._line(v, x.value, xq, yq)
-                if g is not None:
-                    f = self._fp2_mul(f, g)
-                v = self._pt_add(v, x.value)
-        return self._final_exp(f)
+        return self.pair_product((self.prepare(y),), (x,))
 
     def _final_exp(self, f):
         """f^((p^2-1)/N) = (conj(f) / f)^l, since (p^2-1)/N = (p-1)*l."""
@@ -473,7 +425,7 @@ class CurveGroup(Group):
         return tuple(lines)
 
     def pair_product(self, prepared, points):
-        """prod_i pair(points[i], x_i) for prepared[i] = prepare(x_i).
+        """prod_i e(points[i], x_i) for prepared[i] = prepare(x_i).
 
         Runs the Miller loops of all x_i together over one squaring chain,
         evaluating each line at the distorted point (-x_m, i*y_m), and

@@ -27,7 +27,9 @@ so one bad tuple cannot turn every later query at its level into an error.
 
 Mutations are appended to a write-ahead log and fsync'd before they are
 applied and acknowledged, and replayed in order on restart, so an
-acknowledged mutation survives a crash between any two messages.  If the
+acknowledged mutation survives a crash between any two messages; opening
+the state fsyncs the state directory and its parent, so the entries of a
+directory or log created there are as durable as the first ack.  If the
 append fails (a full disk), the log is cut back to its length before it,
 the state is left unchanged and the reply is an error; should that cut fail
 too, the line may stay, as after a crash before the ack.  A final log line
@@ -95,6 +97,14 @@ def _too_deep(value, depth=_MAX_NESTING):
     return depth == 0 or any(_too_deep(v, depth - 1) for v in value)
 
 
+def _fsync_dir(path):
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
 def lookup_message(table):
     return {
         "type": "put_lookup",
@@ -129,6 +139,8 @@ class ServerState:
             os.makedirs(state_dir, exist_ok=True)
             self._replay()
             self._open_log()
+            _fsync_dir(state_dir)
+            _fsync_dir(os.path.dirname(os.path.abspath(state_dir)))
 
     # -- persistence --------------------------------------------------------
     def _replay(self):
@@ -210,11 +222,7 @@ class ServerState:
         if self._log is not None:
             self._log.close()
             self._open_log()
-        dir_fd = os.open(self._state_dir, os.O_RDONLY)
-        try:
-            os.fsync(dir_fd)
-        finally:
-            os.close(dir_fd)
+        _fsync_dir(self._state_dir)
         self._mutations_since_compact = 0
 
     def close(self):

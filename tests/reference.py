@@ -10,7 +10,11 @@ None is on a query path:
   encrypts), independently of the distance form in shrq.oracle, and
   annulus_oracle gives what one coarse layer captures on its own;
 - PinnedRng stands in for an rng to fix the blinding scalar an encryption
-  draws.
+  draws;
+- reference_pair is the Tate pairing composed with the distortion map, by
+  Miller's loop over its first argument with its own affine addition and
+  line evaluation (reference_add), so it shares no loop or slope code with
+  the prepared product that Group.pair and compute() run.
 """
 
 import math
@@ -29,7 +33,7 @@ from shrq.geometry import (
     range_contains,
     range_to_sphere,
 )
-from shrq.pairing import GTElement
+from shrq.pairing import TRANSPARENT, GElement, GTElement
 
 
 class PinnedRng:
@@ -41,6 +45,76 @@ class PinnedRng:
 
     def randrange(self, *args):
         return self.value
+
+
+# -- the pairing by its textbook Miller loop (validates pair_product) --------
+
+
+def _affine_add(p, a, b):
+    """a + b on y^2 = x^3 + x over F_p; None is the point at infinity."""
+    if a is None:
+        return b
+    if b is None:
+        return a
+    x1, y1 = a
+    x2, y2 = b
+    if x1 == x2:
+        if (y1 + y2) % p == 0:
+            return None
+        lam = (3 * x1 * x1 + 1) * pow(2 * y1 % p, -1, p) % p
+    else:
+        lam = (y2 - y1) * pow((x2 - x1) % p, -1, p) % p
+    x3 = (lam * lam - x1 - x2) % p
+    return (x3, (lam * (x1 - x3) - y1) % p)
+
+
+def _line(p, a, b, xq, yq):
+    """Line through a, b (tangent if equal) evaluated at (-xq, i*yq), as an
+    F_p^2 pair; None for vertical lines, which the final exponentiation
+    annihilates anyway."""
+    x1, y1 = a
+    x2, y2 = b
+    if x1 == x2:
+        if (y1 + y2) % p == 0:
+            return None
+        lam = (3 * x1 * x1 + 1) * pow(2 * y1 % p, -1, p) % p
+    else:
+        lam = (y2 - y1) * pow((x2 - x1) % p, -1, p) % p
+    c = (y1 - lam * x1) % p
+    # y - lam*x - c at x = -xq, y = yq*i
+    return ((lam * xq - c) % p, yq)
+
+
+def reference_add(group, x, y):
+    """x * y in G: exponent addition, or the affine chord-and-tangent rule."""
+    if group.params.backend == TRANSPARENT:
+        return GElement((x.value + y.value) % group.N)
+    return GElement(_affine_add(group.p, x.value, y.value))
+
+
+def reference_pair(group, x, y):
+    """e(x, y): the exponent product, or Miller's loop over x with its lines
+    evaluated at the distorted image of y, then the final exponentiation."""
+    if group.params.backend == TRANSPARENT:
+        return GTElement(x.value * y.value % group.N)
+    if x.value is None or y.value is None:
+        return group.identity_gt()
+    p = group.p
+    xq, yq = y.value
+    f = (1, 0)
+    v = x.value
+    for bit in bin(group.N)[3:]:
+        g = None if v is None else _line(p, v, v, xq, yq)
+        f = group._fp2_mul(f, f)
+        if g is not None:
+            f = group._fp2_mul(f, g)
+        v = _affine_add(p, v, v)
+        if bit == "1":
+            g = None if v is None else _line(p, v, x.value, xq, yq)
+            if g is not None:
+                f = group._fp2_mul(f, g)
+            v = _affine_add(p, v, x.value)
+    return group._final_exp(f)
 
 
 # -- minimal BGN reference (validates the backends) --------------------------

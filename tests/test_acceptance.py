@@ -287,7 +287,7 @@ def test_c09_dynamic_updates(tmp_path):
 
 @criterion(10, "bench sweeps: times grow with dimensions and with data size")
 def test_c10_bench_shapes():
-    rows = run_bench(points=400, d_max=6, queries=12, lam=32, seed=10)
+    rows = run_bench(points=400, d_max=6, queries=12, seed=10)
     dims = [r for r in rows if r["sweep"] == "dims"]
     size = [r for r in rows if r["sweep"] == "size"]
     checks = [

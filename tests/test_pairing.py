@@ -13,6 +13,7 @@ from shrq.pairing import (
     group_from_primes,
     group_gen,
 )
+from reference import reference_add, reference_pair
 
 
 def test_group_gen_toy_transparent():
@@ -110,14 +111,17 @@ def test_pair_laws_fuzz(backend, rng):
 @pytest.mark.parametrize("backend", [TRANSPARENT, CURVE_A1])
 def test_prepared_pairing_matches_pair_toy(backend, rng):
     # every ordered pair of the 35 elements, the identity included; on the
-    # curve the prepared Miller loop runs over the other argument than pair's
+    # curve the prepared Miller loop runs over the other argument than the
+    # reference loop, and mul's slope code is checked against plain affine
+    # addition (P + P, P + (-P) and the identity among the pairs)
     grp = group_from_primes(5, 7, backend)
     g = grp.random_generator(rng)
     elems = [grp.pow(g, k) for k in range(35)]
     for b in elems:
         prepared = grp.prepare(b)
         for a in elems:
-            assert grp.pair_product([prepared], [a]) == grp.pair(a, b)
+            assert grp.pair_product([prepared], [a]) == reference_pair(grp, a, b)
+            assert grp.mul(a, b) == reference_add(grp, a, b)
 
 
 def test_pair_orthogonality_toy(toy_transparent):

@@ -410,26 +410,43 @@ def test_failed_compaction_still_acks(deployment, rng, tmp_path, monkeypatch, fa
     assert [m.get("id") for m in _restarted(tmp_path)] == [None, None, "x1", "x2"]
 
 
-def test_compaction_fsyncs_directory_after_rename(deployment, rng, tmp_path, monkeypatch):
-    config, sk = deployment
-    state = ServerState(str(tmp_path))
-    fill(config, sk, [("a", (1, 2))], state, rng)
-    events = []
-    fsync, replace = os.fsync, os.replace
+def _record_fsyncs(monkeypatch, events):
+    fsync = os.fsync
 
     def recording_fsync(fd):
         events.append("fsync directory" if stat.S_ISDIR(os.fstat(fd).st_mode) else "fsync file")
         fsync(fd)
 
+    monkeypatch.setattr(shrq.server.os, "fsync", recording_fsync)
+
+
+def test_compaction_fsyncs_directory_after_rename(deployment, rng, tmp_path, monkeypatch):
+    config, sk = deployment
+    state = ServerState(str(tmp_path))
+    fill(config, sk, [("a", (1, 2))], state, rng)
+    events = []
+    replace = os.replace
+
     def recording_replace(src, dst):
         events.append("replace")
         replace(src, dst)
 
-    monkeypatch.setattr(shrq.server.os, "fsync", recording_fsync)
+    _record_fsyncs(monkeypatch, events)
     monkeypatch.setattr(shrq.server.os, "replace", recording_replace)
     state.compact()
     state.close()
     assert events == ["fsync file", "replace", "fsync directory"]
+
+
+def test_fresh_state_directory_is_fsynced_before_first_ack(deployment, tmp_path, monkeypatch):
+    config, sk = deployment
+    events = []
+    _record_fsyncs(monkeypatch, events)
+    state = ServerState(str(tmp_path / "state"))
+    assert state.request(prot.hello_message(config, sk.group.params.describe())) == {"type": "ack"}
+    state.close()
+    # the state directory, then its parent, then the log line itself
+    assert events == ["fsync directory", "fsync directory", "fsync file"]
 
 
 def test_layered_curve_queries_match_oracle(rng):
