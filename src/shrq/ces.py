@@ -1,8 +1,10 @@
 """Slot-wise component encryption with homomorphic dot-product evaluation.
 
-A data component and a query component (fixed-length integer vectors) are
-encrypted slot by slot as s^{x_i} * h^{r*Y_i}.  Pairing matching slots and
-multiplying the results yields
+A data component and a query component are plain tuples of L ints; in
+both layouts slot d is the constant slot, 1 on the data side and the one
+query slot that beta shifts.  They are encrypted slot by slot as
+s^{x_i} * h^{r*Y_i}.  Pairing matching slots and multiplying the results
+yields
 
     T = e(s,s)^{alpha * (dot(m, q) + beta)}
 
@@ -42,19 +44,6 @@ def layout_len(layout, d):
     if layout == LAYOUT_UNIFIED:
         return 2 * d + 1
     raise ConfigError(f"unknown layout {layout!r}")
-
-
-@dataclass(frozen=True)
-class Component:
-    """Integer vector derived from a point or query; slot const_slot pairs
-    with the other side's constant-1 slot."""
-
-    entries: tuple
-    const_slot: int
-
-    def __post_init__(self):
-        if not 0 <= self.const_slot < len(self.entries):
-            raise ConfigError("const_slot out of range")
 
 
 @dataclass
@@ -138,8 +127,8 @@ def keygen(lambda_bits, d, layout, v, x_max, backend=CURVE_A1, rng=None, group=N
 
 
 def _check_len(sk, comp):
-    if len(comp.entries) != sk.L:
-        raise ProtocolError(f"component has {len(comp.entries)} slots, key expects {sk.L}")
+    if len(comp) != sk.L:
+        raise ProtocolError(f"component has {len(comp)} slots, key expects {sk.L}")
 
 
 def tuple_encrypt(sk, comp, rng=None):
@@ -151,21 +140,21 @@ def tuple_encrypt(sk, comp, rng=None):
     group = sk.group
     return tuple(
         group.mul(group.pow(sk.s, int(m_i)), group.pow(sk.h, blinding * a_i))
-        for m_i, a_i in zip(comp.entries, sk.A)
+        for m_i, a_i in zip(comp, sk.A)
     )
 
 
 def query_encrypt(sk, comp, rng=None):
-    """Encrypt a query component; beta shifts only the slot facing the
-    data side's constant-1 slot, alpha scales every slot.  Returns the
+    """Encrypt a query component; beta shifts only slot d, which faces the
+    data side's constant 1, and alpha scales every slot.  Returns the
     tuple of L slots."""
     _check_len(sk, comp)
     rng = rng if rng is not None else secrets.SystemRandom()
     blinding = rng.randrange(1, sk.group.N)
     group = sk.group
     slots = []
-    for i, (q_i, b_i) in enumerate(zip(comp.entries, sk.B)):
-        coeff = int(q_i) + sk.beta if i == comp.const_slot else int(q_i)
+    for i, (q_i, b_i) in enumerate(zip(comp, sk.B)):
+        coeff = int(q_i) + sk.beta if i == sk.d else int(q_i)
         slots.append(
             group.mul(group.pow(sk.s, coeff * sk.alpha), group.pow(sk.h, blinding * b_i))
         )
@@ -197,15 +186,18 @@ def _digest(group, t):
 
 def create_lookup_table(sk):
     """Hash e(s,s)^{(i+beta)*alpha} for i in [0, sk.v]; abort on any
-    collision (it would mean the canonical encoding is broken)."""
+    collision (it would mean the canonical encoding is broken).  Each entry
+    is the previous one times step = e(s,s)^alpha, one GT multiplication."""
     v, group = sk.v, sk.group
-    base = group.pair(sk.s, sk.s)
+    step = group.pow(group.pair(sk.s, sk.s), sk.alpha)
+    entry = group.pow(step, sk.beta)
     digests = set()
-    for i in range(v + 1):
-        dig = _digest(group, group.pow(base, (i + sk.beta) * sk.alpha))
+    for _ in range(v + 1):
+        dig = _digest(group, entry)
         if dig in digests:
             raise DataIntegrityError("lookup table digest collision during build")
         digests.add(dig)
+        entry = group.mul(entry, step)
     return LookupTable(frozenset(digests), v)
 
 

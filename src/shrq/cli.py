@@ -184,7 +184,7 @@ def cmd_oracle_range(args):
         header = next(csv.reader(fh))
     d = len(header) - 1
     rows = _read_csv(args.data, d)
-    rq = _resolve_range(args, [0] * max(args.col, d))
+    rq = _resolve_range(args, [0] * d)
     ids = oracle.range_oracle(rows, rq)
     by_id = dict(rows)
     _emit_records(sorted((rid, by_id[rid]) for rid in ids), [0] * d)

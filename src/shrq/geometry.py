@@ -13,7 +13,7 @@ never false negatives.  Membership itself (dist^2 vs r^2) stays integral.
 import math
 from dataclasses import dataclass
 
-from .ces import LAYOUT_SHRQ, LAYOUT_UNIFIED, Component, layout_len
+from .ces import LAYOUT_SHRQ, LAYOUT_UNIFIED, layout_len
 from .errors import ConfigError, IngestionError, QueryRejected
 
 EPS = 1e-9
@@ -66,14 +66,11 @@ def validate_point(coords, d, x_max, label=""):
 def make_data_component(coords, layout):
     """{m_1..m_d, 1, ||m||^2} or {m_1..m_d, 1, m_1^2..m_d^2}."""
     coords = tuple(int(c) for c in coords)
-    d = len(coords)
     if layout == LAYOUT_SHRQ:
-        entries = coords + (1, sum(c * c for c in coords))
-    elif layout == LAYOUT_UNIFIED:
-        entries = coords + (1,) + tuple(c * c for c in coords)
-    else:
-        raise ConfigError(f"unknown layout {layout!r}")
-    return Component(entries, d)
+        return coords + (1, sum(c * c for c in coords))
+    if layout == LAYOUT_UNIFIED:
+        return coords + (1,) + tuple(c * c for c in coords)
+    raise ConfigError(f"unknown layout {layout!r}")
 
 
 def make_sphere_query_component(q, layout, cols=None):
@@ -89,8 +86,7 @@ def make_sphere_query_component(q, layout, cols=None):
     if layout == LAYOUT_SHRQ:
         if cols != all_cols:
             raise ConfigError("column subsets need the unified layout")
-        entries = tuple(2 * c for c in center) + (q.radius * q.radius - norm, -1)
-        return Component(entries, d)
+        return tuple(2 * c for c in center) + (q.radius * q.radius - norm, -1)
     if layout != LAYOUT_UNIFIED:
         raise ConfigError(f"unknown layout {layout!r}")
     entries = [0] * layout_len(layout, d)
@@ -98,7 +94,7 @@ def make_sphere_query_component(q, layout, cols=None):
         entries[i - 1] = 2 * center[i - 1]
         entries[d + i] = -1
     entries[d] = q.radius * q.radius - norm
-    return Component(tuple(entries), d)
+    return tuple(entries)
 
 
 def range_to_sphere(rq, d):
@@ -130,22 +126,24 @@ def coarsity_base(v, d):
     return base
 
 
-def select_coarsity_exponent(r, v, d, e_max):
-    """Minimal base-2 level whose coarse radius fits the lookup table.
+def scaled_radius(r, factor, d):
+    """Integer radius covering r in the coarse space of factor: r itself at
+    factor 1, else r / factor padded by the floor error of d dimensions."""
+    if factor == 1:
+        return r
+    return math.ceil(r / factor + math.sqrt(d) - EPS)
 
-    Uses isqrt(v) rather than float sqrt so a non-square v can never admit
-    a transformed radius whose square exceeds v.
-    """
-    root_v = math.isqrt(v)
-    if r <= root_v:
-        return 0
-    slack = math.sqrt(d)
-    for e in range(1, e_max + 1):
-        if r / 2**e + slack <= root_v + EPS:
-            return e
+
+def coarse_layer(r, v, d, e_max):
+    """The layer at the minimal base-2 level whose scaled radius fits the
+    lookup table (scaled^2 <= v, an exact integer test)."""
+    for e in range(e_max + 1):
+        scaled = scaled_radius(r, 2**e, d)
+        if scaled * scaled <= v:
+            return Layer(e, float(r), scaled, 2**e)
     raise QueryRejected(
         "radius-unsupported",
-        f"r / 2^E_max + sqrt(d) > sqrt(v) (r={r}, E_max={e_max}, v={v}, d={d})",
+        f"r > sqrt(v) at every level up to E_max = {e_max} (r={r}, v={v}, d={d})",
     )
 
 
@@ -172,7 +170,7 @@ def covering_radii(r, v, d, b_c, e_max):
                 "radius-unsupported", f"radius {r} needs layer {i} > E_max = {e_max}"
             )
         factor = b_c**i
-        scaled = math.ceil(top / factor + root_d - EPS)
+        scaled = scaled_radius(top, factor, d)
         layers.append(Layer(i, top, scaled, factor))
         if scaled * scaled <= v:
             return tuple(layers)

@@ -3,9 +3,11 @@
 Protocol variants (DeploymentConfig.protocol) differ only in the plan,
 the tuple of geometry.Layer a sphere query runs at:
 
-    "t"  one store; the plan is one layer at factor 1, radius capped at sqrt(v);
-    "c"  one coarse store per power-of-two level; the plan is one layer at
-         the minimal level whose transformed radius fits the lookup table;
+    "c"  one coarse store per power-of-two level; the plan is coarse_layer's
+         one layer, at the minimal level whose scaled radius fits the lookup
+         table (scaled^2 <= v);
+    "t"  is "c" at E_max = 0: one store, and the plan is one layer at
+         factor 1 with the radius capped at sqrt(v);
     "l"  stores per power-of-b_c level; the plan is covering_radii's
          gap-free layers, and the union is deduplicated client-side.
 
@@ -18,7 +20,6 @@ ResultSet is exact regardless of how much the coarse execution over-covered.
 """
 
 import json
-import math
 import secrets
 from dataclasses import dataclass, field
 
@@ -42,10 +43,9 @@ from .errors import (
     SetupError,
 )
 from .geometry import (
-    EPS,
-    Layer,
     RangeQuery,
     SphereQuery,
+    coarse_layer,
     coarse_transform,
     coarsity_base,
     covering_radii,
@@ -53,7 +53,6 @@ from .geometry import (
     make_sphere_query_component,
     range_contains,
     range_to_sphere,
-    select_coarsity_exponent,
     sphere_contains,
     validate_point,
 )
@@ -239,21 +238,10 @@ def plan_sphere(config, sk, query, cols=None):
         if not 0 <= c <= config.x_max:
             raise QueryRejected("center-out-of-domain", f"center coordinate {c} outside [0, {config.x_max}]")
     active = config.d if cols is None else len(set(cols))
-    r, v = query.radius, config.v
-    if config.protocol == PROTOCOL_TABLE:
-        if r * r > v:
-            raise QueryRejected(
-                "radius-unsupported", f"r > sqrt(v): radius {r} exceeds sqrt({v})"
-            )
-        plan = (Layer(0, float(r), r, 1),)
-    elif config.protocol == PROTOCOL_COARSE:
-        e = select_coarsity_exponent(r, v, active, config.e_max)
-        factor = 2**e
-        # a coarse layer's radius absorbs the floor error of every active dim
-        scaled = math.ceil(r / factor + math.sqrt(active) - EPS) if e else r
-        plan = (Layer(e, float(r), scaled, factor),)
+    if config.protocol == PROTOCOL_LAYERED:
+        plan = covering_radii(query.radius, config.v, active, config.b_c, config.e_max)
     else:
-        plan = covering_radii(r, v, active, config.b_c, config.e_max)
+        plan = (coarse_layer(query.radius, config.v, active, config.e_max),)
     for layer in plan:
         _wrap_guard(sk, layer.scaled_radius)
     return plan

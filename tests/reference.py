@@ -208,9 +208,9 @@ def layered_radii(r, v, d, b_c, e_max=None):
 
 def plaintext_dot(c_m, c_q):
     """Exact integer dot product; the oracle for compute()."""
-    if len(c_m.entries) != len(c_q.entries):
+    if len(c_m) != len(c_q):
         raise ConfigError("component lengths differ")
-    return sum(int(a) * int(b) for a, b in zip(c_m.entries, c_q.entries))
+    return sum(int(a) * int(b) for a, b in zip(c_m, c_q))
 
 
 def make_range_query_component(rq, d, layout=LAYOUT_UNIFIED):

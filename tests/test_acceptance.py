@@ -26,7 +26,6 @@ from shrq.geometry import (
     dist_squared,
     make_data_component,
     make_sphere_query_component,
-    select_coarsity_exponent,
 )
 from shrq.oracle import hrq_oracle, range_oracle
 from shrq.pairing import CURVE_A1, TRANSPARENT, group_gen

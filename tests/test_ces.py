@@ -9,7 +9,6 @@ from shrq import ces
 from shrq.ces import (
     LAYOUT_SHRQ,
     LAYOUT_UNIFIED,
-    Component,
     compute,
     create_lookup_table,
     keygen,
@@ -80,15 +79,15 @@ def test_tuple_encrypt_zero_blinding_is_plain_power(sk32):
     comp = make_data_component((3, 4), LAYOUT_SHRQ)
     enc = tuple_encrypt(sk32, comp, rng=PinnedRng(0))
     grp = sk32.group
-    assert list(enc) == [grp.pow(sk32.s, m) for m in comp.entries]
+    assert list(enc) == [grp.pow(sk32.s, m) for m in comp]
 
 
 def test_tuple_encrypt_exponent_trace_toy(toy_transparent):
     # slot exponent = q1*m_i + 21*r_m*A_i (mod 35) for the toy key
     sk = toy_secret_key(toy_transparent)
-    comp = Component((2, 1, 4), 1)
+    comp = (2, 1, 4)
     enc = tuple_encrypt(sk, comp, rng=PinnedRng(2))
-    for slot, m_i, a_i in zip(enc, comp.entries, sk.A):
+    for slot, m_i, a_i in zip(enc, comp, sk.A):
         assert slot.value == (5 * m_i + 21 * 2 * a_i) % 35
 
 
@@ -106,14 +105,14 @@ def test_tuple_encrypt_randomized(sk32, rng):
 
 def test_query_encrypt_hook_alpha1_beta0(toy_transparent):
     sk = toy_secret_key(toy_transparent, alpha=1, beta=0)
-    comp = Component((4, 0, -1), 1)
+    comp = (4, 0, -1)
     enc = query_encrypt(sk, comp, rng=PinnedRng(0))
-    assert list(enc) == [sk.group.pow(sk.s, q) for q in comp.entries]
+    assert list(enc) == [sk.group.pow(sk.s, q) for q in comp]
 
 
 def test_query_encrypt_const_slot_gets_beta(toy_transparent):
     sk = toy_secret_key(toy_transparent, alpha=2, beta=3)
-    comp = Component((4, 1, -1), 1)
+    comp = (4, 1, -1)
     enc = query_encrypt(sk, comp, rng=PinnedRng(0))
     assert enc[1].value == 5 * (1 + 3) * 2 % 35
     assert enc[0].value == 5 * 4 * 2 % 35  # beta only on the const slot
@@ -133,8 +132,8 @@ def test_query_serialization_oblivious(sk32_unified, rng):
 def test_compute_matches_lookup_entry(toy_transparent):
     # alpha=2, beta=3, dot=4: T equals the table entry for i=4
     sk = toy_secret_key(toy_transparent, alpha=2, beta=3)
-    c_m = Component((2, 1, 1), 1)
-    c_q = Component((1, 1, 1), 1)
+    c_m = (2, 1, 1)
+    c_q = (1, 1, 1)
     assert plaintext_dot(c_m, c_q) == 4
     enc_q = query_encrypt(sk, c_q, rng=PinnedRng(1))
     t = compute(sk.group, tuple_encrypt(sk, c_m, rng=PinnedRng(1)), prepare_query(sk.group, enc_q))
@@ -228,14 +227,17 @@ def test_lookup_table_size_and_v0(sk32):
 
 
 def test_lookup_membership_sweep():
-    sk, _ = keygen(32, 2, LAYOUT_SHRQ, 50, 10, TRANSPARENT, rng=random.Random(77))
-    grp = sk.group
-    table = create_lookup_table(sk)
-    base = grp.pair(sk.s, sk.s)
-    # sweep the whole reachable dot range |k| <= v + d*x_max^2
-    for k in range(-250, 251):
-        t = grp.pow(base, sk.alpha * (k + sk.beta))
-        assert lookup_contains(table, grp, t) == (0 <= k <= 50), k
+    # the table is built by repeated multiplication; on the transparent
+    # backend that is only addition, so the curve key checks GT arithmetic
+    for backend in (TRANSPARENT, CURVE_A1):
+        sk, _ = keygen(32, 2, LAYOUT_SHRQ, 50, 10, backend, rng=random.Random(77))
+        grp = sk.group
+        table = create_lookup_table(sk)
+        base = grp.pair(sk.s, sk.s)
+        # sweep the whole reachable dot range |k| <= v + d*x_max^2
+        for k in range(-250, 251):
+            t = grp.pow(base, sk.alpha * (k + sk.beta))
+            assert lookup_contains(table, grp, t) == (0 <= k <= 50), (backend, k)
 
 
 def test_lookup_boundaries(sk32):
@@ -269,8 +271,3 @@ def test_bgn_out_of_bound(sk32, rng):
     pk, bsk = bgn_keygen(sk32.group, rng)
     with pytest.raises(NotFoundError):
         bgn_dec_lookup(bsk, pk, bgn_enc(pk, 50, rng), 10)
-
-
-def test_component_const_slot_validation():
-    with pytest.raises(ConfigError):
-        Component((1, 2, 3), 5)

@@ -14,10 +14,13 @@ from shrq.keyfile import load_keyfile, save_keyfile
 from shrq.pairing import TRANSPARENT
 
 CLI = [sys.executable, "-m", "shrq.cli"]
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+# the CLI subprocesses import shrq from this checkout, installed or not
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
 
 
 def run_cli(*args, **kw):
-    return subprocess.run(CLI + list(args), capture_output=True, text=True, timeout=120, **kw)
+    return subprocess.run(CLI + list(args), capture_output=True, text=True, timeout=120, env=ENV, **kw)
 
 
 def read_json(path):
@@ -64,6 +67,7 @@ def workspace(tmp_path_factory):
         CLI + ["serve", "--listen", f"127.0.0.1:{port}", "--state", str(root / "state")],
         stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL,
+        env=ENV,
     )
     wait_for_port(port)
     out = run_cli("setup", "--key", key, "--data", data, "--server", f"127.0.0.1:{port}")
@@ -107,11 +111,12 @@ def test_open_range_needs_bound(workspace):
 
 @pytest.mark.parametrize("col", ["0", "5"])
 def test_range_column_outside_key(workspace, col):
-    out = run_cli(
-        "query", "range", "--key", workspace["key"], "--server", workspace["server"],
-        "--col", col, "--lo", "1", "--hi", "5",
-    )
-    assert out.returncode == 3 and "Traceback" not in out.stderr
+    bounds = ("--col", col, "--lo", "1", "--hi", "5")
+    for out in (
+        run_cli("query", "range", "--key", workspace["key"], "--server", workspace["server"], *bounds),
+        run_cli("oracle", "range", "--data", workspace["data"], *bounds),
+    ):
+        assert out.returncode == 3 and "Traceback" not in out.stderr, out.stderr
 
 
 def test_insert_then_delete(workspace):
@@ -171,7 +176,7 @@ def test_negative_coordinates_get_offset(tmp_path):
             "--out", key)
     port = free_port()
     server = subprocess.Popen(CLI + ["serve", "--listen", f"127.0.0.1:{port}"],
-                              stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+                              stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, env=ENV)
     try:
         wait_for_port(port)
         out = run_cli("setup", "--key", key, "--data", str(data), "--server", f"127.0.0.1:{port}")

@@ -5,8 +5,10 @@ import pytest
 from shrq.ces import LAYOUT_SHRQ, LAYOUT_UNIFIED
 from shrq.errors import ConfigError, IngestionError, QueryRejected
 from shrq.geometry import (
+    Layer,
     RangeQuery,
     SphereQuery,
+    coarse_layer,
     coarse_transform,
     coarsity_base,
     covering_radii,
@@ -14,7 +16,7 @@ from shrq.geometry import (
     make_data_component,
     make_sphere_query_component,
     range_to_sphere,
-    select_coarsity_exponent,
+    scaled_radius,
     sphere_contains,
     validate_point,
 )
@@ -25,14 +27,14 @@ from reference import layered_radii, make_range_query_component, plaintext_dot
 
 
 def test_data_component_layouts():
-    assert make_data_component((3, 4), LAYOUT_SHRQ).entries == (3, 4, 1, 25)
-    assert make_data_component((3, 4), LAYOUT_UNIFIED).entries == (3, 4, 1, 9, 16)
-    assert make_data_component((0, 0), LAYOUT_SHRQ).entries == (0, 0, 1, 0)
+    assert make_data_component((3, 4), LAYOUT_SHRQ) == (3, 4, 1, 25)
+    assert make_data_component((3, 4), LAYOUT_UNIFIED) == (3, 4, 1, 9, 16)
+    assert make_data_component((0, 0), LAYOUT_SHRQ) == (0, 0, 1, 0)
 
 
 def test_sphere_component_d1():
     comp = make_sphere_query_component(SphereQuery((2,), 2), LAYOUT_SHRQ)
-    assert comp.entries == (4, 0, -1)
+    assert comp == (4, 0, -1)
     data = make_data_component((3,), LAYOUT_SHRQ)
     assert plaintext_dot(data, comp) == 3  # r^2 - (3-2)^2
 
@@ -47,7 +49,7 @@ def test_sphere_component_zero_radius_origin():
 
 def test_sphere_component_unified_subset(rng):
     comp = make_sphere_query_component(SphereQuery((1, 2), 3), LAYOUT_UNIFIED, cols=(1, 2))
-    assert comp.entries == (2, 4, 4, -1, -1)
+    assert comp == (2, 4, 4, -1, -1)
     for _ in range(10):
         m = (rng.randrange(10), rng.randrange(10))
         dot = plaintext_dot(make_data_component(m, LAYOUT_UNIFIED), comp)
@@ -70,7 +72,7 @@ def test_sphere_component_subset_needs_unified():
 def test_range_component_example():
     comp, sphere = make_range_query_component(RangeQuery(1, 25, 50), 2)
     assert sphere == SphereQuery((38, 0), 13)
-    assert comp.entries == (76, 0, -1275, -1, 0)
+    assert comp == (76, 0, -1275, -1, 0)
     for m1, want in ((25, 0), (51, 0), (24, -27), (38, 169)):
         dot = plaintext_dot(make_data_component((m1, 9), LAYOUT_UNIFIED), comp)
         assert dot == want
@@ -133,18 +135,26 @@ def test_coarsity_base_values():
         coarsity_base(16, 4)  # floor(4/5) = 0
 
 
-def test_select_coarsity_exponent():
-    assert select_coarsity_exponent(25, 400, 2, 3) == 1  # 12.5 + 1.414 <= 20
-    assert select_coarsity_exponent(20, 400, 2, 3) == 0  # r <= sqrt(v)
+def test_coarse_layer():
+    assert coarse_layer(25, 400, 2, 3) == Layer(1, 25.0, 14, 2)  # ceil(12.5 + 1.414) = 14
+    assert coarse_layer(20, 400, 2, 3) == Layer(0, 20.0, 20, 1)  # r <= sqrt(v)
     with pytest.raises(QueryRejected):
-        select_coarsity_exponent(500, 400, 2, 3)  # 62.5 + 1.414 > 20
+        coarse_layer(500, 400, 2, 3)  # 62.5 + 1.414 > 20
+    with pytest.raises(QueryRejected, match=r"r > sqrt\(v\).*E_max = 0"):
+        coarse_layer(21, 400, 2, 0)  # the single-table protocol's bound
 
 
-def test_select_coarsity_exponent_is_minimal(rng):
+def test_scaled_radius():
+    assert scaled_radius(7, 1, 3) == 7  # factor 1 adds no floor error
+    assert scaled_radius(25, 2, 2) == 14
+    assert scaled_radius(24, 4, 4) == 8  # ceil(6 + 2 - EPS) stays 8
+
+
+def test_coarse_layer_is_minimal(rng):
     root = math.isqrt(400)
     for _ in range(500):
         r = rng.randrange(0, 149)
-        e = select_coarsity_exponent(r, 400, 2, 3)
+        e = coarse_layer(r, 400, 2, 3).index
         qualifying = [0] if r <= root else []
         qualifying += [k for k in range(1, 4) if r / 2**k + math.sqrt(2) <= root + 1e-9]
         assert e == min(qualifying)

@@ -3,6 +3,7 @@ import math
 import random
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from conftest import RecordingServer, random_dataset
 from shrq import ces, protocols as prot
@@ -188,6 +189,57 @@ def test_center_out_of_domain_rejected(rng):
     server = loaded_server(config, sk, [], rng)
     with pytest.raises(QueryRejected, match="center"):
         prot.query_sphere(config, sk, SphereQuery((250, 0), 5), server)
+
+
+@st.composite
+def _planned_queries(draw):
+    """A deployment, a column subset (unified layout only), about 20 points
+    in the domain and one sphere query."""
+    protocol = draw(st.sampled_from((prot.PROTOCOL_TABLE, prot.PROTOCOL_COARSE, prot.PROTOCOL_LAYERED)))
+    d = draw(st.integers(1, 3))
+    v = draw(st.integers(0, 400))
+    e_max = draw(st.integers(0, 0 if protocol == prot.PROTOCOL_TABLE else 4))
+    layout = draw(st.sampled_from((LAYOUT_SHRQ, LAYOUT_UNIFIED)))
+    x_max = draw(st.integers(1, 200))
+    cols = None
+    if layout == LAYOUT_UNIFIED:
+        cols = draw(st.none() | st.sets(st.integers(1, d), min_size=1).map(sorted).map(tuple))
+    center = draw(st.tuples(*[st.integers(0, x_max)] * d))
+    radius = draw(st.integers(0, x_max) | st.integers(0, 2 * math.isqrt(v) + 2))
+    # points in the sphere's bounding box, half of them pulled onto its
+    # surface along a uniform direction and truncated toward the center,
+    # so that many lie just inside it
+    rnd = draw(st.randoms(use_true_random=False))
+    dataset = []
+    for i in range(draw(st.integers(15, 25))):
+        offset = [rnd.randint(-radius - 2, radius + 2) for _ in range(d)]
+        norm = math.sqrt(sum(o * o for o in offset))
+        if i % 2 and norm:
+            offset = [int(o * radius / norm) for o in offset]
+        dataset.append((str(i), tuple(min(max(c + o, 0), x_max) for c, o in zip(center, offset))))
+    return protocol, d, v, e_max, layout, x_max, cols, dataset, SphereQuery(center, radius)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(_planned_queries())
+def test_planner_has_no_false_negatives(case):
+    protocol, d, v, e_max, layout, x_max, cols, dataset, query = case
+    try:
+        config, sk = deployment(protocol, layout, v=v, e_max=e_max, d=d, x_max=x_max)
+    except ConfigError:
+        assume(False)
+    server = RecordingServer(loaded_server(config, sk, dataset, random.Random(v)))
+    try:
+        result, matched = server.query(prot.query_sphere, config, sk, query, cols=cols)
+    except QueryRejected:
+        assume(False)
+    want = hrq_oracle(dataset, query, cols)
+    assert matched >= want  # no false negatives before validation
+    assert result.ids == want
+    plan = prot.plan_sphere(config, sk, query, cols)
+    assert server.query_levels == [layer.index for layer in plan]
+    assert all(layer.factor == config.level_factor(layer.index) for layer in plan)
 
 
 # -- range pipeline -----------------------------------------------------------------------
