@@ -8,6 +8,7 @@ inconsistent, 4 server unreachable.
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 
@@ -34,14 +35,16 @@ def _parse_coords(text):
         raise IngestionError(f"bad coordinate list {text!r}: expected comma-separated integers")
 
 
-def _read_csv(path, d):
-    """CSV with header id,x1..xd; returns [(id, coords)] with raw (unshifted) ints."""
+def _read_csv(path, d=None):
+    """CSV with header id,x1..xd; returns (d, [(id, coords)]) with raw
+    (unshifted) ints.  d defaults to the header's column count less one."""
     rows = []
     seen = set()
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or len(header) != d + 1 or header[0].strip() != "id":
+        header = next(reader, None) or [""]
+        d = len(header) - 1 if d is None else d
+        if len(header) != d + 1 or header[0].strip() != "id":
             raise IngestionError(f"{path}: expected header id,x1..x{d}")
         for lineno, row in enumerate(reader, start=2):
             if not row or all(not c.strip() for c in row):
@@ -59,7 +62,7 @@ def _read_csv(path, d):
                     f"{path} row {lineno} (id {rid!r}): non-integer coordinate"
                 )
             rows.append((rid, coords))
-    return rows
+    return d, rows
 
 
 def _shift(coords, offsets, sign=1):
@@ -88,7 +91,7 @@ def cmd_keygen(args):
 
 def cmd_setup(args):
     sk, config, offsets = load_keyfile(args.key)
-    rows = _read_csv(args.data, config.d)
+    _, rows = _read_csv(args.data, config.d)
     mins = [min((c[i] for _, c in rows), default=0) for i in range(config.d)]
     new_offsets = [max(0, -m) for m in mins]
     if any(new_offsets):
@@ -128,19 +131,14 @@ def cmd_query_sphere(args):
 
 
 def _resolve_range(args, offsets):
+    """The range of --col, --lo and --hi, shifted by offsets; a missing bound
+    is open (-inf or inf), and the planner clamps it to the domain."""
     if args.lo is None and args.hi is None:
         raise ConfigError("range query needs --lo and/or --hi")
-    lo, hi = args.lo, args.hi
-    if lo is None:
-        if args.col_min is None:
-            raise ConfigError("open range (-inf, hi] needs --col-min")
-        lo = args.col_min
-    if hi is None:
-        if args.col_max is None:
-            raise ConfigError("open range [lo, inf) needs --col-max")
-        hi = args.col_max
     if not 1 <= args.col <= len(offsets):
         raise ConfigError(f"--col {args.col} is not a column of this key (1..{len(offsets)})")
+    lo = -math.inf if args.lo is None else args.lo
+    hi = math.inf if args.hi is None else args.hi
     off = offsets[args.col - 1]
     return RangeQuery(args.col, lo + off, hi + off)
 
@@ -171,19 +169,18 @@ def cmd_delete(args):
 
 
 def cmd_oracle_sphere(args):
+    d, rows = _read_csv(args.data)
     center = _parse_coords(args.center)
-    rows = _read_csv(args.data, len(center))
+    if len(center) != d:
+        raise ConfigError(f"--center has {len(center)} coordinates, the data file has {d}")
     ids = oracle.hrq_oracle(rows, SphereQuery(center, args.radius))
     by_id = dict(rows)
-    _emit_records(sorted((rid, by_id[rid]) for rid in ids), [0] * len(center))
+    _emit_records(sorted((rid, by_id[rid]) for rid in ids), [0] * d)
     return 0
 
 
 def cmd_oracle_range(args):
-    with open(args.data, newline="", encoding="utf-8") as fh:
-        header = next(csv.reader(fh))
-    d = len(header) - 1
-    rows = _read_csv(args.data, d)
+    d, rows = _read_csv(args.data)
     rq = _resolve_range(args, [0] * d)
     ids = oracle.range_oracle(rows, rq)
     by_id = dict(rows)
@@ -210,10 +207,8 @@ def _add_key_server(sp):
 
 def _add_range_args(sp):
     sp.add_argument("--col", type=int, required=True, help="1-based column index")
-    sp.add_argument("--lo", type=int)
-    sp.add_argument("--hi", type=int)
-    sp.add_argument("--col-max", type=int, help="column maximum for [lo, inf)")
-    sp.add_argument("--col-min", type=int, help="column minimum for (-inf, hi]")
+    sp.add_argument("--lo", type=int, help="lower bound; omitted, the range is (-inf, hi]")
+    sp.add_argument("--hi", type=int, help="upper bound; omitted, the range is [lo, inf)")
 
 
 def build_parser():
@@ -249,7 +244,7 @@ def build_parser():
     sp.add_argument("--radius", type=int, required=True)
     _add_key_server(sp)
     sp.set_defaults(func=cmd_query_sphere)
-    sp = qsub.add_parser("range")
+    sp = qsub.add_parser("range", help="encrypted range query; a missing --lo or --hi is open")
     _add_range_args(sp)
     _add_key_server(sp)
     sp.set_defaults(func=cmd_query_range)
@@ -272,7 +267,7 @@ def build_parser():
     sp.add_argument("--center", required=True)
     sp.add_argument("--radius", type=int, required=True)
     sp.set_defaults(func=cmd_oracle_sphere)
-    sp = osub.add_parser("range")
+    sp = osub.add_parser("range", help="plaintext range answer; a missing --lo or --hi is open")
     sp.add_argument("--data", required=True)
     _add_range_args(sp)
     sp.set_defaults(func=cmd_oracle_range)

@@ -21,7 +21,7 @@ def save_keyfile(path, sk, config, offsets=None):
     group = sk.group
     params = group.params
     doc = {
-        "lambda": params.lambda_bits,
+        "lambda": params.q1.bit_length(),  # for readers; load does not read it
         **params.describe(),
         "q1": str(params.q1),
         "q2": str(params.q2),
@@ -65,7 +65,7 @@ def load_keyfile(path):
 
 def _parse(doc):
     # the group descriptor's fields sit at the top level of the key file
-    group = group_from_descriptor(doc, int(doc["lambda"]), int(doc["q1"]), int(doc["q2"]))
+    group = group_from_descriptor(doc, int(doc["q1"]), int(doc["q2"]))
     params = group.params
     g = group.decode(base64.b64decode(doc["g"]))
     u = group.decode(base64.b64decode(doc["u"]))

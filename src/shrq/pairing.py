@@ -34,10 +34,12 @@ curveA1 do that with a fraction of the work of separate pairings:
     e(q, m) equal e(g, g)^{ab}; the Miller loop can run over q, the fixed
     argument, and evaluate its lines at the distorted image of m;
   * prepared lines: the loop's points and line slopes depend on q alone.
-    prepare(q) records, per step, the affine line y = lam*x + c (one modular
-    inversion gives both the slope and the next point), and evaluating it at
-    (-x_m, i*y_m) is then one multiplication, (lam*x_m - c) + i*y_m
-    (Costello & Stebila, "Fixed Argument Pairings", LATINCRYPT 2010);
+    _step, the one point addition, returns the sum and its slope lam (one
+    modular inversion gives both); prepare(q) builds each step's affine line
+    y = lam*x + c with c = y0 - lam*x0 from the point (x0, y0) it stepped
+    from, and evaluating it at (-x_m, i*y_m) is then one multiplication,
+    (lam*x_m - c) + i*y_m (Costello & Stebila, "Fixed Argument Pairings",
+    LATINCRYPT 2010);
   * one squaring chain and one final exponentiation: all the loops follow
     the bits of N, so a single accumulator f is squared once per step and
     multiplied by every slot's line, and the final exponentiation, a
@@ -49,7 +51,8 @@ so its canonical bytes are identical.  Identity slots contribute 1.  The
 curve's pair(x, y) is the one-slot product, so the package has one Miller
 loop; reference_pair in tests/reference.py is the independent loop the
 tests hold it to.  The transparent backend's prepare() returns the element,
-and its pair_product() multiplies pair() results.
+and its pair_product() multiplies pair() results.  _power is the one
+square-and-multiply, over _step's sums in G and over _fp2_mul in GT.
 """
 
 import secrets
@@ -69,6 +72,17 @@ _TAG_GT_CURVE = 0x22
 # largest cofactor l tried for p = l*N - 1, and prime pairs drawn per group_gen
 _COFACTOR_CAP = 10**6
 _GEN_ATTEMPTS = 32
+
+
+def _power(op, one, base, k):
+    """base^k under op for k >= 0, by square-and-multiply; one is base^0."""
+    out = one
+    while k:
+        if k & 1:
+            out = op(out, base)
+        base = op(base, base)
+        k >>= 1
+    return out
 
 
 def _is_prime(n, rounds=16):
@@ -124,7 +138,6 @@ class GroupParams:
 
     backend: str
     N: int
-    lambda_bits: int = 0
     q1: int | None = None
     q2: int | None = None
     p: int | None = None  # curveA1 field prime
@@ -313,14 +326,7 @@ class CurveGroup(Group):
         return (a * norm_inv % p, -b * norm_inv % p)
 
     def _fp2_pow(self, u, k):
-        out = (1, 0)
-        base = u
-        while k:
-            if k & 1:
-                out = self._fp2_mul(out, base)
-            base = self._fp2_mul(base, base)
-            k >>= 1
-        return out
+        return _power(self._fp2_mul, (1, 0), u, k)
 
     # -- affine point arithmetic; None is the point at infinity ------------
     def _pt_add(self, a, b):
@@ -329,18 +335,9 @@ class CurveGroup(Group):
     def _pt_mul(self, a, k):
         # raw scalar multiplication: callers reduce mod N where appropriate
         # (cofactor clearing and subgroup checks must not reduce)
-        if a is None or k == 0:
-            return None
         if k < 0:
-            a, k = (a[0], (-a[1]) % self.p), -k
-        out = None
-        add = a
-        while k:
-            if k & 1:
-                out = self._pt_add(out, add)
-            add = self._pt_add(add, add)
-            k >>= 1
-        return out
+            a, k = a and (a[0], (-a[1]) % self.p), -k  # negate; None stays None
+        return _power(self._pt_add, None, a, k)
 
     def _on_curve(self, pt):
         x, y = pt
@@ -382,7 +379,7 @@ class CurveGroup(Group):
         k %= self.N
         if isinstance(x, GTElement):
             return GTElement(self._fp2_pow(x.value, k))
-        return GElement(self._pt_mul(x.value, k) if k else None)
+        return GElement(self._pt_mul(x.value, k))
 
     def pair(self, x, y):
         return self.pair_product((self.prepare(y),), (x,))
@@ -393,11 +390,8 @@ class CurveGroup(Group):
         return GTElement(self._fp2_pow(self._fp2_mul(conj, self._fp2_inv(f)), self.l))
 
     def _step(self, a, b):
-        """(a + b, line through a and b as (lam, c) with y = lam*x + c).
-
-        One slope serves both the sum and the line.  The line is None when
-        vertical (b = -a) or when a is the point at infinity.
-        """
+        """(a + b, slope lam of the line through a and b) for a point b;
+        lam is None when the line is vertical (b = -a) or a is infinity."""
         if a is None:
             return b, None
         p = self.p
@@ -410,18 +404,19 @@ class CurveGroup(Group):
         else:
             lam = (y2 - y1) * pow((x2 - x1) % p, -1, p) % p
         x3 = (lam * lam - x1 - x2) % p
-        return (x3, (lam * (x1 - x3) - y1) % p), (lam, (y1 - lam * x1) % p)
+        return (x3, (lam * (x1 - x3) - y1) % p), lam
 
     def prepare(self, x):
-        """The Miller lines of x, one (lam, c) or None per loop step; None
-        for the identity.  Costs one modular inversion per step."""
+        """The Miller lines of x, per loop step (lam, c) with c taken at the
+        point stepped from, or None; None for the identity.  One inversion a step."""
         if x.value is None:
             return None
         v = x.value
         lines = []
         for double in self._miller_steps:
-            v, line = self._step(v, v if double else x.value)
-            lines.append(line)
+            nxt, lam = self._step(v, v if double else x.value)
+            lines.append(None if lam is None else (lam, (v[1] - lam * v[0]) % self.p))
+            v = nxt
         return tuple(lines)
 
     def pair_product(self, prepared, points):
@@ -498,16 +493,21 @@ def _find_curve(N):
     return None
 
 
-def group_from_primes(q1, q2, backend=TRANSPARENT, lambda_bits=0):
+def _group(params):
+    """The backend's group class over params."""
+    return CurveGroup(params) if params.backend == CURVE_A1 else TransparentGroup(params)
+
+
+def group_from_primes(q1, q2, backend=TRANSPARENT):
     """Build a group over explicitly chosen primes (toy/test parameter sets)."""
     N = q1 * q2
+    l = p = None
     if backend == CURVE_A1:
         found = _find_curve(N)
         if found is None:
             raise SetupError(f"no prime p = l*N - 1 with l <= {_COFACTOR_CAP} for N={N}")
         l, p = found
-        return CurveGroup(GroupParams(CURVE_A1, N, lambda_bits, q1, q2, p, l))
-    return TransparentGroup(GroupParams(TRANSPARENT, N, lambda_bits, q1, q2))
+    return _group(GroupParams(backend, N, q1, q2, p, l))
 
 
 def group_gen(lambda_bits, backend=CURVE_A1, rng=None):
@@ -521,25 +521,23 @@ def group_gen(lambda_bits, backend=CURVE_A1, rng=None):
         if q1 == q2:
             continue
         try:
-            return group_from_primes(q1, q2, backend, lambda_bits)
+            return group_from_primes(q1, q2, backend)
         except SetupError:
             continue  # fresh primes, new cofactor scan
     raise SetupError(f"parameter search exhausted after {_GEN_ATTEMPTS} attempts")
 
 
-def group_from_descriptor(desc, lambda_bits=0, q1=None, q2=None):
+def group_from_descriptor(desc, q1=None, q2=None):
     """Rebuild a group from its describe() output; keys other than the
     descriptor's are ignored.  A server passes the descriptor alone and gets
-    a factorization-free group; the owner also passes q1, q2 and lambda."""
-    backend = desc["backend"]
-    curve = backend == CURVE_A1
+    a factorization-free group; the owner also passes q1 and q2."""
+    curve = desc["backend"] == CURVE_A1
     params = GroupParams(
-        backend,
+        desc["backend"],
         int(desc["N"]),
-        lambda_bits,
         q1,
         q2,
         int(desc["p"]) if curve else None,
         int(desc["l"]) if curve else None,
     )
-    return CurveGroup(params) if curve else TransparentGroup(params)
+    return _group(params)

@@ -26,7 +26,8 @@ at an empty level fixes it, and a put_tuple with another count is an error,
 so one bad tuple cannot turn every later query at its level into an error.
 
 Mutations are appended to a write-ahead log and fsync'd before they are
-applied and acknowledged, and replayed in order on restart, so an
+applied and acknowledged, and replayed in order on restart (a hello equal
+to the pinned one changes nothing and is not logged), so an
 acknowledged mutation survives a crash between any two messages; opening
 the state fsyncs the state directory and its parent, so the entries of a
 directory or log created there are as durable as the first ack.  If the
@@ -288,8 +289,7 @@ class ServerState:
         if self.hello is not None:
             if hello != self.hello:
                 raise ProtocolError("parameter mismatch with pinned hello")
-            self._append_log(msg)
-            return {"type": "ack"}
+            return {"type": "ack"}  # changes nothing, so nothing to log
         if hello["hash"] != HASH_ID:
             raise ProtocolError(f"unsupported hash {hello['hash']!r}")
         group = group_from_descriptor(dict(hello["backend"], N=hello["N"]))

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import random
@@ -96,17 +97,19 @@ def test_query_range_matches_oracle(workspace):
     assert sorted(enc.stdout.splitlines()) == sorted(ora.stdout.splitlines())
 
 
-def test_open_range_needs_bound(workspace):
-    out = run_cli(
-        "query", "range", "--key", workspace["key"], "--server", workspace["server"],
-        "--col", "1", "--lo", "25",
-    )
-    assert out.returncode == 3  # config error: open range without --col-max
-    out = run_cli(
-        "query", "range", "--key", workspace["key"], "--server", workspace["server"],
-        "--col", "1", "--lo", "25", "--col-max", "60",
-    )
-    assert out.returncode == 0
+@pytest.mark.parametrize("bound", [("--lo", "85"), ("--hi", "12"), ("--hi", "-3")])
+def test_open_range_matches_oracle(workspace, bound):
+    # a missing bound is open: [85, inf), (-inf, 12] and (-inf, -3]
+    args = ["--col", "1", *bound]
+    enc = run_cli("query", "range", "--key", workspace["key"], "--server", workspace["server"], *args)
+    ora = run_cli("oracle", "range", "--data", workspace["data"], *args)
+    assert enc.returncode == 0 and ora.returncode == 0, enc.stderr + ora.stderr
+    assert sorted(enc.stdout.splitlines()) == sorted(ora.stdout.splitlines())
+    with open(workspace["data"], newline="") as fh:
+        xs = {row["id"]: int(row["x1"]) for row in csv.DictReader(fh)}
+    value = int(bound[1])
+    want = {rid for rid, x in xs.items() if (x >= value if bound[0] == "--lo" else x <= value)}
+    assert {json.loads(line)["id"] for line in ora.stdout.splitlines()} == want
 
 
 @pytest.mark.parametrize("col", ["0", "5"])
@@ -117,6 +120,11 @@ def test_range_column_outside_key(workspace, col):
         run_cli("oracle", "range", "--data", workspace["data"], *bounds),
     ):
         assert out.returncode == 3 and "Traceback" not in out.stderr, out.stderr
+
+
+def test_oracle_sphere_center_of_wrong_length(workspace):
+    out = run_cli("oracle", "sphere", "--data", workspace["data"], "--center", "1,1,1", "--radius", "3")
+    assert out.returncode == 3 and "Traceback" not in out.stderr, out.stderr
 
 
 def test_insert_then_delete(workspace):

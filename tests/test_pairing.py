@@ -78,6 +78,30 @@ def test_pow_basics(backend, rng):
     assert grp.pow(g, -3) == grp.pow(g, grp.N - 3)
 
 
+def test_pow_is_repeated_mul_toy(toy_curve, rng):
+    # k in -40..40 runs the one square-and-multiply loop through k = 0,
+    # negative k and k past N = 35; G is held to plain affine addition and
+    # GT to mul, neither of which runs that loop
+    grp = toy_curve
+    g = grp.random_generator(rng)
+    gt = grp.pair(g, g)
+    acc_g, acc_gt = grp.identity_g(), grp.identity_gt()
+    for k in range(41):
+        assert grp.pow(g, k) == acc_g
+        assert grp.pow(gt, k) == acc_gt
+        assert reference_add(grp, grp.pow(g, -k), acc_g) == grp.identity_g()
+        assert grp.mul(grp.pow(gt, -k), acc_gt) == grp.identity_gt()
+        # the raw point multiplication negates the point rather than reduce -k
+        assert reference_add(grp, GElement(grp._pt_mul(g.value, -k)), acc_g) == grp.identity_g()
+        acc_g, acc_gt = reference_add(grp, acc_g, g), grp.mul(acc_gt, gt)
+
+
+def test_pt_mul_does_not_reduce_k(toy_curve):
+    # (0, 0) has order 2, outside the order-35 subgroup (the cofactor is
+    # l = 4): 35 * (0, 0) = (0, 0), where 35 mod N = 0 would give infinity
+    assert toy_curve._pt_mul((0, 0), toy_curve.N) == (0, 0)
+
+
 def test_pow_transparent_trace(toy_transparent):
     assert toy_transparent.pow(GElement(1), 5) == GElement(5)
 
@@ -231,3 +255,10 @@ def test_group_params_validation():
         group_from_primes(5, 5, TRANSPARENT)  # q1 == q2
     with pytest.raises(ConfigError):
         group_from_primes(6, 7, TRANSPARENT)  # composite q1
+
+
+def test_unknown_backend_rejected():
+    with pytest.raises(ConfigError, match="unknown backend"):
+        group_from_primes(5, 7, "bogus")
+    with pytest.raises(ConfigError, match="unknown backend"):
+        group_gen(3, "bogus", random.Random(0))

@@ -477,6 +477,21 @@ def test_mutations_logged_queries_not(deployment, rng, tmp_path):
     assert kinds.count("hello") == 1
 
 
+def test_repeated_hello_is_not_logged(deployment, tmp_path):
+    config, sk = deployment
+    hello = prot.hello_message(config, sk.group.params.describe())
+    state = ServerState(str(tmp_path))
+    assert state.request(hello) == state.request(hello) == {"type": "ack"}
+    state.close()
+    log = tmp_path / "log.jsonl"
+    assert len(log.read_text().splitlines()) == 1
+    # a log that holds a repeated hello, as older servers wrote, still replays
+    log.write_text(log.read_text() * 2)
+    state = ServerState(str(tmp_path))
+    assert state.snapshot_messages() == [hello]
+    state.close()
+
+
 # state written by commit c8bee39, before the group descriptor and the planner
 # were unified: a layered deployment (transparent backend, unified layout,
 # d=2, v=100, x_max=60, E_max=2) holding these points after one insert (p6)
