@@ -66,7 +66,9 @@ def _read_csv(path, d=None):
 
 
 def _shift(coords, offsets, sign=1):
-    return tuple(c + sign * o for c, o in zip(coords, offsets))
+    # keeps the length of coords, so a wrong-length list reaches the check
+    # of plan_sphere or validate_point instead of being cut to d
+    return tuple(c + sign * o for c, o in zip(coords, offsets)) + tuple(coords[len(offsets) :])
 
 
 def _emit_records(records, offsets):

@@ -53,6 +53,11 @@ loop; reference_pair in tests/reference.py is the independent loop the
 tests hold it to.  The transparent backend's prepare() returns the element,
 and its pair_product() multiplies pair() results.  _power is the one
 square-and-multiply, over _step's sums in G and over _fp2_mul in GT.
+
+Encodings.  canonical_bytes gives every element of G and GT one byte string;
+decode is its inverse on G alone.  GT elements are only hashed (the lookup
+table's digests, the server's membership test), never decoded: what a
+server or a key file reads back is always a G element.
 """
 
 import secrets
@@ -216,6 +221,8 @@ class Group:
         raise NotImplementedError
 
     def decode(self, data):
+        """The G element x with canonical_bytes(x) == data; every other byte
+        string, a GT encoding among them, raises ConfigError."""
         raise NotImplementedError
 
     def prepare(self, x):
@@ -286,16 +293,12 @@ class TransparentGroup(Group):
         return bytes([tag]) + (x.value % self.N).to_bytes(self._width, "big")
 
     def decode(self, data):
-        if len(data) != 1 + self._width:
-            raise ConfigError("bad transparent element length")
-        tag, e = data[0], int.from_bytes(data[1:], "big")
+        if len(data) != 1 + self._width or data[0] != _TAG_G_TRANSPARENT:
+            raise ConfigError("not a transparent G element encoding")
+        e = int.from_bytes(data[1:], "big")
         if e >= self.N:
             raise ConfigError("transparent exponent out of range")
-        if tag == _TAG_G_TRANSPARENT:
-            return GElement(e)
-        if tag == _TAG_GT_TRANSPARENT:
-            return GTElement(e)
-        raise ConfigError(f"bad transparent element tag {tag:#x}")
+        return GElement(e)
 
 
 class CurveGroup(Group):
@@ -457,31 +460,19 @@ class CurveGroup(Group):
 
     def decode(self, data):
         w = self._width
-        if not data:
-            raise ConfigError("empty element encoding")
-        tag = data[0]
-        if tag == _TAG_GT_CURVE:
-            if len(data) != 1 + 2 * w:
-                raise ConfigError("bad GT element length")
-            a = int.from_bytes(data[1 : 1 + w], "big")
-            b = int.from_bytes(data[1 + w :], "big")
-            if a >= self.p or b >= self.p:
-                raise ConfigError("GT coordinate out of range")
-            return GTElement((a, b))
-        if tag == _TAG_G_CURVE:
-            if len(data) != 2 + 2 * w:
-                raise ConfigError("bad G element length")
-            if data[1] == 0:
-                return GElement(None)
-            x = int.from_bytes(data[2 : 2 + w], "big")
-            y = int.from_bytes(data[2 + w :], "big")
-            pt = (x, y)
-            if x >= self.p or y >= self.p or not self._on_curve(pt):
-                raise ConfigError("point not on curve")
-            if self._pt_mul(pt, self.N) is not None:
-                raise ConfigError("point outside the order-N subgroup")
-            return GElement(pt)
-        raise ConfigError(f"bad curve element tag {tag:#x}")
+        if len(data) != 2 + 2 * w or data[0] != _TAG_G_CURVE:
+            raise ConfigError("not a curve G element encoding")
+        x, y = int.from_bytes(data[2 : 2 + w], "big"), int.from_bytes(data[2 + w :], "big")
+        if data[1] == 0 and x == y == 0:
+            return GElement(None)
+        if data[1] != 1:
+            raise ConfigError("bad point flag, or an identity with coordinates")
+        pt = (x, y)
+        if x >= self.p or y >= self.p or not self._on_curve(pt):
+            raise ConfigError("point not on curve")
+        if self._pt_mul(pt, self.N) is not None:
+            raise ConfigError("point outside the order-N subgroup")
+        return GElement(pt)
 
 
 def _find_curve(N):

@@ -212,6 +212,8 @@ def delete_point(config, sk, rid, server):
 
 
 def update_point(config, sk, rid, coords, server, rng=None):
+    """Replace rid's point; a point that fails validation leaves the record."""
+    validate_point(coords, config.d, config.x_max, label=str(rid))
     delete_point(config, sk, rid, server)
     insert_point(config, sk, rid, coords, server, rng=rng)
 
@@ -234,6 +236,8 @@ def plan_sphere(config, sk, query, cols=None):
     """Check a sphere query against the deployment, without any I/O, and
     return the layers it runs at; every layer passes the wrap guard, which
     cannot fire for t or c, whose scaled r^2 <= v < q2 - margin."""
+    if len(query.center) != config.d:
+        raise ConfigError(f"center has {len(query.center)} coordinates, the key has d={config.d}")
     for c in query.center:
         if not 0 <= c <= config.x_max:
             raise QueryRejected("center-out-of-domain", f"center coordinate {c} outside [0, {config.x_max}]")

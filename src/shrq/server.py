@@ -17,26 +17,31 @@ Requests carry a "type" field:
     delete     {id}                                 -> ack {found}
     query      {level, slots: [b64 canonical]}      -> result {matches: [{id, blob}]}
 
+A slot is the canonical encoding (Group.canonical_bytes) of a G element,
+and decode reads exactly those byte strings: a GT encoding, a
+non-canonical one or a point outside the order-N subgroup does not decode.
 Every line gets exactly one reply line: anything malformed (not JSON, not
-an object, nested more than four deep, an unknown type, a missing or ill-typed field, an element that
-does not decode, parameters that do not build a group) gets
-{"type": "error", "error": ...}, changes no state, and the connection stays
-open.  All tuples at a level have one slot count: the first tuple stored
-at an empty level fixes it, and a put_tuple with another count is an error,
-so one bad tuple cannot turn every later query at its level into an error.
+an object, nested more than four deep, an unknown type, a missing or
+ill-typed field, a slot that does not decode, parameters that do not build
+a group) gets {"type": "error", "error": ...}, changes no state, and the
+connection stays open.  All tuples at a level have one slot count: the
+first tuple stored at an empty level fixes it, and a put_tuple with another
+count is an error, so one bad tuple cannot turn every later query at its
+level into an error.
 
 Mutations are appended to a write-ahead log and fsync'd before they are
 applied and acknowledged, and replayed in order on restart (a hello equal
-to the pinned one changes nothing and is not logged), so an
-acknowledged mutation survives a crash between any two messages; opening
-the state fsyncs the state directory and its parent, so the entries of a
-directory or log created there are as durable as the first ack.  If the
-append fails (a full disk), the log is cut back to its length before it,
-the state is left unchanged and the reply is an error; should that cut fail
-too, the line may stay, as after a crash before the ack.  A final log line
-without its newline was cut by a crash before its ack: replay drops it and
-truncates the log to the last newline.  Any other line that is not a JSON
-object, or that the handler rejects, fails the restart with
+to the pinned one, or a delete of an id not held, changes nothing and is
+not logged), so an acknowledged mutation survives a crash between any two
+messages; opening the state fsyncs the state directory and its parent, so
+the entries of a directory or log created there are as durable as the
+first ack.  If the append fails (a full disk), the log is cut back to its
+length before it, the state is left unchanged and the reply is an error;
+should that cut fail too, the line may stay, as after a crash before the
+ack.  A final log line without its newline was cut by a crash before its
+ack: replay drops it and truncates the log to the last newline.  Every
+other line takes the wire's path, the same parse, object and nesting check
+and handler, and a line that gets an error reply fails the restart with
 DataIntegrityError.
 
 Every _COMPACT_EVERY logged mutations the log is rewritten as a snapshot
@@ -156,13 +161,7 @@ class ServerState:
                 kept += len(line)
                 if not line.strip():
                     continue
-                try:
-                    msg = json.loads(line)
-                except (ValueError, RecursionError) as exc:
-                    raise DataIntegrityError(f"corrupt state log line {number}: {exc}") from None
-                if not isinstance(msg, dict):
-                    raise DataIntegrityError(f"corrupt state log line {number}: not an object")
-                reply = self._dispatch(msg)
+                reply = self._dispatch(line)
                 if reply.get("type") == "error":
                     raise DataIntegrityError(f"corrupt state log line {number}: {reply['error']}")
             size = fh.seek(0, os.SEEK_END)
@@ -235,23 +234,24 @@ class ServerState:
     def handle_line(self, line):
         """Process one wire line, return one reply line (thread-safe)."""
         with self._lock:
-            try:
-                msg = json.loads(line)
-            except (ValueError, RecursionError) as exc:
-                return json.dumps({"type": "error", "error": f"malformed message: {exc}"})
-            if not isinstance(msg, dict) or _too_deep(msg):
-                error = f"malformed message: not a JSON object nested at most {_MAX_NESTING} deep"
-                return json.dumps({"type": "error", "error": error})
-            return json.dumps(self._dispatch(msg), sort_keys=True)
+            return json.dumps(self._dispatch(line), sort_keys=True)
 
     def request(self, msg):
         """In-process transport: same code path as TCP, JSON round-tripped."""
         return json.loads(self.handle_line(json.dumps(msg)))
 
-    def _dispatch(self, msg):
-        """Run the handler.  Each mutation handler checks its message, logs
-        it and only then applies it, so a rejected message or a failed log
-        append changes no state and gets an error reply."""
+    def _dispatch(self, line):
+        """Parse one wire or log line and run its handler; returns the reply.
+        Each mutation handler checks its message, logs it and only then
+        applies it, so a rejected line or a failed log append changes no
+        state and gets an error reply."""
+        try:
+            msg = json.loads(line)
+        except (ValueError, RecursionError) as exc:
+            return {"type": "error", "error": f"malformed message: {exc}"}
+        if not isinstance(msg, dict) or _too_deep(msg):
+            error = f"malformed message: not a JSON object nested at most {_MAX_NESTING} deep"
+            return {"type": "error", "error": error}
         try:
             mtype = msg.get("type")
             name = _HANDLERS.get(mtype)
@@ -337,12 +337,13 @@ class ServerState:
 
     def _do_delete(self, msg):
         rid = str(msg["id"])
-        found = rid in self.db_store
+        if rid not in self.db_store and not any(rid in b for b in self.db_query.values()):
+            return {"type": "ack", "found": False}  # changes nothing, so nothing to log
         self._append_log(msg)
         self.db_store.pop(rid, None)
         for bucket in self.db_query.values():
-            found |= bucket.pop(rid, None) is not None
-        return {"type": "ack", "found": found}
+            bucket.pop(rid, None)
+        return {"type": "ack", "found": True}
 
     def _do_query(self, msg):
         level = msg["level"]

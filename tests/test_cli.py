@@ -123,12 +123,19 @@ def test_range_column_outside_key(workspace, col):
 
 
 def test_oracle_sphere_center_of_wrong_length(workspace):
-    out = run_cli("oracle", "sphere", "--data", workspace["data"], "--center", "1,1,1", "--radius", "3")
-    assert out.returncode == 3 and "Traceback" not in out.stderr, out.stderr
+    args = ("--center", "1,1,1", "--radius", "3")
+    for out in (
+        run_cli("oracle", "sphere", "--data", workspace["data"], *args),
+        run_cli("query", "sphere", "--key", workspace["key"], "--server", workspace["server"], *args),
+    ):
+        assert out.returncode == 3 and "Traceback" not in out.stderr, out.stderr
 
 
 def test_insert_then_delete(workspace):
     ws = workspace
+    out = run_cli("insert", "--key", ws["key"], "--id", "bad", "--point", "1,2,3",
+                  "--server", ws["server"])  # d = 2: rejected, not cut to (1, 2)
+    assert out.returncode == 1 and "3 coordinates" in out.stderr, out.stderr
     assert run_cli("insert", "--key", ws["key"], "--id", "zz", "--point", "77,78",
                    "--server", ws["server"]).returncode == 0
     out = run_cli("query", "sphere", "--key", ws["key"], "--center", "77,78", "--radius", "0",

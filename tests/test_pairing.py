@@ -2,6 +2,7 @@ import random
 
 import pytest
 import sympy
+from hypothesis import example, given, settings, strategies as st
 
 from shrq.errors import ConfigError
 from shrq.pairing import (
@@ -197,8 +198,51 @@ def test_canonical_roundtrip(backend, rng):
     g = grp.random_generator(rng)
     for x in (g, grp.pow(g, 13), grp.identity_g()):
         assert grp.decode(grp.canonical_bytes(x)) == x
-    for t in (grp.pair(g, g), grp.identity_gt()):
-        assert grp.decode(grp.canonical_bytes(t)) == t
+    for t in (grp.pair(g, g), grp.identity_gt()):  # GT is hashed, never decoded
+        with pytest.raises(ConfigError):
+            grp.decode(grp.canonical_bytes(t))
+
+
+def _toy_encodings(backend):
+    """The toy group (N=35) and the canonical bytes of all 35 elements of G,
+    then all 35 of GT."""
+    grp = group_from_primes(5, 7, backend)
+    g = grp.random_generator(random.Random(3))
+    return grp, [grp.canonical_bytes(grp.pow(x, k)) for x in (g, grp.pair(g, g)) for k in range(35)]
+
+
+_TOY = {backend: _toy_encodings(backend) for backend in (TRANSPARENT, CURVE_A1)}
+_CURVE_G = _TOY[CURVE_A1][1][1]  # the generator's encoding: tag, flag 1, x, y
+
+
+@st.composite
+def _toy_bytes(draw):
+    """(backend, data): a G or GT encoding with one byte replaced (perhaps
+    by itself), or arbitrary bytes of an encoding's length."""
+    backend = draw(st.sampled_from(sorted(_TOY)))
+    encodings = _TOY[backend][1]
+    if draw(st.booleans()):
+        data = bytearray(draw(st.sampled_from(encodings)))
+        data[draw(st.integers(0, len(data) - 1))] = draw(st.integers(0, 255))
+        return backend, bytes(data)
+    size = draw(st.sampled_from(sorted({len(e) for e in encodings})))
+    return backend, draw(st.binary(min_size=size, max_size=size))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_toy_bytes())
+@example((CURVE_A1, _CURVE_G[:1] + bytes([2]) + _CURVE_G[2:]))  # flag byte 2
+@example((CURVE_A1, _CURVE_G[:1] + bytes([0, 0, 1])))  # an identity with a coordinate
+@example((CURVE_A1, _TOY[CURVE_A1][1][36]))  # GT encodings
+@example((TRANSPARENT, _TOY[TRANSPARENT][1][36]))
+def test_decode_reads_only_canonical_g(case):
+    backend, data = case
+    grp = _TOY[backend][0]
+    try:
+        x = grp.decode(data)
+    except ConfigError:
+        return
+    assert isinstance(x, GElement) and grp.canonical_bytes(x) == data
 
 
 def test_decode_rejects_tampering(toy_curve, toy_transparent, rng):

@@ -13,6 +13,7 @@ from shrq.errors import (
     ConfigError,
     DataIntegrityError,
     DuplicateIdError,
+    IngestionError,
     NotFoundError,
     QueryRejected,
     SetupError,
@@ -318,6 +319,14 @@ def test_insert_delete_update_cycle(rng):
         prot.insert_point(config, sk, "0", (1, 1), server)
 
 
+def test_rejected_update_keeps_the_record(rng):
+    config, sk = deployment("c", layout=LAYOUT_UNIFIED, e_max=3)
+    server = loaded_server(config, sk, [("a", (5, 5))], rng)
+    with pytest.raises(IngestionError):
+        prot.update_point(config, sk, "a", (500, 1), server)  # x_max is 100
+    assert prot.query_sphere(config, sk, SphereQuery((5, 5), 0), server).ids == {"a"}
+
+
 def test_update_sequence_stays_oracle_exact(rng):
     ds = random_dataset(rng, 30)
     config, sk = deployment("c", layout=LAYOUT_UNIFIED, e_max=3)
@@ -383,6 +392,9 @@ def test_plan_shapes():
     sphere, plan = prot.plan_range(config, sk, RangeQuery(2, 90, 500))
     assert sphere == SphereQuery((0, 95), 5) and plan == (Layer(0, 5.0, 5, 1),)
     assert prot.plan_range(config, sk, RangeQuery(1, 300, 400)) == (None, ())
+    for center in ((10,), (10, 11, 12)):  # d = 2
+        with pytest.raises(ConfigError, match="coordinates"):
+            prot.plan_sphere(config, sk, SphereQuery(center, 20))
 
 
 def test_level_count_economy():

@@ -102,7 +102,13 @@ def test_malformed_and_unknown_messages(deployment, rng, tmp_path):
     server = ServerState(str(tmp_path))  # accepted mutations are serialized to the log
     fill(config, sk, [("a", (1, 1))], server, rng)
     before = server.snapshot_messages()
-    for line in BAD_LINES:
+    # slots holding GT encodings, which decode to nothing: GT is only hashed
+    gt = [b64e(sk.group.canonical_bytes(sk.group.pair(sk.g, sk.g)))] * len(server.db_query[0]["a"])
+    gt_lines = [
+        json.dumps({"type": "put_tuple", "level": 0, "id": "gt", "slots": gt}),
+        json.dumps({"type": "query", "level": 0, "slots": gt}),
+    ]
+    for line in BAD_LINES + gt_lines:
         assert json.loads(server.handle_line(line))["type"] == "error", line[:80]
     assert server.snapshot_messages() == before
     server.close()
@@ -187,6 +193,21 @@ def test_delete_reports_found(deployment, rng):
     fill(config, sk, [("a", (1, 1))], server, rng)
     assert server.request({"type": "delete", "id": "a"}) == {"type": "ack", "found": True}
     assert server.request({"type": "delete", "id": "a"}) == {"type": "ack", "found": False}
+
+
+def test_delete_of_unknown_id_is_not_logged(deployment, rng, tmp_path):
+    config, sk = deployment
+    state = ServerState(str(tmp_path))
+    fill(config, sk, [("a", (1, 2))], state, rng)
+    log = tmp_path / "log.jsonl"
+    before = log.read_bytes()
+    assert state.request({"type": "delete", "id": "b"}) == {"type": "ack", "found": False}
+    assert log.read_bytes() == before
+    snapshot = state.snapshot_messages()
+    state.close()
+    # a log that holds such a delete, as older servers wrote, still replays
+    log.write_bytes(before + b'{"id": "b", "type": "delete"}\n')
+    assert _restarted(tmp_path) == snapshot
 
 
 def test_matched_id_missing_from_store_is_integrity_error(deployment, rng):
@@ -313,7 +334,9 @@ def test_torn_log_tail_restarts(deployment, rng, tmp_path):
     assert _restarted(cut_dir) == _restarted(tmp_path / "full")
 
 
-@pytest.mark.parametrize("damage", ["middle", "last-with-newline", "not-an-object", "rejected"])
+@pytest.mark.parametrize(
+    "damage", ["middle", "last-with-newline", "not-an-object", "rejected", "too-deep"]
+)
 def test_corrupt_log_line_fails_closed(deployment, rng, tmp_path, damage):
     config, sk = deployment
     lines = _logged_state(config, sk, rng, tmp_path).splitlines(keepends=True)
@@ -324,6 +347,8 @@ def test_corrupt_log_line_fails_closed(deployment, rng, tmp_path, damage):
         lines[-1] = lines[-1][: len(lines[-1]) // 2] + b"\n"
     elif damage == "not-an-object":
         lines.insert(2, b"[1, 2]\n")
+    elif damage == "too-deep":  # the wire rejects this line, so replay must too
+        lines.insert(2, b'{"type": "delete", "id": [[[[]]]]}\n')
     else:
         lines.insert(2, b'{"type": "frobnicate"}\n')
     (tmp_path / "log.jsonl").write_bytes(b"".join(lines))
