@@ -2,9 +2,10 @@
 
 A data component and a query component are plain tuples of L ints; in
 both layouts slot d is the constant slot, 1 on the data side and the one
-query slot that beta shifts.  They are encrypted slot by slot as
-s^{x_i} * h^{r*Y_i}.  Pairing matching slots and multiplying the results
-yields
+query slot that beta shifts.  One routine, _encrypt, encrypts both sides
+slot by slot as s^{x_i} * h^{r*Y_i}: a tuple with x = m and Y = A, a
+query with x = (q + beta*[i = d]) * alpha and Y = B.  Pairing matching
+slots and multiplying the results yields
 
     T = e(s,s)^{alpha * (dot(m, q) + beta)}
 
@@ -65,10 +66,6 @@ class SecretKey:
     v: int
     x_max: int
 
-    @property
-    def L(self):
-        return layout_len(self.layout, self.d)
-
 
 @dataclass(frozen=True)
 class LookupTable:
@@ -99,8 +96,6 @@ def keygen(lambda_bits, d, layout, v, x_max, backend=CURVE_A1, rng=None, group=N
         raise ConfigError(
             f"correctness margin violated: need q2 > 2*(v + d*x_max^2) = {bound}, got q2 = {q2}"
         )
-    if v + 1 > q2:
-        raise ConfigError(f"lookup bound too large: need v + 1 <= q2, got v = {v}, q2 = {q2}")
     L = layout_len(layout, d)
 
     g = group.random_generator(rng)
@@ -126,39 +121,33 @@ def keygen(lambda_bits, d, layout, v, x_max, backend=CURVE_A1, rng=None, group=N
     return sk, params.describe()
 
 
-def _check_len(sk, comp):
-    if len(comp) != sk.L:
-        raise ProtocolError(f"component has {len(comp)} slots, key expects {sk.L}")
-
-
-def tuple_encrypt(sk, comp, rng=None):
-    """Encrypt a data component under a fresh blinding scalar; returns the
+def _encrypt(sk, exponents, vector, rng):
+    """s^{e_i} * h^{r*y_i} per slot under one fresh blinding scalar r; the
     tuple of L slots."""
-    _check_len(sk, comp)
+    if len(exponents) != len(vector):
+        raise ProtocolError(f"component has {len(exponents)} slots, key expects {len(vector)}")
     rng = rng if rng is not None else secrets.SystemRandom()
-    blinding = rng.randrange(1, sk.group.N)
     group = sk.group
+    blinding = rng.randrange(1, group.N)
     return tuple(
-        group.mul(group.pow(sk.s, int(m_i)), group.pow(sk.h, blinding * a_i))
-        for m_i, a_i in zip(comp, sk.A)
+        group.mul(group.pow(sk.s, int(e_i)), group.pow(sk.h, blinding * y_i))
+        for e_i, y_i in zip(exponents, vector)
     )
 
 
+def tuple_encrypt(sk, comp, rng=None):
+    """Encrypt a data component under A; returns the tuple of L slots."""
+    return _encrypt(sk, comp, sk.A, rng)
+
+
 def query_encrypt(sk, comp, rng=None):
-    """Encrypt a query component; beta shifts only slot d, which faces the
-    data side's constant 1, and alpha scales every slot.  Returns the
-    tuple of L slots."""
-    _check_len(sk, comp)
-    rng = rng if rng is not None else secrets.SystemRandom()
-    blinding = rng.randrange(1, sk.group.N)
-    group = sk.group
-    slots = []
-    for i, (q_i, b_i) in enumerate(zip(comp, sk.B)):
-        coeff = int(q_i) + sk.beta if i == sk.d else int(q_i)
-        slots.append(
-            group.mul(group.pow(sk.s, coeff * sk.alpha), group.pow(sk.h, blinding * b_i))
-        )
-    return tuple(slots)
+    """Encrypt a query component under B; beta shifts only slot d, which
+    faces the data side's constant 1, and alpha scales every slot.  Returns
+    the tuple of L slots."""
+    exponents = [
+        (int(q_i) + (sk.beta if i == sk.d else 0)) * sk.alpha for i, q_i in enumerate(comp)
+    ]
+    return _encrypt(sk, exponents, sk.B, rng)
 
 
 def prepare_query(group, slots):

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 general error, 2 query rejected by the deployment
 (a machine-readable JSON reason goes to stderr), 3 key file missing or
-inconsistent, 4 server unreachable.
+inconsistent, or a bad configuration or argument (such as a centre with
+the wrong number of coordinates), 4 server unreachable.
 """
 
 import argparse
@@ -22,7 +23,7 @@ from .errors import (
     ServerUnreachable,
     ShrqError,
 )
-from .geometry import RangeQuery, SphereQuery
+from .geometry import RangeQuery, SphereQuery, validate_point
 from .keyfile import load_keyfile, save_keyfile
 from .pairing import CURVE_A1, TRANSPARENT
 from .server import connect, serve
@@ -100,15 +101,11 @@ def cmd_setup(args):
         offsets = new_offsets
         save_keyfile(args.key, sk, config, offsets)
         print(f"recorded coordinate offset {offsets} in {args.key}", file=sys.stderr)
+    after = f" after offset {offsets}" if any(offsets) else ""
     dataset = []
-    for lineno, (rid, coords) in enumerate(rows, start=2):
-        shifted = _shift(coords, offsets)
-        if any(not 0 <= c <= config.x_max for c in shifted):
-            raise IngestionError(
-                f"{args.data} row {lineno} (id {rid!r}): coordinate outside [0, {config.x_max}]"
-                + (f" after offset {offsets}" if any(offsets) else "")
-            )
-        dataset.append((rid, shifted))
+    for rid, coords in rows:
+        label = f"{args.data} id {rid!r}{after}"
+        dataset.append((rid, validate_point(_shift(coords, offsets), config.d, config.x_max, label)))
     with connect(args.server) as conn:
         sent = protocols.run_setup(config, sk, dataset, conn)
     print(f"uploaded {len(dataset)} records ({sent} messages)", file=sys.stderr)

@@ -45,9 +45,11 @@ and handler, and a line that gets an error reply fails the restart with
 DataIntegrityError.
 
 Every _COMPACT_EVERY logged mutations the log is rewritten as a snapshot
-(compact): written to a temporary file and fsync'd, renamed over the log,
-and the state directory fsync'd, so the rename cannot be undone by a crash
-while later appends land in the new file.  Compaction runs after the
+(compact); the count starts at the number of lines replayed at open, so a
+server restarted more often than that still compacts.  The snapshot is
+written to a temporary file and fsync'd, renamed over the log, and the
+state directory fsync'd, so the rename cannot be undone by a crash while
+later appends land in the new file.  Compaction runs after the
 mutation that triggers it is logged and applied; if it fails (a full disk),
 that mutation is durable all the same and still gets its reply, and the
 next mutation tries the compaction again.
@@ -153,7 +155,7 @@ class ServerState:
         path = os.path.join(self._state_dir, _LOG_NAME)
         if not os.path.exists(path):
             return
-        kept = 0
+        kept = replayed = 0
         with open(path, "rb") as fh:
             for number, line in enumerate(fh, start=1):
                 if not line.endswith(b"\n"):
@@ -164,7 +166,11 @@ class ServerState:
                 reply = self._dispatch(line)
                 if reply.get("type") == "error":
                     raise DataIntegrityError(f"corrupt state log line {number}: {reply['error']}")
+                replayed += 1
             size = fh.seek(0, os.SEEK_END)
+        # set only now: a compaction inside the loop would rename a snapshot
+        # of a half-replayed state over the log still being read
+        self._mutations_since_compact = replayed
         if kept < size:
             with open(path, "r+b") as fh:
                 fh.truncate(kept)

@@ -43,7 +43,7 @@ def test_keygen_invariants(sk32):
     assert sk32.alpha % q2 != 0
     assert q2 > 2 * (sk32.v + sk32.d * sk32.x_max**2)
     assert sk32.v + 1 <= q2
-    assert len(sk32.A) == len(sk32.B) == sk32.L == sk32.d + 2
+    assert len(sk32.A) == len(sk32.B) == sk32.d + 2
     assert len(sk32.aes_key) == 32
 
 
@@ -66,7 +66,7 @@ def test_keygen_margin_violation_names_bound():
 
 def test_keygen_unified_vector_length():
     sk, _ = keygen(32, 3, LAYOUT_UNIFIED, 50, 10, TRANSPARENT, rng=random.Random(6))
-    assert sk.L == 7 == 2 * 3 + 1
+    assert len(sk.A) == 7 == 2 * 3 + 1
 
 
 def test_public_params_hold_no_secrets(sk32):
@@ -94,7 +94,7 @@ def test_tuple_encrypt_exponent_trace_toy(toy_transparent):
 def test_tuple_encrypt_lengths_both_layouts(sk32, sk32_unified):
     for sk, layout in ((sk32, LAYOUT_SHRQ), (sk32_unified, LAYOUT_UNIFIED)):
         enc = tuple_encrypt(sk, make_data_component((3, 4), layout), rng=random.Random(1))
-        assert len(enc) == sk.L
+        assert len(enc) == len(sk.A)
 
 
 def test_tuple_encrypt_randomized(sk32, rng):
@@ -175,6 +175,23 @@ def curve_sk(request):
     return keygen(32, 2, request.param, 400, 100, CURVE_A1, rng=random.Random(32))[0]
 
 
+def test_encryption_is_plain_pow_on_curve(curve_sk):
+    # slot i is s^{x_i} * h^{r*Y_i} with r the rng's first randrange(1, N):
+    # x = m and Y = A for a tuple, x = q*alpha (+ beta*alpha at slot d) and
+    # Y = B for a query
+    sk, grp = curve_sk, curve_sk.group
+    c_m = make_data_component((37, 90), sk.layout)
+    c_q = make_sphere_query_component(SphereQuery((41, 86), 9), sk.layout)
+    x_q = [q * sk.alpha for q in c_q]
+    x_q[sk.d] += sk.beta * sk.alpha
+    for k in range(3):
+        r = random.Random(k).randrange(1, grp.N)
+        for enc, xs, ys in ((tuple_encrypt(sk, c_m, rng=random.Random(k)), c_m, sk.A),
+                            (query_encrypt(sk, c_q, rng=random.Random(k)), x_q, sk.B)):
+            want = [grp.mul(grp.pow(sk.s, x), grp.pow(sk.h, r * y)) for x, y in zip(xs, ys)]
+            assert [grp.canonical_bytes(e) for e in enc] == [grp.canonical_bytes(w) for w in want]
+
+
 def test_compute_is_product_of_pairs_on_curve(curve_sk, rng):
     sk, grp = curve_sk, curve_sk.group
 
@@ -192,8 +209,8 @@ def test_compute_is_product_of_pairs_on_curve(curve_sk, rng):
 
     cases = [encrypted() for _ in range(4)]
     for _ in range(16):
-        cases.append((tuple(slot() for _ in range(sk.L)), tuple(slot() for _ in range(sk.L))))
-    cases.append(((grp.identity_g(),) * sk.L, cases[0][1]))
+        cases.append((tuple(slot() for _ in sk.A), tuple(slot() for _ in sk.A)))
+    cases.append(((grp.identity_g(),) * len(sk.A), cases[0][1]))
     for ms, qs in cases:
         want = grp.identity_gt()
         for m, q in zip(ms, qs):

@@ -180,6 +180,13 @@ def test_bad_csv_names_row(workspace, tmp_path):
                   "--server", workspace["server"])
     assert out.returncode == 1
     assert "row 3" in out.stderr
+    # a point outside the domain is named by its id: a count of rows would
+    # skip the blank lines and call b, on line 5, "row 3"
+    bad.write_text("id,x1,x2\na,3,4\n\n\nb,500,3\n")
+    out = run_cli("setup", "--key", workspace["key"], "--data", str(bad),
+                  "--server", workspace["server"])
+    assert out.returncode == 1
+    assert "id 'b'" in out.stderr and "row 3" not in out.stderr
 
 
 def test_negative_coordinates_get_offset(tmp_path):

@@ -28,6 +28,23 @@ def deployment():
     return config, sk
 
 
+@pytest.fixture
+def open_state():
+    """Opens a ServerState on a state directory; every state opened is
+    closed at teardown, so a failed assertion leaks no log file into a
+    later test."""
+    states = []
+
+    def open_(state_dir):
+        state = ServerState(str(state_dir))
+        states.append(state)
+        return state
+
+    yield open_
+    for state in states:
+        state.close()
+
+
 def fill(config, sk, dataset, server, rng):
     prot.run_setup(config, sk, dataset, server, rng=rng)
 
@@ -97,9 +114,9 @@ BAD_LINES = [
 ]
 
 
-def test_malformed_and_unknown_messages(deployment, rng, tmp_path):
+def test_malformed_and_unknown_messages(deployment, rng, tmp_path, open_state):
     config, sk = deployment
-    server = ServerState(str(tmp_path))  # accepted mutations are serialized to the log
+    server = open_state(tmp_path)  # accepted mutations are serialized to the log
     fill(config, sk, [("a", (1, 1))], server, rng)
     before = server.snapshot_messages()
     # slots holding GT encodings, which decode to nothing: GT is only hashed
@@ -195,9 +212,9 @@ def test_delete_reports_found(deployment, rng):
     assert server.request({"type": "delete", "id": "a"}) == {"type": "ack", "found": False}
 
 
-def test_delete_of_unknown_id_is_not_logged(deployment, rng, tmp_path):
+def test_delete_of_unknown_id_is_not_logged(deployment, rng, tmp_path, open_state):
     config, sk = deployment
-    state = ServerState(str(tmp_path))
+    state = open_state(tmp_path)
     fill(config, sk, [("a", (1, 2))], state, rng)
     log = tmp_path / "log.jsonl"
     before = log.read_bytes()
@@ -207,7 +224,7 @@ def test_delete_of_unknown_id_is_not_logged(deployment, rng, tmp_path):
     state.close()
     # a log that holds such a delete, as older servers wrote, still replays
     log.write_bytes(before + b'{"id": "b", "type": "delete"}\n')
-    assert _restarted(tmp_path) == snapshot
+    assert _restarted(open_state, tmp_path) == snapshot
 
 
 def test_matched_id_missing_from_store_is_integrity_error(deployment, rng):
@@ -251,31 +268,31 @@ def test_query_reply_deterministic(deployment, rng):
 # -- persistence --------------------------------------------------------------------
 
 
-def test_restart_replays_state(deployment, rng, tmp_path):
+def test_restart_replays_state(deployment, rng, tmp_path, open_state):
     config, sk = deployment
     ds = random_dataset(rng, 12)
-    first = ServerState(str(tmp_path))
+    first = open_state(tmp_path)
     fill(config, sk, ds, first, rng)
     q = SphereQuery((50, 50), 20)
     want = prot.query_sphere(config, sk, q, first)
     first.close()
 
-    reborn = ServerState(str(tmp_path))
+    reborn = open_state(tmp_path)
     assert prot.query_sphere(config, sk, q, reborn) == want
     assert reborn.db_store.keys() == first.db_store.keys()
     reborn.close()
 
 
-def test_restart_between_any_two_messages(deployment, rng, tmp_path):
+def test_restart_between_any_two_messages(deployment, rng, tmp_path, open_state):
     config, sk = deployment
     msgs = list(prot.setup_messages(config, sk, random_dataset(rng, 3), rng=rng))
     cut = len(msgs) // 2
-    state = ServerState(str(tmp_path))
+    state = open_state(tmp_path)
     for msg in msgs[:cut]:
         assert state.request(msg)["type"] == "ack"
     state.close()  # simulated crash after the ack
 
-    state = ServerState(str(tmp_path))
+    state = open_state(tmp_path)
     for msg in msgs[cut:]:
         assert state.request(msg)["type"] == "ack"
     q = SphereQuery((50, 50), 20)
@@ -286,60 +303,60 @@ def test_restart_between_any_two_messages(deployment, rng, tmp_path):
     state.close()
 
 
-def test_compaction_preserves_state(deployment, rng, tmp_path):
+def test_compaction_preserves_state(deployment, rng, tmp_path, open_state):
     config, sk = deployment
     ds = random_dataset(rng, 10)
-    state = ServerState(str(tmp_path))
+    state = open_state(tmp_path)
     fill(config, sk, ds, state, rng)
     state.request({"type": "delete", "id": ds[0][0]})
     q = SphereQuery((50, 50), 20)
     want = prot.query_sphere(config, sk, q, state)
     state.compact()
     state.close()
-    reborn = ServerState(str(tmp_path))
+    reborn = open_state(tmp_path)
     assert prot.query_sphere(config, sk, q, reborn) == want
     reborn.close()
 
 
-def _logged_state(config, sk, rng, state_dir):
-    state = ServerState(str(state_dir))
+def _logged_state(open_state, config, sk, rng, state_dir):
+    state = open_state(state_dir)
     fill(config, sk, [("a", (1, 2)), ("b", (60, 61))], state, rng)
     state.close()
     return (state_dir / "log.jsonl").read_bytes()
 
 
-def _restarted(state_dir):
-    state = ServerState(str(state_dir))
+def _restarted(open_state, state_dir):
+    state = open_state(state_dir)
     state.close()
     return state.snapshot_messages()
 
 
-def test_torn_log_tail_restarts(deployment, rng, tmp_path):
+def test_torn_log_tail_restarts(deployment, rng, tmp_path, open_state):
     config, sk = deployment
-    log = _logged_state(config, sk, rng, tmp_path / "full")
+    log = _logged_state(open_state, config, sk, rng, tmp_path / "full")
     head = log[: log.rindex(b"\n", 0, len(log) - 1) + 1]
     last = log[len(head):]
     cut_dir = tmp_path / "cut"
     cut_dir.mkdir()
     (cut_dir / "log.jsonl").write_bytes(head)
-    without_last = _restarted(cut_dir)
+    without_last = _restarted(open_state, cut_dir)
     for cut in range(1, len(last)):  # every cut inside the record, before its newline
         (cut_dir / "log.jsonl").write_bytes(head + last[:cut])
-        assert _restarted(cut_dir) == without_last
+        assert _restarted(open_state, cut_dir) == without_last
         assert (cut_dir / "log.jsonl").read_bytes() == head  # truncated to the last newline
     # the dropped record was never acknowledged: the client sends it again
-    state = ServerState(str(cut_dir))
+    state = open_state(cut_dir)
     assert state.request(json.loads(last))["type"] == "ack"
     state.close()
-    assert _restarted(cut_dir) == _restarted(tmp_path / "full")
+    assert _restarted(open_state, cut_dir) == _restarted(open_state, tmp_path / "full")
 
 
 @pytest.mark.parametrize(
     "damage", ["middle", "last-with-newline", "not-an-object", "rejected", "too-deep"]
 )
-def test_corrupt_log_line_fails_closed(deployment, rng, tmp_path, damage):
+def test_corrupt_log_line_fails_closed(deployment, rng, tmp_path, damage, open_state):
     config, sk = deployment
-    lines = _logged_state(config, sk, rng, tmp_path).splitlines(keepends=True)
+    lines = _logged_state(open_state, config, sk, rng, tmp_path).splitlines(keepends=True)
     number = len(lines) if damage == "last-with-newline" else 3
     if damage == "middle":
         lines[2] = lines[2][: len(lines[2]) // 2] + b"\n"
@@ -353,12 +370,12 @@ def test_corrupt_log_line_fails_closed(deployment, rng, tmp_path, damage):
         lines.insert(2, b'{"type": "frobnicate"}\n')
     (tmp_path / "log.jsonl").write_bytes(b"".join(lines))
     with pytest.raises(DataIntegrityError, match=f"corrupt state log line {number}:"):
-        ServerState(str(tmp_path))
+        open_state(tmp_path)
 
 
-def test_slot_count_pinned_per_level(deployment, rng, tmp_path):
+def test_slot_count_pinned_per_level(deployment, rng, tmp_path, open_state):
     config, sk = deployment
-    state = ServerState(str(tmp_path))
+    state = open_state(tmp_path)
     fill(config, sk, [("a", (5, 5))], state, rng)
     good = prot.point_messages(config, sk, "b", (5, 6), rng=rng)[1]  # b's tuple at level 0
     short = dict(good, slots=good["slots"][:-1])
@@ -367,7 +384,7 @@ def test_slot_count_pinned_per_level(deployment, rng, tmp_path):
     q = SphereQuery((5, 5), 2)
     assert prot.query_sphere(config, sk, q, state).ids == {"a"}  # the level still answers
     state.close()
-    state = ServerState(str(tmp_path))  # replay keeps the pin
+    state = open_state(tmp_path)  # replay keeps the pin
     assert state.request(short)["type"] == "error"
     assert state.request(good)["type"] == "ack"
     state.close()
@@ -379,9 +396,9 @@ def test_slot_count_pinned_per_level(deployment, rng, tmp_path):
 
 
 @pytest.mark.parametrize("kind", ["put_tuple", "delete"])
-def test_failed_log_append_changes_nothing(deployment, rng, tmp_path, monkeypatch, kind):
+def test_failed_log_append_changes_nothing(deployment, rng, tmp_path, monkeypatch, kind, open_state):
     config, sk = deployment
-    state = ServerState(str(tmp_path))
+    state = open_state(tmp_path)
     fill(config, sk, [("a", (1, 2))], state, rng)
     if kind == "put_tuple":
         msg = prot.point_messages(config, sk, "b", (5, 6), rng=rng)[1]  # b's tuple at level 0
@@ -404,14 +421,14 @@ def test_failed_log_append_changes_nothing(deployment, rng, tmp_path, monkeypatc
     after = state.snapshot_messages()
     assert after != before
     state.close()
-    assert _restarted(tmp_path) == after
+    assert _restarted(open_state, tmp_path) == after
 
 
 @pytest.mark.parametrize("failing_fsync", ["snapshot", "directory"])
-def test_failed_compaction_still_acks(deployment, rng, tmp_path, monkeypatch, failing_fsync):
+def test_failed_compaction_still_acks(deployment, rng, tmp_path, monkeypatch, failing_fsync, open_state):
     config, sk = deployment
     monkeypatch.setattr(shrq.server, "_COMPACT_EVERY", 3)
-    state = ServerState(str(tmp_path))
+    state = open_state(tmp_path)
     fill(config, sk, [], state, rng)  # hello and put_lookup: two logged mutations
     log = tmp_path / "log.jsonl"
     fsync, calls = os.fsync, []
@@ -427,12 +444,35 @@ def test_failed_compaction_still_acks(deployment, rng, tmp_path, monkeypatch, fa
     store = {"type": "put_store", "id": "x1", "blob": b64e(b"blob one")}
     assert state.request(store) == {"type": "ack"}  # the third mutation triggers compaction
     assert len(calls) == fail_at
-    assert [m.get("id") for m in _restarted(tmp_path)] == [None, None, "x1"]
+    assert [m.get("id") for m in _restarted(open_state, tmp_path)] == [None, None, "x1"]
     inode = log.stat().st_ino
     assert state.request(dict(store, id="x2", blob=b64e(b"blob two"))) == {"type": "ack"}
     assert log.stat().st_ino != inode  # the next mutation compacted: a new file was renamed in
     state.close()
-    assert [m.get("id") for m in _restarted(tmp_path)] == [None, None, "x1", "x2"]
+    assert [m.get("id") for m in _restarted(open_state, tmp_path)] == [None, None, "x1", "x2"]
+
+
+def test_compaction_counts_replayed_lines(deployment, rng, tmp_path, monkeypatch, open_state):
+    config, sk = deployment
+    msgs = list(prot.setup_messages(config, sk, random_dataset(rng, 2), rng=rng))
+    snapshots = {}
+    for n in range(1, len(msgs) + 1):  # logs that end on and between multiples of 3
+        state = open_state(tmp_path / str(n))
+        for msg in msgs[:n]:
+            assert state.request(msg)["type"] == "ack"
+        state.close()
+        snapshots[n] = state.snapshot_messages()
+    monkeypatch.setattr(shrq.server, "_COMPACT_EVERY", 3)
+    for n, snapshot in snapshots.items():
+        open_state(tmp_path / str(n)).close()  # replay itself compacts nothing
+        state = open_state(tmp_path / str(n))
+        assert state.snapshot_messages() == snapshot
+    # the replayed lines count: a server restarted more often than every
+    # _COMPACT_EVERY mutations still compacts, at its first mutation here
+    log = tmp_path / str(len(msgs)) / "log.jsonl"
+    inode = log.stat().st_ino
+    assert state.request({"type": "put_store", "id": "x", "blob": b64e(b"x")}) == {"type": "ack"}
+    assert log.stat().st_ino != inode
 
 
 def _record_fsyncs(monkeypatch, events):
@@ -445,9 +485,9 @@ def _record_fsyncs(monkeypatch, events):
     monkeypatch.setattr(shrq.server.os, "fsync", recording_fsync)
 
 
-def test_compaction_fsyncs_directory_after_rename(deployment, rng, tmp_path, monkeypatch):
+def test_compaction_fsyncs_directory_after_rename(deployment, rng, tmp_path, monkeypatch, open_state):
     config, sk = deployment
-    state = ServerState(str(tmp_path))
+    state = open_state(tmp_path)
     fill(config, sk, [("a", (1, 2))], state, rng)
     events = []
     replace = os.replace
@@ -463,11 +503,11 @@ def test_compaction_fsyncs_directory_after_rename(deployment, rng, tmp_path, mon
     assert events == ["fsync file", "replace", "fsync directory"]
 
 
-def test_fresh_state_directory_is_fsynced_before_first_ack(deployment, tmp_path, monkeypatch):
+def test_fresh_state_directory_is_fsynced_before_first_ack(deployment, tmp_path, monkeypatch, open_state):
     config, sk = deployment
     events = []
     _record_fsyncs(monkeypatch, events)
-    state = ServerState(str(tmp_path / "state"))
+    state = open_state(tmp_path / "state")
     assert state.request(prot.hello_message(config, sk.group.params.describe())) == {"type": "ack"}
     state.close()
     # the state directory, then its parent, then the log line itself
@@ -489,9 +529,9 @@ def test_layered_curve_queries_match_oracle(rng):
     assert prot.query_range(config, sk, ranges[1], state).ids == {rid for rid, _ in ds}
 
 
-def test_mutations_logged_queries_not(deployment, rng, tmp_path):
+def test_mutations_logged_queries_not(deployment, rng, tmp_path, open_state):
     config, sk = deployment
-    state = ServerState(str(tmp_path))
+    state = open_state(tmp_path)
     fill(config, sk, [("a", (1, 2))], state, rng)
     comp = make_sphere_query_component(SphereQuery((1, 2), 1), config.layout)
     state.request(prot.query_message(sk, comp, 0))
@@ -502,17 +542,17 @@ def test_mutations_logged_queries_not(deployment, rng, tmp_path):
     assert kinds.count("hello") == 1
 
 
-def test_repeated_hello_is_not_logged(deployment, tmp_path):
+def test_repeated_hello_is_not_logged(deployment, tmp_path, open_state):
     config, sk = deployment
     hello = prot.hello_message(config, sk.group.params.describe())
-    state = ServerState(str(tmp_path))
+    state = open_state(tmp_path)
     assert state.request(hello) == state.request(hello) == {"type": "ack"}
     state.close()
     log = tmp_path / "log.jsonl"
     assert len(log.read_text().splitlines()) == 1
     # a log that holds a repeated hello, as older servers wrote, still replays
     log.write_text(log.read_text() * 2)
-    state = ServerState(str(tmp_path))
+    state = open_state(tmp_path)
     assert state.snapshot_messages() == [hello]
     state.close()
 
@@ -527,10 +567,10 @@ C8BEE39_POINTS = {
 }
 
 
-def test_reads_state_written_by_c8bee39(tmp_path):
+def test_reads_state_written_by_c8bee39(tmp_path, open_state):
     shutil.copytree(WRITTEN_BY_C8BEE39, tmp_path, dirs_exist_ok=True)
     sk, config, offsets = load_keyfile(str(tmp_path / "key.json"))
-    state = ServerState(str(tmp_path))
+    state = open_state(tmp_path)
     assert set(state.db_store) == set(C8BEE39_POINTS)
     points = C8BEE39_POINTS.items()
     for q in (SphereQuery((30, 30), 5), SphereQuery((20, 20), 25), SphereQuery((40, 40), 30)):
