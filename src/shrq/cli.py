@@ -1,5 +1,14 @@
 """Operator commands for the data-owner and query-user roles.
 
+Coordinates may be negative.  `setup` records in the key file a per-column
+offset that lifts the least coordinate of that column in its CSV to 0 (0
+where none is negative), and the other commands shift by it: points and
+queries in, records out.  The offset comes from the set-up's rows alone, so
+a set-up whose rows need none clears an offset recorded earlier; records
+uploaded under an earlier offset would be read with the new one, so a
+set-up starts a deployment on an empty server state.  Every row is checked
+before the key file changes: a rejected set-up leaves it byte for byte.
+
 Exit codes: 0 success, 1 general error, 2 query rejected by the deployment
 (a machine-readable JSON reason goes to stderr), 3 key file missing or
 inconsistent, or a bad configuration or argument (such as a centre with
@@ -93,19 +102,17 @@ def cmd_keygen(args):
 
 
 def cmd_setup(args):
-    sk, config, offsets = load_keyfile(args.key)
+    sk, config, recorded = load_keyfile(args.key)
     _, rows = _read_csv(args.data, config.d)
-    mins = [min((c[i] for _, c in rows), default=0) for i in range(config.d)]
-    new_offsets = [max(0, -m) for m in mins]
-    if any(new_offsets):
-        offsets = new_offsets
-        save_keyfile(args.key, sk, config, offsets)
-        print(f"recorded coordinate offset {offsets} in {args.key}", file=sys.stderr)
+    offsets = [max(0, -min((c[i] for _, c in rows), default=0)) for i in range(config.d)]
     after = f" after offset {offsets}" if any(offsets) else ""
     dataset = []
     for rid, coords in rows:
         label = f"{args.data} id {rid!r}{after}"
         dataset.append((rid, validate_point(_shift(coords, offsets), config.d, config.x_max, label)))
+    if offsets != recorded:  # every row passed: only now may the key change
+        save_keyfile(args.key, sk, config, offsets)
+        print(f"recorded coordinate offset {offsets} in {args.key}", file=sys.stderr)
     with connect(args.server) as conn:
         sent = protocols.run_setup(config, sk, dataset, conn)
     print(f"uploaded {len(dataset)} records ({sent} messages)", file=sys.stderr)

@@ -51,8 +51,14 @@ so its canonical bytes are identical.  Identity slots contribute 1.  The
 curve's pair(x, y) is the one-slot product, so the package has one Miller
 loop; reference_pair in tests/reference.py is the independent loop the
 tests hold it to.  The transparent backend's prepare() returns the element,
-and its pair_product() multiplies pair() results.  _power is the one
-square-and-multiply, over _step's sums in G and over _fp2_mul in GT.
+and its pair_product() multiplies pair() results.
+
+Powers.  _power is the one left-to-right square-and-multiply, over _fp2_mul
+in GT and, in G, over Jacobian points (X, Y, Z) for (X/Z^2, Y/Z^3), Z = 0
+the infinity, whose doubling and mixed addition of the affine base invert
+nothing (Cohen, Miyaji & Ono, ASIACRYPT 1998).  _pt_mul inverts once at the
+end, and decode's order check tests Z = 0 on [N]P.  Inversions remain in mul
+and prepare (one per affine _step), that final one, and _fp2_inv.
 
 Encodings.  canonical_bytes gives every element of G and GT one byte string;
 decode is its inverse on G alone.  GT elements are only hashed (the lookup
@@ -79,14 +85,14 @@ _COFACTOR_CAP = 10**6
 _GEN_ATTEMPTS = 32
 
 
-def _power(op, one, base, k):
-    """base^k under op for k >= 0, by square-and-multiply; one is base^0."""
+def _power(double, add, one, base, k):
+    """base^k for k >= 0, left to right from k's top bit: double(out) squares
+    the accumulator and add(out, base) multiplies in base; one is base^0."""
     out = one
-    while k:
-        if k & 1:
-            out = op(out, base)
-        base = op(base, base)
-        k >>= 1
+    for bit in bin(k)[2:]:
+        out = double(out)
+        if bit == "1":
+            out = add(out, base)
     return out
 
 
@@ -329,7 +335,7 @@ class CurveGroup(Group):
         return (a * norm_inv % p, -b * norm_inv % p)
 
     def _fp2_pow(self, u, k):
-        return _power(self._fp2_mul, (1, 0), u, k)
+        return _power(lambda f: self._fp2_mul(f, f), self._fp2_mul, (1, 0), u, k)
 
     # -- affine point arithmetic; None is the point at infinity ------------
     def _pt_add(self, a, b):
@@ -338,9 +344,51 @@ class CurveGroup(Group):
     def _pt_mul(self, a, k):
         # raw scalar multiplication: callers reduce mod N where appropriate
         # (cofactor clearing and subgroup checks must not reduce)
+        if a is None:
+            return None
+        p = self.p
         if k < 0:
-            a, k = a and (a[0], (-a[1]) % self.p), -k  # negate; None stays None
-        return _power(self._pt_add, None, a, k)
+            a, k = (a[0], -a[1] % p), -k
+        x, y, z = self._jac_mul(a, k)
+        if not z:
+            return None
+        zi = pow(z, -1, p)  # the one inversion: back to affine
+        return (x * zi * zi % p, y * zi * zi * zi % p)
+
+    # -- Jacobian (X, Y, Z) for affine (X/Z^2, Y/Z^3); Z = 0 is infinity ------
+    def _jac_mul(self, a, k):
+        """[k]a in Jacobian form for an affine point a and k >= 0."""
+        return _power(self._jac_double, self._jac_madd, (1, 1, 0), a, k)
+
+    def _jac_double(self, a):
+        """2a by the EFD's dbl-1998-cmo-2 with curve coefficient a = 1; Y = 0
+        (a point of order 2) gives Z = 0, and Z = 0 stays 0."""
+        p = self.p
+        x, y, z = a
+        xx, yy, zz = x * x % p, y * y % p, z * z % p
+        s = 4 * x * yy % p
+        m = (3 * xx + zz * zz) % p
+        t = (m * m - 2 * s) % p
+        return t, (m * (s - t) - 8 * yy * yy) % p, 2 * y * z % p
+
+    def _jac_madd(self, a, b):
+        """a + b for a Jacobian a and an affine b by madd-2007-bl, Z3 = 2*Z1*H
+        as a product.  a = b (H = r = 0) doubles; a = -b (H = 0, r != 0)
+        gives Z = 0 by the formula; a = infinity gives b."""
+        x1, y1, z1 = a
+        if not z1:
+            return b + (1,)
+        p = self.p
+        z1z1 = z1 * z1 % p
+        h = (b[0] * z1z1 - x1) % p
+        r = 2 * (b[1] * z1 * z1z1 - y1) % p
+        if not h and not r:
+            return self._jac_double(a)
+        i = 4 * h * h % p
+        j = h * i % p
+        v = x1 * i % p
+        x3 = (r * r - j - 2 * v) % p
+        return x3, (r * (v - x3) - 2 * y1 * j) % p, 2 * z1 * h % p
 
     def _on_curve(self, pt):
         x, y = pt
@@ -470,7 +518,7 @@ class CurveGroup(Group):
         pt = (x, y)
         if x >= self.p or y >= self.p or not self._on_curve(pt):
             raise ConfigError("point not on curve")
-        if self._pt_mul(pt, self.N) is not None:
+        if self._jac_mul(pt, self.N)[2]:  # Z != 0: [N]pt is not infinity
             raise ConfigError("point outside the order-N subgroup")
         return GElement(pt)
 

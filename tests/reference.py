@@ -14,7 +14,10 @@ None is on a query path:
 - reference_pair is the Tate pairing composed with the distortion map, by
   Miller's loop over its first argument with its own affine addition and
   line evaluation (reference_add), so it shares no loop or slope code with
-  the prepared product that Group.pair and compute() run.
+  the prepared product that Group.pair and compute() run;
+- reference_mul is [k]x by affine double-and-add from the low bit of k over
+  that same addition, so it shares no loop or formula with _power's
+  Jacobian steps.
 """
 
 import math
@@ -90,6 +93,21 @@ def reference_add(group, x, y):
     if group.params.backend == TRANSPARENT:
         return GElement((x.value + y.value) % group.N)
     return GElement(_affine_add(group.p, x.value, y.value))
+
+
+def reference_mul(group, x, k):
+    """[k]x on the curve for a raw k, never reduced mod N: affine
+    double-and-add from the low bit of k, with x negated for k < 0."""
+    p, base, out = group.p, x.value, None
+    if k < 0 and base is not None:
+        base = (base[0], -base[1] % p)
+    k = abs(k)
+    while k:
+        if k & 1:
+            out = _affine_add(p, out, base)
+        base = _affine_add(p, base, base)
+        k >>= 1
+    return GElement(out)
 
 
 def reference_pair(group, x, y):

@@ -210,9 +210,32 @@ def test_negative_coordinates_get_offset(tmp_path):
         assert got == ["a", "b"]
         coords = {json.loads(line)["id"]: json.loads(line)["coords"] for line in out.stdout.splitlines()}
         assert coords["a"] == [-5]  # returned in original coordinates
+        # the offset comes from the set-up's own rows: rows that need none clear it
+        data.write_text("id,x1\nd,3\ne,40\n")
+        out = run_cli("setup", "--key", key, "--data", str(data), "--server", f"127.0.0.1:{port}")
+        assert out.returncode == 0
+        assert read_json(key)["offset"] == [0]
+        out = run_cli("query", "range", "--key", key, "--col", "1", "--lo", "3", "--hi", "3",
+                      "--server", f"127.0.0.1:{port}")
+        assert [json.loads(line) for line in out.stdout.splitlines()] == [{"id": "d", "coords": [3]}]
     finally:
         server.terminate()
         server.wait(timeout=10)
+
+
+def test_rejected_setup_leaves_key_unchanged(tmp_path):
+    # a is shifted by an offset of 5; b lies outside [0, 50] with or without it
+    key = tmp_path / "k.json"
+    data = tmp_path / "bad.csv"
+    data.write_text("id,x1,x2\na,-5,1\nb,500,3\n")
+    run_cli("keygen", "--lambda", "32", "--d", "2", "--layout", "unified", "--v", "100",
+            "--x-max", "50", "--backend", "transparent", "--protocol", "t", "--emax", "0",
+            "--out", str(key))
+    before = key.read_bytes()
+    out = run_cli("setup", "--key", str(key), "--data", str(data), "--server", "127.0.0.1:9")
+    assert out.returncode == 1
+    assert "id 'b' after offset [5, 0]" in out.stderr
+    assert key.read_bytes() == before
 
 
 def test_bench_emits_csv():

@@ -14,7 +14,7 @@ from shrq.pairing import (
     group_from_primes,
     group_gen,
 )
-from reference import reference_add, reference_pair
+from reference import reference_add, reference_mul, reference_pair
 
 
 def test_group_gen_toy_transparent():
@@ -101,6 +101,52 @@ def test_pt_mul_does_not_reduce_k(toy_curve):
     # (0, 0) has order 2, outside the order-35 subgroup (the cofactor is
     # l = 4): 35 * (0, 0) = (0, 0), where 35 mod N = 0 would give infinity
     assert toy_curve._pt_mul((0, 0), toy_curve.N) == (0, 0)
+
+
+# the toy curve (N = 35, l = 4) and a lambda = 32 one: every point of either
+# has order dividing l*N, and the toy's small orders put the accumulator on
+# +-base partway through the loop
+_MUL_GROUPS = (group_from_primes(5, 7, CURVE_A1), group_gen(32, CURVE_A1, random.Random(32)))
+
+
+@st.composite
+def _mul_case(draw):
+    """(group, point, k): a point of G, a curve point (mostly off G), the
+    order-2 point (0, 0) or infinity, and a raw scalar of either sign."""
+    grp = draw(st.sampled_from(_MUL_GROUPS))
+    p, N, q1, q2 = grp.p, grp.N, grp.params.q1, grp.params.q2
+    kind = draw(st.sampled_from(("G", "curve", "order 2", "infinity")))
+    pt = {"order 2": (0, 0), "infinity": None}.get(kind)
+    if kind in ("G", "curve"):
+        x = draw(st.integers(0, p - 1))
+        while pow(x**3 + x, (p - 1) // 2, p) != 1:  # until x^3 + x is a nonzero square
+            x = (x + 1) % p
+        y = pow(x**3 + x, (p + 1) // 4, p)
+        pt = (x, draw(st.sampled_from((y, p - y))))
+        if kind == "G":
+            pt = reference_mul(grp, GElement(pt), grp.l).value  # clear the cofactor
+    k = draw(
+        st.sampled_from((0, 1, -1, 2, 3, N, N - 1, N + 1, -N, -N + 5))
+        | st.builds(lambda c, q: c * q, st.integers(-3, 3), st.sampled_from((q1, q2)))
+        | st.integers(-(N**2), N**2)
+    )
+    return grp, pt, k
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_mul_case())
+def test_scalar_mul_matches_reference(case):
+    grp, pt, k = case
+    x = GElement(pt)
+    assert grp._pt_mul(pt, k) == reference_mul(grp, x, k).value
+    assert grp.pow(x, k) == reference_mul(grp, x, k % grp.N)
+    in_g = reference_mul(grp, x, grp.N).value is None
+    try:
+        assert grp.decode(grp.canonical_bytes(x)) == x
+        accepted = True
+    except ConfigError:
+        accepted = False
+    assert accepted == in_g
 
 
 def test_pow_transparent_trace(toy_transparent):
