@@ -1,13 +1,15 @@
 """Operator commands for the data-owner and query-user roles.
 
 Coordinates may be negative.  `setup` records in the key file a per-column
-offset that lifts the least coordinate of that column in its CSV to 0 (0
-where none is negative), and the other commands shift by it: points and
-queries in, records out.  The offset comes from the set-up's rows alone, so
-a set-up whose rows need none clears an offset recorded earlier; records
-uploaded under an earlier offset would be read with the new one, so a
-set-up starts a deployment on an empty server state.  Every row is checked
-before the key file changes: a rejected set-up leaves it byte for byte.
+offset that lifts the least coordinate of that column in its CSV to 0, and
+the other commands shift by it: points and queries in, records out.  The
+server keeps what earlier set-ups uploaded and reads it with the key's
+offset, so a recorded offset is kept, also for rows that need none, and
+rows that fall below 0 under it are rejected.  Only a key whose offset is
+all zero takes the one its rows need; records uploaded under the zero
+offset before that would be misread, so the first set-up of a deployment
+should hold its least coordinates.  Every row is checked before the key
+file changes: a rejected set-up leaves it byte for byte.
 
 Exit codes: 0 success, 1 general error, 2 query rejected by the deployment
 (a machine-readable JSON reason goes to stderr), 3 key file missing or
@@ -104,7 +106,8 @@ def cmd_keygen(args):
 def cmd_setup(args):
     sk, config, recorded = load_keyfile(args.key)
     _, rows = _read_csv(args.data, config.d)
-    offsets = [max(0, -min((c[i] for _, c in rows), default=0)) for i in range(config.d)]
+    needed = [max(0, -min((c[i] for _, c in rows), default=0)) for i in range(config.d)]
+    offsets = recorded if any(recorded) else needed  # rows below 0 under it fail below
     after = f" after offset {offsets}" if any(offsets) else ""
     dataset = []
     for rid, coords in rows:

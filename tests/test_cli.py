@@ -6,6 +6,7 @@ import socket
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -210,14 +211,24 @@ def test_negative_coordinates_get_offset(tmp_path):
         assert got == ["a", "b"]
         coords = {json.loads(line)["id"]: json.loads(line)["coords"] for line in out.stdout.splitlines()}
         assert coords["a"] == [-5]  # returned in original coordinates
-        # the offset comes from the set-up's own rows: rows that need none clear it
+        # a later set-up on the same server keeps the recorded offset, even
+        # when its own rows need none, so a, b and c still read as uploaded
         data.write_text("id,x1\nd,3\ne,40\n")
         out = run_cli("setup", "--key", key, "--data", str(data), "--server", f"127.0.0.1:{port}")
-        assert out.returncode == 0
-        assert read_json(key)["offset"] == [0]
-        out = run_cli("query", "range", "--key", key, "--col", "1", "--lo", "3", "--hi", "3",
+        assert out.returncode == 0, out.stderr
+        assert read_json(key)["offset"] == [5]
+        out = run_cli("query", "range", "--key", key, "--col", "1", "--lo", "-5", "--hi", "3",
                       "--server", f"127.0.0.1:{port}")
-        assert [json.loads(line) for line in out.stdout.splitlines()] == [{"id": "d", "coords": [3]}]
+        coords = {json.loads(line)["id"]: json.loads(line)["coords"] for line in out.stdout.splitlines()}
+        assert coords == {"a": [-5], "b": [0], "d": [3]}
+        # rows that need a larger offset than the recorded one are rejected,
+        # and the key file is left as it was
+        before = Path(key).read_bytes()
+        data.write_text("id,x1\nf,-7\n")
+        out = run_cli("setup", "--key", key, "--data", str(data), "--server", f"127.0.0.1:{port}")
+        assert out.returncode == 1
+        assert "id 'f' after offset [5]" in out.stderr and "coordinate -2 outside" in out.stderr
+        assert Path(key).read_bytes() == before
     finally:
         server.terminate()
         server.wait(timeout=10)
