@@ -49,7 +49,8 @@ def layout_len(layout, d):
 
 @dataclass
 class SecretKey:
-    """All owner-side secrets plus the layout the components must follow."""
+    """The owner-side secrets only; the layout, d, v and x_max a key serves
+    live on protocols.DeploymentConfig."""
 
     group: object
     g: object
@@ -61,10 +62,6 @@ class SecretKey:
     alpha: int
     beta: int
     aes_key: bytes
-    layout: str
-    d: int
-    v: int
-    x_max: int
 
 
 @dataclass(frozen=True)
@@ -81,6 +78,8 @@ def margin_bound(d, v, x_max):
 def keygen(lambda_bits, d, layout, v, x_max, backend=CURVE_A1, rng=None, group=None):
     """Generate a secret key and the group's server-shareable descriptor.
 
+    d and layout size the vectors A and B (layout_len slots each); v and
+    x_max only check the q2 margin.  None of the four is kept in the key.
     The B vector is solved so that A.B is a multiple of q1 mod N, which is
     what makes the blinding disappear inside compute().
     """
@@ -117,8 +116,7 @@ def keygen(lambda_bits, d, layout, v, x_max, backend=CURVE_A1, rng=None, group=N
     beta = rng.randrange(N)
     aes_key = rng.randbytes(32)
 
-    sk = SecretKey(group, g, u, s, h, A, B, alpha, beta, aes_key, layout, d, v, x_max)
-    return sk, params.describe()
+    return SecretKey(group, g, u, s, h, A, B, alpha, beta, aes_key), params.describe()
 
 
 def _encrypt(sk, exponents, vector, rng):
@@ -140,13 +138,11 @@ def tuple_encrypt(sk, comp, rng=None):
     return _encrypt(sk, comp, sk.A, rng)
 
 
-def query_encrypt(sk, comp, rng=None):
+def query_encrypt(sk, comp, d, rng=None):
     """Encrypt a query component under B; beta shifts only slot d, which
     faces the data side's constant 1, and alpha scales every slot.  Returns
     the tuple of L slots."""
-    exponents = [
-        (int(q_i) + (sk.beta if i == sk.d else 0)) * sk.alpha for i, q_i in enumerate(comp)
-    ]
+    exponents = [(int(q_i) + (sk.beta if i == d else 0)) * sk.alpha for i, q_i in enumerate(comp)]
     return _encrypt(sk, exponents, sk.B, rng)
 
 
@@ -173,11 +169,11 @@ def _digest(group, t):
     return hashlib.sha256(group.canonical_bytes(t)).digest()
 
 
-def create_lookup_table(sk):
-    """Hash e(s,s)^{(i+beta)*alpha} for i in [0, sk.v]; abort on any
+def create_lookup_table(sk, v):
+    """Hash e(s,s)^{(i+beta)*alpha} for i in [0, v]; abort on any
     collision (it would mean the canonical encoding is broken).  Each entry
     is the previous one times step = e(s,s)^alpha, one GT multiplication."""
-    v, group = sk.v, sk.group
+    group = sk.group
     step = group.pow(group.pair(sk.s, sk.s), sk.alpha)
     entry = group.pow(step, sk.beta)
     digests = set()

@@ -1,10 +1,11 @@
 """Owner-side key file: JSON serialization plus load-time consistency checks.
 
 The file holds everything the owner needs to reopen a deployment: group
-primes, generators, blinding vectors, long-term scalars, the AES key, the
-layout/protocol configuration, and the coordinate offset applied at
-ingestion.  Loading re-derives s = g^q1, h = u^q2 and A.B = 0 mod q1, and
-rebuilds the deployment through protocols.make_config, as keygen does, so a
+primes, generators, blinding vectors, long-term scalars and the AES key
+(the secret key), the deployment configuration (layout, d, v, x_max,
+protocol, E_max, b_c), and the coordinate offset applied at ingestion.
+Loading re-derives s = g^q1, h = u^q2 and A.B = 0 mod q1, and rebuilds the
+deployment through protocols.make_config, as `shrq keygen` builds it, so a
 tampered field fails closed instead of silently corrupting queries.
 """
 
@@ -34,14 +35,14 @@ def save_keyfile(path, sk, config, offsets=None):
         "alpha": str(sk.alpha),
         "beta": str(sk.beta),
         "aes_key": base64.b64encode(sk.aes_key).decode(),
-        "layout": sk.layout,
-        "d": sk.d,
-        "v": sk.v,
-        "x_max": sk.x_max,
+        "layout": config.layout,
+        "d": config.d,
+        "v": config.v,
+        "x_max": config.x_max,
         "protocol": config.protocol,
         "e_max": config.e_max,
         "b_c": config.b_c,
-        "offset": list(offsets) if offsets is not None else [0] * sk.d,
+        "offset": list(offsets) if offsets is not None else [0] * config.d,
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
@@ -67,6 +68,12 @@ def _parse(doc):
     # the group descriptor's fields sit at the top level of the key file
     group = group_from_descriptor(doc, int(doc["q1"]), int(doc["q2"]))
     params = group.params
+    config = make_config(
+        doc["protocol"], int(doc["d"]), int(doc["v"]), int(doc["x_max"]), int(doc["e_max"]),
+        params.backend, doc["layout"],
+    )
+    if (config.protocol, config.b_c) != (doc["protocol"], doc["b_c"]):
+        raise KeyfileError("key file inconsistent: stored protocol or coarsity base is wrong")
     g = group.decode(base64.b64decode(doc["g"]))
     u = group.decode(base64.b64decode(doc["u"]))
     s = group.decode(base64.b64decode(doc["s"]))
@@ -78,8 +85,7 @@ def _parse(doc):
 
     A = [int(a) for a in doc["A"]]
     B = [int(b) for b in doc["B"]]
-    layout, d = doc["layout"], int(doc["d"])
-    if len(A) != layout_len(layout, d) or len(B) != len(A):
+    if len(A) != layout_len(config.layout, config.d) or len(B) != len(A):
         raise KeyfileError("key file inconsistent: vector length does not match layout")
     if sum(a * b for a, b in zip(A, B)) % params.N % params.q1 != 0:
         raise KeyfileError("key file inconsistent: A.B is not a multiple of q1")
@@ -87,20 +93,13 @@ def _parse(doc):
     alpha, beta = int(doc["alpha"]), int(doc["beta"])
     if alpha % params.q2 == 0:
         raise KeyfileError("key file inconsistent: alpha vanishes mod q2")
-    v, x_max = int(doc["v"]), int(doc["x_max"])
-    if params.q2 <= margin_bound(d, v, x_max):
+    if params.q2 <= margin_bound(config.d, config.v, config.x_max):
         raise KeyfileError("key file inconsistent: correctness margin violated")
     aes_key = base64.b64decode(doc["aes_key"])
     if len(aes_key) != 32:
         raise KeyfileError("key file inconsistent: AES key must be 32 bytes")
 
-    sk = SecretKey(group, g, u, s, h, A, B, alpha, beta, aes_key, layout, d, v, x_max)
-
-    config = make_config(doc["protocol"], d, v, x_max, int(doc["e_max"]), params.backend, layout)
-    if (config.protocol, config.b_c) != (doc["protocol"], doc["b_c"]):
-        raise KeyfileError("key file inconsistent: stored protocol or coarsity base is wrong")
-
     offsets = [int(o) for o in doc["offset"]]
-    if len(offsets) != d:
+    if len(offsets) != config.d:
         raise KeyfileError("key file inconsistent: offset length != d")
-    return sk, config, offsets
+    return SecretKey(group, g, u, s, h, A, B, alpha, beta, aes_key), config, offsets

@@ -30,6 +30,7 @@ from .ces import (
     HASH_ID,
     LAYOUT_UNIFIED,
     create_lookup_table,
+    layout_len,
     query_encrypt,
     tuple_encrypt,
 )
@@ -66,8 +67,10 @@ PROTOCOL_LAYERED = "l"
 _NONCE_LEN = 12
 
 
-@dataclass
+@dataclass(frozen=True)
 class DeploymentConfig:
+    """The one home of the deployment's layout, d, v and x_max."""
+
     protocol: str
     layout: str
     d: int
@@ -94,6 +97,7 @@ def make_config(protocol, d, v, x_max, e_max=0, backend=CURVE_A1, layout=LAYOUT_
         raise ConfigError(f"unknown protocol {protocol!r} (expected t, c or l)")
     if d < 1 or v < 0 or x_max < 1:
         raise ConfigError("need d >= 1, v >= 0, x_max >= 1")
+    layout_len(layout, d)  # rejects an unknown layout
     if protocol == PROTOCOL_TABLE:
         if e_max != 0:
             raise ConfigError("single-table protocol has exactly one level (E_max = 0)")
@@ -178,7 +182,7 @@ def point_messages(config, sk, rid, coords, rng=None):
 def setup_messages(config, sk, dataset, rng=None):
     """The full upload stream: hello, lookup table, then every record."""
     yield hello_message(config, sk.group.params.describe())
-    yield lookup_message(create_lookup_table(sk))
+    yield lookup_message(create_lookup_table(sk, config.v))
     seen = set()
     for rid, coords in dataset:
         rid = str(rid)
@@ -221,17 +225,6 @@ def update_point(config, sk, rid, coords, server, rng=None):
 # -- query pipeline -------------------------------------------------------------
 
 
-def _wrap_guard(sk, scaled_radius):
-    # dot values live mod q2; a layer radius whose square reaches the
-    # margin would let in-range residues collide with out-of-range dots
-    q2 = sk.group.params.q2
-    limit = q2 - (sk.v + sk.d * sk.x_max * sk.x_max)
-    if scaled_radius * scaled_radius >= limit:
-        raise QueryRejected(
-            "radius-unsupported", f"radius {scaled_radius} would wrap dot values modulo q2"
-        )
-
-
 def plan_sphere(config, sk, query, cols=None):
     """Check a sphere query against the deployment, without any I/O, and
     return the layers it runs at; every layer passes the wrap guard, which
@@ -246,8 +239,14 @@ def plan_sphere(config, sk, query, cols=None):
         plan = covering_radii(query.radius, config.v, active, config.b_c, config.e_max)
     else:
         plan = (coarse_layer(query.radius, config.v, active, config.e_max),)
+    # dot values live mod q2; a layer radius whose square reaches the
+    # margin would let in-range residues collide with out-of-range dots
+    limit = sk.group.params.q2 - (config.v + config.d * config.x_max * config.x_max)
     for layer in plan:
-        _wrap_guard(sk, layer.scaled_radius)
+        if layer.scaled_radius * layer.scaled_radius >= limit:
+            raise QueryRejected(
+                "radius-unsupported", f"radius {layer.scaled_radius} would wrap dot values modulo q2"
+            )
     return plan
 
 
@@ -265,11 +264,11 @@ def plan_range(config, sk, rq):
     return sphere, plan_sphere(config, sk, sphere, cols=(rq.col,))
 
 
-def query_message(sk, comp, level):
+def query_message(config, sk, comp, level):
     return {
         "type": "query",
         "level": level,
-        "slots": [b64e(sk.group.canonical_bytes(s)) for s in query_encrypt(sk, comp)],
+        "slots": [b64e(sk.group.canonical_bytes(s)) for s in query_encrypt(sk, comp, config.d)],
     }
 
 
@@ -279,7 +278,7 @@ def _execute(config, sk, server, sphere, plan, cols):
     for layer in plan:
         coarse = SphereQuery(coarse_transform(sphere.center, layer.factor), layer.scaled_radius)
         comp = make_sphere_query_component(coarse, config.layout, cols)
-        reply = _send(server, query_message(sk, comp, layer.index))
+        reply = _send(server, query_message(config, sk, comp, layer.index))
         if reply.get("type") != "result":
             raise ProtocolError(f"unexpected reply {reply.get('type')!r}")
         for match in reply["matches"]:

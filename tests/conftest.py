@@ -22,16 +22,14 @@ def toy_curve():
     return group_from_primes(5, 7, CURVE_A1)
 
 
-def toy_secret_key(group, alpha=1, beta=0, v=5, x_max=3):
+def toy_secret_key(group, alpha=1, beta=0):
     """Hand-built key over transparent N=35: g = exp 1, u = exp 3, s = g^5,
-    h = u^7 (= exp 21), A = (1,1,1), B = (3,3,4) so A.B = 10 = 2*q1; d=1."""
+    h = u^7 (= exp 21), A = (1,1,1), B = (3,3,4) so A.B = 10 = 2*q1; sized
+    for the base layout at d=1, so slot 1 is the constant slot."""
     g, u = GElement(1), GElement(3)
     s = group.pow(g, 5)
     h = group.pow(u, 7)
-    return SecretKey(
-        group, g, u, s, h, [1, 1, 1], [3, 3, 4], alpha, beta, b"\0" * 32,
-        LAYOUT_SHRQ, 1, v, x_max,
-    )
+    return SecretKey(group, g, u, s, h, [1, 1, 1], [3, 3, 4], alpha, beta, b"\0" * 32)
 
 
 @pytest.fixture(scope="session")

@@ -108,12 +108,12 @@ def test_c03_compute_correctness():
         q = SphereQuery((rng.randrange(101), rng.randrange(101)), rng.randrange(0, 21))
         c_q = make_sphere_query_component(q, LAYOUT_SHRQ)
         enc_m = ces.tuple_encrypt(sk, c_m, rng=rng)
-        enc_q = ces.query_encrypt(sk, c_q, rng=rng)
+        enc_q = ces.query_encrypt(sk, c_q, config.d, rng=rng)
         value = ces.compute(grp, enc_m, ces.prepare_query(grp, enc_q))
         direct = grp.pow(ss, sk.alpha * (plaintext_dot(c_m, c_q) + sk.beta))
         assert grp.canonical_bytes(value) == grp.canonical_bytes(direct)
         # blinding independence: fresh randomness, same deterministic value
-        enc_q = ces.query_encrypt(sk, c_q, rng=rng)
+        enc_q = ces.query_encrypt(sk, c_q, config.d, rng=rng)
         again = ces.compute(grp, ces.tuple_encrypt(sk, c_m, rng=rng), ces.prepare_query(grp, enc_q))
         assert again == value
 
@@ -179,7 +179,7 @@ def test_c06_layered_protocol():
         for layer in plan:
             tq = SphereQuery(coarse_transform(q.center, layer.factor), layer.scaled_radius)
             comp = make_sphere_query_component(tq, LAYOUT_SHRQ)
-            reply = server.request(prot.query_message(sk, comp, layer.index))
+            reply = server.request(prot.query_message(config, sk, comp, layer.index))
             got = {m["id"] for m in reply["matches"]}
             # margin in force: each layer returns exactly its annulus
             assert got == annulus_oracle(dataset, q.center, layer.scaled_radius, 400, layer.factor)
@@ -224,7 +224,7 @@ def test_c07_range_queries():
         make_range_query_component(RangeQuery(2, 3, 98), 2)[0],
     ]
     sizes = {
-        len(json.dumps(prot.query_message(sk, comp, 0), sort_keys=True)) for comp in comps
+        len(json.dumps(prot.query_message(config, sk, comp, 0), sort_keys=True)) for comp in comps
     }
     assert len(sizes) == 1
 

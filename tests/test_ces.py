@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import random
 
@@ -41,9 +40,9 @@ def test_keygen_invariants(sk32):
     assert grp.is_identity(grp.pow(sk32.s, q2))  # s = g^q1 has order q2
     assert grp.is_identity(grp.pow(sk32.h, q1))  # h = u^q2 has order q1
     assert sk32.alpha % q2 != 0
-    assert q2 > 2 * (sk32.v + sk32.d * sk32.x_max**2)
-    assert sk32.v + 1 <= q2
-    assert len(sk32.A) == len(sk32.B) == sk32.d + 2
+    assert q2 > 2 * (400 + 2 * 100**2)  # sk32 serves d=2, v=400, x_max=100
+    assert 400 + 1 <= q2
+    assert len(sk32.A) == len(sk32.B) == 2 + 2
     assert len(sk32.aes_key) == 32
 
 
@@ -106,14 +105,14 @@ def test_tuple_encrypt_randomized(sk32, rng):
 def test_query_encrypt_hook_alpha1_beta0(toy_transparent):
     sk = toy_secret_key(toy_transparent, alpha=1, beta=0)
     comp = (4, 0, -1)
-    enc = query_encrypt(sk, comp, rng=PinnedRng(0))
+    enc = query_encrypt(sk, comp, 1, rng=PinnedRng(0))
     assert list(enc) == [sk.group.pow(sk.s, q) for q in comp]
 
 
 def test_query_encrypt_const_slot_gets_beta(toy_transparent):
     sk = toy_secret_key(toy_transparent, alpha=2, beta=3)
     comp = (4, 1, -1)
-    enc = query_encrypt(sk, comp, rng=PinnedRng(0))
+    enc = query_encrypt(sk, comp, 1, rng=PinnedRng(0))
     assert enc[1].value == 5 * (1 + 3) * 2 % 35
     assert enc[0].value == 5 * 4 * 2 % 35  # beta only on the const slot
 
@@ -124,7 +123,7 @@ def test_query_serialization_oblivious(sk32_unified, rng):
     one_col = make_sphere_query_component(SphereQuery((12, 0), 4), LAYOUT_UNIFIED, cols=(1,))
     sizes = set()
     for comp in (sphere, one_col):
-        enc = query_encrypt(sk32_unified, comp, rng=rng)
+        enc = query_encrypt(sk32_unified, comp, 2, rng=rng)
         sizes.add(len(json.dumps([grp.canonical_bytes(s).hex() for s in enc])))
     assert len(sizes) == 1
 
@@ -135,7 +134,7 @@ def test_compute_matches_lookup_entry(toy_transparent):
     c_m = (2, 1, 1)
     c_q = (1, 1, 1)
     assert plaintext_dot(c_m, c_q) == 4
-    enc_q = query_encrypt(sk, c_q, rng=PinnedRng(1))
+    enc_q = query_encrypt(sk, c_q, 1, rng=PinnedRng(1))
     t = compute(sk.group, tuple_encrypt(sk, c_m, rng=PinnedRng(1)), prepare_query(sk.group, enc_q))
     assert t == sk.group.pow(sk.group.pair(sk.s, sk.s), (4 + 3) * 2)
 
@@ -146,7 +145,7 @@ def test_compute_dot_oracle_d1(sk32):
     c_m = make_data_component((3,), LAYOUT_SHRQ)
     c_q = make_sphere_query_component(SphereQuery((2,), 2), LAYOUT_SHRQ)
     assert plaintext_dot(c_m, c_q) == 3
-    enc_q = query_encrypt(sk, c_q, rng=random.Random(2))
+    enc_q = query_encrypt(sk, c_q, 1, rng=random.Random(2))
     t = compute(sk.group, tuple_encrypt(sk, c_m, rng=random.Random(1)), prepare_query(sk.group, enc_q))
     expected = sk.group.pow(sk.group.pair(sk.s, sk.s), sk.alpha * (3 + sk.beta))
     assert sk.group.canonical_bytes(t) == sk.group.canonical_bytes(expected)
@@ -156,44 +155,49 @@ def test_compute_blinding_invariance(sk32, rng):
     c_m = make_data_component((30, 40), LAYOUT_SHRQ)
     c_q = make_sphere_query_component(SphereQuery((28, 44), 9), LAYOUT_SHRQ)
     grp = sk32.group
-    plain_q = prepare_query(grp, query_encrypt(sk32, c_q, rng=PinnedRng(0)))
+    plain_q = prepare_query(grp, query_encrypt(sk32, c_q, 2, rng=PinnedRng(0)))
     plain = compute(grp, tuple_encrypt(sk32, c_m, rng=PinnedRng(0)), plain_q)
-    blinded_q = prepare_query(grp, query_encrypt(sk32, c_q, rng=rng))
+    blinded_q = prepare_query(grp, query_encrypt(sk32, c_q, 2, rng=rng))
     blinded = compute(grp, tuple_encrypt(sk32, c_m, rng=rng), blinded_q)
     assert plain == blinded
 
 
 def test_compute_length_mismatch(sk32, sk32_unified, rng):
     t = tuple_encrypt(sk32, make_data_component((1, 2), LAYOUT_SHRQ), rng=rng)
-    q = query_encrypt(sk32_unified, make_sphere_query_component(SphereQuery((1, 2), 1), LAYOUT_UNIFIED), rng=rng)
+    c_q = make_sphere_query_component(SphereQuery((1, 2), 1), LAYOUT_UNIFIED)
+    q = query_encrypt(sk32_unified, c_q, 2, rng=rng)
     with pytest.raises(ProtocolError):
         compute(sk32.group, t, prepare_query(sk32.group, q))
 
 
 @pytest.fixture(scope="module", params=[LAYOUT_SHRQ, LAYOUT_UNIFIED])
 def curve_sk(request):
-    return keygen(32, 2, request.param, 400, 100, CURVE_A1, rng=random.Random(32))[0]
+    """(key, layout, d) of a deployment on the curve backend."""
+    sk, _ = keygen(32, 2, request.param, 400, 100, CURVE_A1, rng=random.Random(32))
+    return sk, request.param, 2
 
 
 def test_encryption_is_plain_pow_on_curve(curve_sk):
     # slot i is s^{x_i} * h^{r*Y_i} with r the rng's first randrange(1, N):
     # x = m and Y = A for a tuple, x = q*alpha (+ beta*alpha at slot d) and
     # Y = B for a query
-    sk, grp = curve_sk, curve_sk.group
-    c_m = make_data_component((37, 90), sk.layout)
-    c_q = make_sphere_query_component(SphereQuery((41, 86), 9), sk.layout)
+    sk, layout, d = curve_sk
+    grp = sk.group
+    c_m = make_data_component((37, 90), layout)
+    c_q = make_sphere_query_component(SphereQuery((41, 86), 9), layout)
     x_q = [q * sk.alpha for q in c_q]
-    x_q[sk.d] += sk.beta * sk.alpha
+    x_q[d] += sk.beta * sk.alpha
     for k in range(3):
         r = random.Random(k).randrange(1, grp.N)
         for enc, xs, ys in ((tuple_encrypt(sk, c_m, rng=random.Random(k)), c_m, sk.A),
-                            (query_encrypt(sk, c_q, rng=random.Random(k)), x_q, sk.B)):
+                            (query_encrypt(sk, c_q, d, rng=random.Random(k)), x_q, sk.B)):
             want = [grp.mul(grp.pow(sk.s, x), grp.pow(sk.h, r * y)) for x, y in zip(xs, ys)]
             assert [grp.canonical_bytes(e) for e in enc] == [grp.canonical_bytes(w) for w in want]
 
 
 def test_compute_is_product_of_pairs_on_curve(curve_sk, rng):
-    sk, grp = curve_sk, curve_sk.group
+    sk, layout, d = curve_sk
+    grp = sk.group
 
     def slot():  # identity, pure s (order q2), pure h (order q1) or both
         kind = rng.randrange(4)
@@ -202,10 +206,10 @@ def test_compute_is_product_of_pairs_on_curve(curve_sk, rng):
         return grp.mul(s_part, h_part)
 
     def encrypted():  # a random data component against a random sphere query
-        c_m = make_data_component((rng.randrange(101), rng.randrange(101)), sk.layout)
+        c_m = make_data_component((rng.randrange(101), rng.randrange(101)), layout)
         q = SphereQuery((rng.randrange(101), rng.randrange(101)), rng.randrange(21))
-        c_q = make_sphere_query_component(q, sk.layout)
-        return tuple_encrypt(sk, c_m, rng=rng), query_encrypt(sk, c_q, rng=rng)
+        c_q = make_sphere_query_component(q, layout)
+        return tuple_encrypt(sk, c_m, rng=rng), query_encrypt(sk, c_q, d, rng=rng)
 
     cases = [encrypted() for _ in range(4)]
     for _ in range(16):
@@ -228,19 +232,19 @@ def test_compute_correctness_fuzz(sk32, rng):
         c_m = make_data_component((rng.randrange(101), rng.randrange(101)), LAYOUT_SHRQ)
         q = SphereQuery((rng.randrange(101), rng.randrange(101)), rng.randrange(21))
         c_q = make_sphere_query_component(q, LAYOUT_SHRQ)
-        enc_q = query_encrypt(sk32, c_q, rng=rng)
+        enc_q = query_encrypt(sk32, c_q, 2, rng=rng)
         t = compute(grp, tuple_encrypt(sk32, c_m, rng=rng), prepare_query(grp, enc_q))
         want = grp.pow(ss, sk32.alpha * (plaintext_dot(c_m, c_q) + sk32.beta))
         assert grp.canonical_bytes(t) == grp.canonical_bytes(want)
 
 
 def test_lookup_table_size_and_v0(sk32):
-    table = create_lookup_table(dataclasses.replace(sk32, v=0))
+    table = create_lookup_table(sk32, 0)
     grp = sk32.group
     entry = grp.pow(grp.pair(sk32.s, sk32.s), sk32.beta * sk32.alpha)
     assert lookup_contains(table, grp, entry)
     assert len(table.digests) == 1
-    assert len(create_lookup_table(dataclasses.replace(sk32, v=40)).digests) == 41
+    assert len(create_lookup_table(sk32, 40).digests) == 41
 
 
 def test_lookup_membership_sweep():
@@ -249,7 +253,7 @@ def test_lookup_membership_sweep():
     for backend in (TRANSPARENT, CURVE_A1):
         sk, _ = keygen(32, 2, LAYOUT_SHRQ, 50, 10, backend, rng=random.Random(77))
         grp = sk.group
-        table = create_lookup_table(sk)
+        table = create_lookup_table(sk, 50)
         base = grp.pair(sk.s, sk.s)
         # sweep the whole reachable dot range |k| <= v + d*x_max^2
         for k in range(-250, 251):
@@ -259,7 +263,7 @@ def test_lookup_membership_sweep():
 
 def test_lookup_boundaries(sk32):
     grp = sk32.group
-    table = create_lookup_table(sk32)
+    table = create_lookup_table(sk32, 400)
     base = grp.pair(sk32.s, sk32.s)
     for k, inside in ((-1, False), (0, True), (400, True), (401, False)):
         t = grp.pow(base, sk32.alpha * (k + sk32.beta))

@@ -5,13 +5,15 @@ import random
 import socket
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from shrq import ces, protocols as prot
-from shrq.errors import KeyfileError
+from shrq.errors import ConfigError, KeyfileError
 from shrq.keyfile import load_keyfile, save_keyfile
 from shrq.pairing import TRANSPARENT
 
@@ -311,7 +313,12 @@ def test_keyfile_single_field_tamper_rejected(keyfile_pair, tmp_path, field):
 
 @pytest.mark.parametrize(
     "field, value",
-    [("protocol", "x"), ("protocol", "C"), ("protocol", "L"), ("protocol", 5), ("e_max", -1), ("b_c", 3)],
+    [
+        ("protocol", "x"), ("protocol", "C"), ("protocol", "L"), ("protocol", 5), ("e_max", -1), ("b_c", 3),
+        # the key file is the only copy of these: caught by vector length,
+        # coarsity base, correctness margin or range
+        ("layout", "shrq"), ("d", 3), ("v", 100), ("v", -1), ("x_max", 10**12), ("x_max", 0),
+    ],
 )
 def test_keyfile_bad_deployment_rejected(keyfile_pair, tmp_path, field, value):
     doc = read_json(keyfile_pair[0])
@@ -323,6 +330,41 @@ def test_keyfile_bad_deployment_rejected(keyfile_pair, tmp_path, field, value):
     out = run_cli("query", "sphere", "--key", str(bad), "--center", "1,1", "--radius", "1",
                   "--server", "127.0.0.1:9")
     assert out.returncode == 3 and "Traceback" not in out.stderr
+
+
+@st.composite
+def _deployments(draw):
+    protocol = draw(st.sampled_from((prot.PROTOCOL_TABLE, prot.PROTOCOL_COARSE, prot.PROTOCOL_LAYERED)))
+    d = draw(st.integers(1, 4))
+    return (
+        protocol,
+        draw(st.sampled_from((ces.LAYOUT_SHRQ, ces.LAYOUT_UNIFIED))),
+        d,
+        draw(st.integers(0, 2000)),  # v
+        draw(st.integers(1, 1000)),  # x_max
+        0 if protocol == prot.PROTOCOL_TABLE else draw(st.integers(0, 5)),  # e_max
+        draw(st.lists(st.integers(0, 50), min_size=d, max_size=d)),  # offsets
+        draw(st.integers(0, 2**32)),  # key seed
+    )
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(_deployments())
+def test_keyfile_save_load_save_is_byte_exact(case):
+    protocol, layout, d, v, x_max, e_max, offsets, seed = case
+    try:
+        config = prot.make_config(protocol, d, v, x_max, e_max=e_max, backend=TRANSPARENT, layout=layout)
+    except ConfigError:  # no coarsity base >= 2 for this v and d
+        assume(False)
+    sk, _ = ces.keygen(32, d, layout, v, x_max, TRANSPARENT, rng=random.Random(seed))
+    with tempfile.TemporaryDirectory() as root:
+        first, again = Path(root) / "first.json", Path(root) / "again.json"
+        save_keyfile(str(first), sk, config, offsets)
+        sk2, config2, offsets2 = load_keyfile(str(first))
+        save_keyfile(str(again), sk2, config2, offsets2)
+        assert config2 == config and offsets2 == offsets
+        assert again.read_bytes() == first.read_bytes()
 
 
 def test_keyfile_garbage_rejected(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import random
@@ -281,16 +282,16 @@ def test_range_needs_unified(rng):
         prot.query_range(config, sk, RangeQuery(1, 0, 5), ServerState())
 
 
-def test_query_messages_constant_length(sk32_unified):
+def test_query_messages_constant_length():
     # sphere vs range vs column choice: identical wire bytes at a fixed level
-    sk = sk32_unified
+    config, sk = deployment("t", layout=LAYOUT_UNIFIED)
     comps = [
         make_sphere_query_component(SphereQuery((50, 60), 15), LAYOUT_UNIFIED),
         make_sphere_query_component(SphereQuery((3, 0), 9), LAYOUT_UNIFIED, cols=(1,)),
         make_range_query_component(RangeQuery(1, 25, 50), 2)[0],
         make_range_query_component(RangeQuery(2, 0, 100), 2)[0],
     ]
-    sizes = {len(json.dumps(prot.query_message(sk, comp, 0), sort_keys=True)) for comp in comps}
+    sizes = {len(json.dumps(prot.query_message(config, sk, comp, 0), sort_keys=True)) for comp in comps}
     assert len(sizes) == 1
 
 
@@ -369,8 +370,8 @@ def test_tampered_blob_fails_decrypt(rng):
 
 def test_wrap_guard_rejects_enormous_layer_radius():
     rng = random.Random(3)
-    config = prot.make_config("l", 2, 400, 100, e_max=8, backend=TRANSPARENT)
-    sk, _ = ces.keygen(17, 2, LAYOUT_SHRQ, 400, 100, TRANSPARENT, rng=rng)
+    config = prot.make_config("l", 2, 400, 100, e_max=8, backend=TRANSPARENT, layout=LAYOUT_SHRQ)
+    sk, _ = ces.keygen(17, 2, config.layout, 400, 100, TRANSPARENT, rng=rng)
     q2 = sk.group.params.q2
     r = math.isqrt(q2) + 1  # guaranteed r^2 >= q2 - margin
     server = loaded_server(config, sk, [], rng)
@@ -415,5 +416,19 @@ def test_make_config_validation():
         prot.make_config("x", 2, 400, 100)
     with pytest.raises(ConfigError):
         prot.make_config("l", 4, 16, 100)  # coarsity base degenerates
+    with pytest.raises(ConfigError, match="layout"):
+        prot.make_config("t", 2, 400, 100, layout="bogus")
     config = prot.make_config("l", 2, 400, 100, e_max=3, backend=TRANSPARENT)
     assert config.b_c == 5 and config.levels == 4
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.v = 100  # the server holds a table built for the v set up with
+
+
+def test_key_made_for_another_v_answers_by_the_config(rng):
+    # the key's keygen checked its margin for v=100; the deployment's v=400
+    # sizes the lookup table and the plan alike, so no match is lost
+    config = prot.make_config("t", 2, 400, 100, layout=LAYOUT_SHRQ)
+    sk, _ = ces.keygen(32, 2, LAYOUT_SHRQ, 100, 100, TRANSPARENT, rng=random.Random(1))
+    ds = random_dataset(random.Random(2), 300)
+    q = SphereQuery((50, 50), 15)
+    assert prot.query_sphere(config, sk, q, loaded_server(config, sk, ds, rng)).ids == hrq_oracle(ds, q)

@@ -58,7 +58,7 @@ def test_put_then_query_roundtrip(deployment, rng):
     ds = [("p1", (10, 10)), ("p2", (90, 90))]
     fill(config, sk, ds, server, rng)
     comp = make_sphere_query_component(SphereQuery((10, 10), 1), config.layout)
-    reply = server.request(prot.query_message(sk, comp, 0))
+    reply = server.request(prot.query_message(config, sk, comp, 0))
     assert reply["type"] == "result"
     assert [m["id"] for m in reply["matches"]] == ["p1"]
 
@@ -68,7 +68,7 @@ def test_query_on_empty_level(deployment, rng):
     server = ServerState()
     fill(config, sk, [], server, rng)
     comp = make_sphere_query_component(SphereQuery((1, 1), 1), config.layout)
-    reply = server.request(prot.query_message(sk, comp, 1))
+    reply = server.request(prot.query_message(config, sk, comp, 1))
     assert reply == {"type": "result", "matches": []}
 
 
@@ -78,7 +78,7 @@ def test_unknown_level_is_protocol_error(deployment, rng):
     fill(config, sk, [], server, rng)
     comp = make_sphere_query_component(SphereQuery((1, 1), 1), config.layout)
     for bad in (3, -1, "0"):
-        reply = server.request(dict(prot.query_message(sk, comp, 0), level=bad))
+        reply = server.request(dict(prot.query_message(config, sk, comp, 0), level=bad))
         assert reply["type"] == "error" and "level" in reply["error"]
 
 
@@ -233,7 +233,7 @@ def test_matched_id_missing_from_store_is_integrity_error(deployment, rng):
     fill(config, sk, [("a", (5, 5))], server, rng)
     del server.db_store["a"]
     comp = make_sphere_query_component(SphereQuery((5, 5), 1), config.layout)
-    reply = server.request(prot.query_message(sk, comp, 0))
+    reply = server.request(prot.query_message(config, sk, comp, 0))
     assert reply["type"] == "error" and "db-store" in reply["error"]
 
 
@@ -250,9 +250,9 @@ def test_compute_call_count_is_store_size(deployment, rng, monkeypatch):
         return ces.compute(*args)
 
     monkeypatch.setattr(shrq.server, "compute", counting_compute)
-    server.request(prot.query_message(sk, comp, 0))
+    server.request(prot.query_message(config, sk, comp, 0))
     assert len(calls) == 17
-    server.request(prot.query_message(sk, comp, 1))
+    server.request(prot.query_message(config, sk, comp, 1))
     assert len(calls) == 34
 
 
@@ -261,7 +261,7 @@ def test_query_reply_deterministic(deployment, rng):
     server = ServerState()
     fill(config, sk, random_dataset(rng, 25), server, rng)
     comp = make_sphere_query_component(SphereQuery((40, 40), 18), config.layout)
-    line = json.dumps(prot.query_message(sk, comp, 0))
+    line = json.dumps(prot.query_message(config, sk, comp, 0))
     assert server.handle_line(line) == server.handle_line(line)
 
 
@@ -534,7 +534,7 @@ def test_mutations_logged_queries_not(deployment, rng, tmp_path, open_state):
     state = open_state(tmp_path)
     fill(config, sk, [("a", (1, 2))], state, rng)
     comp = make_sphere_query_component(SphereQuery((1, 2), 1), config.layout)
-    state.request(prot.query_message(sk, comp, 0))
+    state.request(prot.query_message(config, sk, comp, 0))
     state.close()
     lines = (tmp_path / "log.jsonl").read_text().strip().splitlines()
     kinds = [json.loads(line)["type"] for line in lines]
