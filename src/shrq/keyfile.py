@@ -10,15 +10,22 @@ tampered field fails closed instead of silently corrupting queries.
 """
 
 import base64
+import contextlib
 import json
+import os
 
 from .ces import SecretKey, layout_len, margin_bound
 from .errors import KeyfileError
 from .pairing import group_from_descriptor
 from .protocols import make_config
+from .server import fsync_dir
 
 
 def save_keyfile(path, sk, config, offsets=None):
+    """Write the key file atomically and readable by its owner alone, as it
+    holds q1, q2, alpha, beta and the AES key: a temporary file beside it,
+    created 0600 and fsync'd, is renamed over path and the directory fsync'd,
+    so a save that fails leaves the old file whole."""
     group = sk.group
     params = group.params
     doc = {
@@ -44,9 +51,21 @@ def save_keyfile(path, sk, config, offsets=None):
         "b_c": config.b_c,
         "offset": list(offsets) if offsets is not None else [0] * config.d,
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    tmp = os.fspath(path) + ".tmp"
+    with contextlib.suppress(FileNotFoundError):
+        os.unlink(tmp)  # a stale one may have a wider mode, or be a link
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
+    try:
+        with open(fd, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, indent=1)
+            fh.write("\n")
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+    fsync_dir(os.path.dirname(os.path.abspath(path)))
 
 
 def load_keyfile(path):

@@ -34,12 +34,13 @@ curveA1 do that with a fraction of the work of separate pairings:
     e(q, m) equal e(g, g)^{ab}; the Miller loop can run over q, the fixed
     argument, and evaluate its lines at the distorted image of m;
   * prepared lines: the loop's points and line slopes depend on q alone.
-    _step, the one point addition, returns the sum and its slope lam (one
-    modular inversion gives both); prepare(q) builds each step's affine line
-    y = lam*x + c with c = y0 - lam*x0 from the point (x0, y0) it stepped
-    from, and evaluating it at (-x_m, i*y_m) is then one multiplication,
-    (lam*x_m - c) + i*y_m (Costello & Stebila, "Fixed Argument Pairings",
-    LATINCRYPT 2010);
+    prepare(q) walks the points with pow's Jacobian steps, each of which
+    gives its slope as lam = n/Z3 over the Z3 it reaches, and one inversion
+    of all the walk's Z (Montgomery's trick, Math. Comp. 48, 1987) builds
+    each step's affine line y = lam*x + c with c = y0 - lam*x0 from the
+    point (x0, y0) it stepped from; evaluating it at (-x_m, i*y_m) is then
+    one multiplication, (lam*x_m - c) + i*y_m (Costello & Stebila, "Fixed
+    Argument Pairings", LATINCRYPT 2010);
   * one squaring chain and one final exponentiation: all the loops follow
     the bits of N, so a single accumulator f is squared once per step and
     multiplied by every slot's line, and the final exponentiation, a
@@ -53,12 +54,12 @@ loop; reference_pair in tests/reference.py is the independent loop the
 tests hold it to.  The transparent backend's prepare() returns the element,
 and its pair_product() multiplies pair() results.
 
-Powers.  _power is the one left-to-right square-and-multiply, over _fp2_mul
-in GT and, in G, over Jacobian points (X, Y, Z) for (X/Z^2, Y/Z^3), Z = 0
-the infinity, whose doubling and mixed addition of the affine base invert
-nothing (Cohen, Miyaji & Ono, ASIACRYPT 1998).  _pt_mul inverts once at the
-end, and decode's order check tests Z = 0 on [N]P.  Inversions remain in mul
-and prepare (one per affine _step), that final one, and _fp2_inv.
+Points and powers.  G has one set of point formulas: the Jacobian doubling
+and mixed addition of an affine point, which invert nothing (Cohen, Miyaji
+& Ono, ASIACRYPT 1998).  _power is the one left-to-right square-and-multiply,
+over _fp2_mul in GT and over those two steps in G.  mul and _pt_mul invert
+once, to go back to affine, prepare once per slot, and decode's order check
+tests Z = 0 on [N]P; _fp2_inv inverts once per final exponentiation.
 
 Encodings.  canonical_bytes gives every element of G and GT one byte string;
 decode is its inverse on G alone.  GT elements are only hashed (the lookup
@@ -337,47 +338,48 @@ class CurveGroup(Group):
     def _fp2_pow(self, u, k):
         return _power(lambda f: self._fp2_mul(f, f), self._fp2_mul, (1, 0), u, k)
 
-    # -- affine point arithmetic; None is the point at infinity ------------
-    def _pt_add(self, a, b):
-        return a if b is None else self._step(a, b)[0]
-
+    # -- points: affine (x, y) with None the infinity, and Jacobian (X, Y, Z, n)
+    # for (X/Z^2, Y/Z^3) with Z = 0 the infinity and n/Z the slope of its step
     def _pt_mul(self, a, k):
         # raw scalar multiplication: callers reduce mod N where appropriate
         # (cofactor clearing and subgroup checks must not reduce)
         if a is None:
             return None
-        p = self.p
         if k < 0:
-            a, k = (a[0], -a[1] % p), -k
-        x, y, z = self._jac_mul(a, k)
+            a, k = (a[0], -a[1] % self.p), -k
+        return self._affine(self._jac_mul(a, k))
+
+    def _affine(self, a):
+        """The affine form of a Jacobian a, by one inversion."""
+        p = self.p
+        x, y, z, _ = a
         if not z:
             return None
-        zi = pow(z, -1, p)  # the one inversion: back to affine
+        zi = pow(z, -1, p)
         return (x * zi * zi % p, y * zi * zi * zi % p)
 
-    # -- Jacobian (X, Y, Z) for affine (X/Z^2, Y/Z^3); Z = 0 is infinity ------
     def _jac_mul(self, a, k):
         """[k]a in Jacobian form for an affine point a and k >= 0."""
-        return _power(self._jac_double, self._jac_madd, (1, 1, 0), a, k)
+        return _power(self._jac_double, self._jac_madd, (1, 1, 0, 0), a, k)
 
     def _jac_double(self, a):
-        """2a by the EFD's dbl-1998-cmo-2 with curve coefficient a = 1; Y = 0
-        (a point of order 2) gives Z = 0, and Z = 0 stays 0."""
+        """2a by the EFD's dbl-1998-cmo-2 with curve coefficient a = 1, slope
+        M/Z3; Y = 0 (a point of order 2) gives Z = 0, and Z = 0 stays 0."""
         p = self.p
-        x, y, z = a
+        x, y, z, _ = a
         xx, yy, zz = x * x % p, y * y % p, z * z % p
         s = 4 * x * yy % p
         m = (3 * xx + zz * zz) % p
         t = (m * m - 2 * s) % p
-        return t, (m * (s - t) - 8 * yy * yy) % p, 2 * y * z % p
+        return t, (m * (s - t) - 8 * yy * yy) % p, 2 * y * z % p, m
 
     def _jac_madd(self, a, b):
         """a + b for a Jacobian a and an affine b by madd-2007-bl, Z3 = 2*Z1*H
-        as a product.  a = b (H = r = 0) doubles; a = -b (H = 0, r != 0)
-        gives Z = 0 by the formula; a = infinity gives b."""
-        x1, y1, z1 = a
+        as a product and slope r/Z3.  a = b (H = r = 0) doubles; a = -b (H = 0,
+        r != 0) gives Z = 0 by the formula; a = infinity gives b."""
+        x1, y1, z1, _ = a
         if not z1:
-            return b + (1,)
+            return b + (1, 0)
         p = self.p
         z1z1 = z1 * z1 % p
         h = (b[0] * z1z1 - x1) % p
@@ -388,7 +390,7 @@ class CurveGroup(Group):
         j = h * i % p
         v = x1 * i % p
         x3 = (r * r - j - 2 * v) % p
-        return x3, (r * (v - x3) - 2 * y1 * j) % p, 2 * z1 * h % p
+        return x3, (r * (v - x3) - 2 * y1 * j) % p, 2 * z1 * h % p, r
 
     def _on_curve(self, pt):
         x, y = pt
@@ -424,7 +426,9 @@ class CurveGroup(Group):
             raise ConfigError("cannot multiply G by GT")
         if isinstance(x, GTElement):
             return GTElement(self._fp2_mul(x.value, y.value))
-        return GElement(self._pt_add(x.value, y.value))
+        if x.value is None or y.value is None:
+            return y if x.value is None else x
+        return GElement(self._affine(self._jac_madd(x.value + (1, 0), y.value)))
 
     def pow(self, x, k):
         k %= self.N
@@ -440,34 +444,29 @@ class CurveGroup(Group):
         conj = (f[0], (-f[1]) % self.p)
         return GTElement(self._fp2_pow(self._fp2_mul(conj, self._fp2_inv(f)), self.l))
 
-    def _step(self, a, b):
-        """(a + b, slope lam of the line through a and b) for a point b;
-        lam is None when the line is vertical (b = -a) or a is infinity."""
-        if a is None:
-            return b, None
-        p = self.p
-        x1, y1 = a
-        x2, y2 = b
-        if x1 == x2:
-            if (y1 + y2) % p == 0:
-                return None, None
-            lam = (3 * x1 * x1 + 1) * pow(2 * y1 % p, -1, p) % p
-        else:
-            lam = (y2 - y1) * pow((x2 - x1) % p, -1, p) % p
-        x3 = (lam * lam - x1 - x2) % p
-        return (x3, (lam * (x1 - x3) - y1) % p), lam
-
     def prepare(self, x):
         """The Miller lines of x, per loop step (lam, c) with c taken at the
-        point stepped from, or None; None for the identity.  One inversion a step."""
+        point stepped from, or None; None for the identity.  The walk takes
+        pow's Jacobian steps, each with slope lam = n/Z3, and one inversion of
+        all its nonzero Z (Montgomery's trick) makes every line affine; a step
+        from infinity or to it (a vertical line) gives None."""
         if x.value is None:
             return None
-        v = x.value
-        lines = []
+        p, b = self.p, x.value
+        walk = [b + (1, 0)]
         for double in self._miller_steps:
-            nxt, lam = self._step(v, v if double else x.value)
-            lines.append(None if lam is None else (lam, (v[1] - lam * v[0]) % self.p))
-            v = nxt
+            walk.append(self._jac_double(walk[-1]) if double else self._jac_madd(walk[-1], b))
+        prefix = [1]  # prefix[k]: the product of the nonzero Z before walk[k]
+        for pt in walk:
+            prefix.append(prefix[-1] * (pt[2] or 1) % p)
+        inv, zinv = pow(prefix[-1], -1, p), [0] * len(walk)
+        for k in range(len(walk) - 1, -1, -1):
+            if walk[k][2]:
+                zinv[k], inv = inv * prefix[k] % p, inv * walk[k][2] % p
+        lines = []
+        for (x0, y0, z0, _), zi, (_, _, z3, n), zi3 in zip(walk, zinv, walk[1:], zinv[1:]):
+            lam = n * zi3 % p
+            lines.append((lam, (y0 * zi - lam * x0) * zi * zi % p) if z0 and z3 else None)
         return tuple(lines)
 
     def pair_product(self, prepared, points):

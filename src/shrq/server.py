@@ -105,7 +105,7 @@ def _too_deep(value, depth=_MAX_NESTING):
     return depth == 0 or any(_too_deep(v, depth - 1) for v in value)
 
 
-def _fsync_dir(path):
+def fsync_dir(path):
     fd = os.open(path, os.O_RDONLY)
     try:
         os.fsync(fd)
@@ -147,8 +147,8 @@ class ServerState:
             os.makedirs(state_dir, exist_ok=True)
             self._replay()
             self._open_log()
-            _fsync_dir(state_dir)
-            _fsync_dir(os.path.dirname(os.path.abspath(state_dir)))
+            fsync_dir(state_dir)
+            fsync_dir(os.path.dirname(os.path.abspath(state_dir)))
 
     # -- persistence --------------------------------------------------------
     def _replay(self):
@@ -228,7 +228,7 @@ class ServerState:
         if self._log is not None:
             self._log.close()
             self._open_log()
-        _fsync_dir(self._state_dir)
+        fsync_dir(self._state_dir)
         self._mutations_since_compact = 0
 
     def close(self):

@@ -1,8 +1,10 @@
 import csv
+import errno
 import json
 import os
 import random
 import socket
+import stat
 import subprocess
 import sys
 import tempfile
@@ -12,7 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from shrq import ces, protocols as prot
+from shrq import ces, keyfile, protocols as prot
 from shrq.errors import ConfigError, KeyfileError
 from shrq.keyfile import load_keyfile, save_keyfile
 from shrq.pairing import TRANSPARENT
@@ -293,6 +295,65 @@ def test_keyfile_roundtrip(keyfile_pair):
     assert sk2.alpha == sk.alpha and sk2.beta == sk.beta
     assert sk2.aes_key == sk.aes_key
     assert sk2.s == sk.s and sk2.h == sk.h
+
+
+class _FullDisk:
+    """A file that takes half of the first write, then fails as a full disk
+    does."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def write(self, data):
+        self.fh.write(data[: len(data) // 2])
+        self.fh.flush()
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def __getattr__(self, name):
+        return getattr(self.fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+def test_keyfile_failed_save_keeps_old_key(keyfile_pair, tmp_path, monkeypatch):
+    # shrq setup rewrites the key in place to record an offset: a save that
+    # runs out of disk partway must leave the old file, byte for byte
+    path, sk, config = keyfile_pair
+    key = tmp_path / "key.json"
+    key.write_bytes(Path(path).read_bytes())
+    monkeypatch.setattr(keyfile, "open", lambda *a, **kw: _FullDisk(open(*a, **kw)), raising=False)
+    with pytest.raises(OSError) as err:
+        save_keyfile(str(key), sk, config, offsets=[7, 0])
+    monkeypatch.undo()
+    assert err.value.errno == errno.ENOSPC
+    assert key.read_bytes() == Path(path).read_bytes()
+    assert load_keyfile(str(key))[2] == [1, 0]
+    assert os.listdir(tmp_path) == ["key.json"]  # the temporary file is gone
+
+
+def test_keyfile_is_owner_only(keyfile_pair, tmp_path):
+    # the key holds q1, q2, alpha, beta and the AES key: under umask 022 a new
+    # key, one saved over a world-readable key and one saved past a stale
+    # world-readable temporary file all come out 0600
+    _, sk, config = keyfile_pair
+    key = tmp_path / "key.json"
+    old = os.umask(0o022)
+    try:
+        save_keyfile(key, sk, config)  # a Path serves as well as a str
+        assert stat.S_IMODE(os.stat(key).st_mode) == 0o600
+        key.chmod(0o644)
+        (tmp_path / "key.json.tmp").write_text("stale")
+        (tmp_path / "key.json.tmp").chmod(0o644)
+        save_keyfile(str(key), sk, config)
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(os.stat(key).st_mode) == 0o600
+    assert os.listdir(tmp_path) == ["key.json"]
+    assert load_keyfile(str(key))[2] == [0, 0]
 
 
 @pytest.mark.parametrize("field", ["s", "h", "A", "B"])

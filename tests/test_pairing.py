@@ -109,12 +109,10 @@ def test_pt_mul_does_not_reduce_k(toy_curve):
 _MUL_GROUPS = (group_from_primes(5, 7, CURVE_A1), group_gen(32, CURVE_A1, random.Random(32)))
 
 
-@st.composite
-def _mul_case(draw):
-    """(group, point, k): a point of G, a curve point (mostly off G), the
-    order-2 point (0, 0) or infinity, and a raw scalar of either sign."""
-    grp = draw(st.sampled_from(_MUL_GROUPS))
-    p, N, q1, q2 = grp.p, grp.N, grp.params.q1, grp.params.q2
+def _draw_point(draw, grp):
+    """A point of G, a curve point (mostly off G), the order-2 point (0, 0)
+    or infinity."""
+    p = grp.p
     kind = draw(st.sampled_from(("G", "curve", "order 2", "infinity")))
     pt = {"order 2": (0, 0), "infinity": None}.get(kind)
     if kind in ("G", "curve"):
@@ -125,19 +123,33 @@ def _mul_case(draw):
         pt = (x, draw(st.sampled_from((y, p - y))))
         if kind == "G":
             pt = reference_mul(grp, GElement(pt), grp.l).value  # clear the cofactor
+    return pt
+
+
+@st.composite
+def _mul_case(draw):
+    """(group, point, k, other): a drawn point, a raw scalar of either sign,
+    and a second operand for mul: the point, its negative, infinity or a
+    second drawn point."""
+    grp = draw(st.sampled_from(_MUL_GROUPS))
+    N, q1, q2 = grp.N, grp.params.q1, grp.params.q2
+    pt = _draw_point(draw, grp)
     k = draw(
         st.sampled_from((0, 1, -1, 2, 3, N, N - 1, N + 1, -N, -N + 5))
         | st.builds(lambda c, q: c * q, st.integers(-3, 3), st.sampled_from((q1, q2)))
         | st.integers(-(N**2), N**2)
     )
-    return grp, pt, k
+    negative = None if pt is None else (pt[0], -pt[1] % grp.p)
+    other = draw(st.sampled_from((pt, negative, None)) | st.just("drawn"))
+    return grp, pt, k, _draw_point(draw, grp) if other == "drawn" else other
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(_mul_case())
 def test_scalar_mul_matches_reference(case):
-    grp, pt, k = case
-    x = GElement(pt)
+    grp, pt, k, other = case
+    x, y = GElement(pt), GElement(other)
+    assert grp.mul(x, y) == reference_add(grp, x, y)
     assert grp._pt_mul(pt, k) == reference_mul(grp, x, k).value
     assert grp.pow(x, k) == reference_mul(grp, x, k % grp.N)
     in_g = reference_mul(grp, x, grp.N).value is None
@@ -183,8 +195,8 @@ def test_pair_laws_fuzz(backend, rng):
 def test_prepared_pairing_matches_pair_toy(backend, rng):
     # every ordered pair of the 35 elements, the identity included; on the
     # curve the prepared Miller loop runs over the other argument than the
-    # reference loop, and mul's slope code is checked against plain affine
-    # addition (P + P, P + (-P) and the identity among the pairs)
+    # reference loop, and mul's Jacobian addition is checked against plain
+    # affine addition (P + P, P + (-P) and the identity among the pairs)
     grp = group_from_primes(5, 7, backend)
     g = grp.random_generator(rng)
     elems = [grp.pow(g, k) for k in range(35)]
