@@ -10,8 +10,13 @@ as the bookkeeping around it.  Every row shares one group, so rows differ
 only in d and |D|.  The timed work is interleaved across rows, one slice
 of the dataset or one query at a time, so a slow spell of the machine
 lands on every row rather than on the row that happened to be running.
+The clock is the process's CPU time, so time spent waiting for a CPU that
+other processes hold is not counted, and the cyclic garbage collector is
+off during the sweeps, as in timeit: a collection of the caller's heap
+(about 0.1 s in the test suite) would otherwise land on one row's slice.
 """
 
+import gc
 import random
 import time
 
@@ -33,9 +38,9 @@ def _case(sweep, d, n_points, n_queries, group, rng):
         (str(i), tuple(rng.randrange(0, 101) for _ in range(d))) for i in range(n_points)
     ]
     server = ServerState()
-    t0 = time.perf_counter()
+    t0 = time.process_time()
     protocols.run_setup(config, sk, dataset, server, rng=rng)
-    setup_s = time.perf_counter() - t0
+    setup_s = time.process_time() - t0
     queries = [
         SphereQuery(tuple(rng.randrange(0, 101) for _ in range(d)), rng.randrange(0, 11))
         for _ in range(n_queries)
@@ -54,6 +59,16 @@ def _case(sweep, d, n_points, n_queries, group, rng):
 
 def run_bench(points=200, d_max=6, queries=10, seed=1):
     """Two sweeps: d = 1..d_max at fixed |D|, then |D| growing at d = 2."""
+    was_on = gc.isenabled()
+    gc.disable()
+    try:
+        return _sweeps(points, d_max, queries, seed)
+    finally:
+        if was_on:
+            gc.enable()
+
+
+def _sweeps(points, d_max, queries, seed):
     rng = random.Random(seed)
     group = group_gen(LAMBDA_BITS, CURVE_A1, rng)
     shapes = [("dims", d, points) for d in range(1, d_max + 1)]
@@ -62,13 +77,13 @@ def run_bench(points=200, d_max=6, queries=10, seed=1):
 
     for k in range(SLICES):
         for row, _, sk, dataset, _, _ in cases:
-            t0 = time.perf_counter()
+            t0 = time.process_time()
             for _, coords in dataset[k::SLICES]:
                 ces.tuple_encrypt(sk, make_data_component(coords, LAYOUT), rng=rng)
-            row["tuple_enc_s"] += time.perf_counter() - t0
+            row["tuple_enc_s"] += time.process_time() - t0
     for k in range(queries):
         for row, config, sk, _, server, qs in cases:
-            t0 = time.perf_counter()
+            t0 = time.process_time()
             protocols.query_sphere(config, sk, qs[k], server)
-            row["query_s"] += time.perf_counter() - t0
+            row["query_s"] += time.process_time() - t0
     return [row for row, *_ in cases]
