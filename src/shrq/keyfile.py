@@ -4,28 +4,25 @@ The file holds everything the owner needs to reopen a deployment: group
 primes, generators, blinding vectors, long-term scalars and the AES key
 (the secret key), the deployment configuration (layout, d, v, x_max,
 protocol, E_max, b_c), and the coordinate offset applied at ingestion.
+It is written through the server module's write_durably, as the state log's
+snapshot is, and its base64 fields are read strictly, as on the wire.
 Loading re-derives s = g^q1, h = u^q2 and A.B = 0 mod q1, and rebuilds the
 deployment through protocols.make_config, as `shrq keygen` builds it, so a
 tampered field fails closed instead of silently corrupting queries.
 """
 
-import base64
-import contextlib
 import json
-import os
 
 from .ces import SecretKey, layout_len, margin_bound
 from .errors import KeyfileError
 from .pairing import group_from_descriptor
 from .protocols import make_config
-from .server import fsync_dir
+from .server import b64d, b64e, write_durably
 
 
 def save_keyfile(path, sk, config, offsets=None):
-    """Write the key file atomically and readable by its owner alone, as it
-    holds q1, q2, alpha, beta and the AES key: a temporary file beside it,
-    created 0600 and fsync'd, is renamed over path and the directory fsync'd,
-    so a save that fails leaves the old file whole."""
+    """Write the key file with write_durably: atomically and readable by its
+    owner alone, as it holds q1, q2, alpha, beta and the AES key."""
     group = sk.group
     params = group.params
     doc = {
@@ -33,15 +30,15 @@ def save_keyfile(path, sk, config, offsets=None):
         **params.describe(),
         "q1": str(params.q1),
         "q2": str(params.q2),
-        "g": base64.b64encode(group.canonical_bytes(sk.g)).decode(),
-        "u": base64.b64encode(group.canonical_bytes(sk.u)).decode(),
-        "s": base64.b64encode(group.canonical_bytes(sk.s)).decode(),
-        "h": base64.b64encode(group.canonical_bytes(sk.h)).decode(),
+        "g": b64e(group.canonical_bytes(sk.g)),
+        "u": b64e(group.canonical_bytes(sk.u)),
+        "s": b64e(group.canonical_bytes(sk.s)),
+        "h": b64e(group.canonical_bytes(sk.h)),
         "A": [str(a) for a in sk.A],
         "B": [str(b) for b in sk.B],
         "alpha": str(sk.alpha),
         "beta": str(sk.beta),
-        "aes_key": base64.b64encode(sk.aes_key).decode(),
+        "aes_key": b64e(sk.aes_key),
         "layout": config.layout,
         "d": config.d,
         "v": config.v,
@@ -51,21 +48,7 @@ def save_keyfile(path, sk, config, offsets=None):
         "b_c": config.b_c,
         "offset": list(offsets) if offsets is not None else [0] * config.d,
     }
-    tmp = os.fspath(path) + ".tmp"
-    with contextlib.suppress(FileNotFoundError):
-        os.unlink(tmp)  # a stale one may have a wider mode, or be a link
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
-    try:
-        with open(fd, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=1)
-            fh.write("\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
-    fsync_dir(os.path.dirname(os.path.abspath(path)))
+    write_durably(path, [json.dumps(doc, indent=1) + "\n"])
 
 
 def load_keyfile(path):
@@ -93,10 +76,10 @@ def _parse(doc):
     )
     if (config.protocol, config.b_c) != (doc["protocol"], doc["b_c"]):
         raise KeyfileError("key file inconsistent: stored protocol or coarsity base is wrong")
-    g = group.decode(base64.b64decode(doc["g"]))
-    u = group.decode(base64.b64decode(doc["u"]))
-    s = group.decode(base64.b64decode(doc["s"]))
-    h = group.decode(base64.b64decode(doc["h"]))
+    g = group.decode(b64d(doc["g"]))
+    u = group.decode(b64d(doc["u"]))
+    s = group.decode(b64d(doc["s"]))
+    h = group.decode(b64d(doc["h"]))
     if group.pow(g, params.q1) != s:
         raise KeyfileError("key file inconsistent: s != g^q1")
     if group.pow(u, params.q2) != h:
@@ -114,7 +97,7 @@ def _parse(doc):
         raise KeyfileError("key file inconsistent: alpha vanishes mod q2")
     if params.q2 <= margin_bound(config.d, config.v, config.x_max):
         raise KeyfileError("key file inconsistent: correctness margin violated")
-    aes_key = base64.b64decode(doc["aes_key"])
+    aes_key = b64d(doc["aes_key"])
     if len(aes_key) != 32:
         raise KeyfileError("key file inconsistent: AES key must be 32 bytes")
 

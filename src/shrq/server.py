@@ -46,16 +46,20 @@ DataIntegrityError.
 
 Every _COMPACT_EVERY logged mutations the log is rewritten as a snapshot
 (compact); the count starts at the number of lines replayed at open, so a
-server restarted more often than that still compacts.  The snapshot is
-written to a temporary file and fsync'd, renamed over the log, and the
-state directory fsync'd, so the rename cannot be undone by a crash while
-later appends land in the new file.  Compaction runs after the
-mutation that triggers it is logged and applied; if it fails (a full disk),
-that mutation is durable all the same and still gets its reply, and the
-next mutation tries the compaction again.
+server restarted more often than that still compacts.  write_durably puts
+the snapshot in a 0600 temporary file, after removing a stale one (a link
+unfollowed), fsyncs it, renames it over the log and fsyncs the directory,
+so a crash cannot undo the rename under later appends; a failure before
+the rename removes the temporary file.  The log is reopened even when the
+directory fsync fails, as later appends must land in the renamed file; it
+is created 0600 too.  Compaction runs after the mutation that triggers it
+is logged and applied; if it fails (a full disk), that mutation is durable
+all the same and still gets its reply, and the next mutation tries the
+compaction again.
 """
 
 import base64
+import contextlib
 import json
 import os
 import socket
@@ -113,6 +117,28 @@ def fsync_dir(path):
         os.close(fd)
 
 
+def write_durably(path, lines):
+    """Replace path with lines, one write each, atomically and owner-only: a
+    temporary file beside it, created 0600 once a stale one (or a link) is
+    removed, is fsync'd, renamed over path and the directory fsync'd.  A
+    failure before the rename removes it and leaves path whole."""
+    tmp = os.fspath(path) + ".tmp"
+    with contextlib.suppress(FileNotFoundError):
+        os.unlink(tmp)
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
+    try:
+        with open(fd, "w", encoding="utf-8") as fh:
+            for line in lines:
+                fh.write(line)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+    fsync_dir(os.path.dirname(os.path.abspath(path)))
+
+
 def lookup_message(table):
     return {
         "type": "put_lookup",
@@ -168,8 +194,7 @@ class ServerState:
                     raise DataIntegrityError(f"corrupt state log line {number}: {reply['error']}")
                 replayed += 1
             size = fh.seek(0, os.SEEK_END)
-        # set only now: a compaction inside the loop would rename a snapshot
-        # of a half-replayed state over the log still being read
+        # the replayed lines count, so a server restarted often still compacts
         self._mutations_since_compact = replayed
         if kept < size:
             with open(path, "r+b") as fh:
@@ -178,7 +203,8 @@ class ServerState:
 
     def _open_log(self):
         # unbuffered, so a failed write leaves no bytes behind to flush later
-        self._log = open(os.path.join(self._state_dir, _LOG_NAME), "ab", buffering=0)
+        fd = os.open(os.path.join(self._state_dir, _LOG_NAME), os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o600)
+        self._log = open(fd, "ab", buffering=0)
 
     def _append_log(self, msg):
         """Write msg to the log and fsync it.  A handler calls this after its
@@ -212,23 +238,15 @@ class ServerState:
         return msgs
 
     def compact(self):
-        """Rewrite the log as a snapshot, atomically: the snapshot is written
-        and fsync'd beside the log, renamed over it, and the directory is
-        fsync'd so the rename, and every append after it, survives a crash."""
-        if self._state_dir is None:
-            return
-        path = os.path.join(self._state_dir, _LOG_NAME)
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            for msg in self.snapshot_messages():
-                fh.write(json.dumps(msg, sort_keys=True) + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-        if self._log is not None:
+        """Rewrite the log as a snapshot (see the module docstring)."""
+        if self._log is None:
+            return  # no state directory, or closed
+        lines = (json.dumps(msg, sort_keys=True) + "\n" for msg in self.snapshot_messages())
+        try:
+            write_durably(os.path.join(self._state_dir, _LOG_NAME), lines)
+        finally:  # after the rename, appends go to the new file
             self._log.close()
             self._open_log()
-        fsync_dir(self._state_dir)
         self._mutations_since_compact = 0
 
     def close(self):
@@ -271,10 +289,8 @@ class ServerState:
         except OSError as exc:
             return {"type": "error", "error": f"state log append failed: {exc}"}
         if self._mutations_since_compact >= _COMPACT_EVERY:
-            try:
+            with contextlib.suppress(OSError):  # the mutation is logged; the next one retries
                 self.compact()
-            except OSError:
-                pass  # the mutation is durable in the log; the next one retries
         return reply
 
     def _check_level(self, level):

@@ -14,7 +14,8 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from shrq import ces, keyfile, protocols as prot
+import shrq.server
+from shrq import ces, protocols as prot
 from shrq.errors import ConfigError, KeyfileError
 from shrq.keyfile import load_keyfile, save_keyfile
 from shrq.pairing import TRANSPARENT
@@ -325,7 +326,7 @@ def test_keyfile_failed_save_keeps_old_key(keyfile_pair, tmp_path, monkeypatch):
     path, sk, config = keyfile_pair
     key = tmp_path / "key.json"
     key.write_bytes(Path(path).read_bytes())
-    monkeypatch.setattr(keyfile, "open", lambda *a, **kw: _FullDisk(open(*a, **kw)), raising=False)
+    monkeypatch.setattr(shrq.server, "open", lambda *a, **kw: _FullDisk(open(*a, **kw)), raising=False)
     with pytest.raises(OSError) as err:
         save_keyfile(str(key), sk, config, offsets=[7, 0])
     monkeypatch.undo()
@@ -369,6 +370,17 @@ def test_keyfile_single_field_tamper_rejected(keyfile_pair, tmp_path, field):
     bad = tmp_path / f"bad_{field}.json"
     bad.write_text(json.dumps(doc))
     with pytest.raises(KeyfileError):
+        load_keyfile(str(bad))
+
+
+@pytest.mark.parametrize("field", ["g", "aes_key"])
+def test_keyfile_non_base64_rejected(keyfile_pair, tmp_path, field):
+    # base64 is read strictly, as on the wire: a stray character is not dropped
+    doc = read_json(keyfile_pair[0])
+    doc[field] = doc[field][:4] + "!*" + doc[field][4:]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    with pytest.raises(KeyfileError, match="base64"):
         load_keyfile(str(bad))
 
 

@@ -4,10 +4,13 @@ import os
 import random
 import shutil
 import stat
+import tempfile
 import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule, run_state_machine_as_test
 
 import shrq.server
 from conftest import random_dataset
@@ -444,12 +447,72 @@ def test_failed_compaction_still_acks(deployment, rng, tmp_path, monkeypatch, fa
     store = {"type": "put_store", "id": "x1", "blob": b64e(b"blob one")}
     assert state.request(store) == {"type": "ack"}  # the third mutation triggers compaction
     assert len(calls) == fail_at
+    assert not (tmp_path / "log.jsonl.tmp").exists()
     assert [m.get("id") for m in _restarted(open_state, tmp_path)] == [None, None, "x1"]
     inode = log.stat().st_ino
     assert state.request(dict(store, id="x2", blob=b64e(b"blob two"))) == {"type": "ack"}
     assert log.stat().st_ino != inode  # the next mutation compacted: a new file was renamed in
     state.close()
     assert [m.get("id") for m in _restarted(open_state, tmp_path)] == [None, None, "x1", "x2"]
+
+
+def _failing_on_directories(fsync):
+    """An os.fsync that fails on a directory as a broken disk does."""
+
+    def fsync_or_fail(fd):
+        if stat.S_ISDIR(os.fstat(fd).st_mode):
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+        fsync(fd)
+
+    return fsync_or_fail
+
+
+def test_append_after_failed_directory_fsync_survives_restart(deployment, rng, tmp_path, monkeypatch, open_state):
+    # the rename happened, so the snapshot is the log: the next append must
+    # land in it even though no later compaction rewrites it from memory
+    config, sk = deployment
+    state = open_state(tmp_path)
+    fill(config, sk, [], state, rng)
+    fsync = os.fsync
+    monkeypatch.setattr(shrq.server.os, "fsync", _failing_on_directories(fsync))
+    with pytest.raises(OSError):
+        state.compact()
+    monkeypatch.setattr(shrq.server.os, "fsync", fsync)
+    assert state.request({"type": "put_store", "id": "x1", "blob": b64e(b"x")}) == {"type": "ack"}
+    state.close()
+    assert [m.get("id") for m in _restarted(open_state, tmp_path)] == [None, None, "x1"]
+
+
+def test_compaction_past_stale_tmp_link(deployment, rng, tmp_path, open_state):
+    config, sk = deployment
+    state_dir, outside = tmp_path / "state", tmp_path / "outside"
+    outside.write_bytes(b"not the server's")
+    state = open_state(state_dir)
+    fill(config, sk, [("a", (1, 2))], state, rng)
+    (state_dir / "log.jsonl.tmp").symlink_to(outside)
+    want = state.snapshot_messages()
+    state.compact()
+    state.close()
+    log = state_dir / "log.jsonl"
+    assert not log.is_symlink() and log.is_file()
+    assert outside.read_bytes() == b"not the server's"
+    assert os.listdir(state_dir) == ["log.jsonl"]
+    assert _restarted(open_state, state_dir) == want
+
+
+def test_log_is_owner_only(deployment, rng, tmp_path, open_state):
+    # the same mode from creation as after compaction, under umask 022
+    config, sk = deployment
+    log = tmp_path / "log.jsonl"
+    old = os.umask(0o022)
+    try:
+        state = open_state(tmp_path)
+        fill(config, sk, [("a", (1, 2))], state, rng)
+        assert stat.S_IMODE(log.stat().st_mode) == 0o600
+        state.compact()
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(log.stat().st_mode) == 0o600
 
 
 def test_compaction_counts_replayed_lines(deployment, rng, tmp_path, monkeypatch, open_state):
@@ -585,6 +648,111 @@ def test_reads_state_written_by_c8bee39(tmp_path, open_state):
     save_keyfile(str(tmp_path / "again.json"), sk, config, offsets)
     with open(tmp_path / "again.json") as again, open(tmp_path / "key.json") as old:
         assert json.load(again) == json.load(old)
+
+
+# -- a directory-backed server against a plaintext mirror -----------------------------
+
+_IDS = st.sampled_from("abcde")
+_POINTS = st.tuples(st.integers(0, 100), st.integers(0, 100))
+
+
+class _ServerMachine(RuleBasedStateMachine):
+    """Inserts, deletes and sphere queries against a plaintext mirror, with
+    restarts, torn restarts and compactions whose directory fsync fails."""
+
+    def __init__(self, root, config, sk):
+        super().__init__()
+        self.config, self.sk, self.rng = config, sk, random.Random(7)
+        self.dir = Path(tempfile.mkdtemp(dir=root))
+        self.log = self.dir / "log.jsonl"
+        self.state = ServerState(str(self.dir))
+        self.inode = self.log.stat().st_ino
+        self.base = 0  # log lines when it was last rewritten as a snapshot
+        self.mirror = {}  # id -> coords
+        prot.run_setup(config, sk, [], self, rng=self.rng)
+
+    def _lines(self):
+        return self.log.read_bytes().count(b"\n")
+
+    def _note_rewrite(self):
+        inode = self.log.stat().st_ino
+        if inode != self.inode:  # compacted: the log is the snapshot alone
+            self.inode, self.base = inode, self._lines()
+            assert self.base == len(self.state.snapshot_messages())
+
+    def request(self, msg):
+        """The client code's server: any message may compact, so each one is
+        checked before a later rewrite could reuse the log's inode."""
+        reply = self.state.request(msg)
+        self._note_rewrite()
+        return reply
+
+    @rule(rid=_IDS, coords=_POINTS)
+    def insert(self, rid, coords):
+        if rid not in self.mirror:
+            prot.insert_point(self.config, self.sk, rid, coords, self, rng=self.rng)
+            self.mirror[rid] = coords
+
+    @rule(rid=_IDS)
+    def delete(self, rid):
+        assert self.request({"type": "delete", "id": rid}) == {"type": "ack", "found": rid in self.mirror}
+        self.mirror.pop(rid, None)
+
+    @rule(center=_POINTS, radius=st.integers(0, 74))  # the widest radius the deployment plans
+    def sphere_query(self, center, radius):
+        q = SphereQuery(center, radius)
+        got = prot.query_sphere(self.config, self.sk, q, self)
+        assert got.records == sorted((rid, self.mirror[rid]) for rid in hrq_oracle(self.mirror.items(), q))
+
+    @rule()
+    def restart(self):
+        before = self.state.snapshot_messages()
+        self.state.close()
+        self.state = ServerState(str(self.dir))
+        assert self.state.snapshot_messages() == before
+
+    @rule(cut=st.integers(0, 10**6))
+    def torn_restart(self, cut):
+        # a crash inside the last append: that line was never acknowledged,
+        # so the client sends it again
+        before = self.state.snapshot_messages()
+        data = self.log.read_bytes()
+        head = data[: data.rfind(b"\n", 0, len(data) - 1) + 1]
+        last = data[len(head):]
+        self.state.close()
+        self.log.write_bytes(head + last[: 1 + cut % (len(last) - 1)])
+        self.state = ServerState(str(self.dir))
+        assert self.log.read_bytes() == head
+        assert self.request(json.loads(last))["type"] == "ack"
+        assert self.state.snapshot_messages() == before
+
+    @rule()
+    def compaction_with_failed_directory_fsync(self):
+        fsync = os.fsync
+        shrq.server.os.fsync = _failing_on_directories(fsync)
+        try:
+            with pytest.raises(OSError):
+                self.state.compact()
+        finally:
+            shrq.server.os.fsync = fsync
+        self._note_rewrite()
+
+    @invariant()
+    def log_bounded_by_its_snapshot(self):
+        assert self._lines() - self.base <= shrq.server._COMPACT_EVERY
+
+    def teardown(self):
+        self.state.close()
+
+
+def test_server_state_machine(deployment, tmp_path, monkeypatch):
+    config, sk = deployment
+    monkeypatch.setattr(shrq.server, "_COMPACT_EVERY", 6)
+    run_state_machine_as_test(
+        lambda: _ServerMachine(tmp_path, config, sk),
+        settings=settings(max_examples=40, stateful_step_count=30, derandomize=True, database=None,
+                          deadline=None, suppress_health_check=[HealthCheck.too_slow]),
+    )
 
 
 # -- TCP transport ---------------------------------------------------------------------
