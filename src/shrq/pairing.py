@@ -52,7 +52,7 @@ so its canonical bytes are identical.  Identity slots contribute 1.  The
 curve's pair(x, y) is the one-slot product, so the package has one Miller
 loop; reference_pair in tests/reference.py is the independent loop the
 tests hold it to.  The transparent backend's prepare() returns the element,
-and its pair_product() multiplies pair() results.
+and its pair_product() is one sum of exponent products mod N.
 
 Points and powers.  G has one set of point formulas: the Jacobian doubling
 and mixed addition of an affine point, which invert nothing (Cohen, Miyaji
@@ -199,51 +199,17 @@ class GTElement:
 
 
 class Group:
-    """Operations over one parameter set; elements are immutable, ops pure."""
+    """Operations over one parameter set; elements are immutable, ops pure.
+
+    Each backend defines identity_g, identity_gt, mul, pow, pair, prepare,
+    pair_product, canonical_bytes, decode and _draw, random_generator's
+    candidate.  decode(data) is the G element whose canonical bytes are data;
+    any other byte string, a GT encoding among them, raises ConfigError."""
 
     def __init__(self, params):
         self.params = params
         self.N = params.N
 
-    # -- subclass surface -------------------------------------------------
-    def identity_g(self):
-        raise NotImplementedError
-
-    def identity_gt(self):
-        raise NotImplementedError
-
-    def random_generator(self, rng=None):
-        raise NotImplementedError
-
-    def mul(self, x, y):
-        raise NotImplementedError
-
-    def pow(self, x, k):
-        raise NotImplementedError
-
-    def pair(self, x, y):
-        raise NotImplementedError
-
-    def canonical_bytes(self, x):
-        raise NotImplementedError
-
-    def decode(self, data):
-        """The G element x with canonical_bytes(x) == data; every other byte
-        string, a GT encoding among them, raises ConfigError."""
-        raise NotImplementedError
-
-    def prepare(self, x):
-        """Fixed-argument form of x for pair_product; here x itself."""
-        return x
-
-    def pair_product(self, prepared, points):
-        """prod_i pair(points[i], x_i) for prepared[i] = prepare(x_i)."""
-        out = self.identity_gt()
-        for x, m in zip(prepared, points):
-            out = self.mul(out, self.pair(m, x))
-        return out
-
-    # -- shared helpers ---------------------------------------------------
     def is_identity(self, x):
         ident = self.identity_gt() if isinstance(x, GTElement) else self.identity_g()
         return x == ident
@@ -259,8 +225,14 @@ class Group:
             or self.is_identity(self.pow(x, q2))
         )
 
-    def _rng(self, rng):
-        return rng if rng is not None else secrets.SystemRandom()
+    def random_generator(self, rng=None):
+        """A G element of order exactly N: the first _draw(rng) that
+        has_full_order accepts (owner side only)."""
+        rng = rng if rng is not None else secrets.SystemRandom()
+        while True:
+            x = self._draw(rng)
+            if self.has_full_order(x):
+                return x
 
 
 class TransparentGroup(Group):
@@ -276,13 +248,8 @@ class TransparentGroup(Group):
     def identity_gt(self):
         return GTElement(0)
 
-    def random_generator(self, rng=None):
-        rng = self._rng(rng)
-        while True:
-            e = rng.randrange(1, self.N)
-            x = GElement(e)
-            if self.has_full_order(x):
-                return x
+    def _draw(self, rng):
+        return GElement(rng.randrange(1, self.N))
 
     def mul(self, x, y):
         if type(x) is not type(y):
@@ -294,6 +261,14 @@ class TransparentGroup(Group):
 
     def pair(self, x, y):
         return GTElement(x.value * y.value % self.N)
+
+    def prepare(self, x):
+        """Fixed-argument form of x for pair_product; here x itself."""
+        return x
+
+    def pair_product(self, prepared, points):
+        """prod_i pair(points[i], prepared[i]), a sum of exponent products."""
+        return GTElement(sum(x.value * m.value for x, m in zip(prepared, points)) % self.N)
 
     def canonical_bytes(self, x):
         tag = _TAG_GT_TRANSPARENT if isinstance(x, GTElement) else _TAG_G_TRANSPARENT
@@ -403,23 +378,17 @@ class CurveGroup(Group):
     def identity_gt(self):
         return GTElement((1, 0))
 
-    def random_generator(self, rng=None):
-        rng = self._rng(rng)
+    def _draw(self, rng):
+        """A random point, its cofactor cleared; the identity if x has none."""
         p = self.p
-        while True:
-            x = rng.randrange(p)
-            rhs = (x * x * x + x) % p
-            y = pow(rhs, (p + 1) // 4, p)  # sqrt when rhs is a QR (p = 3 mod 4)
-            if y * y % p != rhs:
-                continue
-            if rng.getrandbits(1):
-                y = (-y) % p
-            pt = self._pt_mul((x, y), self.l)  # clear the cofactor
-            if pt is None:
-                continue
-            g = GElement(pt)
-            if self.params.q1 is None or self.has_full_order(g):
-                return g
+        x = rng.randrange(p)
+        rhs = (x * x * x + x) % p
+        y = pow(rhs, (p + 1) // 4, p)  # sqrt when rhs is a QR (p = 3 mod 4)
+        if y * y % p != rhs:
+            return self.identity_g()
+        if rng.getrandbits(1):
+            y = (-y) % p
+        return GElement(self._pt_mul((x, y), self.l))
 
     def mul(self, x, y):
         if type(x) is not type(y):

@@ -46,16 +46,15 @@ DataIntegrityError.
 
 Every _COMPACT_EVERY logged mutations the log is rewritten as a snapshot
 (compact); the count starts at the number of lines replayed at open, so a
-server restarted more often than that still compacts.  write_durably puts
-the snapshot in a 0600 temporary file, after removing a stale one (a link
-unfollowed), fsyncs it, renames it over the log and fsyncs the directory,
-so a crash cannot undo the rename under later appends; a failure before
-the rename removes the temporary file.  The log is reopened even when the
-directory fsync fails, as later appends must land in the renamed file; it
-is created 0600 too.  Compaction runs after the mutation that triggers it
-is logged and applied; if it fails (a full disk), that mutation is durable
-all the same and still gets its reply, and the next mutation tries the
-compaction again.
+server restarted more often than that still compacts.  The snapshot goes
+through write_durably, which fsyncs the directory after the rename, so a
+crash cannot undo the rename under later appends.  The log is reopened even
+when that fsync fails, as later appends must land in the renamed file; it
+is created 0600, as the snapshot is.  Only a request that logged a line
+compacts, after applying it: a query, a repeated hello or a delete of an id
+not held never does, even after a restart whose replay reached the count.
+If compaction fails (a full disk), the mutation is durable all the same and
+still gets its reply, and the next mutation tries the compaction again.
 """
 
 import base64
@@ -269,6 +268,7 @@ class ServerState:
         Each mutation handler checks its message, logs it and only then
         applies it, so a rejected line or a failed log append changes no
         state and gets an error reply."""
+        before = self._mutations_since_compact
         try:
             msg = json.loads(line)
         except (ValueError, RecursionError) as exc:
@@ -288,7 +288,8 @@ class ServerState:
             return {"type": "error", "error": str(exc)}
         except OSError as exc:
             return {"type": "error", "error": f"state log append failed: {exc}"}
-        if self._mutations_since_compact >= _COMPACT_EVERY:
+        # only a request that logged a line compacts (see the module docstring)
+        if before < self._mutations_since_compact >= _COMPACT_EVERY:
             with contextlib.suppress(OSError):  # the mutation is logged; the next one retries
                 self.compact()
         return reply

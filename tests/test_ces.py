@@ -96,6 +96,13 @@ def test_tuple_encrypt_lengths_both_layouts(sk32, sk32_unified):
         assert len(enc) == len(sk.A)
 
 
+def test_tuple_encrypt_wrong_length_rejected(sk32):
+    comp = make_data_component((3, 4), LAYOUT_SHRQ)
+    for bad in (comp[:-1], comp + (0,)):
+        with pytest.raises(ProtocolError):
+            tuple_encrypt(sk32, bad)
+
+
 def test_tuple_encrypt_randomized(sk32, rng):
     comp = make_data_component((3, 4), LAYOUT_SHRQ)
     seen = {tuple_encrypt(sk32, comp, rng=rng) for _ in range(100)}

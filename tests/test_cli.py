@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import shrq.server
-from shrq import ces, protocols as prot
+from shrq import ces, cli, protocols as prot
 from shrq.errors import ConfigError, KeyfileError
 from shrq.keyfile import load_keyfile, save_keyfile
 from shrq.pairing import TRANSPARENT
@@ -391,6 +391,8 @@ def test_keyfile_non_base64_rejected(keyfile_pair, tmp_path, field):
         # the key file is the only copy of these: caught by vector length,
         # coarsity base, correctness margin or range
         ("layout", "shrq"), ("d", 3), ("v", 100), ("v", -1), ("x_max", 10**12), ("x_max", 0),
+        # and of the secrets and the offset: alpha vanishing mod q2, a short AES key, one offset per column
+        ("alpha", "0"), ("aes_key", shrq.server.b64e(bytes(31))), ("offset", [0]), ("offset", [0, 0, 0]),
     ],
 )
 def test_keyfile_bad_deployment_rejected(keyfile_pair, tmp_path, field, value):
@@ -438,6 +440,40 @@ def test_keyfile_save_load_save_is_byte_exact(case):
         save_keyfile(str(again), sk2, config2, offsets2)
         assert config2 == config and offsets2 == offsets
         assert again.read_bytes() == first.read_bytes()
+
+
+def test_keyfile_alpha_multiple_of_q2_rejected(keyfile_pair, tmp_path):
+    # alpha = 0 is a case of test_keyfile_bad_deployment_rejected; q2 depends on the key
+    doc = read_json(keyfile_pair[0])
+    doc["alpha"] = doc["q2"]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    with pytest.raises(KeyfileError, match="alpha vanishes mod q2"):
+        load_keyfile(str(bad))
+
+
+@pytest.mark.parametrize(
+    "argv, rows, code, reason",
+    [
+        (["insert", "--id", "a", "--point", "1,x"], None, 1, "bad coordinate list"),
+        (["setup"], "id,x1\n1,2\n", 1, "expected header"),  # a d = 1 file for a d = 2 key
+        (["setup"], "id,x1,x2\n1,2,3\n2,4\n", 1, "row 3: expected 3 cells"),
+        (["setup"], "id,x1,x2\na,1,2\na,3,4\n", 1, "duplicate id"),
+        (["query", "range", "--col", "1"], None, 3, "--lo and/or --hi"),
+    ],
+    ids=["non-integer-point", "header", "short-row", "duplicate-id", "range-without-bounds"],
+)
+def test_cli_ingestion_rejected(keyfile_pair, tmp_path, capsys, argv, rows, code, reason):
+    # each is rejected before connecting, so no server is needed, and the key stays as it was
+    key = tmp_path / "key.json"
+    key.write_bytes(Path(keyfile_pair[0]).read_bytes())
+    args = [*argv, "--key", str(key), "--server", "127.0.0.1:9"]
+    if rows is not None:
+        (tmp_path / "rows.csv").write_text(rows)
+        args += ["--data", str(tmp_path / "rows.csv")]
+    assert cli.main(args) == code
+    assert reason in json.loads(capsys.readouterr().err)["reason"]
+    assert key.read_bytes() == Path(keyfile_pair[0]).read_bytes()
 
 
 def test_keyfile_garbage_rejected(tmp_path):

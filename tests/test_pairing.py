@@ -64,6 +64,14 @@ def test_random_generator_always_full_order(toy_transparent, toy_curve, rng):
             assert grp.has_full_order(grp.random_generator(rng))
 
 
+def test_mul_of_g_by_gt_rejected(toy_transparent, toy_curve, rng):
+    for grp in (toy_transparent, toy_curve):
+        g = grp.random_generator(rng)
+        for x, y in ((g, grp.pair(g, g)), (grp.pair(g, g), g)):
+            with pytest.raises(ConfigError):
+                grp.mul(x, y)
+
+
 def test_curve_generator_in_subgroup(toy_curve, rng):
     pt = toy_curve.random_generator(rng)
     assert toy_curve.pow(pt, 35).value is None  # 35 * P is the point at infinity

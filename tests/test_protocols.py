@@ -100,6 +100,12 @@ def test_record_blob_roundtrip_and_binding(sk32):
         prot.decrypt_record(sk32, "r1", blob[:-1] + bytes([blob[-1] ^ 1]))
 
 
+def test_short_blob_fails_decrypt(sk32):
+    blob = prot.encrypt_record(sk32, "r1", (3, 4))
+    with pytest.raises(DataIntegrityError, match="too short"):
+        prot.decrypt_record(sk32, "r1", blob[:27])  # one byte short of a nonce and a tag
+
+
 # -- sphere pipelines ------------------------------------------------------------------
 
 
@@ -274,6 +280,13 @@ def test_range_clamps_to_domain(rng):
         ds, RangeQuery(1, 90, 100)
     )
     assert prot.query_range(config, sk, RangeQuery(1, 300, 400), server).ids == set()
+
+
+def test_range_column_beyond_d_rejected():
+    config, sk = deployment("c", layout=LAYOUT_UNIFIED, e_max=3)
+    for rq in (RangeQuery(3, 0, 5), RangeQuery(3, 300, 400)):  # the second clamps to nothing
+        with pytest.raises(ConfigError, match="column 3"):
+            prot.plan_range(config, sk, rq)
 
 
 def test_range_needs_unified(rng):

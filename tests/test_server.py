@@ -3,6 +3,7 @@ import json
 import os
 import random
 import shutil
+import socket
 import stat
 import tempfile
 import threading
@@ -16,7 +17,7 @@ import shrq.server
 from conftest import random_dataset
 from shrq import ces, protocols as prot
 from shrq.ces import LAYOUT_SHRQ, LAYOUT_UNIFIED
-from shrq.errors import DataIntegrityError
+from shrq.errors import DataIntegrityError, ServerUnreachable
 from shrq.pairing import CURVE_A1, TRANSPARENT
 from shrq.geometry import RangeQuery, SphereQuery, make_sphere_query_component
 from shrq.keyfile import load_keyfile, save_keyfile
@@ -110,6 +111,10 @@ BAD_LINES = [
     json.dumps({"type": "put_tuple", "level": 0, "id": "x", "slots": ["AAAA"]}),  # ConfigError from decode
     json.dumps({"type": "query", "level": 0, "slots": ["AAAA", "AAAA"]}),  # the same, in a query
     json.dumps({"type": "put_lookup", "v": 1e400, "digests": []}),
+    json.dumps(dict(BAD_CURVE_HELLO, levels=0)),
+    json.dumps({"type": "put_lookup", "v": 1, "digests": [b64e(bytes(31))]}),
+    json.dumps({"type": "put_lookup", "v": 1, "digests": [b64e(bytes(32))] * 2}),
+    json.dumps({"type": "put_tuple", "level": 0, "id": "y", "slots": []}),
     # nested so deep that json.loads succeeds but json.dumps of the log entry
     # can exceed the recursion limit; the exact depth depends on the stack
     *(f'{{"type": "delete", "id": {"[" * n}{"]" * n}}}' for n in range(900, 1000, 3)),
@@ -185,6 +190,21 @@ def test_any_line_gets_one_reply_and_errors_change_nothing(line):
     assert decoded["type"] in ("ack", "result", "error")
     if decoded["type"] == "error":
         assert state.snapshot_messages() == before
+
+
+def test_rejections_before_the_deployment_is_complete(deployment):
+    config, sk = deployment
+    server = ServerState()
+    hello = prot.hello_message(config, sk.group.params.describe())
+    reply = server.request(dict(hello, hash="MD5"))
+    assert reply["type"] == "error" and "unsupported hash" in reply["error"]
+    assert server.snapshot_messages() == []
+    assert server.request(hello) == {"type": "ack"}
+    before = server.snapshot_messages()
+    comp = make_sphere_query_component(SphereQuery((5, 5), 1), config.layout)
+    reply = server.request(prot.query_message(config, sk, comp, 0))
+    assert reply["type"] == "error" and "no lookup table" in reply["error"]
+    assert server.snapshot_messages() == before
 
 
 def test_hello_pinning(deployment):
@@ -538,6 +558,32 @@ def test_compaction_counts_replayed_lines(deployment, rng, tmp_path, monkeypatch
     assert log.stat().st_ino != inode
 
 
+def test_only_a_logged_mutation_compacts(deployment, rng, tmp_path, monkeypatch, open_state):
+    # after a restart whose replay reached the count, a request that logs
+    # nothing leaves the log as it is; the next mutation compacts it
+    config, sk = deployment
+    state = open_state(tmp_path)
+    fill(config, sk, [("a", (1, 2))], state, rng)
+    state.close()
+    log = tmp_path / "log.jsonl"
+    monkeypatch.setattr(shrq.server, "_COMPACT_EVERY", log.read_bytes().count(b"\n"))
+    state = open_state(tmp_path)
+    before, inode = log.read_bytes(), log.stat().st_ino
+    hello = prot.hello_message(config, sk.group.params.describe())
+    for request in (
+        lambda: prot.query_sphere(config, sk, SphereQuery((1, 2), 1), state).ids == {"a"},
+        lambda: state.request(hello) == {"type": "ack"},
+        lambda: state.request({"type": "delete", "id": "b"}) == {"type": "ack", "found": False},
+    ):
+        assert request()
+        assert (log.stat().st_ino, log.read_bytes()) == (inode, before)
+    prot.insert_point(config, sk, "b", (3, 4), state, rng=rng)
+    assert log.stat().st_ino != inode
+    snapshot = state.snapshot_messages()
+    state.close()
+    assert _restarted(open_state, tmp_path) == snapshot
+
+
 def _record_fsyncs(monkeypatch, events):
     fsync = os.fsync
 
@@ -793,6 +839,25 @@ def test_tcp_malformed_line_keeps_connection(deployment):
     finally:
         srv.shutdown()
         srv.server_close()
+
+
+def test_request_to_a_peer_that_hangs_up():
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def hang_up():
+        conn, _ = listener.accept()
+        with conn, conn.makefile("rb") as fh:
+            fh.readline()  # the whole request is read, so the close sends no reset
+
+    thread = threading.Thread(target=hang_up, daemon=True)
+    thread.start()
+    try:
+        with ServerConnection(*listener.getsockname()[:2]) as conn:
+            with pytest.raises(ServerUnreachable, match="closed the connection"):
+                conn.request({"type": "hello"})
+    finally:
+        thread.join(timeout=10)
+        listener.close()
 
 
 def test_connect_helper_unreachable():
