@@ -58,7 +58,7 @@ from .geometry import (
     validate_point,
 )
 from .pairing import CURVE_A1
-from .server import b64d, b64e, lookup_message, tuple_message
+from .server import b64d, b64e, lookup_message, store_message, tuple_message
 
 PROTOCOL_TABLE = "t"
 PROTOCOL_COARSE = "c"
@@ -170,7 +170,7 @@ def point_messages(config, sk, rid, coords, rng=None):
     """db-store blob plus one encrypted tuple per coarsity level."""
     rid = str(rid)
     coords = validate_point(coords, config.d, config.x_max, label=rid)
-    msgs = [{"type": "put_store", "id": rid, "blob": b64e(encrypt_record(sk, rid, coords))}]
+    msgs = [store_message(rid, encrypt_record(sk, rid, coords))]
     for level in range(config.levels):
         comp = make_data_component(
             coarse_transform(coords, config.level_factor(level)), config.layout

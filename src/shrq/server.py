@@ -20,14 +20,15 @@ Requests carry a "type" field:
 A slot is the canonical encoding (Group.canonical_bytes) of a G element,
 and decode reads exactly those byte strings: a GT encoding, a
 non-canonical one or a point outside the order-N subgroup does not decode.
-Every line gets exactly one reply line: anything malformed (not JSON, not
-an object, nested more than four deep, an unknown type, a missing or
-ill-typed field, a slot that does not decode, parameters that do not build
-a group) gets {"type": "error", "error": ...}, changes no state, and the
-connection stays open.  All tuples at a level have one slot count: the
-first tuple stored at an empty level fixes it, and a put_tuple with another
-count is an error, so one bad tuple cannot turn every later query at its
-level into an error.
+Every line, a blank one included, takes _dispatch and gets exactly one
+reply line: anything malformed (not JSON, not an object, nested more than
+four deep, an unknown type, a missing or ill-typed field, a slot that does
+not decode, parameters that do not build a group) gets {"type": "error",
+"error": ...}, changes no state, and the connection stays open.  A
+put_tuple needs its id's put_store first, and all tuples at a level have one
+slot count: the first tuple stored at an empty level fixes it, and a
+put_tuple with another count is an error.  So one bad tuple cannot turn
+every later query at its level into an error.
 
 Mutations are appended to a write-ahead log and fsync'd before they are
 applied and acknowledged, and replayed in order on restart (a hello equal
@@ -40,9 +41,9 @@ length before it, the state is left unchanged and the reply is an error;
 should that cut fail too, the line may stay, as after a crash before the
 ack.  A final log line without its newline was cut by a crash before its
 ack: replay drops it and truncates the log to the last newline.  Every
-other line takes the wire's path, the same parse, object and nesting check
-and handler, and a line that gets an error reply fails the restart with
-DataIntegrityError.
+other line, a blank one included, takes the wire's path (_dispatch), and a
+line that gets an error reply fails the restart with DataIntegrityError; so
+does a put_tuple without its put_store, which older servers acked and logged.
 
 Every _COMPACT_EVERY logged mutations the log is rewritten as a snapshot
 (compact); the count starts at the number of lines replayed at open, so a
@@ -72,16 +73,6 @@ from .pairing import group_from_descriptor
 _LOG_NAME = "log.jsonl"
 # logged mutations after which the log is rewritten as a snapshot
 _COMPACT_EVERY = 10000
-# message type -> handler name, looked up on the instance at each call so a
-# handler patched onto the class (the traced benchmark server does) still runs
-_HANDLERS = {
-    "hello": "_do_hello",
-    "put_lookup": "_do_put_lookup",
-    "put_tuple": "_do_put_tuple",
-    "put_store": "_do_put_store",
-    "delete": "_do_delete",
-    "query": "_do_query",
-}
 # int() of a JSON number too large for a float (1e400) raises OverflowError
 _BAD_INPUT = (ShrqError, KeyError, TypeError, ValueError, OverflowError)
 # messages nest containers two deep; JSON nested near the interpreter's
@@ -138,6 +129,14 @@ def write_durably(path, lines):
     fsync_dir(os.path.dirname(os.path.abspath(path)))
 
 
+def _log_line(msg):
+    return json.dumps(msg, sort_keys=True) + "\n"
+
+
+def store_message(rid, blob):
+    return {"type": "put_store", "id": rid, "blob": b64e(blob)}
+
+
 def lookup_message(table):
     return {
         "type": "put_lookup",
@@ -164,11 +163,11 @@ class ServerState:
         self.lookup = None
         self.db_store = {}  # id -> AES blob bytes
         self.db_query = {}  # level -> {id: tuple of G elements}
-        self._state_dir = state_dir
         self._mutations_since_compact = 0
         self._log = None
         self._lock = threading.Lock()
         if state_dir is not None:
+            self._log_path = os.path.join(state_dir, _LOG_NAME)
             os.makedirs(state_dir, exist_ok=True)
             self._replay()
             self._open_log()
@@ -177,32 +176,24 @@ class ServerState:
 
     # -- persistence --------------------------------------------------------
     def _replay(self):
-        path = os.path.join(self._state_dir, _LOG_NAME)
-        if not os.path.exists(path):
-            return
-        kept = replayed = 0
-        with open(path, "rb") as fh:
+        kept = 0  # a missing log is created 0600, as in _open_log, and replays empty
+        with open(os.open(self._log_path, os.O_RDWR | os.O_CREAT, 0o600), "r+b") as fh:
             for number, line in enumerate(fh, start=1):
                 if not line.endswith(b"\n"):
                     break  # torn tail: written, never acknowledged
                 kept += len(line)
-                if not line.strip():
-                    continue
                 reply = self._dispatch(line)
                 if reply.get("type") == "error":
                     raise DataIntegrityError(f"corrupt state log line {number}: {reply['error']}")
-                replayed += 1
-            size = fh.seek(0, os.SEEK_END)
-        # the replayed lines count, so a server restarted often still compacts
-        self._mutations_since_compact = replayed
-        if kept < size:
-            with open(path, "r+b") as fh:
+                # the replayed lines count, so a server restarted often still compacts
+                self._mutations_since_compact += 1
+            if kept < fh.seek(0, os.SEEK_END):
                 fh.truncate(kept)
                 os.fsync(fh.fileno())
 
     def _open_log(self):
         # unbuffered, so a failed write leaves no bytes behind to flush later
-        fd = os.open(os.path.join(self._state_dir, _LOG_NAME), os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o600)
+        fd = os.open(self._log_path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o600)
         self._log = open(fd, "ab", buffering=0)
 
     def _append_log(self, msg):
@@ -212,7 +203,7 @@ class ServerState:
         if self._log is None:
             return
         start = self._log.seek(0, os.SEEK_END)
-        data = memoryview((json.dumps(msg, sort_keys=True) + "\n").encode("utf-8"))
+        data = memoryview(_log_line(msg).encode("utf-8"))
         try:
             while data:
                 data = data[self._log.write(data) :]
@@ -230,7 +221,7 @@ class ServerState:
         if self.lookup is not None:
             msgs.append(lookup_message(self.lookup))
         for rid in sorted(self.db_store):
-            msgs.append({"type": "put_store", "id": rid, "blob": b64e(self.db_store[rid])})
+            msgs.append(store_message(rid, self.db_store[rid]))
         for level in sorted(self.db_query):
             for rid, slots in sorted(self.db_query[level].items()):
                 msgs.append(tuple_message(self.group, level, rid, slots))
@@ -240,9 +231,8 @@ class ServerState:
         """Rewrite the log as a snapshot (see the module docstring)."""
         if self._log is None:
             return  # no state directory, or closed
-        lines = (json.dumps(msg, sort_keys=True) + "\n" for msg in self.snapshot_messages())
         try:
-            write_durably(os.path.join(self._state_dir, _LOG_NAME), lines)
+            write_durably(self._log_path, map(_log_line, self.snapshot_messages()))
         finally:  # after the rename, appends go to the new file
             self._log.close()
             self._open_log()
@@ -278,12 +268,12 @@ class ServerState:
             return {"type": "error", "error": error}
         try:
             mtype = msg.get("type")
-            name = _HANDLERS.get(mtype)
-            if name is None:
+            handler = getattr(self, f"_do_{mtype}", None)
+            if handler is None:
                 raise ProtocolError(f"unknown message type {mtype!r}")
             if self.hello is None and mtype != "hello":
                 raise ProtocolError("no parameters pinned: send hello first")
-            reply = getattr(self, name)(msg)
+            reply = handler(msg)
         except _BAD_INPUT as exc:
             return {"type": "error", "error": str(exc)}
         except OSError as exc:
@@ -336,6 +326,8 @@ class ServerState:
         level = msg["level"]
         self._check_level(level)
         rid = str(msg["id"])
+        if rid not in self.db_store:
+            raise ProtocolError(f"id {rid!r} has no record in db-store: send its put_store first")
         slots = tuple(self.group.decode(b64d(s)) for s in msg["slots"])
         if not slots:
             raise ProtocolError("tuple has no slots")
@@ -360,10 +352,10 @@ class ServerState:
 
     def _do_delete(self, msg):
         rid = str(msg["id"])
-        if rid not in self.db_store and not any(rid in b for b in self.db_query.values()):
+        if rid not in self.db_store:
             return {"type": "ack", "found": False}  # changes nothing, so nothing to log
         self._append_log(msg)
-        self.db_store.pop(rid, None)
+        del self.db_store[rid]
         for bucket in self.db_query.values():
             bucket.pop(rid, None)
         return {"type": "ack", "found": True}
@@ -388,10 +380,7 @@ class ServerState:
 class _Handler(socketserver.StreamRequestHandler):
     def handle(self):
         for raw in self.rfile:
-            line = raw.strip()
-            if not line:
-                continue
-            reply = self.server.state.handle_line(line.decode("utf-8", errors="replace"))
+            reply = self.server.state.handle_line(raw.decode("utf-8", errors="replace"))
             self.wfile.write(reply.encode("utf-8") + b"\n")
             self.wfile.flush()
 
@@ -407,11 +396,15 @@ class TcpServer(socketserver.ThreadingTCPServer):
         self.state = state
 
 
+def _address(text):
+    host, _, port = text.rpartition(":")
+    return host or "127.0.0.1", int(port)
+
+
 def serve(listen="127.0.0.1:9045", state_dir=None):
     """Blocking entry point for the server process."""
-    host, _, port = listen.rpartition(":")
     state = ServerState(state_dir)
-    srv = TcpServer((host or "127.0.0.1", int(port)), state)
+    srv = TcpServer(_address(listen), state)
     try:
         srv.serve_forever()
     finally:
@@ -449,5 +442,4 @@ class ServerConnection:
 
 
 def connect(address, timeout=30.0):
-    host, _, port = address.rpartition(":")
-    return ServerConnection(host or "127.0.0.1", int(port), timeout)
+    return ServerConnection(*_address(address), timeout)

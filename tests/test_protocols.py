@@ -16,6 +16,7 @@ from shrq.errors import (
     DuplicateIdError,
     IngestionError,
     NotFoundError,
+    ProtocolError,
     QueryRejected,
     SetupError,
 )
@@ -369,6 +370,29 @@ def test_update_sequence_stays_oracle_exact(rng):
 
 
 # -- integrity and guards ----------------------------------------------------------------
+
+
+class _StubServer:
+    """Answers every request with one fixed reply."""
+
+    def __init__(self, reply):
+        self.reply = reply
+
+    def request(self, msg):
+        return self.reply
+
+
+def test_error_reply_other_than_duplicate_is_protocol_error():
+    config, sk = deployment("c", layout=LAYOUT_UNIFIED, e_max=3)
+    server = _StubServer({"type": "error", "error": "state log append failed: disk full"})
+    with pytest.raises(ProtocolError, match="^server error: state log append failed"):
+        prot.delete_point(config, sk, "a", server)
+
+
+def test_query_reply_that_is_not_a_result_is_protocol_error():
+    config, sk = deployment("c", layout=LAYOUT_UNIFIED, e_max=3)
+    with pytest.raises(ProtocolError, match="unexpected reply 'ack'"):
+        prot.query_sphere(config, sk, SphereQuery((5, 5), 1), _StubServer({"type": "ack"}))
 
 
 def test_tampered_blob_fails_decrypt(rng):

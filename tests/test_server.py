@@ -5,6 +5,8 @@ import random
 import shutil
 import socket
 import stat
+import subprocess
+import sys
 import tempfile
 import threading
 from pathlib import Path
@@ -17,7 +19,7 @@ import shrq.server
 from conftest import random_dataset
 from shrq import ces, protocols as prot
 from shrq.ces import LAYOUT_SHRQ, LAYOUT_UNIFIED
-from shrq.errors import DataIntegrityError, ServerUnreachable
+from shrq.errors import DataIntegrityError, DuplicateIdError, ServerUnreachable
 from shrq.pairing import CURVE_A1, TRANSPARENT
 from shrq.geometry import RangeQuery, SphereQuery, make_sphere_query_component
 from shrq.keyfile import load_keyfile, save_keyfile
@@ -108,13 +110,13 @@ BAD_LINES = [
     json.dumps(BAD_CURVE_HELLO),  # ConfigError from group_from_descriptor
     json.dumps(dict(BAD_CURVE_HELLO, backend={"backend": "nope"})),
     json.dumps(dict(BAD_CURVE_HELLO, levels=1e400)),  # int(inf): OverflowError
-    json.dumps({"type": "put_tuple", "level": 0, "id": "x", "slots": ["AAAA"]}),  # ConfigError from decode
+    json.dumps({"type": "put_tuple", "level": 0, "id": "a", "slots": ["AAAA"]}),  # ConfigError from decode
     json.dumps({"type": "query", "level": 0, "slots": ["AAAA", "AAAA"]}),  # the same, in a query
     json.dumps({"type": "put_lookup", "v": 1e400, "digests": []}),
     json.dumps(dict(BAD_CURVE_HELLO, levels=0)),
     json.dumps({"type": "put_lookup", "v": 1, "digests": [b64e(bytes(31))]}),
     json.dumps({"type": "put_lookup", "v": 1, "digests": [b64e(bytes(32))] * 2}),
-    json.dumps({"type": "put_tuple", "level": 0, "id": "y", "slots": []}),
+    json.dumps({"type": "put_tuple", "level": 0, "id": "a", "slots": []}),
     # nested so deep that json.loads succeeds but json.dumps of the log entry
     # can exceed the recursion limit; the exact depth depends on the stack
     *(f'{{"type": "delete", "id": {"[" * n}{"]" * n}}}' for n in range(900, 1000, 3)),
@@ -130,11 +132,15 @@ def test_malformed_and_unknown_messages(deployment, rng, tmp_path, open_state):
     # slots holding GT encodings, which decode to nothing: GT is only hashed
     gt = [b64e(sk.group.canonical_bytes(sk.group.pair(sk.g, sk.g)))] * len(server.db_query[0]["a"])
     gt_lines = [
-        json.dumps({"type": "put_tuple", "level": 0, "id": "gt", "slots": gt}),
+        json.dumps({"type": "put_tuple", "level": 0, "id": "a", "slots": gt}),
         json.dumps({"type": "query", "level": 0, "slots": gt}),
     ]
     for line in BAD_LINES + gt_lines:
-        assert json.loads(server.handle_line(line))["type"] == "error", line[:80]
+        reply = json.loads(server.handle_line(line))
+        assert reply["type"] == "error", line[:80]
+        if line.startswith('{"type": "put_tuple"'):  # "a" has its record, so decode or the slot check rejects it
+            cause = "tuple has no slots" if '"slots": []' in line else "not a transparent G element encoding"
+            assert reply["error"] == cause, line[:80]
     assert server.snapshot_messages() == before
     server.close()
 
@@ -168,7 +174,7 @@ _json = st.recursive(
 def _typed_messages(draw):
     """Dicts with a real type and fields drawn from real values and noise."""
     real = draw(st.sampled_from(_SETUP))
-    msg = {"type": draw(st.sampled_from(sorted(shrq.server._HANDLERS)))}
+    msg = {"type": draw(st.sampled_from(["delete", "hello", "put_lookup", "put_store", "put_tuple", "query"]))}
     for key in draw(st.sets(st.sampled_from(sorted({k for m in _SETUP for k in m} - {"type"})))):
         noise = draw(_json)
         msg[key] = draw(st.sampled_from([real.get(key, noise), noise]))
@@ -258,6 +264,18 @@ def test_matched_id_missing_from_store_is_integrity_error(deployment, rng):
     comp = make_sphere_query_component(SphereQuery((5, 5), 1), config.layout)
     reply = server.request(prot.query_message(config, sk, comp, 0))
     assert reply["type"] == "error" and "db-store" in reply["error"]
+
+
+def test_tuple_without_its_record_is_rejected(deployment, rng):
+    config, sk = deployment
+    server = ServerState()
+    fill(config, sk, [("a", (5, 5))], server, rng)
+    before = server.snapshot_messages()
+    orphan = prot.point_messages(config, sk, "z", (5, 6), rng=rng)[1]  # z's tuple at level 0, no put_store
+    reply = server.request(orphan)
+    assert reply["type"] == "error" and "put_store" in reply["error"]
+    assert server.snapshot_messages() == before
+    assert prot.query_sphere(config, sk, SphereQuery((5, 5), 2), server).ids == {"a"}  # the level still answers
 
 
 def test_compute_call_count_is_store_size(deployment, rng, monkeypatch):
@@ -375,7 +393,7 @@ def test_torn_log_tail_restarts(deployment, rng, tmp_path, open_state):
 
 
 @pytest.mark.parametrize(
-    "damage", ["middle", "last-with-newline", "not-an-object", "rejected", "too-deep"]
+    "damage", ["middle", "last-with-newline", "not-an-object", "rejected", "too-deep", "blank", "orphan"]
 )
 def test_corrupt_log_line_fails_closed(deployment, rng, tmp_path, damage, open_state):
     config, sk = deployment
@@ -389,18 +407,25 @@ def test_corrupt_log_line_fails_closed(deployment, rng, tmp_path, damage, open_s
         lines.insert(2, b"[1, 2]\n")
     elif damage == "too-deep":  # the wire rejects this line, so replay must too
         lines.insert(2, b'{"type": "delete", "id": [[[[]]]]}\n')
+    elif damage == "blank":  # as is this one
+        lines.insert(2, b"\n")
+    elif damage == "orphan":  # a tuple without its put_store, which older servers acked and logged
+        orphan = prot.point_messages(config, sk, "z", (5, 6), rng=rng)[1]
+        lines.insert(2, json.dumps(orphan, sort_keys=True).encode() + b"\n")
     else:
         lines.insert(2, b'{"type": "frobnicate"}\n')
     (tmp_path / "log.jsonl").write_bytes(b"".join(lines))
-    with pytest.raises(DataIntegrityError, match=f"corrupt state log line {number}:"):
+    with pytest.raises(DataIntegrityError, match=f"corrupt state log line {number}:") as exc:
         open_state(tmp_path)
+    assert damage != "orphan" or "'z' has no record in db-store" in str(exc.value)
 
 
 def test_slot_count_pinned_per_level(deployment, rng, tmp_path, open_state):
     config, sk = deployment
     state = open_state(tmp_path)
     fill(config, sk, [("a", (5, 5))], state, rng)
-    good = prot.point_messages(config, sk, "b", (5, 6), rng=rng)[1]  # b's tuple at level 0
+    store, good = prot.point_messages(config, sk, "b", (5, 6), rng=rng)[:2]  # b's record, its tuple at level 0
+    assert state.request(store)["type"] == "ack"
     short = dict(good, slots=good["slots"][:-1])
     reply = state.request(short)
     assert reply["type"] == "error" and "slots" in reply["error"]
@@ -414,8 +439,11 @@ def test_slot_count_pinned_per_level(deployment, rng, tmp_path, open_state):
     # the first tuple at an empty level sets the count
     fresh = ServerState()
     fill(config, sk, [], fresh, rng)
+    assert fresh.request(store)["type"] == "ack"
+    assert fresh.request(dict(store, id="c"))["type"] == "ack"
     assert fresh.request(short)["type"] == "ack"
-    assert fresh.request(dict(good, id="c"))["type"] == "error"
+    reply = fresh.request(dict(good, id="c"))
+    assert reply["type"] == "error" and "slots" in reply["error"]
 
 
 @pytest.mark.parametrize("kind", ["put_tuple", "delete"])
@@ -424,7 +452,8 @@ def test_failed_log_append_changes_nothing(deployment, rng, tmp_path, monkeypatc
     state = open_state(tmp_path)
     fill(config, sk, [("a", (1, 2))], state, rng)
     if kind == "put_tuple":
-        msg = prot.point_messages(config, sk, "b", (5, 6), rng=rng)[1]  # b's tuple at level 0
+        store, msg = prot.point_messages(config, sk, "b", (5, 6), rng=rng)[:2]  # b's record, its tuple at level 0
+        assert state.request(store)["type"] == "ack"
     else:
         msg = {"type": "delete", "id": "a"}
     before = state.snapshot_messages()
@@ -703,8 +732,9 @@ _POINTS = st.tuples(st.integers(0, 100), st.integers(0, 100))
 
 
 class _ServerMachine(RuleBasedStateMachine):
-    """Inserts, deletes and sphere queries against a plaintext mirror, with
-    restarts, torn restarts and compactions whose directory fsync fails."""
+    """Inserts, updates, deletes, rejected mutations and sphere queries
+    against a plaintext mirror, with restarts, torn restarts and compactions
+    whose directory fsync fails."""
 
     def __init__(self, root, config, sk):
         super().__init__()
@@ -738,6 +768,23 @@ class _ServerMachine(RuleBasedStateMachine):
         if rid not in self.mirror:
             prot.insert_point(self.config, self.sk, rid, coords, self, rng=self.rng)
             self.mirror[rid] = coords
+
+    @rule(rid=_IDS, coords=_POINTS)
+    def update(self, rid, coords):
+        if rid in self.mirror:
+            prot.update_point(self.config, self.sk, rid, coords, self, rng=self.rng)
+            self.mirror[rid] = coords
+
+    @rule(rid=_IDS, coords=_POINTS)
+    def rejected_mutation(self, rid, coords):
+        before = self.state.snapshot_messages()
+        if rid in self.mirror:
+            with pytest.raises(DuplicateIdError):
+                prot.insert_point(self.config, self.sk, rid, coords, self, rng=self.rng)
+        else:  # a tuple whose record was never stored
+            orphan = prot.point_messages(self.config, self.sk, rid, coords, rng=self.rng)[1]
+            assert self.request(orphan)["type"] == "error"
+        assert self.state.snapshot_messages() == before
 
     @rule(rid=_IDS)
     def delete(self, rid):
@@ -829,8 +876,8 @@ def test_tcp_malformed_line_keeps_connection(deployment):
     threading.Thread(target=srv.serve_forever, daemon=True).start()
     host, port = srv.server_address[:2]
     try:
-        with ServerConnection(host, port) as conn:
-            for line in ["zzz not json", *BAD_LINES]:
+        with ServerConnection(host, port, timeout=5.0) as conn:  # a line left unanswered fails, not hangs
+            for line in ["zzz not json", "", "   ", *BAD_LINES]:
                 conn._file.write(line.encode() + b"\n")
                 conn._file.flush()
                 assert json.loads(conn._file.readline())["type"] == "error"
@@ -858,6 +905,17 @@ def test_request_to_a_peer_that_hangs_up():
     finally:
         thread.join(timeout=10)
         listener.close()
+
+
+def test_server_imports_no_client_crypto():
+    """The server module loads neither the client library nor its AES-GCM."""
+    code = "import json, sys, shrq.server; print(json.dumps(sorted(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH="src")
+    root = Path(__file__).resolve().parent.parent
+    out = subprocess.run([sys.executable, "-c", code], cwd=root, env=env, capture_output=True, text=True, check=True)
+    loaded = json.loads(out.stdout)
+    assert "shrq.protocols" not in loaded
+    assert [m for m in loaded if m.split(".")[0] == "cryptography"] == []
 
 
 def test_connect_helper_unreachable():
