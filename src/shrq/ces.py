@@ -14,6 +14,14 @@ because the blinding factors pair to e(h,h)^{r_m * r_q * (A.B)} = 1
 e(s, h) vanish outright.  The server decides "dot value in [0, v]" by
 hashing T against a precomputed lookup table, learning nothing else.
 
+Every slot is a power of the key's s times a power of its h, so _encrypt
+takes both with Group.fixed_pow.  On the curve backend that keeps two
+window tables on the key's group, one on s and one on h, built on the
+key's first encryption: a query's s exponents are full-size mod N, so s
+needs its table as much as h does.  The tables are neither part of the
+SecretKey nor stored: the key file, the wire and the log hold the same
+bytes as with plain pow.
+
 An encrypted tuple or query is a plain tuple of L group elements, one per
 component slot (L = layout_len(layout, d)); the record id and the level it
 is stored or asked at travel beside it in the wire message, not in it.
@@ -128,7 +136,7 @@ def _encrypt(sk, exponents, vector, rng):
     group = sk.group
     blinding = rng.randrange(1, group.N)
     return tuple(
-        group.mul(group.pow(sk.s, int(e_i)), group.pow(sk.h, blinding * y_i))
+        group.mul(group.fixed_pow(sk.s, int(e_i)), group.fixed_pow(sk.h, blinding * y_i))
         for e_i, y_i in zip(exponents, vector)
     )
 

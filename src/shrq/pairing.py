@@ -57,9 +57,21 @@ and its pair_product() is one sum of exponent products mod N.
 Points and powers.  G has one set of point formulas: the Jacobian doubling
 and mixed addition of an affine point, which invert nothing (Cohen, Miyaji
 & Ono, ASIACRYPT 1998).  _power is the one left-to-right square-and-multiply,
-over _fp2_mul in GT and over those two steps in G.  mul and _pt_mul invert
-once, to go back to affine, prepare once per slot, and decode's order check
-tests Z = 0 on [N]P; _fp2_inv inverts once per final exponentiation.
+over _fp2_mul in GT and over those two steps in G.  A base that recurs, such
+as a key's s and h, takes fixed_pow instead (Brickell, Gordon, McCurley &
+Wilson, "Fast exponentiation with precomputation", EUROCRYPT 1992; Lim &
+Lee, "More flexible exponentiation with precomputation", CRYPTO 1994).  Its
+window table holds the affine points [d*16^j]x for the digits d = 0..15 and
+j = 0..ceil(log2 N / 4) - 1; a power of x is then one mixed addition per
+nonzero 4-bit window of k mod N.  The table is built on x's first
+fixed_pow and kept on the group, keyed by the point x itself, so it cannot
+go stale and is never part of a key, a message or the log.  _inverses
+inverts many Z at the cost of one inversion (Montgomery's trick, Math.
+Comp. 48, 1987): prepare's walk takes one, and a table two, one for its row
+bases [16^j]x and one for its entries, since a mixed addition needs its
+second point affine.  mul, _pt_mul and fixed_pow invert once, to go back to
+affine, and decode's order check tests Z = 0 on [N]P; _fp2_inv inverts once
+per final exponentiation.
 
 Encodings.  canonical_bytes gives every element of G and GT one byte string;
 decode is its inverse on G alone.  GT elements are only hashed (the lookup
@@ -80,6 +92,10 @@ _TAG_G_TRANSPARENT = 0x11
 _TAG_GT_TRANSPARENT = 0x12
 _TAG_G_CURVE = 0x21
 _TAG_GT_CURVE = 0x22
+
+# fixed_pow reads k in windows of 4 bits, one table row of 16 points each
+_WINDOW = 4
+_DIGITS = 1 << _WINDOW
 
 # largest cofactor l tried for p = l*N - 1, and prime pairs drawn per group_gen
 _COFACTOR_CAP = 10**6
@@ -201,7 +217,8 @@ class GTElement:
 class Group:
     """Operations over one parameter set; elements are immutable, ops pure.
 
-    Each backend defines identity_g, identity_gt, mul, pow, pair, prepare,
+    Each backend defines identity_g, identity_gt, mul, pow, fixed_pow (pow
+    of a recurring G base, with the same result), pair, prepare,
     pair_product, canonical_bytes, decode and _draw, random_generator's
     candidate.  decode(data) is the G element whose canonical bytes are data;
     any other byte string, a GT encoding among them, raises ConfigError."""
@@ -259,6 +276,8 @@ class TransparentGroup(Group):
     def pow(self, x, k):
         return type(x)(x.value * (k % self.N) % self.N)
 
+    fixed_pow = pow  # a power is one multiplication: nothing to precompute
+
     def pair(self, x, y):
         return GTElement(x.value * y.value % self.N)
 
@@ -291,6 +310,7 @@ class CurveGroup(Group):
         self.p = params.p
         self.l = params.l
         self._width = (params.p.bit_length() + 7) // 8
+        self._tables = {}  # fixed_pow's window table per affine base point
         # Miller loop schedule over the bits of N after the leading one: a
         # doubling step (True) per bit, then an addition step (False) per 1 bit
         self._miller_steps = tuple(
@@ -332,6 +352,48 @@ class CurveGroup(Group):
             return None
         zi = pow(z, -1, p)
         return (x * zi * zi % p, y * zi * zi * zi % p)
+
+    def _inverses(self, zs):
+        """1/z mod p for every z in zs, 0 for z = 0, by one inversion of
+        their product (Montgomery's trick)."""
+        p = self.p
+        prefix = [1]  # prefix[k]: the product of the nonzero z before zs[k]
+        for z in zs:
+            prefix.append(prefix[-1] * (z or 1) % p)
+        inv, out = pow(prefix[-1], -1, p), [0] * len(zs)
+        for k in range(len(zs) - 1, -1, -1):
+            if zs[k]:
+                out[k], inv = inv * prefix[k] % p, inv * zs[k] % p
+        return out
+
+    def _affine_all(self, points):
+        """The affine forms of Jacobian points, by one inversion."""
+        p = self.p
+        zinv = self._inverses([pt[2] for pt in points])
+        return [
+            (x * zi * zi % p, y * zi * zi * zi % p) if zi else None
+            for (x, y, _, _), zi in zip(points, zinv)
+        ]
+
+    def _window_table(self, b):
+        """Row j holds [d*16^j]b for d = 0..15, affine, None for infinity.
+        The row bases come from 4 doublings each, the multiples from 15
+        mixed additions of the row's base, and each set is made affine by
+        one inversion."""
+        bases = [b + (1, 0)]
+        for _ in range((self.N.bit_length() - 1) // _WINDOW):
+            pt = bases[-1]
+            for _ in range(_WINDOW):
+                pt = self._jac_double(pt)
+            bases.append(pt)
+        multiples = []
+        for base in self._affine_all(bases):
+            row = [(1, 1, 0, 0)]
+            for _ in range(_DIGITS - 1):
+                row.append(row[-1] if base is None else self._jac_madd(row[-1], base))
+            multiples += row
+        flat = self._affine_all(multiples)
+        return [flat[j : j + _DIGITS] for j in range(0, len(flat), _DIGITS)]
 
     def _jac_mul(self, a, k):
         """[k]a in Jacobian form for an affine point a and k >= 0."""
@@ -405,6 +467,25 @@ class CurveGroup(Group):
             return GTElement(self._fp2_pow(x.value, k))
         return GElement(self._pt_mul(x.value, k))
 
+    def fixed_pow(self, x, k):
+        """pow(x, k) for a G element x, by x's window table: one mixed
+        addition per nonzero window of k mod N, then one inversion.  The
+        table is built on x's first call (two threads that race both build
+        it, to the same value)."""
+        if x.value is None:
+            return x
+        table = self._tables.get(x.value)
+        if table is None:
+            table = self._tables[x.value] = self._window_table(x.value)
+        k %= self.N
+        acc = (1, 1, 0, 0)
+        for row in table:
+            pt = row[k & (_DIGITS - 1)]
+            if pt is not None:
+                acc = self._jac_madd(acc, pt)
+            k >>= _WINDOW
+        return GElement(self._affine(acc))
+
     def pair(self, x, y):
         return self.pair_product((self.prepare(y),), (x,))
 
@@ -425,13 +506,7 @@ class CurveGroup(Group):
         walk = [b + (1, 0)]
         for double in self._miller_steps:
             walk.append(self._jac_double(walk[-1]) if double else self._jac_madd(walk[-1], b))
-        prefix = [1]  # prefix[k]: the product of the nonzero Z before walk[k]
-        for pt in walk:
-            prefix.append(prefix[-1] * (pt[2] or 1) % p)
-        inv, zinv = pow(prefix[-1], -1, p), [0] * len(walk)
-        for k in range(len(walk) - 1, -1, -1):
-            if walk[k][2]:
-                zinv[k], inv = inv * prefix[k] % p, inv * walk[k][2] % p
+        zinv = self._inverses([pt[2] for pt in walk])
         lines = []
         for (x0, y0, z0, _), zi, (_, _, z3, n), zi3 in zip(walk, zinv, walk[1:], zinv[1:]):
             lam = n * zi3 % p

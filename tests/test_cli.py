@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -296,6 +297,25 @@ def test_keyfile_roundtrip(keyfile_pair):
     assert sk2.alpha == sk.alpha and sk2.beta == sk.beta
     assert sk2.aes_key == sk.aes_key
     assert sk2.s == sk.s and sk2.h == sk.h
+
+
+def test_encrypting_leaves_key_and_key_file_unchanged(tmp_path):
+    # fixed_pow's tables live on the group, never on the key or in its file;
+    # SecretKey's == compares the group by identity, so two loads are
+    # compared field by field and by the group's parameters
+    config = prot.make_config("t", 2, 400, 100, layout=ces.LAYOUT_SHRQ)
+    sk, _ = ces.keygen(32, 2, ces.LAYOUT_SHRQ, 400, 100, rng=random.Random(17))
+    path, again = str(tmp_path / "key.json"), str(tmp_path / "again.json")
+    save_keyfile(path, sk, config)
+    before = Path(path).read_bytes()
+    used, idle = load_keyfile(path)[0], load_keyfile(path)[0]
+    for key in (sk, used):
+        ces.tuple_encrypt(key, (3, 4, 1, 25), rng=random.Random(1))
+        ces.query_encrypt(key, (-6, -8, 0, 1), 2, rng=random.Random(1))
+        save_keyfile(again, key, config)
+        assert Path(again).read_bytes() == before
+    assert used.group.params == idle.group.params
+    assert replace(used, group=None) == replace(idle, group=None)
 
 
 class _FullDisk:

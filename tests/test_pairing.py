@@ -4,6 +4,7 @@ import pytest
 import sympy
 from hypothesis import example, given, settings, strategies as st
 
+from shrq import ces
 from shrq.errors import ConfigError
 from shrq.pairing import (
     CURVE_A1,
@@ -167,6 +168,48 @@ def test_scalar_mul_matches_reference(case):
     except ConfigError:
         accepted = False
     assert accepted == in_g
+
+
+def _fixed_pow_bases():
+    """(group, bases) for fixed_pow: every element of both toy groups, so the
+    identity and the orders 5 (q1), 7 (q2) and 35, whose tables hold the
+    identity (at d = 5, 10, 15 for order 5); every element of an N = 22
+    curve, where the row base [16]x is the identity for x of order 2; and a
+    lambda = 32 curve key's identity, h (order q1), s (order q2) and g."""
+    cases = []
+    for q1, q2, backend in ((5, 7, TRANSPARENT), (5, 7, CURVE_A1), (2, 11, CURVE_A1)):
+        grp = group_from_primes(q1, q2, backend)
+        g = grp.random_generator(random.Random(35))
+        cases.append((grp, [grp.pow(g, i) for i in range(grp.N)]))
+    sk, _ = ces.keygen(32, 2, ces.LAYOUT_SHRQ, 400, 100, CURVE_A1, rng=random.Random(32))
+    cases.append((sk.group, [sk.group.identity_g(), sk.h, sk.s, sk.g]))
+    return cases
+
+
+_FIXED_POW_BASES = _fixed_pow_bases()
+
+
+@st.composite
+def _fixed_pow_case(draw):
+    grp, bases = draw(st.sampled_from(_FIXED_POW_BASES))
+    N = grp.N
+    k = draw(
+        st.sampled_from((0, 1, -1, N - 1, N, N + 1, -N))
+        | st.builds(lambda c: c * N, st.integers(-3, 3))
+        | st.integers(-N, -1)
+        | st.integers(0, N - 1)
+        | st.integers(-(N**2), N**2)
+    )
+    return grp, draw(st.sampled_from(bases)), k
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_fixed_pow_case())
+# -39 = 31 mod 35 takes digit 15 of an order-5 point: the identity entry
+@example((_FIXED_POW_BASES[1][0], _FIXED_POW_BASES[1][1][7], -39))
+def test_fixed_pow_is_pow(case):
+    grp, x, k = case
+    assert grp.canonical_bytes(grp.fixed_pow(x, k)) == grp.canonical_bytes(grp.pow(x, k))
 
 
 def test_pow_transparent_trace(toy_transparent):
