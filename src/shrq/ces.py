@@ -14,13 +14,12 @@ because the blinding factors pair to e(h,h)^{r_m * r_q * (A.B)} = 1
 e(s, h) vanish outright.  The server decides "dot value in [0, v]" by
 hashing T against a precomputed lookup table, learning nothing else.
 
-Every slot is a power of the key's s times a power of its h, so _encrypt
-takes both with Group.fixed_pow.  On the curve backend that keeps two
-window tables on the key's group, one on s and one on h, built on the
-key's first encryption: a query's s exponents are full-size mod N, so s
-needs its table as much as h does.  The tables are neither part of the
-SecretKey nor stored: the key file, the wire and the log hold the same
-bytes as with plain pow.
+Every slot is one power of the key's w = s*h: s = g^q1 has order q2 and
+h = u^q2 has order q1, so s^x * h^y = w^k for the k that is x mod q2 and
+y mod q1 (CRT).  keygen and load_keyfile make no other keys.  _encrypt
+takes w^k with Group.fixed_pow, so the key's group keeps one window table,
+on w, built on the key's first encryption and never stored: the key file,
+the wire and the log hold the same bytes as with plain pow.
 
 An encrypted tuple or query is a plain tuple of L group elements, one per
 component slot (L = layout_len(layout, d)); the record id and the level it
@@ -128,16 +127,18 @@ def keygen(lambda_bits, d, layout, v, x_max, backend=CURVE_A1, rng=None, group=N
 
 
 def _encrypt(sk, exponents, vector, rng):
-    """s^{e_i} * h^{r*y_i} per slot under one fresh blinding scalar r; the
-    tuple of L slots."""
+    """s^{e_i} * h^{r*y_i} per slot under one fresh blinding scalar r, as
+    w^k with k = r*y_i + q1*((e_i - r*y_i)/q1 mod q2); the tuple of L slots."""
     if len(exponents) != len(vector):
         raise ProtocolError(f"component has {len(exponents)} slots, key expects {len(vector)}")
     rng = rng if rng is not None else secrets.SystemRandom()
     group = sk.group
+    q1, q2 = group.params.q1, group.params.q2
     blinding = rng.randrange(1, group.N)
+    w, q1_inv = group.mul(sk.s, sk.h), pow(q1, -1, q2)
     return tuple(
-        group.mul(group.fixed_pow(sk.s, int(e_i)), group.fixed_pow(sk.h, blinding * y_i))
-        for e_i, y_i in zip(exponents, vector)
+        group.fixed_pow(w, r_y + q1 * ((int(e_i) - r_y) * q1_inv % q2))
+        for e_i, r_y in zip(exponents, (blinding * y_i for y_i in vector))
     )
 
 

@@ -1,14 +1,15 @@
 """Operator commands for the data-owner and query-user roles.
 
-Coordinates may be negative.  `setup` records in the key file a per-column
-offset that lifts the least coordinate of that column in its CSV to 0, and
-the other commands shift by it: points and queries in, records out.  The
-server keeps what earlier set-ups uploaded and reads it with the key's
-offset, so a recorded offset is kept, also for rows that need none, and
-rows that fall below 0 under it are rejected.  Only a key whose offset is
-all zero takes the one its rows need; records uploaded under the zero
-offset before that would be misread, so the first set-up of a deployment
-should hold its least coordinates.  Every row is checked before the key
+Coordinates may be negative.  A key's first upload fixes its per-column
+offset in the key file: `setup` records the one that lifts the least
+coordinate of each column in its CSV to 0, zeros included, and `insert`
+records zeros.  Every command shifts by it, points and queries in and
+records out, and by zeros while none is recorded (`"offset": null`, as
+keygen writes it).  The server reads what earlier uploads sent with the
+key's offset, so a recorded offset never changes: later rows that fall
+below 0 under it are rejected.  A key file written before keygen wrote
+null holds zeros, and they count as recorded, so its set-ups reject
+negative rows rather than shift them.  Every row is checked before the key
 file changes: a rejected set-up leaves it byte for byte.
 
 Exit codes: 0 success, 1 general error, 2 query rejected by the deployment
@@ -35,7 +36,7 @@ from .errors import (
     ShrqError,
 )
 from .geometry import RangeQuery, SphereQuery, validate_point
-from .keyfile import load_keyfile, save_keyfile
+from .keyfile import load_keyfile, load_recorded, save_keyfile
 from .pairing import CURVE_A1, TRANSPARENT
 from .server import connect, serve
 
@@ -104,16 +105,16 @@ def cmd_keygen(args):
 
 
 def cmd_setup(args):
-    sk, config, recorded = load_keyfile(args.key)
+    sk, config, recorded = load_recorded(args.key)
     _, rows = _read_csv(args.data, config.d)
     needed = [max(0, -min((c[i] for _, c in rows), default=0)) for i in range(config.d)]
-    offsets = recorded if any(recorded) else needed  # rows below 0 under it fail below
+    offsets = needed if recorded is None else recorded  # rows below 0 under it fail below
     after = f" after offset {offsets}" if any(offsets) else ""
     dataset = []
     for rid, coords in rows:
         label = f"{args.data} id {rid!r}{after}"
         dataset.append((rid, validate_point(_shift(coords, offsets), config.d, config.x_max, label)))
-    if offsets != recorded:  # every row passed: only now may the key change
+    if recorded is None:  # every row passed: only now may the key change
         save_keyfile(args.key, sk, config, offsets)
         print(f"recorded coordinate offset {offsets} in {args.key}", file=sys.stderr)
     with connect(args.server) as conn:
@@ -163,8 +164,12 @@ def cmd_query_range(args):
 
 
 def cmd_insert(args):
-    sk, config, offsets = load_keyfile(args.key)
+    sk, config, recorded = load_recorded(args.key)
+    offsets = [0] * config.d if recorded is None else recorded
     coords = _shift(_parse_coords(args.point), offsets)
+    if recorded is None:  # this upload fixes the offset at zeros, once the point passes
+        validate_point(coords, config.d, config.x_max, str(args.id))
+        save_keyfile(args.key, sk, config, offsets)
     with connect(args.server) as conn:
         protocols.insert_point(config, sk, args.id, coords, conn)
     return 0

@@ -3,7 +3,8 @@
 The file holds everything the owner needs to reopen a deployment: group
 primes, generators, blinding vectors, long-term scalars and the AES key
 (the secret key), the deployment configuration (layout, d, v, x_max,
-protocol, E_max, b_c), and the coordinate offset applied at ingestion.
+protocol, E_max, b_c), and the coordinate offset applied at ingestion:
+null until the key's first upload records it (see cli).
 It is written through the server module's write_durably, as the state log's
 snapshot is, and its base64 fields are read strictly, as on the wire.
 Loading re-derives s = g^q1, h = u^q2 and A.B = 0 mod q1, and rebuilds the
@@ -46,13 +47,20 @@ def save_keyfile(path, sk, config, offsets=None):
         "protocol": config.protocol,
         "e_max": config.e_max,
         "b_c": config.b_c,
-        "offset": list(offsets) if offsets is not None else [0] * config.d,
+        "offset": None if offsets is None else list(offsets),
     }
     write_durably(path, [json.dumps(doc, indent=1) + "\n"])
 
 
 def load_keyfile(path):
-    """Returns (sk, config, offsets); raises KeyfileError on any inconsistency."""
+    """Returns (sk, config, offsets), the offsets all zero while the file
+    records none; raises KeyfileError on any inconsistency."""
+    sk, config, recorded = load_recorded(path)
+    return sk, config, [0] * config.d if recorded is None else recorded
+
+
+def load_recorded(path):
+    """load_keyfile, but with offsets None while the file records none."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -101,7 +109,7 @@ def _parse(doc):
     if len(aes_key) != 32:
         raise KeyfileError("key file inconsistent: AES key must be 32 bytes")
 
-    offsets = [int(o) for o in doc["offset"]]
-    if len(offsets) != config.d:
+    offsets = None if doc["offset"] is None else [int(o) for o in doc["offset"]]
+    if offsets is not None and len(offsets) != config.d:
         raise KeyfileError("key file inconsistent: offset length != d")
     return SecretKey(group, g, u, s, h, A, B, alpha, beta, aes_key), config, offsets

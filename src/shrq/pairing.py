@@ -57,21 +57,19 @@ and its pair_product() is one sum of exponent products mod N.
 Points and powers.  G has one set of point formulas: the Jacobian doubling
 and mixed addition of an affine point, which invert nothing (Cohen, Miyaji
 & Ono, ASIACRYPT 1998).  _power is the one left-to-right square-and-multiply,
-over _fp2_mul in GT and over those two steps in G.  A base that recurs, such
-as a key's s and h, takes fixed_pow instead (Brickell, Gordon, McCurley &
-Wilson, "Fast exponentiation with precomputation", EUROCRYPT 1992; Lim &
-Lee, "More flexible exponentiation with precomputation", CRYPTO 1994).  Its
-window table holds the affine points [d*16^j]x for the digits d = 0..15 and
-j = 0..ceil(log2 N / 4) - 1; a power of x is then one mixed addition per
-nonzero 4-bit window of k mod N.  The table is built on x's first
-fixed_pow and kept on the group, keyed by the point x itself, so it cannot
+over _fp2_mul in GT and over those two steps in G.  The base that recurs, a
+key's w = s*h (ces makes every encrypted slot a power of it), takes
+fixed_pow instead (Brickell, Gordon, McCurley & Wilson, EUROCRYPT 1992; Lim
+& Lee, CRYPTO 1994).  Its window table holds the affine [d*16^j]x for
+d = 0..15 and j = 0..ceil(log2 N / 4) - 1, so a power of x is one mixed
+addition per nonzero 4-bit window of k mod N.  The table is built on x's
+first fixed_pow and kept on the group, keyed by the point x, so it cannot
 go stale and is never part of a key, a message or the log.  _inverses
-inverts many Z at the cost of one inversion (Montgomery's trick, Math.
-Comp. 48, 1987): prepare's walk takes one, and a table two, one for its row
-bases [16^j]x and one for its entries, since a mixed addition needs its
-second point affine.  mul, _pt_mul and fixed_pow invert once, to go back to
-affine, and decode's order check tests Z = 0 on [N]P; _fp2_inv inverts once
-per final exponentiation.
+inverts many Z by one inversion (Montgomery's trick): prepare's walk takes
+one, a table two (its row bases [16^j]x, then its entries: a mixed addition
+needs its second point affine).  mul, _pt_mul and fixed_pow invert once, to
+go back to affine, and decode's order check tests Z = 0 on [N]P; _fp2_inv
+inverts once per final exponentiation.
 
 Encodings.  canonical_bytes gives every element of G and GT one byte string;
 decode is its inverse on G alone.  GT elements are only hashed (the lookup
@@ -221,11 +219,18 @@ class Group:
     of a recurring G base, with the same result), pair, prepare,
     pair_product, canonical_bytes, decode and _draw, random_generator's
     candidate.  decode(data) is the G element whose canonical bytes are data;
-    any other byte string, a GT encoding among them, raises ConfigError."""
+    any other byte string, a GT encoding among them, raises ConfigError.
+    Groups of one class and params are equal, whatever tables they hold."""
 
     def __init__(self, params):
         self.params = params
         self.N = params.N
+
+    def __eq__(self, other):
+        return type(other) is type(self) and other.params == self.params
+
+    def __hash__(self):
+        return hash((type(self), self.params))
 
     def is_identity(self, x):
         ident = self.identity_gt() if isinstance(x, GTElement) else self.identity_g()
@@ -376,10 +381,9 @@ class CurveGroup(Group):
         ]
 
     def _window_table(self, b):
-        """Row j holds [d*16^j]b for d = 0..15, affine, None for infinity.
-        The row bases come from 4 doublings each, the multiples from 15
-        mixed additions of the row's base, and each set is made affine by
-        one inversion."""
+        """Row j holds [d*16^j]b for d = 0..15, affine, None for infinity: the
+        row bases take 4 doublings each, the multiples 15 mixed additions of
+        their row's base, and each set one inversion to be made affine."""
         bases = [b + (1, 0)]
         for _ in range((self.N.bit_length() - 1) // _WINDOW):
             pt = bases[-1]
@@ -468,10 +472,8 @@ class CurveGroup(Group):
         return GElement(self._pt_mul(x.value, k))
 
     def fixed_pow(self, x, k):
-        """pow(x, k) for a G element x, by x's window table: one mixed
-        addition per nonzero window of k mod N, then one inversion.  The
-        table is built on x's first call (two threads that race both build
-        it, to the same value)."""
+        """pow(x, k) for a G element x, by x's window table, built on x's
+        first call (two threads that race both build it, to the same value)."""
         if x.value is None:
             return x
         table = self._tables.get(x.value)
@@ -496,10 +498,8 @@ class CurveGroup(Group):
 
     def prepare(self, x):
         """The Miller lines of x, per loop step (lam, c) with c taken at the
-        point stepped from, or None; None for the identity.  The walk takes
-        pow's Jacobian steps, each with slope lam = n/Z3, and one inversion of
-        all its nonzero Z (Montgomery's trick) makes every line affine; a step
-        from infinity or to it (a vertical line) gives None."""
+        point stepped from, or None for a step from or to infinity (a vertical
+        line); None for the identity.  One _inverses call makes them affine."""
         if x.value is None:
             return None
         p, b = self.p, x.value
@@ -514,12 +514,9 @@ class CurveGroup(Group):
         return tuple(lines)
 
     def pair_product(self, prepared, points):
-        """prod_i e(points[i], x_i) for prepared[i] = prepare(x_i).
-
-        Runs the Miller loops of all x_i together over one squaring chain,
-        evaluating each line at the distorted point (-x_m, i*y_m), and
-        applies one final exponentiation to the product.
-        """
+        """prod_i e(points[i], x_i) for prepared[i] = prepare(x_i): the Miller
+        loops of all x_i over one squaring chain, each line evaluated at the
+        distorted point (-x_m, i*y_m), and one final exponentiation."""
         p = self.p
         active = [
             (lines, pt.value)

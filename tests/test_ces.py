@@ -2,12 +2,14 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import toy_secret_key
 from shrq import ces
 from shrq.ces import (
     LAYOUT_SHRQ,
     LAYOUT_UNIFIED,
+    SecretKey,
     compute,
     create_lookup_table,
     keygen,
@@ -200,6 +202,69 @@ def test_encryption_is_plain_pow_on_curve(curve_sk):
                             (query_encrypt(sk, c_q, d, rng=random.Random(k)), x_q, sk.B)):
             want = [grp.mul(grp.pow(sk.s, x), grp.pow(sk.h, r * y)) for x, y in zip(xs, ys)]
             assert [grp.canonical_bytes(e) for e in enc] == [grp.canonical_bytes(w) for w in want]
+
+
+def _one_base_groups():
+    """(group, g and u candidates, fixed key or None): every element of the
+    transparent and curve toy groups of N = 35 and of an N = 22 curve, so s
+    = g^q1 or h = u^q2 may be the identity, and a lambda = 32 curve key."""
+    cases = []
+    for q1, q2, backend in ((5, 7, TRANSPARENT), (5, 7, CURVE_A1), (2, 11, CURVE_A1)):
+        grp = group_from_primes(q1, q2, backend)
+        gen = grp.random_generator(random.Random(35))
+        cases.append((grp, [grp.pow(gen, i) for i in range(grp.N)], None))
+    sk, _ = keygen(32, 1, LAYOUT_UNIFIED, 100, 50, CURVE_A1, rng=random.Random(18))
+    cases.append((sk.group, None, sk))
+    return cases
+
+
+_ONE_BASE_GROUPS = _one_base_groups()
+
+
+@st.composite
+def _one_base_case(draw):
+    grp, elements, sk = draw(st.sampled_from(_ONE_BASE_GROUPS))
+    q1, q2, N = grp.params.q1, grp.params.q2, grp.N
+    value = (
+        st.sampled_from((0, -1, N - 1, N, -N))
+        | st.builds(lambda c, m: c * m, st.integers(-3, 3), st.sampled_from((q1, q2, N)))
+        | st.integers(-(N**2), -1)
+        | st.integers(0, N - 1)
+        | st.integers(-(N**2), N**2)
+    )
+    L = 3
+    vec = st.lists(value, min_size=L, max_size=L)
+    if sk is None:
+        g, u = draw(st.sampled_from(elements)), draw(st.sampled_from(elements))
+        sk = SecretKey(grp, g, u, grp.pow(g, q1), grp.pow(u, q2), draw(vec), draw(vec),
+                       draw(value), draw(value), bytes(32))
+        comp = draw(vec)
+    else:
+        comp = draw(st.lists(value, min_size=len(sk.A), max_size=len(sk.A)))
+    return sk, comp, draw(st.integers(0, len(comp) - 1)), draw(value | st.integers(1, N - 1))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_one_base_case())
+def test_slot_is_one_power_of_s_times_h(case):
+    # every slot is one fixed-base power of w = s*h; it must equal
+    # s^x * h^{r*y} for any blinding r the rng hands out, 0 and multiples
+    # of q1 included, and for keys whose s or h is the identity
+    sk, comp, d, r = case
+    grp = sk.group
+    x_q = [(q + (sk.beta if i == d else 0)) * sk.alpha for i, q in enumerate(comp)]
+    for enc, xs, ys in ((tuple_encrypt(sk, comp, rng=PinnedRng(r)), comp, sk.A),
+                        (query_encrypt(sk, comp, d, rng=PinnedRng(r)), x_q, sk.B)):
+        want = [grp.mul(grp.pow(sk.s, x), grp.pow(sk.h, r * y)) for x, y in zip(xs, ys)]
+        assert [grp.canonical_bytes(e) for e in enc] == [grp.canonical_bytes(w) for w in want]
+
+
+def test_encryption_keeps_one_window_table():
+    sk, _ = keygen(32, 2, LAYOUT_UNIFIED, 400, 100, CURVE_A1, rng=random.Random(33))
+    grp = sk.group
+    tuple_encrypt(sk, make_data_component((37, 90), LAYOUT_UNIFIED), rng=random.Random(1))
+    query_encrypt(sk, make_sphere_query_component(SphereQuery((41, 86), 9), LAYOUT_UNIFIED), 2)
+    assert list(grp._tables) == [grp.mul(sk.s, sk.h).value]
 
 
 def test_compute_is_product_of_pairs_on_curve(curve_sk, rng):

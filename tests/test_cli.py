@@ -240,6 +240,42 @@ def test_negative_coordinates_get_offset(tmp_path):
         server.wait(timeout=10)
 
 
+def test_first_upload_fixes_the_offset(tmp_path):
+    # keygen records no offset; the first set-up records the one its rows
+    # need, zeros included, so a later row below 0 is rejected, not shifted
+    key = tmp_path / "k.json"
+    data = tmp_path / "pts.csv"
+    args = ["--lambda", "32", "--d", "1", "--layout", "unified", "--v", "100", "--x-max", "50",
+            "--backend", "transparent", "--protocol", "t", "--emax", "0"]
+    run_cli("keygen", *args, "--out", str(key))
+    assert read_json(key)["offset"] is None
+    port = free_port()
+    server = subprocess.Popen(CLI + ["serve", "--listen", f"127.0.0.1:{port}"],
+                              stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, env=ENV)
+    try:
+        wait_for_port(port)
+        data.write_text("id,x1\na,0\nb,12\n")
+        out = run_cli("setup", "--key", str(key), "--data", str(data), "--server", f"127.0.0.1:{port}")
+        assert out.returncode == 0, out.stderr
+        assert read_json(key)["offset"] == [0]
+        before = key.read_bytes()
+        data.write_text("id,x1\nc,-5\n")
+        out = run_cli("setup", "--key", str(key), "--data", str(data), "--server", f"127.0.0.1:{port}")
+        assert out.returncode == 1 and "coordinate -5 outside" in out.stderr
+        assert key.read_bytes() == before
+    finally:
+        server.terminate()
+        server.wait(timeout=10)
+    # an insert records zeros before it sends anything, once its point passes
+    other = tmp_path / "other.json"
+    run_cli("keygen", *args, "--out", str(other))
+    before = other.read_bytes()
+    out = run_cli("insert", "--key", str(other), "--id", "x", "--point", "-1", "--server", "127.0.0.1:9")
+    assert out.returncode == 1 and other.read_bytes() == before
+    out = run_cli("insert", "--key", str(other), "--id", "x", "--point", "3", "--server", "127.0.0.1:9")
+    assert out.returncode == 4 and read_json(other)["offset"] == [0]
+
+
 def test_rejected_setup_leaves_key_unchanged(tmp_path):
     # a is shifted by an offset of 5; b lies outside [0, 50] with or without it
     key = tmp_path / "k.json"
@@ -316,6 +352,24 @@ def test_encrypting_leaves_key_and_key_file_unchanged(tmp_path):
         assert Path(again).read_bytes() == before
     assert used.group.params == idle.group.params
     assert replace(used, group=None) == replace(idle, group=None)
+
+
+def test_loads_of_one_key_file_compare_equal(tmp_path):
+    # a group compares by its class and parameters, not by the window tables
+    # it holds, so two loads of one file are equal keys, before and after
+    # one of them has encrypted; a key from another file is not
+    config = prot.make_config("t", 2, 400, 100, layout=ces.LAYOUT_SHRQ)
+    paths = [str(tmp_path / "key.json"), str(tmp_path / "other.json")]
+    for path, seed in zip(paths, (17, 18)):
+        sk, _ = ces.keygen(32, 2, ces.LAYOUT_SHRQ, 400, 100, rng=random.Random(seed))
+        save_keyfile(path, sk, config)
+    used, idle, other = load_keyfile(paths[0])[0], load_keyfile(paths[0])[0], load_keyfile(paths[1])[0]
+    assert used == idle and used.group is not idle.group
+    ces.tuple_encrypt(used, (3, 4, 1, 25), rng=random.Random(1))
+    ces.query_encrypt(used, (-6, -8, 0, 1), 2, rng=random.Random(1))
+    assert used.group._tables and not idle.group._tables
+    assert used == idle and hash(used.group) == hash(idle.group)
+    assert other != used and other.group != used.group
 
 
 class _FullDisk:
