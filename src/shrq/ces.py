@@ -44,6 +44,7 @@ LAYOUT_SHRQ = "shrq"  # {m_1..m_d, 1, ||m||^2}, length d+2
 LAYOUT_UNIFIED = "unified"  # {m_1..m_d, 1, m_1^2..m_d^2}, length 2d+1
 
 HASH_ID = "SHA-256"
+DIGEST_SIZE = hashlib.sha256().digest_size
 
 
 def layout_len(layout, d):
@@ -73,7 +74,7 @@ class SecretKey:
 
 @dataclass(frozen=True)
 class LookupTable:
-    digests: frozenset  # 32-byte SHA-256 values
+    digests: frozenset  # DIGEST_SIZE-byte SHA-256 values
     v: int
 
 

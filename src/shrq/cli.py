@@ -12,6 +12,9 @@ null holds zeros, and they count as recorded, so its set-ups reject
 negative rows rather than shift them.  Every row is checked before the key
 file changes: a rejected set-up leaves it byte for byte.
 
+keygen writes curveA1 keys only, and serve needs --state, the directory
+whose log keeps every acknowledged mutation.
+
 Exit codes: 0 success, 1 general error, 2 query rejected by the deployment
 (a machine-readable JSON reason goes to stderr), 3 key file missing or
 inconsistent, or a bad configuration or argument (such as a centre with
@@ -22,7 +25,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 
 from . import bench as bench_mod
@@ -37,7 +39,6 @@ from .errors import (
 )
 from .geometry import RangeQuery, SphereQuery, validate_point
 from .keyfile import load_keyfile, load_recorded, save_keyfile
-from .pairing import CURVE_A1, TRANSPARENT
 from .server import connect, serve
 
 
@@ -93,12 +94,9 @@ def _emit_records(records, offsets):
 
 
 def cmd_keygen(args):
-    backend = CURVE_A1 if args.backend == "curve" else TRANSPARENT
-    config = protocols.make_config(
-        args.protocol, args.d, args.v, args.x_max, e_max=args.emax,
-        backend=backend, layout=args.layout,
-    )
-    sk, _ = ces.keygen(args.lambda_bits, args.d, args.layout, args.v, args.x_max, backend)
+    config = protocols.make_config(args.protocol, args.d, args.v, args.x_max,
+                                   e_max=args.emax, layout=args.layout)
+    sk, _ = ces.keygen(args.lambda_bits, args.d, args.layout, args.v, args.x_max)
     save_keyfile(args.out, sk, config)
     print(f"wrote {args.out}", file=sys.stderr)
     return 0
@@ -124,8 +122,7 @@ def cmd_setup(args):
 
 
 def cmd_serve(args):
-    state_dir = args.state or os.environ.get("SHRQ_STATE_DIR")
-    serve(args.listen, state_dir)
+    serve(args.listen, args.state)
     return 0
 
 
@@ -188,8 +185,7 @@ def cmd_oracle_sphere(args):
     if len(center) != d:
         raise ConfigError(f"--center has {len(center)} coordinates, the data file has {d}")
     ids = oracle.hrq_oracle(rows, SphereQuery(center, args.radius))
-    by_id = dict(rows)
-    _emit_records(sorted((rid, by_id[rid]) for rid in ids), [0] * d)
+    _emit_records(sorted(row for row in rows if row[0] in ids), [0] * d)
     return 0
 
 
@@ -197,8 +193,7 @@ def cmd_oracle_range(args):
     d, rows = _read_csv(args.data)
     rq = _resolve_range(args, [0] * d)
     ids = oracle.range_oracle(rows, rq)
-    by_id = dict(rows)
-    _emit_records(sorted((rid, by_id[rid]) for rid in ids), [0] * d)
+    _emit_records(sorted(row for row in rows if row[0] in ids), [0] * d)
     return 0
 
 
@@ -235,7 +230,6 @@ def build_parser():
     sp.add_argument("--layout", choices=(ces.LAYOUT_SHRQ, ces.LAYOUT_UNIFIED), required=True)
     sp.add_argument("--v", type=int, required=True)
     sp.add_argument("--x-max", type=int, required=True)
-    sp.add_argument("--backend", choices=("transparent", "curve"), default="curve")
     sp.add_argument("--protocol", choices=("t", "c", "l"), required=True)
     sp.add_argument("--emax", type=int, default=0)
     sp.add_argument("--out", required=True)
@@ -248,7 +242,7 @@ def build_parser():
 
     sp = sub.add_parser("serve", help="run the query server")
     sp.add_argument("--listen", default="127.0.0.1:9045")
-    sp.add_argument("--state", help="state directory (default: $SHRQ_STATE_DIR)")
+    sp.add_argument("--state", required=True, help="state directory: the log of every acked mutation")
     sp.set_defaults(func=cmd_serve)
 
     qp = sub.add_parser("query", help="run an encrypted query")

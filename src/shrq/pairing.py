@@ -13,8 +13,9 @@ Backends:
 
   * "transparent" represents every element by its discrete log relative to a
     fixed generator.  It is structurally exact and INSECURE BY CONSTRUCTION
-    (the discrete log is the representation); it exists as an oracle for
-    tests and must be selected explicitly.
+    (the discrete log is the representation): it serves the tests,
+    perfbench's smoke run and old state, must be selected explicitly
+    (group_from_primes has no default) and never comes from `shrq keygen`.
   * "curveA1" is the real construction: the supersingular curve
     y^2 = x^3 + x over F_p with p = l*N - 1 prime and p = 3 (mod 4).
     #E(F_p) = p + 1 = l*N is cyclic; G is the order-N subgroup, GT the
@@ -577,7 +578,7 @@ def _group(params):
     return CurveGroup(params) if params.backend == CURVE_A1 else TransparentGroup(params)
 
 
-def group_from_primes(q1, q2, backend=TRANSPARENT):
+def group_from_primes(q1, q2, backend):
     """Build a group over explicitly chosen primes (toy/test parameter sets)."""
     N = q1 * q2
     l = p = None

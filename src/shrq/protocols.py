@@ -20,6 +20,7 @@ ResultSet is exact regardless of how much the coarse execution over-covered.
 """
 
 import json
+import math
 import secrets
 from dataclasses import dataclass, field
 
@@ -27,7 +28,6 @@ from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from .ces import (
-    HASH_ID,
     LAYOUT_UNIFIED,
     create_lookup_table,
     layout_len,
@@ -58,7 +58,7 @@ from .geometry import (
     validate_point,
 )
 from .pairing import CURVE_A1
-from .server import b64d, b64e, lookup_message, store_message, tuple_message
+from .server import b64d, b64e, hello_message, lookup_message, store_message, tuple_message
 
 PROTOCOL_TABLE = "t"
 PROTOCOL_COARSE = "c"
@@ -154,18 +154,6 @@ def _send(server, msg):
     return reply
 
 
-def hello_message(config, descriptor):
-    """Pin the group (a GroupParams.describe() output) and the level count."""
-    backend = dict(descriptor)
-    return {
-        "type": "hello",
-        "N": backend.pop("N"),
-        "backend": backend,
-        "hash": HASH_ID,
-        "levels": config.levels,
-    }
-
-
 def point_messages(config, sk, rid, coords, rng=None):
     """db-store blob plus one encrypted tuple per coarsity level."""
     rid = str(rid)
@@ -181,7 +169,7 @@ def point_messages(config, sk, rid, coords, rng=None):
 
 def setup_messages(config, sk, dataset, rng=None):
     """The full upload stream: hello, lookup table, then every record."""
-    yield hello_message(config, sk.group.params.describe())
+    yield hello_message(sk.group.params.describe(), config.levels)
     yield lookup_message(create_lookup_table(sk, config.v))
     seen = set()
     for rid, coords in dataset:
@@ -231,6 +219,8 @@ def plan_sphere(config, sk, query, cols=None):
     cannot fire for t or c, whose scaled r^2 <= v < q2 - margin."""
     if len(query.center) != config.d:
         raise ConfigError(f"center has {len(query.center)} coordinates, the key has d={config.d}")
+    if any(type(v) is not int for v in (*query.center, query.radius)):  # int() would truncate 0.5
+        raise ConfigError(f"sphere {query.center}, r={query.radius!r} needs integer centre and radius")
     for c in query.center:
         if not 0 <= c <= config.x_max:
             raise QueryRejected("center-out-of-domain", f"center coordinate {c} outside [0, {config.x_max}]")
@@ -251,13 +241,15 @@ def plan_sphere(config, sk, query, cols=None):
 
 
 def plan_range(config, sk, rq):
-    """Clamp a range to the domain and plan it as a one-column sphere;
-    returns (sphere, plan), and an empty plan when nothing is left."""
+    """Clamp a range to the domain, round it inward to its integers and plan
+    it as a one-column sphere; returns (sphere, plan), or (None, ()) if empty."""
     if config.layout != LAYOUT_UNIFIED:
         raise ConfigError("range queries need a unified-layout deployment")
     if rq.col > config.d:
         raise ConfigError(f"column {rq.col} exceeds dimension count {config.d}")
     lo, hi = max(rq.lo, 0), min(rq.hi, config.x_max)
+    if lo <= hi:  # so both are finite
+        lo, hi = math.ceil(lo), math.floor(hi)
     if lo > hi:
         return None, ()
     sphere = range_to_sphere(RangeQuery(rq.col, lo, hi), config.d)
@@ -306,8 +298,8 @@ def query_sphere(config, sk, query, server, cols=None):
 
 def query_range(config, sk, rq, server):
     """Range pipeline: clamp to the domain, run as a one-column sphere, trim
-    the odd-width over-cover during validation.  Clamping keeps membership
-    of in-domain points, so validation tests the range as given."""
+    the odd-width over-cover during validation.  Clamping and rounding keep
+    membership of in-domain points, so validation tests the range as given."""
     sphere, plan = plan_range(config, sk, rq)
     raw = _execute(config, sk, server, sphere, plan, cols=(rq.col,))
     return validate(_decrypt_all(sk, raw), lambda coords: range_contains(coords, rq))

@@ -17,6 +17,8 @@ Requests carry a "type" field:
     delete     {id}                                 -> ack {found}
     query      {level, slots: [b64 canonical]}      -> result {matches: [{id, blob}]}
 
+hello_message is the one hello encoder: the client sends its output, and
+the server pins, logs and snapshots hello_message of the hello it acks.
 A slot is the canonical encoding (Group.canonical_bytes) of a G element,
 and decode reads exactly those byte strings: a GT encoding, a
 non-canonical one or a point outside the order-N subgroup does not decode.
@@ -30,20 +32,22 @@ slot count: the first tuple stored at an empty level fixes it, and a
 put_tuple with another count is an error.  So one bad tuple cannot turn
 every later query at its level into an error.
 
-Mutations are appended to a write-ahead log and fsync'd before they are
-applied and acknowledged, and replayed in order on restart (a hello equal
-to the pinned one, or a delete of an id not held, changes nothing and is
-not logged), so an acknowledged mutation survives a crash between any two
-messages; opening the state fsyncs the state directory and its parent, so
-the entries of a directory or log created there are as durable as the
-first ack.  If the append fails (a full disk), the log is cut back to its
-length before it, the state is left unchanged and the reply is an error;
-should that cut fail too, the line may stay, as after a crash before the
-ack.  A final log line without its newline was cut by a crash before its
-ack: replay drops it and truncates the log to the last newline.  Every
-other line, a blank one included, takes the wire's path (_dispatch), and a
-line that gets an error reply fails the restart with DataIntegrityError; so
-does a put_tuple without its put_store, which older servers acked and logged.
+serve always has a state directory; ServerState() keeps nothing and is for
+in-process use only.  Mutations are appended to a write-ahead log and
+fsync'd before they are applied and acknowledged, and replayed in order on
+restart (a hello equal to the pinned one, or a delete of an id not held,
+changes nothing and is not logged), so an acknowledged mutation survives a
+crash between any two messages; opening the state fsyncs the state
+directory and its parent, so the entries of a directory or log created
+there are as durable as the first ack.  If the append fails (a full disk),
+the log is cut back to its length before it, the state is left unchanged
+and the reply is an error; should that cut fail too, the line may stay, as
+after a crash before the ack.  A final log line without its newline was
+cut by a crash before its ack: replay drops it and truncates the log to the
+last newline.  Every other line, a blank one included, takes the wire's
+path (_dispatch), and a line that gets an error reply fails the restart
+with DataIntegrityError; so does a put_tuple without its put_store, which
+older servers acked and logged.
 
 Every _COMPACT_EVERY logged mutations the log is rewritten as a snapshot
 (compact); the count starts at the number of lines replayed at open, so a
@@ -66,7 +70,7 @@ import socket
 import socketserver
 import threading
 
-from .ces import HASH_ID, LookupTable, compute, lookup_contains, prepare_query
+from .ces import DIGEST_SIZE, HASH_ID, LookupTable, compute, lookup_contains, prepare_query
 from .errors import DataIntegrityError, ProtocolError, ServerUnreachable, ShrqError
 from .pairing import group_from_descriptor
 
@@ -131,6 +135,12 @@ def write_durably(path, lines):
 
 def _log_line(msg):
     return json.dumps(msg, sort_keys=True) + "\n"
+
+
+def hello_message(descriptor, levels):
+    """Pin the group (a GroupParams.describe() output) and the level count."""
+    backend = dict(descriptor)
+    return dict(type="hello", N=backend.pop("N"), backend=backend, hash=HASH_ID, levels=levels)
 
 
 def store_message(rid, blob):
@@ -290,21 +300,15 @@ class ServerState:
             raise ProtocolError(f"unknown level {level!r} (levels 0..{levels - 1})")
 
     def _do_hello(self, msg):
-        hello = {
-            "type": "hello",
-            "N": str(msg["N"]),
-            "backend": dict(msg["backend"]),
-            "hash": msg["hash"],
-            "levels": int(msg["levels"]),
-        }
+        if msg["hash"] != HASH_ID:
+            raise ProtocolError(f"unsupported hash {msg['hash']!r}")
+        hello = hello_message(dict(msg["backend"], N=str(msg["N"])), int(msg["levels"]))
         if hello["levels"] < 1:
             raise ProtocolError("levels must be >= 1")
         if self.hello is not None:
             if hello != self.hello:
                 raise ProtocolError("parameter mismatch with pinned hello")
             return {"type": "ack"}  # changes nothing, so nothing to log
-        if hello["hash"] != HASH_ID:
-            raise ProtocolError(f"unsupported hash {hello['hash']!r}")
         group = group_from_descriptor(dict(hello["backend"], N=hello["N"]))
         self._append_log(msg)
         self.group, self.hello = group, hello
@@ -312,8 +316,8 @@ class ServerState:
 
     def _do_put_lookup(self, msg):
         digests = [b64d(d) for d in msg["digests"]]
-        if any(len(d) != 32 for d in digests):
-            raise ProtocolError("lookup digests must be 32 bytes")
+        if any(len(d) != DIGEST_SIZE for d in digests):
+            raise ProtocolError(f"lookup digests must be {DIGEST_SIZE} bytes")
         uniq = frozenset(digests)
         if len(uniq) != len(digests):
             raise ProtocolError("duplicate lookup digests")
@@ -401,8 +405,8 @@ def _address(text):
     return host or "127.0.0.1", int(port)
 
 
-def serve(listen="127.0.0.1:9045", state_dir=None):
-    """Blocking entry point for the server process."""
+def serve(listen, state_dir):
+    """Blocking entry point for the server process over state_dir."""
     state = ServerState(state_dir)
     srv = TcpServer(_address(listen), state)
     try:
@@ -423,15 +427,22 @@ class ServerConnection:
         self._file = self._sock.makefile("rwb")
 
     def request(self, msg):
-        self._file.write(json.dumps(msg).encode("utf-8") + b"\n")
-        self._file.flush()
-        line = self._file.readline()
+        """A reset or a timeout closes the connection and raises ServerUnreachable."""
+        data = json.dumps(msg).encode("utf-8") + b"\n"
+        try:
+            self._file.write(data)
+            self._file.flush()
+            line = self._file.readline()
+        except (OSError, ValueError) as exc:  # ValueError: closed by an earlier one
+            self.close()
+            raise ServerUnreachable(f"connection to the server lost: {exc}") from None
         if not line:
             raise ServerUnreachable("server closed the connection")
         return json.loads(line)
 
     def close(self):
-        self._file.close()
+        with contextlib.suppress(OSError):  # the flush of a request the peer never read
+            self._file.close()
         self._sock.close()
 
     def __enter__(self):

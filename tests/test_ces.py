@@ -60,7 +60,7 @@ def test_keygen_margin_recompute():
 
 
 def test_keygen_margin_violation_names_bound():
-    grp = group_from_primes(101, 103)
+    grp = group_from_primes(101, 103, TRANSPARENT)
     with pytest.raises(ConfigError, match="q2"):
         keygen(0, 2, LAYOUT_SHRQ, 400, 100, TRANSPARENT, group=grp)
 

@@ -9,7 +9,6 @@ import subprocess
 import sys
 import tempfile
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -66,7 +65,7 @@ def workspace(tmp_path_factory):
             fh.write(f"{i},{rng.randrange(0, 90)},{rng.randrange(0, 90)}\n")
     assert run_cli(
         "keygen", "--lambda", "32", "--d", "2", "--layout", "unified", "--v", "400",
-        "--x-max", "100", "--backend", "transparent", "--protocol", "c", "--emax", "3",
+        "--x-max", "100", "--protocol", "c", "--emax", "3",
         "--out", key,
     ).returncode == 0
 
@@ -157,7 +156,7 @@ def test_insert_then_delete(workspace):
 def test_rejected_query_exit_code_and_reason(tmp_path):
     key = str(tmp_path / "k.json")
     run_cli("keygen", "--lambda", "32", "--d", "2", "--layout", "shrq", "--v", "400",
-            "--x-max", "100", "--backend", "transparent", "--protocol", "t", "--emax", "0",
+            "--x-max", "100", "--protocol", "t", "--emax", "0",
             "--out", key)
     for center, radius, why in (("1,1", "21", "r > sqrt(v)"), ("500,500", "1", "center-out-of-domain")):
         out = run_cli("query", "sphere", "--key", key, "--center", center, "--radius", radius,
@@ -201,11 +200,13 @@ def test_negative_coordinates_get_offset(tmp_path):
     data = tmp_path / "neg.csv"
     data.write_text("id,x1\na,-5\nb,0\nc,12\n")
     run_cli("keygen", "--lambda", "32", "--d", "1", "--layout", "unified", "--v", "100",
-            "--x-max", "50", "--backend", "transparent", "--protocol", "t", "--emax", "0",
+            "--x-max", "50", "--protocol", "t", "--emax", "0",
             "--out", key)
     port = free_port()
-    server = subprocess.Popen(CLI + ["serve", "--listen", f"127.0.0.1:{port}"],
-                              stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, env=ENV)
+    server = subprocess.Popen(
+        CLI + ["serve", "--listen", f"127.0.0.1:{port}", "--state", str(tmp_path / "state")],
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, env=ENV,
+    )
     try:
         wait_for_port(port)
         out = run_cli("setup", "--key", key, "--data", str(data), "--server", f"127.0.0.1:{port}")
@@ -246,12 +247,14 @@ def test_first_upload_fixes_the_offset(tmp_path):
     key = tmp_path / "k.json"
     data = tmp_path / "pts.csv"
     args = ["--lambda", "32", "--d", "1", "--layout", "unified", "--v", "100", "--x-max", "50",
-            "--backend", "transparent", "--protocol", "t", "--emax", "0"]
+            "--protocol", "t", "--emax", "0"]
     run_cli("keygen", *args, "--out", str(key))
     assert read_json(key)["offset"] is None
     port = free_port()
-    server = subprocess.Popen(CLI + ["serve", "--listen", f"127.0.0.1:{port}"],
-                              stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, env=ENV)
+    server = subprocess.Popen(
+        CLI + ["serve", "--listen", f"127.0.0.1:{port}", "--state", str(tmp_path / "state")],
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, env=ENV,
+    )
     try:
         wait_for_port(port)
         data.write_text("id,x1\na,0\nb,12\n")
@@ -282,7 +285,7 @@ def test_rejected_setup_leaves_key_unchanged(tmp_path):
     data = tmp_path / "bad.csv"
     data.write_text("id,x1,x2\na,-5,1\nb,500,3\n")
     run_cli("keygen", "--lambda", "32", "--d", "2", "--layout", "unified", "--v", "100",
-            "--x-max", "50", "--backend", "transparent", "--protocol", "t", "--emax", "0",
+            "--x-max", "50", "--protocol", "t", "--emax", "0",
             "--out", str(key))
     before = key.read_bytes()
     out = run_cli("setup", "--key", str(key), "--data", str(data), "--server", "127.0.0.1:9")
@@ -300,15 +303,29 @@ def test_bench_emits_csv():
 
 
 def test_curve_backend_cli_keygen(tmp_path):
+    # keygen writes curveA1 keys only: the insecure transparent backend is
+    # not an option
     key = str(tmp_path / "curve.json")
-    out = run_cli("keygen", "--lambda", "24", "--d", "1", "--layout", "shrq", "--v", "64",
-                  "--x-max", "30", "--backend", "curve", "--protocol", "t", "--emax", "0",
-                  "--out", key)
+    args = ["keygen", "--lambda", "24", "--d", "1", "--layout", "shrq", "--v", "64",
+            "--x-max", "30", "--protocol", "t", "--emax", "0", "--out", key]
+    out = run_cli(*args, "--backend", "transparent")
+    assert out.returncode == 2 and "--backend" in out.stderr and not os.path.exists(key)
+    out = run_cli(*args)
     assert out.returncode == 0
     doc = read_json(key)
     assert doc["backend"] == "curveA1" and "p" in doc and "l" in doc
     sk, config, _ = load_keyfile(key)  # load-verify passes
     assert config.protocol == "t"
+
+
+def test_serve_needs_a_state_directory(tmp_path):
+    # a server that keeps nothing is no option, whatever the environment says
+    env = dict(ENV, SHRQ_STATE_DIR=str(tmp_path / "state"))
+    for environ in (ENV, env):
+        out = subprocess.run(CLI + ["serve", "--listen", f"127.0.0.1:{free_port()}"],
+                             capture_output=True, text=True, timeout=30, env=environ)
+        assert out.returncode == 2 and "--state" in out.stderr, out.stderr
+    assert os.listdir(tmp_path) == []
 
 
 # -- key file consistency ----------------------------------------------------------
@@ -336,9 +353,8 @@ def test_keyfile_roundtrip(keyfile_pair):
 
 
 def test_encrypting_leaves_key_and_key_file_unchanged(tmp_path):
-    # fixed_pow's tables live on the group, never on the key or in its file;
-    # SecretKey's == compares the group by identity, so two loads are
-    # compared field by field and by the group's parameters
+    # fixed_pow's tables live on the group, never on the key or in its file,
+    # and a group compares by its class and parameters, not by its tables
     config = prot.make_config("t", 2, 400, 100, layout=ces.LAYOUT_SHRQ)
     sk, _ = ces.keygen(32, 2, ces.LAYOUT_SHRQ, 400, 100, rng=random.Random(17))
     path, again = str(tmp_path / "key.json"), str(tmp_path / "again.json")
@@ -350,8 +366,7 @@ def test_encrypting_leaves_key_and_key_file_unchanged(tmp_path):
         ces.query_encrypt(key, (-6, -8, 0, 1), 2, rng=random.Random(1))
         save_keyfile(again, key, config)
         assert Path(again).read_bytes() == before
-    assert used.group.params == idle.group.params
-    assert replace(used, group=None) == replace(idle, group=None)
+    assert used == idle
 
 
 def test_loads_of_one_key_file_compare_equal(tmp_path):

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
@@ -249,6 +250,67 @@ def test_planner_has_no_false_negatives(case):
     plan = prot.plan_sphere(config, sk, query, cols)
     assert server.query_levels == [layer.index for layer in plan]
     assert all(layer.factor == config.level_factor(layer.index) for layer in plan)
+
+
+def _not_ints(x_max):
+    """Values in [-2, x_max + 2] that are no int: floats, integral ones
+    included, and halves as Fractions."""
+    halves = st.integers(-4, 2 * x_max + 4).filter(lambda n: n % 2).map(lambda n: Fraction(n, 2))
+    return st.floats(-2, x_max + 2) | halves
+
+
+@st.composite
+def _non_integer_queries(draw):
+    """A unified-layout deployment, about 20 points and a sphere or range
+    query with at least one centre coordinate, radius or bound that is no
+    int; the points crowd the range's bounds, where rounding matters."""
+    protocol = draw(st.sampled_from((prot.PROTOCOL_TABLE, prot.PROTOCOL_COARSE, prot.PROTOCOL_LAYERED)))
+    d = draw(st.integers(1, 3))
+    v = draw(st.integers(0, 400))
+    e_max = draw(st.integers(0, 0 if protocol == prot.PROTOCOL_TABLE else 4))
+    x_max = draw(st.integers(1, 200))
+    values = _not_ints(x_max)
+    rnd = draw(st.randoms(use_true_random=False))
+    if draw(st.booleans()):
+        center = draw(st.tuples(*[st.integers(0, x_max) | values | st.booleans()] * d))
+        radius = draw(st.integers(0, 2 * math.isqrt(v) + 2) | values.map(abs))
+        assume(any(type(c) is not int for c in (*center, radius)))
+        return protocol, d, v, e_max, x_max, [], SphereQuery(center, radius)
+    bound = st.integers(-2, x_max + 2) | values | st.sampled_from((-math.inf, math.inf))
+    lo, hi = sorted(draw(st.tuples(bound, bound)))
+    assume(type(lo) is not int or type(hi) is not int)
+    col = draw(st.integers(1, d))
+    edges = [b for b in (lo, hi) if math.isfinite(b)] or [0]
+    dataset = []
+    for i in range(draw(st.integers(15, 25))):
+        point = [rnd.randint(0, x_max) for _ in range(d)]
+        point[col - 1] = min(max(math.floor(rnd.choice(edges)) + rnd.randint(-1, 2), 0), x_max)
+        dataset.append((str(i), tuple(point)))
+    return protocol, d, v, e_max, x_max, dataset, RangeQuery(col, lo, hi)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(_non_integer_queries())
+def test_non_integer_queries_are_refused_or_exact(case):
+    # the components truncate with int(), so a sphere centred at 0.5 would
+    # run at 0 and lose matches: a sphere needs int centre and radius (a
+    # bool is refused too), and a range is rounded inward to its integers
+    protocol, d, v, e_max, x_max, dataset, query = case
+    try:
+        config, sk = deployment(protocol, LAYOUT_UNIFIED, v=v, e_max=e_max, d=d, x_max=x_max)
+    except ConfigError:
+        assume(False)
+    if isinstance(query, SphereQuery):
+        with pytest.raises(ConfigError, match="integer"):
+            prot.query_sphere(config, sk, query, ServerState())
+        return
+    server = loaded_server(config, sk, dataset, random.Random(v))
+    try:
+        result = prot.query_range(config, sk, query, server)
+    except QueryRejected:
+        assume(False)
+    assert result.ids == range_oracle(dataset, query)
 
 
 # -- range pipeline -----------------------------------------------------------------------

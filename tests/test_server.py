@@ -5,6 +5,7 @@ import random
 import shutil
 import socket
 import stat
+import struct
 import subprocess
 import sys
 import tempfile
@@ -24,7 +25,7 @@ from shrq.pairing import CURVE_A1, TRANSPARENT
 from shrq.geometry import RangeQuery, SphereQuery, make_sphere_query_component
 from shrq.keyfile import load_keyfile, save_keyfile
 from shrq.oracle import hrq_oracle, range_oracle
-from shrq.server import ServerConnection, ServerState, TcpServer, b64e, connect
+from shrq.server import ServerConnection, ServerState, TcpServer, b64e, connect, hello_message
 
 
 @pytest.fixture(scope="module")
@@ -201,7 +202,7 @@ def test_any_line_gets_one_reply_and_errors_change_nothing(line):
 def test_rejections_before_the_deployment_is_complete(deployment):
     config, sk = deployment
     server = ServerState()
-    hello = prot.hello_message(config, sk.group.params.describe())
+    hello = hello_message(sk.group.params.describe(), config.levels)
     reply = server.request(dict(hello, hash="MD5"))
     assert reply["type"] == "error" and "unsupported hash" in reply["error"]
     assert server.snapshot_messages() == []
@@ -213,15 +214,22 @@ def test_rejections_before_the_deployment_is_complete(deployment):
     assert server.snapshot_messages() == before
 
 
-def test_hello_pinning(deployment):
+def test_hello_pinning(deployment, tmp_path, open_state):
     config, sk = deployment
-    server = ServerState()
-    hello = prot.hello_message(config, sk.group.params.describe())
+    server = open_state(tmp_path)
+    hello = hello_message(sk.group.params.describe(), config.levels)
     assert server.request(hello)["type"] == "ack"
+    # the pin is the one encoder's hello, the one the client sent
+    assert server.hello == hello_message(sk.group.params.describe(), config.levels) == hello
+    log = (tmp_path / "log.jsonl").read_bytes()
     assert server.request(hello)["type"] == "ack"  # idempotent re-hello
+    assert server.request(dict(hello, N=int(hello["N"])))["type"] == "ack"  # N pins as a string
     other = dict(hello, N=str(int(hello["N"]) + 2))
     reply = server.request(other)
     assert reply["type"] == "error" and "mismatch" in reply["error"]
+    reply = server.request(dict(hello, hash="MD5"))
+    assert reply["type"] == "error" and "unsupported hash" in reply["error"]
+    assert server.hello == hello and (tmp_path / "log.jsonl").read_bytes() == log
 
 
 def test_duplicate_puts_rejected(deployment, rng):
@@ -598,7 +606,7 @@ def test_only_a_logged_mutation_compacts(deployment, rng, tmp_path, monkeypatch,
     monkeypatch.setattr(shrq.server, "_COMPACT_EVERY", log.read_bytes().count(b"\n"))
     state = open_state(tmp_path)
     before, inode = log.read_bytes(), log.stat().st_ino
-    hello = prot.hello_message(config, sk.group.params.describe())
+    hello = hello_message(sk.group.params.describe(), config.levels)
     for request in (
         lambda: prot.query_sphere(config, sk, SphereQuery((1, 2), 1), state).ids == {"a"},
         lambda: state.request(hello) == {"type": "ack"},
@@ -646,7 +654,7 @@ def test_fresh_state_directory_is_fsynced_before_first_ack(deployment, tmp_path,
     events = []
     _record_fsyncs(monkeypatch, events)
     state = open_state(tmp_path / "state")
-    assert state.request(prot.hello_message(config, sk.group.params.describe())) == {"type": "ack"}
+    assert state.request(hello_message(sk.group.params.describe(), config.levels)) == {"type": "ack"}
     state.close()
     # the state directory, then its parent, then the log line itself
     assert events == ["fsync directory", "fsync directory", "fsync file"]
@@ -682,7 +690,7 @@ def test_mutations_logged_queries_not(deployment, rng, tmp_path, open_state):
 
 def test_repeated_hello_is_not_logged(deployment, tmp_path, open_state):
     config, sk = deployment
-    hello = prot.hello_message(config, sk.group.params.describe())
+    hello = hello_message(sk.group.params.describe(), config.levels)
     state = open_state(tmp_path)
     assert state.request(hello) == state.request(hello) == {"type": "ack"}
     state.close()
@@ -717,7 +725,7 @@ def test_reads_state_written_by_c8bee39(tmp_path, open_state):
         assert prot.query_range(config, sk, rq, state).ids == range_oracle(points, rq)
     # the same hello on the wire, and the same key file on disk
     logged_hello = json.loads((tmp_path / "log.jsonl").read_text().splitlines()[0])
-    assert prot.hello_message(config, sk.group.params.describe()) == logged_hello
+    assert hello_message(sk.group.params.describe(), config.levels) == logged_hello
     assert state.snapshot_messages()[0] == logged_hello
     state.close()
     save_keyfile(str(tmp_path / "again.json"), sk, config, offsets)
@@ -881,7 +889,7 @@ def test_tcp_malformed_line_keeps_connection(deployment):
                 conn._file.write(line.encode() + b"\n")
                 conn._file.flush()
                 assert json.loads(conn._file.readline())["type"] == "error"
-            hello = prot.hello_message(config, sk.group.params.describe())
+            hello = hello_message(sk.group.params.describe(), config.levels)
             assert conn.request(hello)["type"] == "ack"  # still usable
     finally:
         srv.shutdown()
@@ -905,6 +913,38 @@ def test_request_to_a_peer_that_hangs_up():
     finally:
         thread.join(timeout=10)
         listener.close()
+
+
+@pytest.mark.parametrize("failure", ["reset", "stall"])
+def test_lost_connection_is_server_unreachable(failure):
+    # a peer that resets the connection after reading the request, or one
+    # that stalls past the timeout: this request and the next raise
+    # ServerUnreachable, not an OSError, and closing does not raise
+    listener = socket.create_server(("127.0.0.1", 0))
+    done = threading.Event()
+
+    def peer():
+        conn, _ = listener.accept()
+        with conn, conn.makefile("rb") as fh:
+            fh.readline()
+            if failure == "reset":  # close with SO_LINGER 0 sends a reset
+                conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            else:
+                done.wait(10)
+
+    thread = threading.Thread(target=peer, daemon=True)
+    thread.start()
+    try:
+        with ServerConnection(*listener.getsockname()[:2], timeout=0.5) as conn:
+            for _ in range(2):
+                with pytest.raises(ServerUnreachable, match="connection to the server lost"):
+                    conn.request({"type": "hello"})
+        conn.close()
+    finally:
+        done.set()
+        thread.join(timeout=10)
+        listener.close()
+    assert not thread.is_alive()
 
 
 def test_server_imports_no_client_crypto():
