@@ -70,12 +70,20 @@ inverts many Z by one inversion (Montgomery's trick): prepare's walk takes
 one, a table two (its row bases [16^j]x, then its entries: a mixed addition
 needs its second point affine).  mul, _pt_mul and fixed_pow invert once, to
 go back to affine, and decode's order check tests Z = 0 on [N]P; _fp2_inv
-inverts once per final exponentiation.
+inverts once per final exponentiation.  prepare's walk runs the same steps
+over the bits of N, so it ends at [N]x too: its last Z is 0 exactly when x
+is in G, and prepare raises decode's ConfigError when it is not.  A walk
+may meet infinity partway, as the order-2 point (0, 0) does at its first
+doubling; it still ends at [N]x, because a doubling keeps Z = 0 and a mixed
+addition from infinity gives the added point.  The identity has no walk
+and is in G.  So the walk is the order check of a query slot, and a
+server parses those slots (parse) and does not decode them.
 
 Encodings.  canonical_bytes gives every element of G and GT one byte string;
-decode is its inverse on G alone.  GT elements are only hashed (the lookup
-table's digests, the server's membership test), never decoded: what a
-server or a key file reads back is always a G element.
+decode is its inverse on G alone: parse (tag, flag, length, coordinate
+range, curve equation), then the order check.  GT elements are only hashed
+(the lookup table's digests, the server's membership test), never decoded:
+what a server or a key file reads back is always a G element.
 """
 
 import secrets
@@ -95,6 +103,9 @@ _TAG_GT_CURVE = 0x22
 # fixed_pow reads k in windows of 4 bits, one table row of 16 points each
 _WINDOW = 4
 _DIGITS = 1 << _WINDOW
+
+# what decode and prepare raise for a curve point whose [N]P is not infinity
+_OUTSIDE_G = "point outside the order-N subgroup"
 
 # largest cofactor l tried for p = l*N - 1, and prime pairs drawn per group_gen
 _COFACTOR_CAP = 10**6
@@ -218,9 +229,11 @@ class Group:
 
     Each backend defines identity_g, identity_gt, mul, pow, fixed_pow (pow
     of a recurring G base, with the same result), pair, prepare,
-    pair_product, canonical_bytes, decode and _draw, random_generator's
-    candidate.  decode(data) is the G element whose canonical bytes are data;
-    any other byte string, a GT encoding among them, raises ConfigError.
+    pair_product, canonical_bytes, parse, decode and _draw,
+    random_generator's candidate.  decode(data) is the G element whose
+    canonical bytes are data; any other byte string, a GT encoding among
+    them, raises ConfigError.  parse(data) is decode less its order check,
+    so it also returns a curve point outside G, which prepare then rejects.
     Groups of one class and params are equal, whatever tables they hold."""
 
     def __init__(self, params):
@@ -306,6 +319,8 @@ class TransparentGroup(Group):
         if e >= self.N:
             raise ConfigError("transparent exponent out of range")
         return GElement(e)
+
+    parse = decode  # every exponent below N is an element of G: no order to check
 
 
 class CurveGroup(Group):
@@ -500,13 +515,17 @@ class CurveGroup(Group):
     def prepare(self, x):
         """The Miller lines of x, per loop step (lam, c) with c taken at the
         point stepped from, or None for a step from or to infinity (a vertical
-        line); None for the identity.  One _inverses call makes them affine."""
+        line); None for the identity.  One _inverses call makes them affine.
+        The walk ends at [N]x, so it is x's order check: ConfigError, as
+        decode raises it, unless x is in G."""
         if x.value is None:
             return None
         p, b = self.p, x.value
         walk = [b + (1, 0)]
         for double in self._miller_steps:
             walk.append(self._jac_double(walk[-1]) if double else self._jac_madd(walk[-1], b))
+        if walk[-1][2]:  # Z != 0: [N]x is not infinity
+            raise ConfigError(_OUTSIDE_G)
         zinv = self._inverses([pt[2] for pt in walk])
         lines = []
         for (x0, y0, z0, _), zi, (_, _, z3, n), zi3 in zip(walk, zinv, walk[1:], zinv[1:]):
@@ -547,7 +566,7 @@ class CurveGroup(Group):
         xo, yo = x.value
         return bytes([_TAG_G_CURVE, 1]) + xo.to_bytes(w, "big") + yo.to_bytes(w, "big")
 
-    def decode(self, data):
+    def parse(self, data):
         w = self._width
         if len(data) != 2 + 2 * w or data[0] != _TAG_G_CURVE:
             raise ConfigError("not a curve G element encoding")
@@ -559,9 +578,13 @@ class CurveGroup(Group):
         pt = (x, y)
         if x >= self.p or y >= self.p or not self._on_curve(pt):
             raise ConfigError("point not on curve")
-        if self._jac_mul(pt, self.N)[2]:  # Z != 0: [N]pt is not infinity
-            raise ConfigError("point outside the order-N subgroup")
         return GElement(pt)
+
+    def decode(self, data):
+        x = self.parse(data)
+        if x.value is not None and self._jac_mul(x.value, self.N)[2]:  # [N]x is not infinity
+            raise ConfigError(_OUTSIDE_G)
+        return x
 
 
 def _find_curve(N):

@@ -2,7 +2,7 @@
 
 The server holds only public computation parameters (N, group descriptor,
 hash id), the lookup-table digests, AES blobs it cannot open, and encrypted
-tuples.  Its whole query-time behaviour is: decode the query's slots and
+tuples.  Its whole query-time behaviour is: parse the query's slots and
 prepare each one once (ces.prepare_query records its Miller lines), then for
 every tuple at the queried level evaluate the product of the slot pairings
 (ces.compute), hash it, check membership and return the blob on a hit.
@@ -31,6 +31,17 @@ put_tuple needs its id's put_store first, and all tuples at a level have one
 slot count: the first tuple stored at an empty level fixes it, and a
 put_tuple with another count is an error.  So one bad tuple cannot turn
 every later query at its level into an error.
+
+The answers rest on every slot lying in G: then the blinding and the cross
+terms of compute pair to 1.  Each slot that arrives on the wire passes
+exactly one order check ([N]P = infinity).  A put_tuple slot is decoded.
+A query slot is parsed (Group.parse: the encoding and the curve equation)
+and prepared, and prepare's Miller walk, which ends at [N]q, rejects it if
+it is outside G.  Replay parses the log's put_tuple slots and runs no order
+check: each of them passed decode before it was logged, or was written by
+compact from slots that had, and the log is the server's own file.  The
+parse still fails the restart on a slot whose bytes changed on disk, as a
+flipped coordinate bit leaves the curve.
 
 serve always has a state directory; ServerState() keeps nothing and is for
 in-process use only.  Mutations are appended to a write-ahead log and
@@ -176,6 +187,7 @@ class ServerState:
         self._mutations_since_compact = 0
         self._log = None
         self._lock = threading.Lock()
+        self._replaying = False  # True in _replay, where put_tuple parses and does not decode
         if state_dir is not None:
             self._log_path = os.path.join(state_dir, _LOG_NAME)
             os.makedirs(state_dir, exist_ok=True)
@@ -187,6 +199,7 @@ class ServerState:
     # -- persistence --------------------------------------------------------
     def _replay(self):
         kept = 0  # a missing log is created 0600, as in _open_log, and replays empty
+        self._replaying = True
         with open(os.open(self._log_path, os.O_RDWR | os.O_CREAT, 0o600), "r+b") as fh:
             for number, line in enumerate(fh, start=1):
                 if not line.endswith(b"\n"):
@@ -200,6 +213,7 @@ class ServerState:
             if kept < fh.seek(0, os.SEEK_END):
                 fh.truncate(kept)
                 os.fsync(fh.fileno())
+        self._replaying = False
 
     def _open_log(self):
         # unbuffered, so a failed write leaves no bytes behind to flush later
@@ -332,7 +346,8 @@ class ServerState:
         rid = str(msg["id"])
         if rid not in self.db_store:
             raise ProtocolError(f"id {rid!r} has no record in db-store: send its put_store first")
-        slots = tuple(self.group.decode(b64d(s)) for s in msg["slots"])
+        read = self.group.parse if self._replaying else self.group.decode
+        slots = tuple(read(b64d(s)) for s in msg["slots"])
         if not slots:
             raise ProtocolError("tuple has no slots")
         bucket = self.db_query.get(level, {})
@@ -369,7 +384,8 @@ class ServerState:
         self._check_level(level)
         if self.lookup is None:
             raise ProtocolError("no lookup table uploaded")
-        prepared = prepare_query(self.group, [self.group.decode(b64d(s)) for s in msg["slots"]])
+        # prepare's walk is the slots' order check (see the module docstring)
+        prepared = prepare_query(self.group, [self.group.parse(b64d(s)) for s in msg["slots"]])
         matches = []
         bucket = self.db_query.get(level, {})
         for rid in sorted(bucket):
@@ -427,7 +443,9 @@ class ServerConnection:
         self._file = self._sock.makefile("rwb")
 
     def request(self, msg):
-        """A reset or a timeout closes the connection and raises ServerUnreachable."""
+        """A reset or a timeout closes the connection and raises
+        ServerUnreachable; a reply that is not a JSON object raises
+        ProtocolError."""
         data = json.dumps(msg).encode("utf-8") + b"\n"
         try:
             self._file.write(data)
@@ -438,7 +456,13 @@ class ServerConnection:
             raise ServerUnreachable(f"connection to the server lost: {exc}") from None
         if not line:
             raise ServerUnreachable("server closed the connection")
-        return json.loads(line)
+        try:
+            reply = json.loads(line)
+        except (ValueError, RecursionError) as exc:
+            raise ProtocolError(f"malformed reply from the server: {exc}") from None
+        if not isinstance(reply, dict):
+            raise ProtocolError("malformed reply from the server: not a JSON object")
+        return reply
 
     def close(self):
         with contextlib.suppress(OSError):  # the flush of a request the peer never read

@@ -71,10 +71,9 @@ def _affine_add(p, a, b):
     return (x3, (lam * (x1 - x3) - y1) % p)
 
 
-def _line(p, a, b, xq, yq):
-    """Line through a, b (tangent if equal) evaluated at (-xq, i*yq), as an
-    F_p^2 pair; None for vertical lines, which the final exponentiation
-    annihilates anyway."""
+def _line_through(p, a, b):
+    """(lam, c) of the line y = lam*x + c through a, b (tangent if equal);
+    None for a vertical line."""
     x1, y1 = a
     x2, y2 = b
     if x1 == x2:
@@ -83,7 +82,17 @@ def _line(p, a, b, xq, yq):
         lam = (3 * x1 * x1 + 1) * pow(2 * y1 % p, -1, p) % p
     else:
         lam = (y2 - y1) * pow((x2 - x1) % p, -1, p) % p
-    c = (y1 - lam * x1) % p
+    return lam, (y1 - lam * x1) % p
+
+
+def _line(p, a, b, xq, yq):
+    """Line through a, b (tangent if equal) evaluated at (-xq, i*yq), as an
+    F_p^2 pair; None for vertical lines, which the final exponentiation
+    annihilates anyway."""
+    line = _line_through(p, a, b)
+    if line is None:
+        return None
+    lam, c = line
     # y - lam*x - c at x = -xq, y = yq*i
     return ((lam * xq - c) % p, yq)
 
@@ -108,6 +117,23 @@ def reference_mul(group, x, k):
         base = _affine_add(p, base, base)
         k >>= 1
     return GElement(out)
+
+
+def reference_lines(group, x):
+    """Group.prepare(x) on the curve by affine arithmetic: per step of
+    Miller's loop over x, as reference_pair takes them, the (lam, c) of the
+    line through the point stepped from, or None for a step from infinity
+    or a vertical line; None for the identity."""
+    if x.value is None:
+        return None
+    p, v, lines = group.p, x.value, []
+    for bit in bin(group.N)[3:]:
+        lines.append(None if v is None else _line_through(p, v, v))
+        v = _affine_add(p, v, v)
+        if bit == "1":
+            lines.append(None if v is None else _line_through(p, v, x.value))
+            v = _affine_add(p, v, x.value)
+    return tuple(lines)
 
 
 def reference_pair(group, x, y):

@@ -8,6 +8,7 @@ import stat
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 from pathlib import Path
 
@@ -16,7 +17,7 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import shrq.server
 from shrq import ces, cli, protocols as prot
-from shrq.errors import ConfigError, KeyfileError
+from shrq.errors import ConfigError, KeyfileError, ProtocolError
 from shrq.keyfile import load_keyfile, save_keyfile
 from shrq.pairing import TRANSPARENT
 
@@ -116,6 +117,40 @@ def test_open_range_matches_oracle(workspace, bound):
     value = int(bound[1])
     want = {rid for rid, x in xs.items() if (x >= value if bound[0] == "--lo" else x <= value)}
     assert {json.loads(line)["id"] for line in ora.stdout.splitlines()} == want
+
+
+@pytest.mark.parametrize("reply", [b"not json", b"[]"])
+def test_reply_that_is_not_an_object_is_protocol_error(workspace, reply):
+    # a peer that answers every line with a reply that is not a JSON object:
+    # the library raises ProtocolError, and `shrq query` exits 1 with its
+    # JSON error line and no traceback
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def peer():
+        for _ in range(2):  # the library's connection, then the CLI's
+            conn, _ = listener.accept()
+            with conn, conn.makefile("rwb") as fh:
+                for _line in fh:
+                    fh.write(reply + b"\n")
+                    fh.flush()
+
+    thread = threading.Thread(target=peer, daemon=True)
+    thread.start()
+    host, port = listener.getsockname()[:2]
+    try:
+        sk, config, _ = load_keyfile(workspace["key"])
+        with shrq.server.ServerConnection(host, port, timeout=10) as conn:
+            with pytest.raises(ProtocolError, match="malformed reply from the server"):
+                prot.delete_point(config, sk, "0", conn)
+        out = run_cli("query", "sphere", "--key", workspace["key"], "--server", f"{host}:{port}",
+                      "--center", "40,40", "--radius", "17")
+        assert out.returncode == 1 and "Traceback" not in out.stderr, out.stderr
+        error = json.loads(out.stderr)
+        assert error["error"] == "failed" and "malformed reply from the server" in error["reason"]
+    finally:
+        thread.join(timeout=10)
+        listener.close()
+    assert not thread.is_alive()
 
 
 @pytest.mark.parametrize("col", ["0", "5"])

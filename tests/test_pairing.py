@@ -15,7 +15,7 @@ from shrq.pairing import (
     group_from_primes,
     group_gen,
 )
-from reference import reference_add, reference_mul, reference_pair
+from reference import reference_add, reference_lines, reference_mul, reference_pair
 
 
 def test_group_gen_toy_transparent():
@@ -168,6 +168,38 @@ def test_scalar_mul_matches_reference(case):
     except ConfigError:
         accepted = False
     assert accepted == in_g
+
+
+# the two groups above, and an N = 22 curve, on which the order-2 point and
+# the points of order 11 lie in G and meet infinity partway through their
+# walk
+_WALK_GROUPS = _MUL_GROUPS + (group_from_primes(2, 11, CURVE_A1),)
+
+
+@st.composite
+def _walk_case(draw):
+    grp = draw(st.sampled_from(_WALK_GROUPS))
+    return grp, _draw_point(draw, grp)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_walk_case())
+def test_prepare_walk_is_the_order_check(case):
+    # prepare raises decode's error exactly when [N]P is not infinity, and
+    # its lines are the affine reference's otherwise; parse accepts every
+    # curve point and decode agrees with prepare
+    grp, pt = case
+    x = GElement(pt)
+    raw = grp.canonical_bytes(x)
+    assert grp.parse(raw) == x
+    if reference_mul(grp, x, grp.N).value is None:
+        assert grp.prepare(x) == reference_lines(grp, x)
+        assert grp.decode(raw) == x
+    else:
+        with pytest.raises(ConfigError, match="point outside the order-N subgroup"):
+            grp.prepare(x)
+        with pytest.raises(ConfigError, match="point outside the order-N subgroup"):
+            grp.decode(raw)
 
 
 def _fixed_pow_bases():

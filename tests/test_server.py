@@ -21,11 +21,11 @@ from conftest import random_dataset
 from shrq import ces, protocols as prot
 from shrq.ces import LAYOUT_SHRQ, LAYOUT_UNIFIED
 from shrq.errors import DataIntegrityError, DuplicateIdError, ServerUnreachable
-from shrq.pairing import CURVE_A1, TRANSPARENT
+from shrq.pairing import CURVE_A1, TRANSPARENT, CurveGroup, GElement
 from shrq.geometry import RangeQuery, SphereQuery, make_sphere_query_component
 from shrq.keyfile import load_keyfile, save_keyfile
 from shrq.oracle import hrq_oracle, range_oracle
-from shrq.server import ServerConnection, ServerState, TcpServer, b64e, connect, hello_message
+from shrq.server import ServerConnection, ServerState, TcpServer, b64d, b64e, connect, hello_message
 
 
 @pytest.fixture(scope="module")
@@ -673,6 +673,124 @@ def test_layered_curve_queries_match_oracle(rng):
     for rq in ranges:
         assert prot.query_range(config, sk, rq, state).ids == range_oracle(ds, rq)
     assert prot.query_range(config, sk, ranges[1], state).ids == {rid for rid, _ in ds}
+
+
+# -- one order check per inbound slot (curveA1) ----------------------------------------
+
+
+@pytest.fixture(scope="module")
+def curve_deployment():
+    config = prot.make_config("c", 2, 400, 100, e_max=2, backend=CURVE_A1, layout=LAYOUT_SHRQ)
+    sk, _ = ces.keygen(32, 2, LAYOUT_SHRQ, 400, 100, CURVE_A1, rng=random.Random(33))
+    return config, sk
+
+
+def _off_g_slot(group, kind):
+    """A slot that parses but lies outside G: the order-2 point (0, 0), whose
+    walk meets infinity after one doubling, or the first curve point with
+    x >= 2 and [N]P not infinity."""
+    pt = (0, 0)
+    if kind == "wide":
+        p, x = group.p, 2
+        while True:
+            rhs = (x**3 + x) % p
+            y = pow(rhs, (p + 1) // 4, p)
+            if y * y % p == rhs and group._pt_mul((x, y), group.N) is not None:
+                break
+            x += 1
+        pt = (x, y)
+    raw = group.canonical_bytes(GElement(pt))
+    assert group.parse(raw) == GElement(pt)
+    return b64e(raw)
+
+
+_OUTSIDE_G = {"type": "error", "error": "point outside the order-N subgroup"}
+
+
+@pytest.mark.parametrize("kind", ["order 2", "wide"])
+def test_off_subgroup_query_slot_gets_one_error_reply(curve_deployment, rng, kind):
+    # the query's Miller walk is its slots' order check: one error reply on
+    # the connection, no state changed, and the next line is answered
+    config, sk = curve_deployment
+    ds = [("a", (5, 5)), ("b", (40, 41))]
+    state = ServerState()
+    fill(config, sk, ds, state, rng)
+    comp = make_sphere_query_component(SphereQuery((5, 5), 2), config.layout)
+    good = prot.query_message(config, sk, comp, 0)
+    bad = dict(good, slots=good["slots"][:1] + [_off_g_slot(sk.group, kind)] + good["slots"][2:])
+    before = state.snapshot_messages()
+    srv = TcpServer(("127.0.0.1", 0), state)
+    threading.Thread(target=srv.serve_forever, daemon=True).start()
+    try:
+        with ServerConnection(*srv.server_address[:2], timeout=5.0) as conn:
+            assert conn.request(bad) == _OUTSIDE_G
+            assert state.snapshot_messages() == before
+            assert conn.request(good) == state.request(good)
+            assert prot.query_sphere(config, sk, SphereQuery((5, 5), 2), conn).ids == {"a"}
+    finally:
+        srv.shutdown()
+        srv.server_close()
+
+
+@pytest.mark.parametrize("kind", ["order 2", "wide"])
+@pytest.mark.parametrize("durable", [True, False], ids=["state-dir", "in-memory"])
+def test_off_subgroup_put_tuple_is_rejected(curve_deployment, rng, tmp_path, open_state, durable, kind):
+    # a wire put_tuple is decoded, order check included, with or without a log
+    config, sk = curve_deployment
+    state = open_state(tmp_path) if durable else ServerState()
+    fill(config, sk, [("a", (5, 5))], state, rng)
+    store, good = prot.point_messages(config, sk, "b", (5, 6), rng=rng)[:2]
+    assert state.request(store)["type"] == "ack"
+    before = state.snapshot_messages()
+    log = tmp_path / "log.jsonl"
+    logged = log.read_bytes() if durable else None
+    bad = dict(good, slots=[_off_g_slot(sk.group, kind)] + good["slots"][1:])
+    assert state.request(bad) == _OUTSIDE_G
+    assert state.snapshot_messages() == before
+    assert not durable or log.read_bytes() == logged
+    assert state.request(good)["type"] == "ack"
+
+
+def test_replay_parses_and_the_wire_decodes(curve_deployment, rng, tmp_path, open_state, monkeypatch):
+    # a restart runs no order check on its own log; after it, a wire
+    # put_tuple is decoded slot by slot and a query decodes nothing (its
+    # walk is the check)
+    config, sk = curve_deployment
+    state = open_state(tmp_path)
+    fill(config, sk, [("a", (5, 5)), ("b", (40, 41))], state, rng)
+    state.close()
+    decoded = []
+    decode = CurveGroup.decode
+    monkeypatch.setattr(CurveGroup, "decode", lambda grp, data: decoded.append(data) or decode(grp, data))
+    state = open_state(tmp_path)
+    assert decoded == []
+    store, tup = prot.point_messages(config, sk, "c", (7, 7), rng=rng)[:2]
+    assert state.request(store)["type"] == "ack"
+    assert state.request(tup)["type"] == "ack"
+    assert decoded == [b64d(s) for s in tup["slots"]]
+    assert prot.query_sphere(config, sk, SphereQuery((6, 6), 2), state).ids == {"a", "c"}
+    assert decoded == [b64d(s) for s in tup["slots"]]
+
+
+def test_log_slot_off_the_curve_fails_replay(curve_deployment, rng, tmp_path, open_state):
+    # replay skips the order check but not the parse: a flipped coordinate
+    # bit in a logged put_tuple slot leaves the curve and fails the restart
+    config, sk = curve_deployment
+    state = open_state(tmp_path)
+    fill(config, sk, [("a", (5, 5)), ("b", (40, 41))], state, rng)
+    state.close()
+    log = tmp_path / "log.jsonl"
+    lines = log.read_bytes().splitlines(keepends=True)
+    number = [n for n, line in enumerate(lines, start=1) if json.loads(line)["type"] == "put_tuple"][-2]
+    msg = json.loads(lines[number - 1])
+    raw = bytearray(b64d(msg["slots"][0]))
+    assert raw[1] == 1  # a point, not the identity
+    raw[-1] ^= 1  # the low bit of y
+    msg["slots"][0] = b64e(bytes(raw))
+    lines[number - 1] = json.dumps(msg, sort_keys=True).encode() + b"\n"
+    log.write_bytes(b"".join(lines))
+    with pytest.raises(DataIntegrityError, match=f"corrupt state log line {number}: point not on curve"):
+        open_state(tmp_path)
 
 
 def test_mutations_logged_queries_not(deployment, rng, tmp_path, open_state):
