@@ -7,37 +7,3 @@ points, queries, or even the query type.
 """
 
 __version__ = "0.1.0"
-
-from .errors import (
-    ConfigError,
-    DataIntegrityError,
-    DuplicateIdError,
-    IngestionError,
-    KeyfileError,
-    NotFoundError,
-    ProtocolError,
-    QueryRejected,
-    ServerUnreachable,
-    SetupError,
-    ShrqError,
-)
-from .pairing import CURVE_A1, TRANSPARENT, group_from_descriptor, group_from_primes, group_gen
-
-__all__ = [
-    "CURVE_A1",
-    "TRANSPARENT",
-    "ConfigError",
-    "DataIntegrityError",
-    "DuplicateIdError",
-    "IngestionError",
-    "KeyfileError",
-    "NotFoundError",
-    "ProtocolError",
-    "QueryRejected",
-    "ServerUnreachable",
-    "SetupError",
-    "ShrqError",
-    "group_from_descriptor",
-    "group_from_primes",
-    "group_gen",
-]

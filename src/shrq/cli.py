@@ -38,7 +38,7 @@ from .errors import (
     ShrqError,
 )
 from .geometry import RangeQuery, SphereQuery, validate_point
-from .keyfile import load_keyfile, load_recorded, save_keyfile
+from .keyfile import load_keyfile, save_keyfile
 from .server import connect, serve
 
 
@@ -103,7 +103,7 @@ def cmd_keygen(args):
 
 
 def cmd_setup(args):
-    sk, config, recorded = load_recorded(args.key)
+    sk, config, recorded = load_keyfile(args.key)
     _, rows = _read_csv(args.data, config.d)
     needed = [max(0, -min((c[i] for _, c in rows), default=0)) for i in range(config.d)]
     offsets = needed if recorded is None else recorded  # rows below 0 under it fail below
@@ -128,6 +128,7 @@ def cmd_serve(args):
 
 def cmd_query_sphere(args):
     sk, config, offsets = load_keyfile(args.key)
+    offsets = offsets or [0] * config.d
     center = _shift(_parse_coords(args.center), offsets)
     query = SphereQuery(center, args.radius)
     protocols.plan_sphere(config, sk, query)  # reject before connecting
@@ -152,6 +153,7 @@ def _resolve_range(args, offsets):
 
 def cmd_query_range(args):
     sk, config, offsets = load_keyfile(args.key)
+    offsets = offsets or [0] * config.d
     rq = _resolve_range(args, offsets)
     protocols.plan_range(config, sk, rq)  # reject before connecting
     with connect(args.server) as conn:
@@ -161,7 +163,7 @@ def cmd_query_range(args):
 
 
 def cmd_insert(args):
-    sk, config, recorded = load_recorded(args.key)
+    sk, config, recorded = load_keyfile(args.key)
     offsets = [0] * config.d if recorded is None else recorded
     coords = _shift(_parse_coords(args.point), offsets)
     if recorded is None:  # this upload fixes the offset at zeros, once the point passes

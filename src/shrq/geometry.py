@@ -178,14 +178,13 @@ def covering_radii(r, v, d, b_c, e_max):
         i += 1
 
 
-def dist_squared(a, b, cols=None):
-    """Integer squared distance, optionally over a subset of 1-based columns."""
-    idx = range(len(a)) if cols is None else [c - 1 for c in cols]
-    return sum((a[i] - b[i]) * (a[i] - b[i]) for i in idx)
+def dist_squared(a, b):
+    """Integer squared distance."""
+    return sum((a[i] - b[i]) * (a[i] - b[i]) for i in range(len(a)))
 
 
-def sphere_contains(coords, q, cols=None):
-    return dist_squared(coords, q.center, cols) <= q.radius * q.radius
+def sphere_contains(coords, q):
+    return dist_squared(coords, q.center) <= q.radius * q.radius
 
 
 def range_contains(coords, rq):

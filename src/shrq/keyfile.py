@@ -4,7 +4,8 @@ The file holds everything the owner needs to reopen a deployment: group
 primes, generators, blinding vectors, long-term scalars and the AES key
 (the secret key), the deployment configuration (layout, d, v, x_max,
 protocol, E_max, b_c), and the coordinate offset applied at ingestion:
-null until the key's first upload records it (see cli).
+null until the key's first upload records it (see cli), and None as
+load_keyfile returns it, so saving a loaded key writes the same bytes.
 It is written through the server module's write_durably, as the state log's
 snapshot is, and its base64 fields are read strictly, as on the wire.
 Loading re-derives s = g^q1, h = u^q2 and A.B = 0 mod q1, and rebuilds the
@@ -53,14 +54,8 @@ def save_keyfile(path, sk, config, offsets=None):
 
 
 def load_keyfile(path):
-    """Returns (sk, config, offsets), the offsets all zero while the file
-    records none; raises KeyfileError on any inconsistency."""
-    sk, config, recorded = load_recorded(path)
-    return sk, config, [0] * config.d if recorded is None else recorded
-
-
-def load_recorded(path):
-    """load_keyfile, but with offsets None while the file records none."""
+    """Returns (sk, config, offsets), the offsets None until the key's first
+    upload records them; raises KeyfileError on any inconsistency."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)

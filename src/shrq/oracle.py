@@ -9,9 +9,9 @@ against them.
 from .geometry import range_contains, sphere_contains
 
 
-def hrq_oracle(dataset, query, cols=None):
+def hrq_oracle(dataset, query):
     """ids of points inside the sphere: integer dist^2 <= r^2."""
-    return {rid for rid, coords in dataset if sphere_contains(coords, query, cols)}
+    return {rid for rid, coords in dataset if sphere_contains(coords, query)}
 
 
 def range_oracle(dataset, rq):

@@ -110,6 +110,7 @@ _OUTSIDE_G = "point outside the order-N subgroup"
 # largest cofactor l tried for p = l*N - 1, and prime pairs drawn per group_gen
 _COFACTOR_CAP = 10**6
 _GEN_ATTEMPTS = 32
+_MR_ROUNDS = 16  # random Miller-Rabin witnesses per _is_prime, after its fixed ones
 
 
 def _power(double, add, one, base, k):
@@ -123,7 +124,7 @@ def _power(double, add, one, base, k):
     return out
 
 
-def _is_prime(n, rounds=16):
+def _is_prime(n):
     """Miller-Rabin primality test (deterministic witnesses + random rounds)."""
     if n < 2:
         return False
@@ -149,7 +150,7 @@ def _is_prime(n, rounds=16):
     for a in small:
         if witness(a):
             return False
-    for _ in range(rounds):
+    for _ in range(_MR_ROUNDS):
         if witness(secrets.randbelow(n - 3) + 2):
             return False
     return True

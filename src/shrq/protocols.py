@@ -147,7 +147,9 @@ def decrypt_record(sk, rid, blob):
 def _send(server, msg):
     reply = server.request(msg)
     if reply.get("type") == "error":
-        text = reply.get("error", "")
+        text = reply.get("error")
+        if not isinstance(text, str):
+            raise ProtocolError(f"malformed reply from the server: error is {text!r}")
         if "duplicate id" in text:
             raise DuplicateIdError(text)
         raise ProtocolError(f"server error: {text}")
@@ -199,7 +201,10 @@ def insert_point(config, sk, rid, coords, server, rng=None):
 
 def delete_point(config, sk, rid, server):
     reply = _send(server, {"type": "delete", "id": str(rid)})
-    if not reply.get("found"):
+    found = reply.get("found")
+    if not isinstance(found, bool):
+        raise ProtocolError(f"malformed reply from the server: found is {found!r}")
+    if not found:
         raise NotFoundError(f"record id {rid!r} not present")
 
 
@@ -273,8 +278,14 @@ def _execute(config, sk, server, sphere, plan, cols):
         reply = _send(server, query_message(config, sk, comp, layer.index))
         if reply.get("type") != "result":
             raise ProtocolError(f"unexpected reply {reply.get('type')!r}")
-        for match in reply["matches"]:
-            raw.setdefault(str(match["id"]), match["blob"])
+        matches = reply.get("matches")
+        if not isinstance(matches, list) or not all(
+            isinstance(m, dict) and isinstance(m.get("id"), str) and isinstance(m.get("blob"), str)
+            for m in matches
+        ):
+            raise ProtocolError("malformed reply from the server: matches are not [{id, blob}] strings")
+        for match in matches:
+            raw.setdefault(match["id"], match["blob"])
     return raw
 
 
@@ -289,11 +300,11 @@ def _decrypt_all(sk, raw):
     return [(rid, decrypt_record(sk, rid, b64d(blob))) for rid, blob in raw.items()]
 
 
-def query_sphere(config, sk, query, server, cols=None):
+def query_sphere(config, sk, query, server):
     """Full sphere pipeline: plan, encrypt, execute, decrypt, validate."""
-    plan = plan_sphere(config, sk, query, cols)
-    raw = _execute(config, sk, server, query, plan, cols)
-    return validate(_decrypt_all(sk, raw), lambda coords: sphere_contains(coords, query, cols))
+    plan = plan_sphere(config, sk, query)
+    raw = _execute(config, sk, server, query, plan, None)
+    return validate(_decrypt_all(sk, raw), lambda coords: sphere_contains(coords, query))
 
 
 def query_range(config, sk, rq, server):

@@ -30,7 +30,11 @@ not decode, parameters that do not build a group) gets {"type": "error",
 put_tuple needs its id's put_store first, and all tuples at a level have one
 slot count: the first tuple stored at an empty level fixes it, and a
 put_tuple with another count is an error.  So one bad tuple cannot turn
-every later query at its level into an error.
+every later query at its level into an error.  A query's work is bounded by
+the level it asks: a query whose slot count differs from its populated
+level's pinned count is an error before any slot is parsed or prepared, and
+a query at an empty level has its slots parsed, prepares none and answers no
+matches.
 
 The answers rest on every slot lying in G: then the blinding and the cross
 terms of compute pair to 1.  Each slot that arrives on the wire passes
@@ -384,10 +388,17 @@ class ServerState:
         self._check_level(level)
         if self.lookup is None:
             raise ProtocolError("no lookup table uploaded")
-        # prepare's walk is the slots' order check (see the module docstring)
-        prepared = prepare_query(self.group, [self.group.parse(b64d(s)) for s in msg["slots"]])
-        matches = []
         bucket = self.db_query.get(level, {})
+        wire = msg["slots"]
+        pinned = len(next(iter(bucket.values()), wire))
+        if len(wire) != pinned:  # before any parse or prepare (see the module docstring)
+            raise ProtocolError(f"query has {len(wire)} slots, level {level} holds {pinned}")
+        slots = [self.group.parse(b64d(s)) for s in wire]
+        if not bucket:
+            return {"type": "result", "matches": []}
+        # prepare's walk is the slots' order check (see the module docstring)
+        prepared = prepare_query(self.group, slots)
+        matches = []
         for rid in sorted(bucket):
             if lookup_contains(self.lookup, self.group, compute(self.group, bucket[rid], prepared)):
                 blob = self.db_store.get(rid)

@@ -265,9 +265,9 @@ def make_range_query_component(rq, d, layout=LAYOUT_UNIFIED):
     return make_sphere_query_component(sphere, layout, cols=(rq.col,)), sphere
 
 
-def hrq_oracle_dot_form(dataset, query, layout=LAYOUT_UNIFIED, cols=None):
+def hrq_oracle_dot_form(dataset, query, layout=LAYOUT_UNIFIED):
     """Same predicate as hrq_oracle via the component dot product."""
-    q_comp = make_sphere_query_component(query, layout, cols)
+    q_comp = make_sphere_query_component(query, layout)
     out = set()
     for rid, coords in dataset:
         dot = plaintext_dot(make_data_component(coords, layout), q_comp)

@@ -119,11 +119,12 @@ def test_open_range_matches_oracle(workspace, bound):
     assert {json.loads(line)["id"] for line in ora.stdout.splitlines()} == want
 
 
-@pytest.mark.parametrize("reply", [b"not json", b"[]"])
+@pytest.mark.parametrize("reply", [b"not json", b"[]", b'{"type": "result"}'])
 def test_reply_that_is_not_an_object_is_protocol_error(workspace, reply):
-    # a peer that answers every line with a reply that is not a JSON object:
-    # the library raises ProtocolError, and `shrq query` exits 1 with its
-    # JSON error line and no traceback
+    # a peer that answers every line with a reply that is not a JSON object,
+    # or an object without the fields a delete or a query reads: the library
+    # raises ProtocolError, and `shrq query` exits 1 with its JSON error line
+    # and no traceback
     listener = socket.create_server(("127.0.0.1", 0))
 
     def peer():
@@ -478,7 +479,7 @@ def test_keyfile_is_owner_only(keyfile_pair, tmp_path):
         os.umask(old)
     assert stat.S_IMODE(os.stat(key).st_mode) == 0o600
     assert os.listdir(tmp_path) == ["key.json"]
-    assert load_keyfile(str(key))[2] == [0, 0]
+    assert load_keyfile(str(key))[2] is None
 
 
 @pytest.mark.parametrize("field", ["s", "h", "A", "B"])
@@ -542,7 +543,7 @@ def _deployments(draw):
         draw(st.integers(0, 2000)),  # v
         draw(st.integers(1, 1000)),  # x_max
         0 if protocol == prot.PROTOCOL_TABLE else draw(st.integers(0, 5)),  # e_max
-        draw(st.lists(st.integers(0, 50), min_size=d, max_size=d)),  # offsets
+        draw(st.none() | st.lists(st.integers(0, 50), min_size=d, max_size=d)),  # offsets, None until recorded
         draw(st.integers(0, 2**32)),  # key seed
     )
 

@@ -203,17 +203,14 @@ def test_center_out_of_domain_rejected(rng):
 
 @st.composite
 def _planned_queries(draw):
-    """A deployment, a column subset (unified layout only), about 20 points
-    in the domain and one sphere query."""
+    """A deployment, about 20 points in the domain and one query: a sphere
+    or, on a unified-layout draw, maybe a one-column range across it."""
     protocol = draw(st.sampled_from((prot.PROTOCOL_TABLE, prot.PROTOCOL_COARSE, prot.PROTOCOL_LAYERED)))
     d = draw(st.integers(1, 3))
     v = draw(st.integers(0, 400))
     e_max = draw(st.integers(0, 0 if protocol == prot.PROTOCOL_TABLE else 4))
     layout = draw(st.sampled_from((LAYOUT_SHRQ, LAYOUT_UNIFIED)))
     x_max = draw(st.integers(1, 200))
-    cols = None
-    if layout == LAYOUT_UNIFIED:
-        cols = draw(st.none() | st.sets(st.integers(1, d), min_size=1).map(sorted).map(tuple))
     center = draw(st.tuples(*[st.integers(0, x_max)] * d))
     radius = draw(st.integers(0, x_max) | st.integers(0, 2 * math.isqrt(v) + 2))
     # points in the sphere's bounding box, half of them pulled onto its
@@ -227,27 +224,35 @@ def _planned_queries(draw):
         if i % 2 and norm:
             offset = [int(o * radius / norm) for o in offset]
         dataset.append((str(i), tuple(min(max(c + o, 0), x_max) for c, o in zip(center, offset))))
-    return protocol, d, v, e_max, layout, x_max, cols, dataset, SphereQuery(center, radius)
+    query = SphereQuery(center, radius)
+    if layout == LAYOUT_UNIFIED and draw(st.booleans()):
+        # the points crowd the sphere's surface, so they crowd the range's
+        # bounds too; odd widths make the planned sphere over-cover by one
+        col = draw(st.integers(1, d))
+        lo = center[col - 1] - radius
+        query = RangeQuery(col, lo, lo + draw(st.integers(0, 2 * radius + 1)))
+    return protocol, d, v, e_max, layout, x_max, dataset, query
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
 @given(_planned_queries())
 def test_planner_has_no_false_negatives(case):
-    protocol, d, v, e_max, layout, x_max, cols, dataset, query = case
+    protocol, d, v, e_max, layout, x_max, dataset, query = case
     try:
         config, sk = deployment(protocol, layout, v=v, e_max=e_max, d=d, x_max=x_max)
     except ConfigError:
         assume(False)
     server = RecordingServer(loaded_server(config, sk, dataset, random.Random(v)))
+    ranged = isinstance(query, RangeQuery)
     try:
-        result, matched = server.query(prot.query_sphere, config, sk, query, cols=cols)
+        result, matched = server.query(prot.query_range if ranged else prot.query_sphere, config, sk, query)
     except QueryRejected:
         assume(False)
-    want = hrq_oracle(dataset, query, cols)
+    want = range_oracle(dataset, query) if ranged else hrq_oracle(dataset, query)
     assert matched >= want  # no false negatives before validation
     assert result.ids == want
-    plan = prot.plan_sphere(config, sk, query, cols)
+    plan = prot.plan_range(config, sk, query)[1] if ranged else prot.plan_sphere(config, sk, query)
     assert server.query_levels == [layer.index for layer in plan]
     assert all(layer.factor == config.level_factor(layer.index) for layer in plan)
 
@@ -451,10 +456,40 @@ def test_error_reply_other_than_duplicate_is_protocol_error():
         prot.delete_point(config, sk, "a", server)
 
 
-def test_query_reply_that_is_not_a_result_is_protocol_error():
+@pytest.mark.parametrize(
+    "reply, reason",
+    [
+        ({"type": "ack", "found": 1}, "found is 1"),
+        ({"type": "ack"}, "found is None"),
+        ({"type": "error", "error": 5}, "error is 5"),
+        ({"type": "error"}, "error is None"),
+    ],
+    ids=["found-int", "no-found", "error-int", "no-error"],
+)
+def test_malformed_delete_reply_is_protocol_error(reply, reason):
     config, sk = deployment("c", layout=LAYOUT_UNIFIED, e_max=3)
-    with pytest.raises(ProtocolError, match="unexpected reply 'ack'"):
-        prot.query_sphere(config, sk, SphereQuery((5, 5), 1), _StubServer({"type": "ack"}))
+    with pytest.raises(ProtocolError, match=f"^malformed reply from the server: {reason}$"):
+        prot.delete_point(config, sk, "a", _StubServer(reply))
+
+
+@pytest.mark.parametrize(
+    "reply, reason",
+    [
+        ({"type": "ack"}, "unexpected reply 'ack'"),
+        ({"type": "result"}, "malformed reply"),
+        ({"type": "result", "matches": 5}, "malformed reply"),
+        ({"type": "result", "matches": [5]}, "malformed reply"),
+        ({"type": "result", "matches": [{"blob": "AAAA"}]}, "malformed reply"),
+        ({"type": "result", "matches": [{"id": 7, "blob": "AAAA"}]}, "malformed reply"),
+        ({"type": "result", "matches": [{"id": "a"}]}, "malformed reply"),
+        ({"type": "result", "matches": [{"id": "a", "blob": None}]}, "malformed reply"),
+    ],
+    ids=["ack", "no-matches", "matches-int", "match-int", "no-id", "id-int", "no-blob", "blob-null"],
+)
+def test_query_reply_that_is_not_a_result_is_protocol_error(reply, reason):
+    config, sk = deployment("c", layout=LAYOUT_UNIFIED, e_max=3)
+    with pytest.raises(ProtocolError, match=reason):
+        prot.query_sphere(config, sk, SphereQuery((5, 5), 1), _StubServer(reply))
 
 
 def test_tampered_blob_fails_decrypt(rng):

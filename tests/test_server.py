@@ -454,6 +454,31 @@ def test_slot_count_pinned_per_level(deployment, rng, tmp_path, open_state):
     assert reply["type"] == "error" and "slots" in reply["error"]
 
 
+def test_query_slot_count_is_checked_before_any_prepare(curve_deployment, rng, monkeypatch):
+    # a query's work is bounded by its level: a wrong slot count at a
+    # populated level is an error before any slot is prepared (or parsed),
+    # and a query at an empty level parses its slots, prepares none and
+    # matches nothing
+    config, sk = curve_deployment
+    populated, empty = ServerState(), ServerState()
+    fill(config, sk, [("a", (5, 5))], populated, rng)
+    fill(config, sk, [], empty, rng)
+    comp = make_sphere_query_component(SphereQuery((5, 5), 2), config.layout)
+    good = prot.query_message(config, sk, comp, 0)
+    prepared = []
+    prepare = CurveGroup.prepare
+    monkeypatch.setattr(CurveGroup, "prepare", lambda grp, x: prepared.append(x) or prepare(grp, x))
+    for slots in ([], good["slots"][:-1], good["slots"] * 100, ["AAAA"] * 5):
+        reply = populated.request(dict(good, slots=slots))
+        assert reply == {"type": "error", "error": f"query has {len(slots)} slots, level 0 holds 4"}
+    for slots in (good["slots"], good["slots"] * 100):
+        assert empty.request(dict(good, slots=slots)) == {"type": "result", "matches": []}
+    assert prepared == []
+    assert empty.request(dict(good, slots=["AAAA"])) == {"type": "error", "error": "not a curve G element encoding"}
+    assert [m["id"] for m in populated.request(good)["matches"]] == ["a"]
+    assert len(prepared) == 4
+
+
 @pytest.mark.parametrize("kind", ["put_tuple", "delete"])
 def test_failed_log_append_changes_nothing(deployment, rng, tmp_path, monkeypatch, kind, open_state):
     config, sk = deployment
@@ -1065,15 +1090,26 @@ def test_lost_connection_is_server_unreachable(failure):
     assert not thread.is_alive()
 
 
-def test_server_imports_no_client_crypto():
-    """The server module loads neither the client library nor its AES-GCM."""
-    code = "import json, sys, shrq.server; print(json.dumps(sorted(sys.modules)))"
+def _modules_loaded_by(module):
+    """sys.modules of a fresh interpreter after `import module`."""
+    code = f"import json, sys, {module}; print(json.dumps(sorted(sys.modules)))"
     env = dict(os.environ, PYTHONPATH="src")
     root = Path(__file__).resolve().parent.parent
     out = subprocess.run([sys.executable, "-c", code], cwd=root, env=env, capture_output=True, text=True, check=True)
-    loaded = json.loads(out.stdout)
+    return json.loads(out.stdout)
+
+
+def test_server_imports_no_client_crypto():
+    """The server module loads neither the client library nor its AES-GCM."""
+    loaded = _modules_loaded_by("shrq.server")
     assert "shrq.protocols" not in loaded
     assert [m for m in loaded if m.split(".")[0] == "cryptography"] == []
+
+
+def test_package_imports_none_of_its_modules():
+    """The package re-exports nothing, so a module loads only what it imports."""
+    loaded = _modules_loaded_by("shrq.errors")
+    assert [m for m in loaded if m.split(".")[0] == "shrq"] == ["shrq", "shrq.errors"]
 
 
 def test_connect_helper_unreachable():
