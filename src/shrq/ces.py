@@ -35,10 +35,9 @@ every out-of-range dot (negative residues included) to miss the table.
 import hashlib
 import math
 import secrets
-from dataclasses import dataclass
 
 from .errors import ConfigError, DataIntegrityError, ProtocolError
-from .pairing import CURVE_A1, group_gen
+from .pairing import CURVE_A1, Record, group_gen
 
 LAYOUT_SHRQ = "shrq"  # {m_1..m_d, 1, ||m||^2}, length d+2
 LAYOUT_UNIFIED = "unified"  # {m_1..m_d, 1, m_1^2..m_d^2}, length 2d+1
@@ -55,27 +54,23 @@ def layout_len(layout, d):
     raise ConfigError(f"unknown layout {layout!r}")
 
 
-@dataclass
-class SecretKey:
+class SecretKey(Record):
     """The owner-side secrets only; the layout, d, v and x_max a key serves
-    live on protocols.DeploymentConfig."""
+    live on protocols.DeploymentConfig.  s = g^q1 has order q2 and carries
+    the message slots; h = u^q2 has order q1 and carries the blinding.  Its
+    repr names the group and the vector length, never a secret."""
 
-    group: object
-    g: object
-    u: object
-    s: object  # g^q1, order q2: carries the message slots
-    h: object  # u^q2, order q1: carries the blinding
-    A: list
-    B: list
-    alpha: int
-    beta: int
-    aes_key: bytes
+    __slots__ = ("group", "g", "u", "s", "h", "A", "B", "alpha", "beta", "aes_key")
+
+    def __repr__(self):
+        return f"SecretKey({self.group.params.backend} group, {len(self.A)} slots)"
 
 
-@dataclass(frozen=True)
-class LookupTable:
-    digests: frozenset  # DIGEST_SIZE-byte SHA-256 values
-    v: int
+class LookupTable(Record):
+    """digests, the frozenset of DIGEST_SIZE-byte SHA-256 values, one per dot
+    value in [0, v]."""
+
+    __slots__ = ("digests", "v")
 
 
 def margin_bound(d, v, x_max):

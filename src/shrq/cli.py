@@ -15,6 +15,13 @@ file changes: a rejected set-up leaves it byte for byte.
 keygen writes curveA1 keys only, and serve needs --state, the directory
 whose log keeps every acknowledged mutation.
 
+A restart of the server is mostly the start of its process, so `serve`
+loads only the server: this module imports at its top only what the
+argument parser and serve need (argparse, json, sys, errors, ces for the
+layout choices, and server).  A client-only module (protocols with its
+AES-GCM binding, keyfile, geometry, oracle, bench, csv, math) is imported
+in the command or helper that uses it.
+
 Exit codes: 0 success, 1 general error, 2 query rejected by the deployment
 (a machine-readable JSON reason goes to stderr), 3 key file missing or
 inconsistent, or a bad configuration or argument (such as a centre with
@@ -22,13 +29,10 @@ the wrong number of coordinates), 4 server unreachable.
 """
 
 import argparse
-import csv
 import json
-import math
 import sys
 
-from . import bench as bench_mod
-from . import ces, oracle, protocols
+from . import ces
 from .errors import (
     ConfigError,
     IngestionError,
@@ -37,8 +41,6 @@ from .errors import (
     ServerUnreachable,
     ShrqError,
 )
-from .geometry import RangeQuery, SphereQuery, validate_point
-from .keyfile import load_keyfile, save_keyfile
 from .server import connect, serve
 
 
@@ -52,6 +54,8 @@ def _parse_coords(text):
 def _read_csv(path, d=None):
     """CSV with header id,x1..xd; returns (d, [(id, coords)]) with raw
     (unshifted) ints.  d defaults to the header's column count less one."""
+    import csv
+
     rows = []
     seen = set()
     with open(path, newline="", encoding="utf-8") as fh:
@@ -94,6 +98,9 @@ def _emit_records(records, offsets):
 
 
 def cmd_keygen(args):
+    from . import protocols
+    from .keyfile import save_keyfile
+
     config = protocols.make_config(args.protocol, args.d, args.v, args.x_max,
                                    e_max=args.emax, layout=args.layout)
     sk, _ = ces.keygen(args.lambda_bits, args.d, args.layout, args.v, args.x_max)
@@ -103,6 +110,10 @@ def cmd_keygen(args):
 
 
 def cmd_setup(args):
+    from . import protocols
+    from .geometry import validate_point
+    from .keyfile import load_keyfile, save_keyfile
+
     sk, config, recorded = load_keyfile(args.key)
     _, rows = _read_csv(args.data, config.d)
     needed = [max(0, -min((c[i] for _, c in rows), default=0)) for i in range(config.d)]
@@ -127,6 +138,10 @@ def cmd_serve(args):
 
 
 def cmd_query_sphere(args):
+    from . import protocols
+    from .geometry import SphereQuery
+    from .keyfile import load_keyfile
+
     sk, config, offsets = load_keyfile(args.key)
     offsets = offsets or [0] * config.d
     center = _shift(_parse_coords(args.center), offsets)
@@ -141,6 +156,10 @@ def cmd_query_sphere(args):
 def _resolve_range(args, offsets):
     """The range of --col, --lo and --hi, shifted by offsets; a missing bound
     is open (-inf or inf), and the planner clamps it to the domain."""
+    import math
+
+    from .geometry import RangeQuery
+
     if args.lo is None and args.hi is None:
         raise ConfigError("range query needs --lo and/or --hi")
     if not 1 <= args.col <= len(offsets):
@@ -152,6 +171,9 @@ def _resolve_range(args, offsets):
 
 
 def cmd_query_range(args):
+    from . import protocols
+    from .keyfile import load_keyfile
+
     sk, config, offsets = load_keyfile(args.key)
     offsets = offsets or [0] * config.d
     rq = _resolve_range(args, offsets)
@@ -163,6 +185,10 @@ def cmd_query_range(args):
 
 
 def cmd_insert(args):
+    from . import protocols
+    from .geometry import validate_point
+    from .keyfile import load_keyfile, save_keyfile
+
     sk, config, recorded = load_keyfile(args.key)
     offsets = [0] * config.d if recorded is None else recorded
     coords = _shift(_parse_coords(args.point), offsets)
@@ -175,6 +201,9 @@ def cmd_insert(args):
 
 
 def cmd_delete(args):
+    from . import protocols
+    from .keyfile import load_keyfile
+
     sk, config, _ = load_keyfile(args.key)
     with connect(args.server) as conn:
         protocols.delete_point(config, sk, args.id, conn)
@@ -182,6 +211,9 @@ def cmd_delete(args):
 
 
 def cmd_oracle_sphere(args):
+    from . import oracle
+    from .geometry import SphereQuery
+
     d, rows = _read_csv(args.data)
     center = _parse_coords(args.center)
     if len(center) != d:
@@ -192,6 +224,8 @@ def cmd_oracle_sphere(args):
 
 
 def cmd_oracle_range(args):
+    from . import oracle
+
     d, rows = _read_csv(args.data)
     rq = _resolve_range(args, [0] * d)
     ids = oracle.range_oracle(rows, rq)
@@ -200,6 +234,10 @@ def cmd_oracle_range(args):
 
 
 def cmd_bench(args):
+    import csv
+
+    from . import bench as bench_mod
+
     rows = bench_mod.run_bench(points=args.points, d_max=args.d, queries=args.queries)
     writer = csv.DictWriter(sys.stdout, fieldnames=bench_mod.FIELDS)
     writer.writeheader()

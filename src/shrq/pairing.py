@@ -87,7 +87,6 @@ what a server or a key file reads back is always a G element.
 """
 
 import secrets
-from dataclasses import dataclass
 
 from .errors import ConfigError, SetupError
 
@@ -166,40 +165,68 @@ def _random_prime(bits, rng):
             return cand
 
 
-@dataclass(frozen=True)
-class GroupParams:
+class Record:
+    """An immutable record over its class's __slots__, built from the fields
+    in slot order.  Records of one type with equal fields are equal and hash
+    alike; a record never equals one of another type, and assigning to or
+    deleting a field raises AttributeError."""
+
+    __slots__ = ()
+
+    def __init__(self, *fields):
+        for name, value in zip(self.__slots__, fields, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _fields(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        return self._fields() == other._fields() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an immutable {type(self).__name__}")
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._fields()))
+        return f"{type(self).__name__}({fields})"
+
+
+class GroupParams(Record):
     """Public shape of a composite-order group instance.
 
     q1/q2 are present only on the owner side; a server reconstructs the
     group from (backend, N, p, l) alone and can never derive them without
-    factoring N.
+    factoring N.  p is the curveA1 field prime and l its cofactor,
+    p + 1 = l * N.
     """
 
-    backend: str
-    N: int
-    q1: int | None = None
-    q2: int | None = None
-    p: int | None = None  # curveA1 field prime
-    l: int | None = None  # curveA1 cofactor, p + 1 = l * N
+    __slots__ = ("backend", "N", "q1", "q2", "p", "l")
 
-    def __post_init__(self):
-        if self.backend not in (TRANSPARENT, CURVE_A1):
-            raise ConfigError(f"unknown backend {self.backend!r}")
-        if self.q1 is not None:
-            if self.q1 == self.q2:
+    def __init__(self, backend, N, q1=None, q2=None, p=None, l=None):
+        super().__init__(backend, N, q1, q2, p, l)
+        if backend not in (TRANSPARENT, CURVE_A1):
+            raise ConfigError(f"unknown backend {backend!r}")
+        if q1 is not None:
+            if q1 == q2:
                 raise ConfigError("q1 and q2 must be distinct")
-            if self.q1 * self.q2 != self.N:
+            if q1 * q2 != N:
                 raise ConfigError("N != q1*q2")
-            if not (_is_prime(self.q1) and _is_prime(self.q2)):
+            if not (_is_prime(q1) and _is_prime(q2)):
                 raise ConfigError("q1, q2 must both be prime")
-        if self.backend == CURVE_A1:
-            if self.p is None or self.l is None:
+        if backend == CURVE_A1:
+            if p is None or l is None:
                 raise ConfigError("curveA1 requires p and l")
-            if self.p % 4 != 3:
+            if p % 4 != 3:
                 raise ConfigError("curve prime must be 3 mod 4")
-            if self.p + 1 != self.l * self.N:
+            if p + 1 != l * N:
                 raise ConfigError("p + 1 != l*N")
-            if not _is_prime(self.p):
+            if not _is_prime(p):
                 raise ConfigError("curve prime p is composite")
 
     def describe(self):
@@ -211,18 +238,16 @@ class GroupParams:
         return desc
 
 
-@dataclass(frozen=True)
-class GElement:
+class GElement(Record):
     """Source-group element; payload is backend-specific and opaque."""
 
-    value: object  # transparent: int exponent; curveA1: None or (x, y)
+    __slots__ = ("value",)  # transparent: int exponent; curveA1: None or (x, y)
 
 
-@dataclass(frozen=True)
-class GTElement:
+class GTElement(Record):
     """Target-group element; payload is backend-specific and opaque."""
 
-    value: object  # transparent: int exponent; curveA1: (a, b) meaning a + b*i
+    __slots__ = ("value",)  # transparent: int exponent; curveA1: (a, b) meaning a + b*i
 
 
 class Group:

@@ -86,7 +86,7 @@ import socketserver
 import threading
 
 from .ces import DIGEST_SIZE, HASH_ID, LookupTable, compute, lookup_contains, prepare_query
-from .errors import DataIntegrityError, ProtocolError, ServerUnreachable, ShrqError
+from .errors import ConfigError, DataIntegrityError, ProtocolError, ServerUnreachable, ShrqError
 from .pairing import group_from_descriptor
 
 _LOG_NAME = "log.jsonl"
@@ -194,7 +194,10 @@ class ServerState:
         self._replaying = False  # True in _replay, where put_tuple parses and does not decode
         if state_dir is not None:
             self._log_path = os.path.join(state_dir, _LOG_NAME)
-            os.makedirs(state_dir, exist_ok=True)
+            try:
+                os.makedirs(state_dir, exist_ok=True)
+            except OSError as exc:  # a file where the directory should be, say
+                raise ConfigError(f"cannot use {state_dir} as the state directory: {exc}") from None
             self._replay()
             self._open_log()
             fsync_dir(state_dir)
@@ -428,14 +431,30 @@ class TcpServer(socketserver.ThreadingTCPServer):
 
 
 def _address(text):
-    host, _, port = text.rpartition(":")
+    """(host, port) of "host:port"; the host defaults to 127.0.0.1."""
+    host, colon, port = text.rpartition(":")
+    if not colon or not port.isdecimal() or int(port) > 65535:
+        raise ConfigError(f"bad address {text!r}: expected host:port with a port in 0..65535")
     return host or "127.0.0.1", int(port)
 
 
 def serve(listen, state_dir):
-    """Blocking entry point for the server process over state_dir."""
-    state = ServerState(state_dir)
-    srv = TcpServer(_address(listen), state)
+    """Blocking entry point for the server process over state_dir.  The
+    address is checked before the state opens, and the state is replayed
+    before the server listens.  Every start-up failure is a ShrqError: a
+    ConfigError for a malformed address or a state path that cannot be a
+    directory, and a plain ShrqError or DataIntegrityError for a state that
+    does not open or replay, or an address that cannot be bound."""
+    address = _address(listen)
+    try:
+        state = ServerState(state_dir)
+    except OSError as exc:  # a log that is a directory, say
+        raise ShrqError(f"cannot open the state in {state_dir}: {exc}") from None
+    try:
+        srv = TcpServer(address, state)
+    except OSError as exc:  # the port is taken, say
+        state.close()
+        raise ShrqError(f"cannot listen on {listen}: {exc}") from None
     try:
         srv.serve_forever()
     finally:

@@ -76,6 +76,26 @@ def test_public_params_hold_no_secrets(sk32):
     assert group_from_descriptor(desc).params.q1 is None
 
 
+def test_secret_key_repr_shows_no_secrets(sk32_unified):
+    sk = sk32_unified
+    text = repr(sk)
+    assert text == "SecretKey(transparent group, 5 slots)"
+    assert "alpha" not in text and str(sk.alpha) not in text
+    for shown in (repr(sk.aes_key), sk.aes_key.hex(), str(list(sk.aes_key))):
+        assert shown not in text
+    with pytest.raises(AttributeError):
+        sk.alpha = 1
+
+
+def test_lookup_tables_are_immutable_values(sk32):
+    table, again = create_lookup_table(sk32, 4), create_lookup_table(sk32, 4)
+    assert table == again and hash(table) == hash(again)
+    assert table != create_lookup_table(sk32, 3)
+    with pytest.raises(AttributeError):
+        table.v = 5
+    assert table.v == 4
+
+
 def test_tuple_encrypt_zero_blinding_is_plain_power(sk32):
     comp = make_data_component((3, 4), LAYOUT_SHRQ)
     enc = tuple_encrypt(sk32, comp, rng=PinnedRng(0))

@@ -364,6 +364,57 @@ def test_serve_needs_a_state_directory(tmp_path):
     assert os.listdir(tmp_path) == []
 
 
+def _json_error(out):
+    assert "Traceback" not in out.stderr, out.stderr
+    return json.loads(out.stderr.splitlines()[-1])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["serve", "--listen", "127.0.0.1:notaport"],
+        ["serve", "--listen", "127.0.0.1:99999"],
+        ["query", "sphere", "--center", "1,1", "--radius", "1", "--server", "nohost"],
+    ],
+    ids=["port-not-an-integer", "port-out-of-range", "no-port"],
+)
+def test_malformed_address_is_a_config_error(keyfile_pair, tmp_path, argv):
+    # a serve address is checked before the state directory is made
+    extra = ["--state", str(tmp_path / "state")] if argv[0] == "serve" else ["--key", keyfile_pair[0]]
+    out = run_cli(*argv, *extra)
+    assert out.returncode == 3 and _json_error(out)["error"] == "key-or-config"
+    assert "bad address" in _json_error(out)["reason"]
+    assert not (tmp_path / "state").exists()
+
+
+@pytest.mark.parametrize(
+    "case, code, error, reason",
+    [
+        ("port-taken", 1, "failed", "cannot listen on"),
+        ("state-is-a-file", 3, "key-or-config", "as the state directory"),
+        ("log-fails-replay", 1, "failed", "corrupt state log line 1"),
+        ("log-is-a-directory", 1, "failed", "cannot open the state in"),
+    ],
+)
+def test_serve_start_up_failure_is_a_json_line(tmp_path, case, code, error, reason):
+    state = tmp_path / "state"
+    args = ["serve", "--state", str(state), "--listen"]
+    if case == "port-taken":
+        with socket.create_server(("127.0.0.1", 0)) as taken:
+            out = run_cli(*args, f"127.0.0.1:{taken.getsockname()[1]}")
+    else:  # port 0 is any free port: a server that wrongly started would time out
+        if case == "state-is-a-file":
+            state.write_text("")
+        elif case == "log-is-a-directory":
+            (state / "log.jsonl").mkdir(parents=True)
+        else:
+            state.mkdir()
+            (state / "log.jsonl").write_text("not json\n")
+        out = run_cli(*args, "127.0.0.1:0")
+    assert out.returncode == code, out.stderr
+    assert _json_error(out)["error"] == error and reason in _json_error(out)["reason"]
+
+
 # -- key file consistency ----------------------------------------------------------
 
 

@@ -422,6 +422,31 @@ def test_descriptor_roundtrip(toy_curve, rng):
         pub.has_full_order(g)
 
 
+@pytest.mark.parametrize("backend", [TRANSPARENT, CURVE_A1])
+def test_elements_and_params_are_immutable_values(backend, rng):
+    # elements and group parameters compare and hash by type and fields, so a
+    # G element never equals the GT element of the same payload, and no field
+    # can be assigned, deleted or added once built
+    grp = group_from_primes(5, 7, backend)
+    g = grp.random_generator(rng)
+    t = grp.pair(g, g)
+    twin = group_from_descriptor(grp.params.describe(), 5, 7).params
+    for x, same in ((g, GElement(g.value)), (t, GTElement(t.value)), (grp.params, twin)):
+        assert x == same and not x != same and hash(x) == hash(same) and len({x, same}) == 1
+    assert GElement(g.value) != GTElement(g.value) and GTElement(t.value) != GElement(t.value)
+    assert g != grp.pow(g, 2) and t != grp.identity_gt()
+    assert grp.params != group_from_descriptor(grp.params.describe()).params  # no q1, q2
+    for x, name in ((g, "value"), (t, "value"), (grp.params, "N"), (grp.params, "q1")):
+        before = getattr(x, name)
+        with pytest.raises(AttributeError):
+            setattr(x, name, None)
+        with pytest.raises(AttributeError):
+            delattr(x, name)
+        with pytest.raises(AttributeError):
+            x.extra = 1
+        assert getattr(x, name) == before
+
+
 def test_backend_agreement_on_membership(rng):
     # the same exponent-level facts hold in both backends
     for backend in (TRANSPARENT, CURVE_A1):

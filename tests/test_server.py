@@ -1106,6 +1106,19 @@ def test_server_imports_no_client_crypto():
     assert [m for m in loaded if m.split(".")[0] == "cryptography"] == []
 
 
+def test_cli_imports_only_the_server():
+    """`shrq serve` loads only the server: the CLI module loads no client
+    module (protocols, keyfile, geometry, oracle, bench), no AES-GCM and
+    neither dataclasses nor inspect, counted against what a bare
+    interpreter's site loads."""
+    loaded = _modules_loaded_by("shrq.cli")
+    server = ["shrq", "shrq.ces", "shrq.cli", "shrq.errors", "shrq.pairing", "shrq.server"]
+    assert [m for m in loaded if m.split(".")[0] == "shrq"] == server
+    assert [m for m in loaded if m.split(".")[0] == "cryptography"] == []
+    added = set(loaded) - set(_modules_loaded_by("json"))
+    assert {"dataclasses", "inspect"}.isdisjoint(added)
+
+
 def test_package_imports_none_of_its_modules():
     """The package re-exports nothing, so a module loads only what it imports."""
     loaded = _modules_loaded_by("shrq.errors")
