@@ -12,7 +12,13 @@ slots and multiplying the results yields
 because the blinding factors pair to e(h,h)^{r_m * r_q * (A.B)} = 1
 (A.B is a multiple of q1 and h has order q1) and the cross terms
 e(s, h) vanish outright.  The server decides "dot value in [0, v]" by
-hashing T against a precomputed lookup table, learning nothing else.
+hashing T against a precomputed lookup table, learning nothing else.  A
+table digest is the first DIGEST_BYTES = 16 bytes of SHA-256 over T's
+canonical bytes, a 128-bit truncated digest (NIST SP 800-107 Rev. 1,
+section 5.1).  Answers stay exact: a T whose dot value is in [0, v] always
+finds its prefix, and any other T matches a stray prefix with probability
+about (v+1)/2^128 per tuple, which costs one AES-GCM decrypt that client
+validation then drops.
 
 Every slot is one power of the key's w = s*h: s = g^q1 has order q2 and
 h = u^q2 has order q1, so s^x * h^y = w^k for the k that is x mod q2 and
@@ -43,7 +49,8 @@ LAYOUT_SHRQ = "shrq"  # {m_1..m_d, 1, ||m||^2}, length d+2
 LAYOUT_UNIFIED = "unified"  # {m_1..m_d, 1, m_1^2..m_d^2}, length 2d+1
 
 HASH_ID = "SHA-256"
-DIGEST_SIZE = hashlib.sha256().digest_size
+# a lookup digest is this many leading bytes of the SHA-256 digest
+DIGEST_BYTES = 16
 
 
 def layout_len(layout, d):
@@ -67,8 +74,8 @@ class SecretKey(Record):
 
 
 class LookupTable(Record):
-    """digests, the frozenset of DIGEST_SIZE-byte SHA-256 values, one per dot
-    value in [0, v]."""
+    """digests, the frozenset of DIGEST_BYTES-byte SHA-256 prefixes, one per
+    dot value in [0, v]."""
 
     __slots__ = ("digests", "v")
 
@@ -171,7 +178,7 @@ def compute(group, slots, prepared_query):
 
 
 def _digest(group, t):
-    return hashlib.sha256(group.canonical_bytes(t)).digest()
+    return hashlib.sha256(group.canonical_bytes(t)).digest()[:DIGEST_BYTES]
 
 
 def create_lookup_table(sk, v):

@@ -25,7 +25,9 @@ in the command or helper that uses it.
 Exit codes: 0 success, 1 general error, 2 query rejected by the deployment
 (a machine-readable JSON reason goes to stderr), 3 key file missing or
 inconsistent, or a bad configuration or argument (such as a centre with
-the wrong number of coordinates), 4 server unreachable.
+the wrong number of coordinates), 4 server unreachable, 130 stopped by
+Ctrl-C (SIGINT), with no traceback.  serve prints {"listening": "host:port"}
+to stdout once it has bound, so `--listen 127.0.0.1:0` reports its port.
 """
 
 import argparse
@@ -345,6 +347,8 @@ def main(argv=None):
     except ShrqError as exc:
         print(json.dumps({"error": "failed", "reason": str(exc)}), file=sys.stderr)
         return 1
+    except KeyboardInterrupt:  # Ctrl-C: serve's finally has closed the server and its state
+        return 130
 
 
 if __name__ == "__main__":

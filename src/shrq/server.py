@@ -11,7 +11,7 @@ Wire format: newline-delimited UTF-8 JSON over TCP, binary fields base64.
 Requests carry a "type" field:
 
     hello      {N, backend, hash, levels}           -> ack
-    put_lookup {v, digests: [b64]}                  -> ack
+    put_lookup {v, digests: [b64 16-byte prefix]}   -> ack
     put_tuple  {level, id, slots: [b64 canonical]}  -> ack
     put_store  {id, blob: b64}                      -> ack
     delete     {id}                                 -> ack {found}
@@ -35,6 +35,16 @@ the level it asks: a query whose slot count differs from its populated
 level's pinned count is an error before any slot is parsed or prepared, and
 a query at an empty level has its slots parsed, prepares none and answers no
 matches.
+
+A lookup digest is the first 16 bytes of SHA-256 (ces.DIGEST_BYTES), and
+the server keeps only that width.  put_lookup takes a table whose digests
+are all 16 bytes, or all 32: the whole SHA-256 digest, which clients before
+the 16-byte prefix sent and which older logs hold.  Of a 32-byte digest the
+server keeps the first 16 bytes, so an old log replays to the same answers
+and shrinks at its next compaction.  Mixed widths, any other width, and two
+digests equal after truncation are errors.  A server from before the prefix
+answers a 16-byte table with "lookup digests must be 32 bytes", so a current
+client fails against it at put_lookup, before it sends any tuple.
 
 The answers rest on every slot lying in G: then the blinding and the cross
 terms of compute pair to 1.  Each slot that arrives on the wire passes
@@ -85,7 +95,7 @@ import socket
 import socketserver
 import threading
 
-from .ces import DIGEST_SIZE, HASH_ID, LookupTable, compute, lookup_contains, prepare_query
+from .ces import DIGEST_BYTES, HASH_ID, LookupTable, compute, lookup_contains, prepare_query
 from .errors import ConfigError, DataIntegrityError, ProtocolError, ServerUnreachable, ShrqError
 from .pairing import group_from_descriptor
 
@@ -97,6 +107,8 @@ _BAD_INPUT = (ShrqError, KeyError, TypeError, ValueError, OverflowError)
 # messages nest containers two deep; JSON nested near the interpreter's
 # recursion limit parses but may not serialize again for the log
 _MAX_NESTING = 4
+# put_lookup also takes whole SHA-256 digests, as older clients sent them
+_SHA256_BYTES = 32
 
 
 def b64e(raw):
@@ -337,9 +349,10 @@ class ServerState:
 
     def _do_put_lookup(self, msg):
         digests = [b64d(d) for d in msg["digests"]]
-        if any(len(d) != DIGEST_SIZE for d in digests):
-            raise ProtocolError(f"lookup digests must be {DIGEST_SIZE} bytes")
-        uniq = frozenset(digests)
+        widths = {len(d) for d in digests}
+        if len(widths) > 1 or not widths <= {DIGEST_BYTES, _SHA256_BYTES}:
+            raise ProtocolError(f"lookup digests must be all {DIGEST_BYTES} or all {_SHA256_BYTES} bytes")
+        uniq = frozenset(d[:DIGEST_BYTES] for d in digests)
         if len(uniq) != len(digests):
             raise ProtocolError("duplicate lookup digests")
         lookup = LookupTable(uniq, int(msg["v"]))
@@ -444,7 +457,10 @@ def serve(listen, state_dir):
     before the server listens.  Every start-up failure is a ShrqError: a
     ConfigError for a malformed address or a state path that cannot be a
     directory, and a plain ShrqError or DataIntegrityError for a state that
-    does not open or replay, or an address that cannot be bound."""
+    does not open or replay, or an address that cannot be bound.  Once bound,
+    and before it serves, it prints one JSON line {"listening": "host:port"}
+    to stdout with the port it bound, so a --listen port of 0 (any free
+    port) can be found."""
     address = _address(listen)
     try:
         state = ServerState(state_dir)
@@ -456,6 +472,8 @@ def serve(listen, state_dir):
         state.close()
         raise ShrqError(f"cannot listen on {listen}: {exc}") from None
     try:
+        host, port = srv.server_address[:2]
+        print(json.dumps({"listening": f"{host}:{port}"}), flush=True)
         srv.serve_forever()
     finally:
         srv.server_close()

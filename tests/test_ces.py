@@ -362,6 +362,55 @@ def test_lookup_boundaries(sk32):
         assert lookup_contains(table, grp, t) is inside
 
 
+def _table_keys():
+    """(group, key or None): the transparent and curve toy groups of N = 35,
+    for which the test draws alpha, beta and v, and a lambda = 32 curve key."""
+    toys = [(group_from_primes(5, 7, backend), None) for backend in (TRANSPARENT, CURVE_A1)]
+    sk, _ = keygen(32, 2, LAYOUT_SHRQ, 400, 100, CURVE_A1, rng=random.Random(2303))
+    return toys + [(sk.group, sk)]
+
+
+_TABLE_KEYS = _table_keys()
+
+
+@st.composite
+def _membership_case(draw):
+    grp, sk = draw(st.sampled_from(_TABLE_KEYS))
+    q1, q2, N = grp.params.q1, grp.params.q2, grp.N
+    if sk is None:  # only s, alpha and beta build a table; v + 1 entries need v < q2
+        g = grp.random_generator(random.Random(35))
+        alpha = draw(st.integers(1, N - 1).filter(lambda a: a % q2))
+        beta = draw(st.integers(0, N - 1))
+        sk = SecretKey(grp, g, g, grp.pow(g, q1), grp.pow(g, q2), [], [], alpha, beta, bytes(32))
+        v = draw(st.integers(0, q2 - 1))
+    else:
+        v = draw(st.integers(0, 400))
+    k = draw(
+        st.integers(-3, 3)
+        | st.integers(v - 3, v + 3)
+        | st.builds(lambda sign, j: sign * N + j, st.sampled_from((1, -1)), st.integers(-3, v + 3))
+        | st.integers(-(N**2), N**2)
+    )
+    return sk, v, k
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_membership_case())
+def test_lookup_membership_is_exact(case):
+    # T_k = e(s,s)^{alpha*(k+beta)} hits the table of 16-byte digest prefixes
+    # exactly when k, which lives mod q2, is one of 0..v; for k in
+    # (-(q2 - v), q2), the reach that keygen's margin keeps, that is 0 <= k <= v
+    sk, v, k = case
+    grp = sk.group
+    q2 = grp.params.q2
+    table = create_lookup_table(sk, v)
+    assert len(table.digests) == v + 1 and {len(dig) for dig in table.digests} == {16}
+    hit = lookup_contains(table, grp, grp.pow(grp.pair(sk.s, sk.s), sk.alpha * (k + sk.beta)))
+    assert hit is (k % q2 <= v)
+    if -(q2 - v) < k < q2:
+        assert hit is (0 <= k <= v)
+
+
 def test_bgn_roundtrip(sk32, rng):
     grp = sk32.group
     pk, bsk = bgn_keygen(grp, rng)

@@ -3,6 +3,7 @@ import errno
 import json
 import os
 import random
+import signal
 import socket
 import stat
 import subprocess
@@ -19,7 +20,7 @@ import shrq.server
 from shrq import ces, cli, protocols as prot
 from shrq.errors import ConfigError, KeyfileError, ProtocolError
 from shrq.keyfile import load_keyfile, save_keyfile
-from shrq.pairing import TRANSPARENT
+from shrq.pairing import TRANSPARENT, group_from_primes
 
 CLI = [sys.executable, "-m", "shrq.cli"]
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -413,6 +414,45 @@ def test_serve_start_up_failure_is_a_json_line(tmp_path, case, code, error, reas
         out = run_cli(*args, "127.0.0.1:0")
     assert out.returncode == code, out.stderr
     assert _json_error(out)["error"] == error and reason in _json_error(out)["reason"]
+
+
+_HELLO = shrq.server.hello_message(group_from_primes(5, 7, TRANSPARENT).params.describe(), 1)
+
+
+def _serve_any_port(state):
+    """A `shrq serve` on port 0, and the address its first stdout line reports."""
+    proc = subprocess.Popen(CLI + ["serve", "--listen", "127.0.0.1:0", "--state", str(state)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=ENV)
+    return proc, json.loads(proc.stdout.readline())["listening"]
+
+
+def test_serve_reports_the_port_it_bound(tmp_path):
+    proc, address = _serve_any_port(tmp_path / "state")
+    try:
+        host, port = address.rsplit(":", 1)
+        assert host == "127.0.0.1" and int(port) > 0
+        with shrq.server.connect(address) as conn:
+            assert conn.request(_HELLO) == {"type": "ack"}
+    finally:
+        proc.terminate()
+        proc.communicate(timeout=30)
+
+
+def test_serve_stops_cleanly_on_ctrl_c(tmp_path):
+    state = tmp_path / "state"
+    proc, address = _serve_any_port(state)
+    try:
+        with shrq.server.connect(address) as conn:
+            assert conn.request(_HELLO) == {"type": "ack"}
+        proc.send_signal(signal.SIGINT)
+        _, err = proc.communicate(timeout=30)
+    finally:
+        proc.kill()
+        proc.communicate()
+    assert proc.returncode == 130 and "Traceback" not in err, err
+    reopened = shrq.server.ServerState(str(state))
+    assert reopened.hello == _HELLO
+    reopened.close()
 
 
 # -- key file consistency ----------------------------------------------------------

@@ -1,4 +1,5 @@
 import errno
+import hashlib
 import json
 import os
 import random
@@ -117,6 +118,11 @@ BAD_LINES = [
     json.dumps(dict(BAD_CURVE_HELLO, levels=0)),
     json.dumps({"type": "put_lookup", "v": 1, "digests": [b64e(bytes(31))]}),
     json.dumps({"type": "put_lookup", "v": 1, "digests": [b64e(bytes(32))] * 2}),
+    # digests are all 16 bytes or all 32, and 32-byte ones are kept as 16-byte prefixes
+    json.dumps({"type": "put_lookup", "v": 1, "digests": [b64e(bytes([i]) * 8) for i in range(2)]}),
+    json.dumps({"type": "put_lookup", "v": 1, "digests": [b64e(bytes([i]) * 33) for i in range(2)]}),
+    json.dumps({"type": "put_lookup", "v": 1, "digests": [b64e(bytes(16)), b64e(bytes([1]) * 32)]}),
+    json.dumps({"type": "put_lookup", "v": 1, "digests": [b64e(bytes(16) + bytes([i]) * 16) for i in range(2)]}),
     json.dumps({"type": "put_tuple", "level": 0, "id": "a", "slots": []}),
     # nested so deep that json.loads succeeds but json.dumps of the log entry
     # can exceed the recursion limit; the exact depth depends on the stack
@@ -144,6 +150,58 @@ def test_malformed_and_unknown_messages(deployment, rng, tmp_path, open_state):
             assert reply["error"] == cause, line[:80]
     assert server.snapshot_messages() == before
     server.close()
+
+
+# -- lookup digest widths ---------------------------------------------------------
+
+def _whole_digest_lookup(sk, v):
+    """The put_lookup of a client before 16-byte prefixes: whole SHA-256 digests."""
+    grp = sk.group
+    base = grp.pair(sk.s, sk.s)
+    entries = (grp.pow(base, sk.alpha * (k + sk.beta)) for k in range(v + 1))
+    digests = sorted(hashlib.sha256(grp.canonical_bytes(t)).digest() for t in entries)
+    return {"type": "put_lookup", "v": v, "digests": [b64e(d) for d in digests]}
+
+
+def test_whole_sha256_digests_are_kept_as_prefixes(deployment, rng):
+    config, sk = deployment
+    server = ServerState()
+    fill(config, sk, [("a", (1, 1))], server, rng)
+    old = _whole_digest_lookup(sk, config.v)
+    assert server.request(old) == {"type": "ack"}
+    (snapshot,) = [m for m in server.snapshot_messages() if m["type"] == "put_lookup"]
+    assert sorted(snapshot["digests"]) == sorted(b64e(b64d(d)[:16]) for d in old["digests"])
+    assert snapshot == shrq.server.lookup_message(ces.create_lookup_table(sk, config.v))
+
+
+def test_log_of_whole_digests_restarts_to_the_same_answers(deployment, rng, tmp_path, open_state):
+    config, sk = deployment
+    points = random_dataset(rng, 16)
+    stream = list(prot.setup_messages(config, sk, points, rng=rng))
+    whole = [_whole_digest_lookup(sk, config.v) if m["type"] == "put_lookup" else m for m in stream]
+    for name, msgs in (("prefix", stream), ("whole", whole)):
+        state = open_state(tmp_path / name)
+        assert all(state.request(m)["type"] == "ack" for m in msgs)
+        state.close()
+    prefix, old = open_state(tmp_path / "prefix"), open_state(tmp_path / "whole")
+    queries = (SphereQuery((50, 50), 20), SphereQuery((10, 90), 35), SphereQuery((0, 0), 0))
+    assert any(hrq_oracle(points, q) for q in queries)
+    for q in queries:
+        want = hrq_oracle(points, q)
+        assert prot.query_sphere(config, sk, q, old).ids == prot.query_sphere(config, sk, q, prefix).ids == want
+    # the next compaction writes the prefixes: 20 base64 characters fewer a digest
+    size = (tmp_path / "whole" / "log.jsonl").stat().st_size
+    old.compact()
+    assert old.snapshot_messages() == prefix.snapshot_messages()
+    assert size - (tmp_path / "whole" / "log.jsonl").stat().st_size == (config.v + 1) * 20
+
+
+def test_lookup_line_byte_budget(deployment):
+    # a 16-byte digest is 24 base64 characters, 28 bytes with its quotes and
+    # separator: whole digests or a wider encoding overrun this budget
+    _, sk = deployment
+    line = shrq.server._log_line(shrq.server.lookup_message(ces.create_lookup_table(sk, 400)))
+    assert len(line.encode()) <= 401 * 28 + 64
 
 
 # -- any line gets one reply; a rejected one changes nothing --------------------
