@@ -57,6 +57,30 @@ compact from slots that had, and the log is the server's own file.  The
 parse still fails the restart on a slot whose bytes changed on disk, as a
 flipped coordinate bit leaves the curve.
 
+A query's scan is split between two processes when serve may run on more
+than one CPU (os.sched_getaffinity).  serve forks one scan worker
+(ScanWorker) at its start, after the address check and before the state
+opens, so the worker inherits no thread, no log and no listening socket.
+For a query over n >= 2 tuples, the main process parses and prepares the
+slots as above, so prepare's walk stays the order check, and sends the
+worker the group descriptor, the prepared lines and the slot values of the
+last n // 2 tuples in sorted-id order.  Meanwhile it scans its own share
+through ces.compute and ces.lookup_contains.  The worker answers one
+DIGEST_BYTES-byte lookup digest per tuple, from the same pair_product and
+canonical_bytes, and main tests them against the table.  The two talk over
+a private socketpair in length-prefixed frames, marshal to the worker and
+raw digests back, so the worker sees only what the server already holds:
+prepared lines and tuple coordinates.  handle_line holds the state lock for
+a whole query, so one scan runs at a time, on at most these two processes.
+If the worker fails in any way (a send error, the end of its stream, a
+reply of the wrong length), main kills and reaps it, scans that share
+itself and answers as without it; it never forks again.  A worker that
+stops without exiting (SIGSTOP) stalls the query that waits for it.  The
+worker ignores SIGINT and leaves through os._exit once it reads the end of
+its stream, so it goes when serve stops, fails to start or is SIGKILLed:
+serve kills and reaps it on its way out, and a killed serve's end closes
+with its process.
+
 serve always has a state directory; ServerState() keeps nothing and is for
 in-process use only.  Mutations are appended to a write-ahead log and
 fsync'd before they are applied and acknowledged, and replayed in order on
@@ -90,14 +114,16 @@ still gets its reply, and the next mutation tries the compaction again.
 import base64
 import contextlib
 import json
+import marshal
 import os
 import socket
 import socketserver
+import struct
 import threading
 
-from .ces import DIGEST_BYTES, HASH_ID, LookupTable, compute, lookup_contains, prepare_query
+from .ces import DIGEST_BYTES, HASH_ID, LookupTable, _digest, compute, lookup_contains, prepare_query
 from .errors import ConfigError, DataIntegrityError, ProtocolError, ServerUnreachable, ShrqError
-from .pairing import group_from_descriptor
+from .pairing import GElement, group_from_descriptor
 
 _LOG_NAME = "log.jsonl"
 # logged mutations after which the log is rewritten as a snapshot
@@ -109,6 +135,10 @@ _BAD_INPUT = (ShrqError, KeyError, TypeError, ValueError, OverflowError)
 _MAX_NESTING = 4
 # put_lookup also takes whole SHA-256 digests, as older clients sent them
 _SHA256_BYTES = 32
+# the byte length that leads each frame on the scan worker's socketpair
+_FRAME = struct.Struct(">Q")
+# what a scan worker that failed in any way raises on main's side
+_WORKER_FAILED = (OSError, EOFError, ValueError)
 
 
 def b64e(raw):
@@ -191,10 +221,106 @@ def tuple_message(group, level, rid, slots):
     }
 
 
-class ServerState:
-    """All server-side state plus the message handler; transport-agnostic."""
+def _send_frame(sock, data):
+    sock.sendall(_FRAME.pack(len(data)) + data)
 
-    def __init__(self, state_dir=None):
+
+def _recv_exactly(sock, size):
+    data = bytearray()
+    while len(data) < size:
+        chunk = sock.recv(size - len(data))
+        if not chunk:
+            raise EOFError("scan worker socket closed")
+        data += chunk
+    return bytes(data)
+
+
+def _recv_frame(sock, expect=None):
+    """The next frame's bytes; EOFError at the end of the stream, and
+    ValueError for a frame of other than expect bytes."""
+    (size,) = _FRAME.unpack(_recv_exactly(sock, _FRAME.size))
+    if expect is not None and size != expect:
+        raise ValueError(f"scan worker frame of {size} bytes, expected {expect}")
+    return _recv_exactly(sock, size)
+
+
+def _bare(x):
+    """x in a form marshal carries: a GElement as its value."""
+    return x.value if isinstance(x, GElement) else x
+
+
+def _serve_scans(sock):
+    """The scan worker's loop: for each marshal frame (group descriptor,
+    prepared query, tuples of slot values), a frame of the DIGEST_BYTES-byte
+    lookup digests of the tuples' pairing products.  Returns only by
+    raising, EOFError once main's end is closed."""
+    descriptor = group = None
+    while True:
+        desc, prepared, tuples = marshal.loads(_recv_frame(sock))
+        if desc != descriptor:
+            descriptor, group = desc, group_from_descriptor(desc)
+        # a transparent group's prepared slot is the element itself
+        prepared = tuple(GElement(q) if isinstance(q, int) else q for q in prepared)
+        products = (group.pair_product(prepared, [GElement(v) for v in slots]) for slots in tuples)
+        _send_frame(sock, b"".join(_digest(group, t) for t in products))
+
+
+class ScanWorker:
+    """Main's end of the forked scan worker (see the module docstring)."""
+
+    def __init__(self, sock, pid):
+        self._sock = sock
+        self.pid = pid
+
+    @classmethod
+    def fork(cls):
+        """Fork the worker.  Returns its handle in the parent; in the child it
+        scans until main's end of the socketpair closes, then leaves through
+        os._exit, never returning."""
+        ours, theirs = socket.socketpair()
+        pid = os.fork()
+        if pid:
+            theirs.close()
+            return cls(ours, pid)
+        try:
+            import signal  # here and in close, not on serve's start-up path
+
+            ours.close()
+            signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C stops main, and main's exit stops this
+            _serve_scans(theirs)
+        finally:
+            os._exit(0)
+
+    def send(self, descriptor, prepared, tuples):
+        msg = (descriptor, [_bare(q) for q in prepared], [[_bare(s) for s in t] for t in tuples])
+        _send_frame(self._sock, marshal.dumps(msg))
+
+    def receive(self, count):
+        """The lookup digests of the count tuples sent.  The reply is raw
+        bytes checked by its length, as marshal.loads of a malformed buffer
+        may allocate gigabytes; any fault raises one of _WORKER_FAILED."""
+        joined = _recv_frame(self._sock, count * DIGEST_BYTES)
+        return [joined[i : i + DIGEST_BYTES] for i in range(0, len(joined), DIGEST_BYTES)]
+
+    def close(self):
+        """Kill and reap the worker; a second call does nothing."""
+        if self.pid is None:
+            return
+        import signal
+
+        self._sock.close()
+        os.kill(self.pid, signal.SIGKILL)
+        os.waitpid(self.pid, 0)
+        self.pid = None
+
+
+class ServerState:
+    """All server-side state plus the message handler; transport-agnostic.
+    A query shares its scan with worker, a ScanWorker, if one is given.  The
+    caller closes the worker after the state, which closes it only when it
+    fails."""
+
+    def __init__(self, state_dir=None, worker=None):
         self.hello = None  # the pinned hello message
         self.group = None
         self.lookup = None
@@ -203,6 +329,7 @@ class ServerState:
         self._mutations_since_compact = 0
         self._log = None
         self._lock = threading.Lock()
+        self._worker = worker
         self._replaying = False  # True in _replay, where put_tuple parses and does not decode
         if state_dir is not None:
             self._log_path = os.path.join(state_dir, _LOG_NAME)
@@ -414,14 +541,47 @@ class ServerState:
             return {"type": "result", "matches": []}
         # prepare's walk is the slots' order check (see the module docstring)
         prepared = prepare_query(self.group, slots)
+        ids = sorted(bucket)
         matches = []
-        for rid in sorted(bucket):
-            if lookup_contains(self.lookup, self.group, compute(self.group, bucket[rid], prepared)):
+        for rid, hit in zip(ids, self._scan([bucket[rid] for rid in ids], prepared)):
+            if hit:
                 blob = self.db_store.get(rid)
                 if blob is None:
                     raise DataIntegrityError(f"matched id {rid!r} missing from db-store")
                 matches.append({"id": rid, "blob": b64e(blob)})
         return {"type": "result", "matches": matches}
+
+    def _scan(self, tuples, prepared):
+        """Whether each tuple's pairing product is in the lookup table, in
+        order.  The worker takes the last half of the tuples; if it fails,
+        it is closed and this process scans its share (see the module
+        docstring)."""
+        def hit(t):
+            return lookup_contains(self.lookup, self.group, compute(self.group, t, prepared))
+
+        own = len(tuples) - (len(tuples) // 2 if self._worker else 0)
+        theirs = tuples[own:]
+        if theirs:
+            try:
+                self._worker.send(self.group.params.describe(), prepared, theirs)
+            except _WORKER_FAILED:
+                self._close_worker()
+        try:
+            hits = [hit(t) for t in tuples[:own]]
+        except BaseException:  # the worker's reply would stay unread
+            self._close_worker()
+            raise
+        if theirs and self._worker:
+            try:
+                return hits + [d in self.lookup.digests for d in self._worker.receive(len(theirs))]
+            except _WORKER_FAILED:
+                self._close_worker()
+        return hits + [hit(t) for t in theirs]
+
+    def _close_worker(self):
+        if self._worker is not None:
+            self._worker.close()
+            self._worker = None
 
 
 class _Handler(socketserver.StreamRequestHandler):
@@ -462,22 +622,28 @@ def serve(listen, state_dir):
     to stdout with the port it bound, so a --listen port of 0 (any free
     port) can be found."""
     address = _address(listen)
+    # before the state opens: the worker inherits no thread, log or socket
+    worker = ScanWorker.fork() if len(os.sched_getaffinity(0)) > 1 else None
     try:
-        state = ServerState(state_dir)
-    except OSError as exc:  # a log that is a directory, say
-        raise ShrqError(f"cannot open the state in {state_dir}: {exc}") from None
-    try:
-        srv = TcpServer(address, state)
-    except OSError as exc:  # the port is taken, say
-        state.close()
-        raise ShrqError(f"cannot listen on {listen}: {exc}") from None
-    try:
-        host, port = srv.server_address[:2]
-        print(json.dumps({"listening": f"{host}:{port}"}), flush=True)
-        srv.serve_forever()
+        try:
+            state = ServerState(state_dir, worker)
+        except OSError as exc:  # a log that is a directory, say
+            raise ShrqError(f"cannot open the state in {state_dir}: {exc}") from None
+        try:
+            srv = TcpServer(address, state)
+        except OSError as exc:  # the port is taken, say
+            state.close()
+            raise ShrqError(f"cannot listen on {listen}: {exc}") from None
+        try:
+            host, port = srv.server_address[:2]
+            print(json.dumps({"listening": f"{host}:{port}"}), flush=True)
+            srv.serve_forever()
+        finally:
+            srv.server_close()
+            state.close()
     finally:
-        srv.server_close()
-        state.close()
+        if worker is not None:
+            worker.close()
 
 
 class ServerConnection:

@@ -455,6 +455,102 @@ def test_serve_stops_cleanly_on_ctrl_c(tmp_path):
     reopened.close()
 
 
+# -- the scan worker's lifetime: it never outlives serve -------------------------------
+
+# serve forks one scan worker when it may run on more than one CPU
+_WORKERS = 1 if len(os.sched_getaffinity(0)) > 1 else 0
+
+
+def _children(pid):
+    with open(f"/proc/{pid}/task/{pid}/children") as fh:
+        return [int(child) for child in fh.read().split()]
+
+
+def _stat(pid):
+    """The fields of /proc/<pid>/stat after the command name (state, ppid,
+    pgrp, session, ...), or None once pid is gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rpartition(")")[2].split()
+    except FileNotFoundError:
+        return None
+
+
+def _live(pid):
+    """pid names a process that is neither gone nor a zombie."""
+    stat = _stat(pid)
+    return stat is not None and stat[0] != "Z"
+
+
+def _session(sid):
+    """The live processes of session sid."""
+    members = []
+    for pid in (int(entry) for entry in os.listdir("/proc") if entry.isdigit()):
+        stat = _stat(pid)
+        if stat is not None and stat[0] != "Z" and int(stat[3]) == sid:
+            members.append(pid)
+    return members
+
+
+def _serve_in_session(state):
+    """A `shrq serve` on port 0 that leads a session of its own, and its workers."""
+    proc = subprocess.Popen(CLI + ["serve", "--listen", "127.0.0.1:0", "--state", str(state)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=ENV,
+                            start_new_session=True)
+    json.loads(proc.stdout.readline())  # listening, so the worker is forked
+    workers = _children(proc.pid)
+    assert len(workers) == _WORKERS
+    return proc, workers
+
+
+def test_scan_worker_leaves_with_a_killed_server(tmp_path):
+    proc, workers = _serve_in_session(tmp_path / "state")
+    try:
+        proc.kill()
+        proc.communicate(timeout=30)
+        deadline = time.monotonic() + 2
+        while any(map(_live, workers)) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not any(map(_live, workers))
+    finally:
+        for pid in filter(_live, workers):
+            os.kill(pid, signal.SIGKILL)
+
+
+def test_scan_worker_leaves_with_a_ctrl_c(tmp_path):
+    # Ctrl-C signals the whole foreground process group, the worker included
+    proc, workers = _serve_in_session(tmp_path / "state")
+    try:
+        os.killpg(proc.pid, signal.SIGINT)
+        _, err = proc.communicate(timeout=30)
+    finally:
+        proc.kill()
+        proc.communicate()
+    assert proc.returncode == 130 and "Traceback" not in err, err
+    assert _session(proc.pid) == [] and not any(map(_live, workers))
+
+
+def test_serve_reaps_its_scan_worker_when_it_fails_to_start(tmp_path):
+    # in process: serve's caller lives on, so serve closes the worker itself
+    state = tmp_path / "state"
+    state.write_text("")
+    before = _children(os.getpid())
+    with pytest.raises(ConfigError, match="as the state directory"):
+        shrq.server.serve("127.0.0.1:0", str(state))
+    assert _children(os.getpid()) == before
+
+
+def test_start_up_failure_leaves_no_scan_worker(tmp_path):
+    state = tmp_path / "state"
+    state.write_text("")
+    proc = subprocess.Popen(CLI + ["serve", "--listen", "127.0.0.1:0", "--state", str(state)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=ENV,
+                            start_new_session=True)
+    _, err = proc.communicate(timeout=30)
+    assert proc.returncode == 3 and "as the state directory" in err, err
+    assert _session(proc.pid) == []
+
+
 # -- key file consistency ----------------------------------------------------------
 
 

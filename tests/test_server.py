@@ -1,9 +1,11 @@
 import errno
 import hashlib
 import json
+import marshal
 import os
 import random
 import shutil
+import signal
 import socket
 import stat
 import struct
@@ -26,7 +28,7 @@ from shrq.pairing import CURVE_A1, TRANSPARENT, CurveGroup, GElement
 from shrq.geometry import RangeQuery, SphereQuery, make_sphere_query_component
 from shrq.keyfile import load_keyfile, save_keyfile
 from shrq.oracle import hrq_oracle, range_oracle
-from shrq.server import ServerConnection, ServerState, TcpServer, b64d, b64e, connect, hello_message
+from shrq.server import ScanWorker, ServerConnection, ServerState, TcpServer, b64d, b64e, connect, hello_message
 
 
 @pytest.fixture(scope="module")
@@ -1057,6 +1059,148 @@ def test_server_state_machine(deployment, tmp_path, monkeypatch):
     )
 
 
+# -- the split scan: a forked worker pairs the last half of each query's tuples -------
+
+_SLOT_EXPONENTS = st.lists(st.integers(0, 3), min_size=3, max_size=3)  # 0 is the identity
+_SCAN_OPS = st.lists(
+    st.tuples(st.sampled_from(["insert", "update", "delete", "outside G"]), st.sampled_from("abcdefg"),
+              _SLOT_EXPONENTS, _SLOT_EXPONENTS),
+    max_size=10,
+)
+
+
+def _scan_group(kind, request):
+    """A group and an element of order N in it."""
+    if kind == "curveA1":
+        sk = request.getfixturevalue("curve_deployment")[1]
+        return sk.group, sk.g
+    group = request.getfixturevalue(f"toy_{kind}")
+    return group, group.random_generator(random.Random(5))
+
+
+def _outside_g_slot(group):
+    """A query slot that is no element of G: for a curve, a point off the
+    order-N subgroup; for the transparent group, whose exponents below N are
+    all in G, the exponent N."""
+    if isinstance(group, CurveGroup):
+        return _off_g_slot(group, "order 2")
+    ident = group.canonical_bytes(group.identity_g())
+    return b64e(ident[:1] + group.N.to_bytes(len(ident) - 1, "big"))
+
+
+@pytest.mark.parametrize("kind", ["transparent", "curve", "curveA1"])
+def test_split_scan_answers_as_the_serial_scan(kind, request):
+    # the same lines to a state with a worker and one without: every reply is
+    # the same line, and the worker is never given up
+    group, g = _scan_group(kind, request)
+    gt = group.pair(g, g)
+    table = ces.LookupTable(frozenset(ces._digest(group, group.pow(gt, k)) for k in range(7)), 6)
+    setup = [hello_message(group.params.describe(), 1), shrq.server.lookup_message(table)]
+
+    def slots(exponents):
+        return [group.pow(g, a) for a in exponents]
+
+    def query(exponents):
+        return {"type": "query", "level": 0, "slots": [b64e(group.canonical_bytes(s)) for s in slots(exponents)]}
+
+    off = _outside_g_slot(group)
+    sizes = set()  # tuples scanned per query
+    worker = ScanWorker.fork()
+    try:
+        @settings(max_examples=100, derandomize=True, database=None, deadline=None,
+                  suppress_health_check=[HealthCheck.too_slow])
+        @given(_SCAN_OPS)
+        def run(ops):
+            serial, split = ServerState(), ServerState(worker=worker)
+            lines = [*setup, query([1, 1, 1])]
+            for op, rid, exponents, asked in ops:
+                if op in ("update", "delete"):
+                    lines.append({"type": "delete", "id": rid})
+                if op in ("insert", "update"):
+                    lines.append(shrq.server.store_message(rid, rid.encode()))
+                    lines.append(shrq.server.tuple_message(group, 0, rid, slots(exponents)))
+                if op == "outside G":
+                    lines.append(dict(query(asked), slots=[off] + query(asked)["slots"][1:]))
+                lines.append(query(asked))
+            for msg in lines:
+                line = json.dumps(msg)
+                reply = split.handle_line(line)
+                assert reply == serial.handle_line(line)
+                if msg["type"] == "query":
+                    n = len(split.db_query.get(0, {}))
+                    sizes.add(n)
+                    if msg["slots"][0] != off:
+                        assert json.loads(reply)["type"] == "result"
+                    elif n:  # an empty level prepares no slot, so it checks none
+                        assert json.loads(reply)["type"] == "error"
+            assert split._worker is worker
+
+        run()
+    finally:
+        worker.close()
+    assert {0, 1, 2} <= sizes and any(n % 2 for n in sizes - {1})
+
+
+def _count_forks(monkeypatch):
+    forks = []
+    fork = os.fork
+
+    def counted():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def _stub_worker(reply):
+    """A forked stand-in for the scan worker: it reads one request, writes
+    the raw bytes reply and exits."""
+    ours, theirs = socket.socketpair()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            ours.close()
+            shrq.server._recv_frame(theirs)
+            theirs.sendall(reply)
+        finally:
+            os._exit(0)
+    theirs.close()
+    return ScanWorker(ours, pid)
+
+
+def _framed(data):
+    return shrq.server._FRAME.pack(len(data)) + data
+
+
+@pytest.mark.parametrize("fault", ["killed", "wrong count", "not digests", "torn"])
+def test_failed_scan_worker_falls_back_to_the_serial_scan(curve_deployment, rng, monkeypatch, fault):
+    # the query that meets the fault is answered right and without an error
+    # reply, and later queries scan here, with no second fork
+    config, sk = curve_deployment
+    forks = _count_forks(monkeypatch)
+    if fault == "killed":
+        worker = ScanWorker.fork()
+    elif fault == "wrong count":
+        worker = _stub_worker(_framed(bytes(ces.DIGEST_BYTES)))
+    elif fault == "not digests":
+        worker = _stub_worker(_framed(marshal.dumps(bytes(3 * ces.DIGEST_BYTES))))
+    else:  # a frame that promises more bytes than come before the end of the stream
+        worker = _stub_worker(_framed(bytes(3 * ces.DIGEST_BYTES))[:-1])
+    state = ServerState(worker=worker)
+    try:
+        ds = [(str(i), (10 + i, 10 + 2 * i)) for i in range(7)]
+        fill(config, sk, ds, state, rng)
+        if fault == "killed":
+            os.kill(worker.pid, signal.SIGKILL)
+        for q in (SphereQuery((12, 14), 5), SphereQuery((14, 20), 9), SphereQuery((60, 60), 3)):
+            assert prot.query_sphere(config, sk, q, state).ids == hrq_oracle(ds, q)
+            assert state._worker is None and worker.pid is None  # closed and reaped
+    finally:
+        worker.close()
+    assert len(forks) == 1
+
+
 # -- TCP transport ---------------------------------------------------------------------
 
 
@@ -1166,13 +1310,14 @@ def test_server_imports_no_client_crypto():
 
 def test_cli_imports_only_the_server():
     """`shrq serve` loads only the server: the CLI module loads no client
-    module (protocols, keyfile, geometry, oracle, bench), no AES-GCM and
-    neither dataclasses nor inspect, counted against what a bare
-    interpreter's site loads."""
+    module (protocols, keyfile, geometry, oracle, bench), no AES-GCM, no
+    process pool (the scan worker is a bare fork) and neither dataclasses
+    nor inspect, counted against what a bare interpreter's site loads."""
     loaded = _modules_loaded_by("shrq.cli")
     server = ["shrq", "shrq.ces", "shrq.cli", "shrq.errors", "shrq.pairing", "shrq.server"]
     assert [m for m in loaded if m.split(".")[0] == "shrq"] == server
-    assert [m for m in loaded if m.split(".")[0] == "cryptography"] == []
+    pools = ("cryptography", "multiprocessing", "concurrent", "pickle")
+    assert [m for m in loaded if m.split(".")[0] in pools] == []
     added = set(loaded) - set(_modules_loaded_by("json"))
     assert {"dataclasses", "inspect"}.isdisjoint(added)
 
