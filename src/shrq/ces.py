@@ -177,8 +177,14 @@ def compute(group, slots, prepared_query):
     return group.pair_product(prepared_query, slots)
 
 
-def _digest(group, t):
+def digest(group, t):
+    """The lookup digest of a GT element t (see the module docstring)."""
     return hashlib.sha256(group.canonical_bytes(t)).digest()[:DIGEST_BYTES]
+
+
+def scan(group, prepared_query, tuples):
+    """digest(compute()) of each encrypted tuple, in order: a server's scan."""
+    return [digest(group, compute(group, t, prepared_query)) for t in tuples]
 
 
 def create_lookup_table(sk, v):
@@ -190,7 +196,7 @@ def create_lookup_table(sk, v):
     entry = group.pow(step, sk.beta)
     digests = set()
     for _ in range(v + 1):
-        dig = _digest(group, entry)
+        dig = digest(group, entry)
         if dig in digests:
             raise DataIntegrityError("lookup table digest collision during build")
         digests.add(dig)
@@ -198,6 +204,6 @@ def create_lookup_table(sk, v):
     return LookupTable(frozenset(digests), v)
 
 
-def lookup_contains(table, group, t):
-    """Membership test the server runs on each compute() output."""
-    return _digest(group, t) in table.digests
+def lookup_contains(table, dig):
+    """Membership test the server runs on each scan() digest."""
+    return dig in table.digests

@@ -11,43 +11,39 @@ never false negatives.  Membership itself (dist^2 vs r^2) stays integral.
 """
 
 import math
-from dataclasses import dataclass
 
 from .ces import LAYOUT_SHRQ, LAYOUT_UNIFIED, layout_len
 from .errors import ConfigError, IngestionError, QueryRejected
+from .pairing import Record
 
 EPS = 1e-9
 
 
-@dataclass(frozen=True)
-class SphereQuery:
-    center: tuple
-    radius: int
+class SphereQuery(Record):
+    __slots__ = ("center", "radius")
 
-    def __post_init__(self):
-        if self.radius < 0:
+    def __init__(self, center, radius):
+        if radius < 0:
             raise ConfigError("radius must be non-negative")
+        super().__init__(center, radius)
 
 
-@dataclass(frozen=True)
-class RangeQuery:
-    col: int  # 1-based dimension index
-    lo: int
-    hi: int
+class RangeQuery(Record):
+    __slots__ = ("col", "lo", "hi")  # col is a 1-based dimension index
 
-    def __post_init__(self):
-        if self.lo > self.hi:
+    def __init__(self, col, lo, hi):
+        if lo > hi:
             raise ConfigError("range lower bound exceeds upper bound")
-        if self.col < 1:
+        if col < 1:
             raise ConfigError("column index is 1-based")
+        super().__init__(col, lo, hi)
 
 
-@dataclass(frozen=True)
-class Layer:
-    index: int
-    radius: float  # planning radius in base units
-    scaled_radius: int  # integer radius used in the layer's coarse space
-    factor: int  # coarsity factor b_c^index
+class Layer(Record):
+    """A planned layer: its stored level index, its planning radius in base
+    units, the integer scaled_radius in its coarse space, factor b_c^index."""
+
+    __slots__ = ("index", "radius", "scaled_radius", "factor")
 
 
 def validate_point(coords, d, x_max, label=""):

@@ -52,8 +52,9 @@ The result is the same element of GT as the product of separate pairings,
 so its canonical bytes are identical.  Identity slots contribute 1.  The
 curve's pair(x, y) is the one-slot product, so the package has one Miller
 loop; reference_pair in tests/reference.py is the independent loop the
-tests hold it to.  The transparent backend's prepare() returns the element,
-and its pair_product() is one sum of exponent products mod N.
+tests hold it to.  The transparent backend's prepare() returns the
+exponent, so a prepared slot is plain data (ints, tuples, None) on both
+backends, and its pair_product() is one sum of exponent products mod N.
 
 Points and powers.  G has one set of point formulas: the Jacobian doubling
 and mixed addition of an affine point, which invert nothing (Cohen, Miyaji
@@ -327,12 +328,12 @@ class TransparentGroup(Group):
         return GTElement(x.value * y.value % self.N)
 
     def prepare(self, x):
-        """Fixed-argument form of x for pair_product; here x itself."""
-        return x
+        """Fixed-argument form of x for pair_product; here x's exponent."""
+        return x.value
 
     def pair_product(self, prepared, points):
-        """prod_i pair(points[i], prepared[i]), a sum of exponent products."""
-        return GTElement(sum(x.value * m.value for x, m in zip(prepared, points)) % self.N)
+        """prod_i pair(points[i], x_i) for prepared[i] = prepare(x_i)."""
+        return GTElement(sum(x * m.value for x, m in zip(prepared, points)) % self.N)
 
     def canonical_bytes(self, x):
         tag = _TAG_GT_TRANSPARENT if isinstance(x, GTElement) else _TAG_G_TRANSPARENT

@@ -22,7 +22,6 @@ ResultSet is exact regardless of how much the coarse execution over-covered.
 import json
 import math
 import secrets
-from dataclasses import dataclass, field
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
@@ -57,7 +56,7 @@ from .geometry import (
     sphere_contains,
     validate_point,
 )
-from .pairing import CURVE_A1
+from .pairing import CURVE_A1, Record
 from .server import b64d, b64e, hello_message, lookup_message, store_message, tuple_message
 
 PROTOCOL_TABLE = "t"
@@ -67,18 +66,16 @@ PROTOCOL_LAYERED = "l"
 _NONCE_LEN = 12
 
 
-@dataclass(frozen=True)
-class DeploymentConfig:
-    """The one home of the deployment's layout, d, v and x_max."""
+class DeploymentConfig(Record):
+    """The one home of the deployment's layout, d, v and x_max; make_config
+    validates it."""
 
-    protocol: str
-    layout: str
-    d: int
-    v: int
-    x_max: int
-    e_max: int = 0
-    b_c: int | None = None
-    backend: str = CURVE_A1
+    __slots__ = ("protocol", "layout", "d", "v", "x_max", "e_max", "backend")
+
+    @property
+    def b_c(self):
+        """The layered protocol's coarsity base, None for the others."""
+        return coarsity_base(self.v, self.d) if self.protocol == PROTOCOL_LAYERED else None
 
     @property
     def levels(self):
@@ -103,15 +100,15 @@ def make_config(protocol, d, v, x_max, e_max=0, backend=CURVE_A1, layout=LAYOUT_
             raise ConfigError("single-table protocol has exactly one level (E_max = 0)")
     elif e_max < 0:
         raise ConfigError("E_max must be non-negative")
-    b_c = coarsity_base(v, d) if protocol == PROTOCOL_LAYERED else None
-    return DeploymentConfig(protocol, layout, d, v, x_max, e_max, b_c, backend)
+    if protocol == PROTOCOL_LAYERED:
+        coarsity_base(v, d)  # rejects a base below 2
+    return DeploymentConfig(protocol, layout, d, v, x_max, e_max, backend)
 
 
-@dataclass
-class ResultSet:
+class ResultSet(Record):
     """Validated query answer: (id, point) pairs sorted by id, deduplicated."""
 
-    records: list = field(default_factory=list)
+    __slots__ = ("records",)
 
     @property
     def ids(self):

@@ -5,7 +5,8 @@ hash id), the lookup-table digests, AES blobs it cannot open, and encrypted
 tuples.  Its whole query-time behaviour is: parse the query's slots and
 prepare each one once (ces.prepare_query records its Miller lines), then for
 every tuple at the queried level evaluate the product of the slot pairings
-(ces.compute), hash it, check membership and return the blob on a hit.
+and hash it (ces.scan), check membership (ces.lookup_contains) and return
+the blob on a hit.
 
 Wire format: newline-delimited UTF-8 JSON over TCP, binary fields base64.
 Requests carry a "type" field:
@@ -60,22 +61,24 @@ flipped coordinate bit leaves the curve.
 A query's scan is split between two processes when serve may run on more
 than one CPU (os.sched_getaffinity).  serve forks one scan worker
 (ScanWorker) at its start, after the address check and before the state
-opens, so the worker inherits no thread, no log and no listening socket.
-For a query over n >= 2 tuples, the main process parses and prepares the
-slots as above, so prepare's walk stays the order check, and sends the
-worker the group descriptor, the prepared lines and the slot values of the
-last n // 2 tuples in sorted-id order.  Meanwhile it scans its own share
-through ces.compute and ces.lookup_contains.  The worker answers one
-DIGEST_BYTES-byte lookup digest per tuple, from the same pair_product and
-canonical_bytes, and main tests them against the table.  The two talk over
-a private socketpair in length-prefixed frames, marshal to the worker and
-raw digests back, so the worker sees only what the server already holds:
-prepared lines and tuple coordinates.  handle_line holds the state lock for
-a whole query, so one scan runs at a time, on at most these two processes.
-If the worker fails in any way (a send error, the end of its stream, a
-reply of the wrong length), main kills and reaps it, scans that share
-itself and answers as without it; it never forks again.  A worker that
-stops without exiting (SIGSTOP) stalls the query that waits for it.  The
+opens, so the worker inherits no thread, no log and no listening socket;
+if that fork fails, serve runs without a worker.  For a query over n >= 2
+tuples, the main process parses and prepares the slots as above, so
+prepare's walk stays the order check, and sends the worker the group
+descriptor, the prepared lines and the slot values of the last n // 2
+tuples in sorted-id order.  Both shares run the one scan routine, ces.scan,
+which gives each tuple's DIGEST_BYTES-byte lookup digest: main on its own
+share meanwhile, the worker on its share.  Main then tests every digest of
+both shares against the table.  The two talk over a private socketpair in
+length-prefixed frames, marshal to the worker and raw digests back; a
+prepared line is plain data on both backends, so the frame carries it as it
+is.  The worker sees only what the server already holds: prepared lines and
+tuple coordinates.  handle_line holds the state lock for a whole query, so
+one scan runs at a time, on at most these two processes.  If the worker
+fails in any way (a send error, the end of its stream, a reply of the wrong
+length), main kills and reaps it, runs ces.scan on that share itself and
+answers as without it; it never forks again.  A worker that stops without
+exiting (SIGSTOP) stalls the query that waits for it.  The
 worker ignores SIGINT and leaves through os._exit once it reads the end of
 its stream, so it goes when serve stops, fails to start or is SIGKILLed:
 serve kills and reaps it on its way out, and a killed serve's end closes
@@ -121,7 +124,7 @@ import socketserver
 import struct
 import threading
 
-from .ces import DIGEST_BYTES, HASH_ID, LookupTable, _digest, compute, lookup_contains, prepare_query
+from .ces import DIGEST_BYTES, HASH_ID, LookupTable, lookup_contains, prepare_query, scan
 from .errors import ConfigError, DataIntegrityError, ProtocolError, ServerUnreachable, ShrqError
 from .pairing import GElement, group_from_descriptor
 
@@ -244,25 +247,16 @@ def _recv_frame(sock, expect=None):
     return _recv_exactly(sock, size)
 
 
-def _bare(x):
-    """x in a form marshal carries: a GElement as its value."""
-    return x.value if isinstance(x, GElement) else x
-
-
 def _serve_scans(sock):
     """The scan worker's loop: for each marshal frame (group descriptor,
-    prepared query, tuples of slot values), a frame of the DIGEST_BYTES-byte
-    lookup digests of the tuples' pairing products.  Returns only by
-    raising, EOFError once main's end is closed."""
+    prepared query, tuples of slot values), a frame of the tuples' ces.scan
+    digests.  Returns only by raising, EOFError once main's end is closed."""
     descriptor = group = None
     while True:
         desc, prepared, tuples = marshal.loads(_recv_frame(sock))
         if desc != descriptor:
             descriptor, group = desc, group_from_descriptor(desc)
-        # a transparent group's prepared slot is the element itself
-        prepared = tuple(GElement(q) if isinstance(q, int) else q for q in prepared)
-        products = (group.pair_product(prepared, [GElement(v) for v in slots]) for slots in tuples)
-        _send_frame(sock, b"".join(_digest(group, t) for t in products))
+        _send_frame(sock, b"".join(scan(group, prepared, [tuple(map(GElement, t)) for t in tuples])))
 
 
 class ScanWorker:
@@ -276,9 +270,14 @@ class ScanWorker:
     def fork(cls):
         """Fork the worker.  Returns its handle in the parent; in the child it
         scans until main's end of the socketpair closes, then leaves through
-        os._exit, never returning."""
+        os._exit, never returning.  A failed fork closes both ends first."""
         ours, theirs = socket.socketpair()
-        pid = os.fork()
+        try:
+            pid = os.fork()
+        except OSError:
+            ours.close()
+            theirs.close()
+            raise
         if pid:
             theirs.close()
             return cls(ours, pid)
@@ -292,7 +291,7 @@ class ScanWorker:
             os._exit(0)
 
     def send(self, descriptor, prepared, tuples):
-        msg = (descriptor, [_bare(q) for q in prepared], [[_bare(s) for s in t] for t in tuples])
+        msg = (descriptor, prepared, [[s.value for s in t] for t in tuples])
         _send_frame(self._sock, marshal.dumps(msg))
 
     def receive(self, count):
@@ -456,7 +455,7 @@ class ServerState:
 
     def _check_level(self, level):
         levels = self.hello["levels"]
-        if not isinstance(level, int) or not 0 <= level < levels:
+        if type(level) is not int or not 0 <= level < levels:  # JSON true is no level
             raise ProtocolError(f"unknown level {level!r} (levels 0..{levels - 1})")
 
     def _do_hello(self, msg):
@@ -543,8 +542,8 @@ class ServerState:
         prepared = prepare_query(self.group, slots)
         ids = sorted(bucket)
         matches = []
-        for rid, hit in zip(ids, self._scan([bucket[rid] for rid in ids], prepared)):
-            if hit:
+        for rid, dig in zip(ids, self._scan([bucket[rid] for rid in ids], prepared)):
+            if lookup_contains(self.lookup, dig):
                 blob = self.db_store.get(rid)
                 if blob is None:
                     raise DataIntegrityError(f"matched id {rid!r} missing from db-store")
@@ -552,13 +551,9 @@ class ServerState:
         return {"type": "result", "matches": matches}
 
     def _scan(self, tuples, prepared):
-        """Whether each tuple's pairing product is in the lookup table, in
-        order.  The worker takes the last half of the tuples; if it fails,
-        it is closed and this process scans its share (see the module
-        docstring)."""
-        def hit(t):
-            return lookup_contains(self.lookup, self.group, compute(self.group, t, prepared))
-
+        """ces.scan of the tuples, in order.  The worker takes the last half
+        of the tuples; if it fails, it is closed and this process scans its
+        share (see the module docstring)."""
         own = len(tuples) - (len(tuples) // 2 if self._worker else 0)
         theirs = tuples[own:]
         if theirs:
@@ -567,16 +562,16 @@ class ServerState:
             except _WORKER_FAILED:
                 self._close_worker()
         try:
-            hits = [hit(t) for t in tuples[:own]]
+            digests = scan(self.group, prepared, tuples[:own])
         except BaseException:  # the worker's reply would stay unread
             self._close_worker()
             raise
         if theirs and self._worker:
             try:
-                return hits + [d in self.lookup.digests for d in self._worker.receive(len(theirs))]
+                return digests + self._worker.receive(len(theirs))
             except _WORKER_FAILED:
                 self._close_worker()
-        return hits + [hit(t) for t in theirs]
+        return digests + scan(self.group, prepared, theirs)
 
     def _close_worker(self):
         if self._worker is not None:
@@ -617,13 +612,17 @@ def serve(listen, state_dir):
     before the server listens.  Every start-up failure is a ShrqError: a
     ConfigError for a malformed address or a state path that cannot be a
     directory, and a plain ShrqError or DataIntegrityError for a state that
-    does not open or replay, or an address that cannot be bound.  Once bound,
-    and before it serves, it prints one JSON line {"listening": "host:port"}
-    to stdout with the port it bound, so a --listen port of 0 (any free
-    port) can be found."""
+    does not open or replay, or an address that cannot be bound.  A scan
+    worker that cannot be forked is none: it is only a speed-up.  Once
+    bound, and before it serves, it prints one JSON line {"listening":
+    "host:port"} to stdout with the port it bound, so a --listen port of 0
+    (any free port) can be found."""
     address = _address(listen)
     # before the state opens: the worker inherits no thread, log or socket
-    worker = ScanWorker.fork() if len(os.sched_getaffinity(0)) > 1 else None
+    worker = None
+    if len(os.sched_getaffinity(0)) > 1:
+        with contextlib.suppress(OSError):  # a failed fork serves without a worker
+            worker = ScanWorker.fork()
     try:
         try:
             state = ServerState(state_dir, worker)

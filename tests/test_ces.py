@@ -12,6 +12,7 @@ from shrq.ces import (
     SecretKey,
     compute,
     create_lookup_table,
+    digest,
     keygen,
     lookup_contains,
     prepare_query,
@@ -334,7 +335,7 @@ def test_lookup_table_size_and_v0(sk32):
     table = create_lookup_table(sk32, 0)
     grp = sk32.group
     entry = grp.pow(grp.pair(sk32.s, sk32.s), sk32.beta * sk32.alpha)
-    assert lookup_contains(table, grp, entry)
+    assert lookup_contains(table, digest(grp, entry))
     assert len(table.digests) == 1
     assert len(create_lookup_table(sk32, 40).digests) == 41
 
@@ -350,7 +351,7 @@ def test_lookup_membership_sweep():
         # sweep the whole reachable dot range |k| <= v + d*x_max^2
         for k in range(-250, 251):
             t = grp.pow(base, sk.alpha * (k + sk.beta))
-            assert lookup_contains(table, grp, t) == (0 <= k <= 50), (backend, k)
+            assert lookup_contains(table, digest(grp, t)) == (0 <= k <= 50), (backend, k)
 
 
 def test_lookup_boundaries(sk32):
@@ -359,7 +360,7 @@ def test_lookup_boundaries(sk32):
     base = grp.pair(sk32.s, sk32.s)
     for k, inside in ((-1, False), (0, True), (400, True), (401, False)):
         t = grp.pow(base, sk32.alpha * (k + sk32.beta))
-        assert lookup_contains(table, grp, t) is inside
+        assert lookup_contains(table, digest(grp, t)) is inside
 
 
 def _table_keys():
@@ -405,7 +406,7 @@ def test_lookup_membership_is_exact(case):
     q2 = grp.params.q2
     table = create_lookup_table(sk, v)
     assert len(table.digests) == v + 1 and {len(dig) for dig in table.digests} == {16}
-    hit = lookup_contains(table, grp, grp.pow(grp.pair(sk.s, sk.s), sk.alpha * (k + sk.beta)))
+    hit = lookup_contains(table, digest(grp, grp.pow(grp.pair(sk.s, sk.s), sk.alpha * (k + sk.beta))))
     assert hit is (k % q2 <= v)
     if -(q2 - v) < k < q2:
         assert hit is (0 <= k <= v)

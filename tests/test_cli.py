@@ -19,6 +19,7 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 import shrq.server
 from shrq import ces, cli, protocols as prot
 from shrq.errors import ConfigError, KeyfileError, ProtocolError
+from shrq.geometry import SphereQuery
 from shrq.keyfile import load_keyfile, save_keyfile
 from shrq.pairing import TRANSPARENT, group_from_primes
 
@@ -538,6 +539,35 @@ def test_serve_reaps_its_scan_worker_when_it_fails_to_start(tmp_path):
     with pytest.raises(ConfigError, match="as the state directory"):
         shrq.server.serve("127.0.0.1:0", str(state))
     assert _children(os.getpid()) == before
+
+
+def test_serve_runs_without_a_worker_it_cannot_fork(tmp_path, monkeypatch):
+    # in process, with a fork that fails as it does when no process id is
+    # left (EAGAIN): serve closes both socketpair ends and answers queries
+    # without a worker, as after a worker failure
+    pairs, served = [], []
+    socketpair = socket.socketpair
+
+    def recorded_socketpair():
+        pairs.append(socketpair())
+        return pairs[-1]
+
+    def failed_fork():
+        raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    def serve_one_query(srv):  # in place of serve_forever: return once answered
+        config = prot.make_config("t", 2, 400, 100, backend=TRANSPARENT)
+        sk, _ = ces.keygen(32, 2, ces.LAYOUT_UNIFIED, 400, 100, TRANSPARENT, rng=random.Random(9))
+        prot.run_setup(config, sk, [("a", (5, 5)), ("b", (9, 9)), ("c", (50, 50))], srv.state)
+        served.append((srv.state._worker, prot.query_sphere(config, sk, SphereQuery((6, 6), 5), srv.state).ids))
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(socket, "socketpair", recorded_socketpair)
+    monkeypatch.setattr(os, "fork", failed_fork)
+    monkeypatch.setattr(shrq.server.TcpServer, "serve_forever", serve_one_query)
+    shrq.server.serve("127.0.0.1:0", str(tmp_path / "state"))
+    assert served == [(None, {"a", "b"})]
+    assert len(pairs) == 1 and [end.fileno() for end in pairs[0]] == [-1, -1]
 
 
 def test_start_up_failure_leaves_no_scan_worker(tmp_path):

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import random
@@ -554,8 +553,15 @@ def test_make_config_validation():
         prot.make_config("t", 2, 400, 100, layout="bogus")
     config = prot.make_config("l", 2, 400, 100, e_max=3, backend=TRANSPARENT)
     assert config.b_c == 5 and config.levels == 4
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError, match="cannot assign"):
         config.v = 100  # the server holds a table built for the v set up with
+
+
+def test_config_derives_its_coarsity_base():
+    # b_c is no field: it is coarsity_base(v, d) for l and None otherwise
+    layered = prot.make_config("l", 2, 400, 100, e_max=3, backend=TRANSPARENT)
+    assert layered.__slots__ == ("protocol", "layout", "d", "v", "x_max", "e_max", "backend")
+    assert layered.b_c == 5 and prot.make_config("c", 2, 400, 100, e_max=3).b_c is None
 
 
 def test_key_made_for_another_v_answers_by_the_config(rng):

@@ -92,6 +92,26 @@ def test_unknown_level_is_protocol_error(deployment, rng):
         assert reply["type"] == "error" and "level" in reply["error"]
 
 
+def test_boolean_level_is_no_level(deployment, rng):
+    # JSON true and false are no levels, though a Python bool is an int: each
+    # line gets one error reply and changes no state, and the same line with
+    # 1 or 0 is answered
+    config, sk = deployment
+    server = ServerState()
+    fill(config, sk, [("a", (5, 5))], server, rng)
+    store, *tuples = prot.point_messages(config, sk, "b", (6, 6), rng=rng)
+    assert server.request(store)["type"] == "ack"
+    query = prot.query_message(config, sk, make_sphere_query_component(SphereQuery((5, 5), 2), config.layout), 0)
+    for flag, level in ((False, 0), (True, 1)):
+        before = server.snapshot_messages()
+        for msg in (tuples[level], dict(query, level=level)):
+            reply = json.loads(server.handle_line(json.dumps(dict(msg, level=flag))))
+            assert reply["type"] == "error" and "level" in reply["error"]
+            assert server.snapshot_messages() == before
+        assert server.request(tuples[level]) == {"type": "ack"}
+        assert server.request(dict(query, level=level))["type"] == "result"
+
+
 def test_messages_before_hello_fail():
     server = ServerState()
     reply = server.request({"type": "put_store", "id": "a", "blob": b64e(b"x")})
@@ -354,11 +374,13 @@ def test_compute_call_count_is_store_size(deployment, rng, monkeypatch):
     comp = make_sphere_query_component(SphereQuery((3, 3), 5), config.layout)
     calls = []
 
+    compute = ces.compute
+
     def counting_compute(*args):
         calls.append(args)
-        return ces.compute(*args)
+        return compute(*args)
 
-    monkeypatch.setattr(shrq.server, "compute", counting_compute)
+    monkeypatch.setattr(ces, "compute", counting_compute)
     server.request(prot.query_message(config, sk, comp, 0))
     assert len(calls) == 17
     server.request(prot.query_message(config, sk, comp, 1))
@@ -1094,7 +1116,7 @@ def test_split_scan_answers_as_the_serial_scan(kind, request):
     # the same line, and the worker is never given up
     group, g = _scan_group(kind, request)
     gt = group.pair(g, g)
-    table = ces.LookupTable(frozenset(ces._digest(group, group.pow(gt, k)) for k in range(7)), 6)
+    table = ces.LookupTable(frozenset(ces.digest(group, group.pow(gt, k)) for k in range(7)), 6)
     setup = [hello_message(group.params.describe(), 1), shrq.server.lookup_message(table)]
 
     def slots(exponents):
@@ -1319,6 +1341,13 @@ def test_cli_imports_only_the_server():
     pools = ("cryptography", "multiprocessing", "concurrent", "pickle")
     assert [m for m in loaded if m.split(".")[0] in pools] == []
     added = set(loaded) - set(_modules_loaded_by("json"))
+    assert {"dataclasses", "inspect"}.isdisjoint(added)
+
+
+def test_protocols_imports_neither_dataclasses_nor_inspect():
+    """Every record of the package is a pairing.Record, so the client library
+    loads neither dataclasses nor inspect, counted as above."""
+    added = set(_modules_loaded_by("shrq.protocols")) - set(_modules_loaded_by("json"))
     assert {"dataclasses", "inspect"}.isdisjoint(added)
 
 
