@@ -9,14 +9,9 @@ and hash it (ces.scan), check membership (ces.lookup_contains) and return
 the blob on a hit.
 
 Wire format: newline-delimited UTF-8 JSON over TCP, binary fields base64.
-Requests carry a "type" field:
-
-    hello      {N, backend, hash, levels}           -> ack
-    put_lookup {v, digests: [b64 16-byte prefix]}   -> ack
-    put_tuple  {level, id, slots: [b64 canonical]}  -> ack
-    put_store  {id, blob: b64}                      -> ack
-    delete     {id}                                 -> ack {found}
-    query      {level, slots: [b64 canonical]}      -> result {matches: [{id, blob}]}
+A request holds its "type" and exactly that type's _FIELDS.  A query gets
+{"type": "result", "matches": [{id, blob}]}, a delete {"type": "ack",
+"found": bool} and any other request {"type": "ack"}.
 
 hello_message is the one hello encoder: the client sends its output, and
 the server pins, logs and snapshots hello_message of the hello it acks.
@@ -24,9 +19,9 @@ A slot is the canonical encoding (Group.canonical_bytes) of a G element,
 and decode reads exactly those byte strings: a GT encoding, a
 non-canonical one or a point outside the order-N subgroup does not decode.
 Every line, a blank one included, takes _dispatch and gets exactly one
-reply line: anything malformed (not JSON, not an object, nested more than
-four deep, an unknown type, a missing or ill-typed field, a slot that does
-not decode, parameters that do not build a group) gets {"type": "error",
+reply line: anything malformed (not JSON, not an object, an unknown type,
+a field missing, unknown or of the wrong JSON type, a slot that does not
+decode, parameters that do not build a group) gets {"type": "error",
 "error": ...}, changes no state, and the connection stays open.  A
 put_tuple needs its id's put_store first, and all tuples at a level have one
 slot count: the first tuple stored at an empty level fixes it, and a
@@ -98,8 +93,9 @@ after a crash before the ack.  A final log line without its newline was
 cut by a crash before its ack: replay drops it and truncates the log to the
 last newline.  Every other line, a blank one included, takes the wire's
 path (_dispatch), and a line that gets an error reply fails the restart
-with DataIntegrityError; so does a put_tuple without its put_store, which
-older servers acked and logged.
+with DataIntegrityError, as do lines that older servers acked and logged: a
+put_tuple without its put_store, and one with an extra or ill-typed field,
+which no compacted log holds, as the snapshot re-encodes every message.
 
 Every _COMPACT_EVERY logged mutations the log is rewritten as a snapshot
 (compact); the count starts at the number of lines replayed at open, so a
@@ -131,11 +127,16 @@ from .pairing import GElement, group_from_descriptor
 _LOG_NAME = "log.jsonl"
 # logged mutations after which the log is rewritten as a snapshot
 _COMPACT_EVERY = 10000
-# int() of a JSON number too large for a float (1e400) raises OverflowError
-_BAD_INPUT = (ShrqError, KeyError, TypeError, ValueError, OverflowError)
-# messages nest containers two deep; JSON nested near the interpreter's
-# recursion limit parses but may not serialize again for the log
-_MAX_NESTING = 4
+# json.loads raises ValueError or RecursionError, group_from_descriptor KeyError, TypeError or ValueError
+_BAD_INPUT = (ShrqError, KeyError, TypeError, ValueError, RecursionError)
+_FIELDS = {
+    "hello": {"N": str, "backend": dict, "hash": str, "levels": int},
+    "put_lookup": {"v": int, "digests": list},
+    "put_tuple": {"level": int, "id": str, "slots": list},
+    "put_store": {"id": str, "blob": str},
+    "delete": {"id": str},
+    "query": {"level": int, "slots": list},
+}
 # put_lookup also takes whole SHA-256 digests, as older clients sent them
 _SHA256_BYTES = 32
 # the byte length that leads each frame on the scan worker's socketpair
@@ -155,12 +156,21 @@ def b64d(text):
         raise ProtocolError(f"bad base64 payload: {exc}") from None
 
 
-def _too_deep(value, depth=_MAX_NESTING):
-    if isinstance(value, dict):
-        value = value.values()
-    elif not isinstance(value, list):
-        return False
-    return depth == 0 or any(_too_deep(v, depth - 1) for v in value)
+def _check_fields(msg):
+    """msg's type, once msg is an object of its type and exactly its _FIELDS,
+    each of its JSON type (lists and objects hold strings); else ProtocolError."""
+    mtype = msg.get("type") if type(msg) is dict else None
+    fields = _FIELDS.get(mtype) if type(mtype) is str else None
+    if fields is None:  # echo only a string: the repr of a deep list may raise
+        raise ProtocolError(f"unknown message type {mtype!r}" if type(mtype) is str else "malformed message")
+    if msg.keys() != {"type", *fields}:
+        raise ProtocolError(f"{mtype} takes exactly the fields {', '.join(sorted(fields))}")
+    for name, kind in fields.items():
+        value = msg[name]
+        inner = value.values() if type(value) is dict else value if type(value) is list else ()
+        if type(value) is not kind or any(type(v) is not str for v in inner):  # a bool is no int
+            raise ProtocolError(f"{mtype} field {name!r} has the wrong JSON type")
+    return mtype
 
 
 def fsync_dir(path):
@@ -430,19 +440,10 @@ class ServerState:
         before = self._mutations_since_compact
         try:
             msg = json.loads(line)
-        except (ValueError, RecursionError) as exc:
-            return {"type": "error", "error": f"malformed message: {exc}"}
-        if not isinstance(msg, dict) or _too_deep(msg):
-            error = f"malformed message: not a JSON object nested at most {_MAX_NESTING} deep"
-            return {"type": "error", "error": error}
-        try:
-            mtype = msg.get("type")
-            handler = getattr(self, f"_do_{mtype}", None)
-            if handler is None:
-                raise ProtocolError(f"unknown message type {mtype!r}")
+            mtype = _check_fields(msg)
             if self.hello is None and mtype != "hello":
                 raise ProtocolError("no parameters pinned: send hello first")
-            reply = handler(msg)
+            reply = getattr(self, f"_do_{mtype}")(msg)
         except _BAD_INPUT as exc:
             return {"type": "error", "error": str(exc)}
         except OSError as exc:
@@ -455,13 +456,14 @@ class ServerState:
 
     def _check_level(self, level):
         levels = self.hello["levels"]
-        if type(level) is not int or not 0 <= level < levels:  # JSON true is no level
+        if not 0 <= level < levels:
             raise ProtocolError(f"unknown level {level!r} (levels 0..{levels - 1})")
+        return level
 
     def _do_hello(self, msg):
         if msg["hash"] != HASH_ID:
             raise ProtocolError(f"unsupported hash {msg['hash']!r}")
-        hello = hello_message(dict(msg["backend"], N=str(msg["N"])), int(msg["levels"]))
+        hello = hello_message(dict(msg["backend"], N=msg["N"]), msg["levels"])
         if hello["levels"] < 1:
             raise ProtocolError("levels must be >= 1")
         if self.hello is not None:
@@ -481,15 +483,14 @@ class ServerState:
         uniq = frozenset(d[:DIGEST_BYTES] for d in digests)
         if len(uniq) != len(digests):
             raise ProtocolError("duplicate lookup digests")
-        lookup = LookupTable(uniq, int(msg["v"]))
+        lookup = LookupTable(uniq, msg["v"])
         self._append_log(msg)
         self.lookup = lookup
         return {"type": "ack"}
 
     def _do_put_tuple(self, msg):
-        level = msg["level"]
-        self._check_level(level)
-        rid = str(msg["id"])
+        level = self._check_level(msg["level"])
+        rid = msg["id"]
         if rid not in self.db_store:
             raise ProtocolError(f"id {rid!r} has no record in db-store: send its put_store first")
         read = self.group.parse if self._replaying else self.group.decode
@@ -507,7 +508,7 @@ class ServerState:
         return {"type": "ack"}
 
     def _do_put_store(self, msg):
-        rid = str(msg["id"])
+        rid = msg["id"]
         if rid in self.db_store:
             raise ProtocolError(f"duplicate id {rid!r} in store")
         blob = b64d(msg["blob"])
@@ -516,7 +517,7 @@ class ServerState:
         return {"type": "ack"}
 
     def _do_delete(self, msg):
-        rid = str(msg["id"])
+        rid = msg["id"]
         if rid not in self.db_store:
             return {"type": "ack", "found": False}  # changes nothing, so nothing to log
         self._append_log(msg)
@@ -526,8 +527,7 @@ class ServerState:
         return {"type": "ack", "found": True}
 
     def _do_query(self, msg):
-        level = msg["level"]
-        self._check_level(level)
+        level = self._check_level(msg["level"])
         if self.lookup is None:
             raise ProtocolError("no lookup table uploaded")
         bucket = self.db_query.get(level, {})

@@ -4,6 +4,7 @@ import json
 import marshal
 import os
 import random
+import runpy
 import shutil
 import signal
 import socket
@@ -16,7 +17,7 @@ import threading
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule, run_state_machine_as_test
 
 import shrq.server
@@ -228,13 +229,9 @@ def test_lookup_line_byte_budget(deployment):
 
 # -- any line gets one reply; a rejected one changes nothing --------------------
 
-def _setup_stream():
-    config = prot.make_config("c", 2, 100, 30, e_max=1, backend=TRANSPARENT, layout=LAYOUT_SHRQ)
-    sk, _ = ces.keygen(32, 2, LAYOUT_SHRQ, 100, 30, TRANSPARENT, rng=random.Random(41))
-    return list(prot.setup_messages(config, sk, [("a", (1, 1)), ("b", (9, 9))], rng=random.Random(2)))
-
-
-_SETUP = _setup_stream()
+_CONFIG = prot.make_config("c", 2, 100, 30, e_max=1, backend=TRANSPARENT, layout=LAYOUT_SHRQ)
+_SK, _ = ces.keygen(32, 2, LAYOUT_SHRQ, 100, 30, TRANSPARENT, rng=random.Random(41))
+_SETUP = list(prot.setup_messages(_CONFIG, _SK, [("a", (1, 1)), ("b", (9, 9))], rng=random.Random(2)))
 
 
 def _loaded_state():
@@ -279,6 +276,97 @@ def test_any_line_gets_one_reply_and_errors_change_nothing(line):
         assert state.snapshot_messages() == before
 
 
+# -- one table types every wire field --------------------------------------------
+
+# a record "c" without tuples, and one request of each type that a loaded
+# state holding it answers
+_C_STORE, _C_TUPLE, *_ = prot.point_messages(_CONFIG, _SK, "c", (5, 5), rng=random.Random(3))
+_WELL_TYPED = {
+    "hello": _SETUP[0],
+    "put_lookup": next(m for m in _SETUP if m["type"] == "put_lookup"),
+    "put_tuple": _C_TUPLE,
+    "put_store": dict(_C_STORE, id="d"),
+    "delete": {"type": "delete", "id": "a"},
+    "query": prot.query_message(_CONFIG, _SK, make_sphere_query_component(SphereQuery((5, 5), 2), _CONFIG.layout), 0),
+}
+# a well-typed value of each kind to values of a wrong JSON type
+_ILL_TYPED = {
+    int: lambda value: [True, False, float(value)],
+    str: lambda value: [7, None, [value]],
+    list: lambda value: [value[0], [*value, 1]],
+    dict: lambda value: [list(value.values()), {**value, "x": 1}],
+}
+_NAMES = sorted({name for fields in shrq.server._FIELDS.values() for name in fields} | {"junk"})
+
+
+@st.composite
+def _ill_typed_lines(draw):
+    """A well-typed request with one thing broken: a field of a wrong type,
+    a field dropped or an unknown one added."""
+    mtype = draw(st.sampled_from(sorted(shrq.server._FIELDS)))
+    fields = shrq.server._FIELDS[mtype]
+    msg = dict(_WELL_TYPED[mtype])
+    name = draw(st.sampled_from(sorted(fields)))
+    how = draw(st.sampled_from(["retype", "drop", "add"]))
+    if how == "retype":
+        msg[name] = draw(st.sampled_from(_ILL_TYPED[fields[name]](msg[name])))
+    elif how == "drop":
+        del msg[name]
+    else:
+        msg[draw(st.sampled_from([n for n in _NAMES if n not in fields]))] = msg[name]
+    return json.dumps(msg)
+
+
+def _ill_typed_examples(test):
+    # a type nested so deep that json.loads succeeds and its repr may exceed the
+    # recursion limit; the exact depth depends on the interpreter and the stack
+    for n in range(900, 1000, 3):
+        test = example(f'{{"type": {"[" * n}{"]" * n}}}')(test)
+    return test
+
+
+def _holding_c():
+    state = _loaded_state()
+    assert state.request(_C_STORE) == {"type": "ack"}
+    return state
+
+
+def _log_holding_c():
+    return "".join(map(shrq.server._log_line, [*_SETUP, _C_STORE]))
+
+
+@_ill_typed_examples
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_ill_typed_lines())
+def test_ill_typed_request_gets_one_error_and_fails_replay(line):
+    for state in (ServerState(), _holding_c()):  # an empty state would pin an ill-typed hello
+        before = state.snapshot_messages()
+        assert json.loads(state.handle_line(line))["type"] == "error"
+        assert state.snapshot_messages() == before
+    # the same line, logged by an older server, fails the restart
+    with tempfile.TemporaryDirectory() as state_dir:
+        Path(state_dir, "log.jsonl").write_text(_log_holding_c() + line + "\n")
+        with pytest.raises(DataIntegrityError):
+            ServerState(state_dir)
+
+
+def test_fields_table_has_a_handler_span_and_well_typed_request_per_type(tmp_path, open_state):
+    handlers = {name[len("_do_"):] for name in vars(ServerState) if name.startswith("_do_")}
+    assert set(shrq.server._FIELDS) == handlers == set(_WELL_TYPED)
+    # Tracer.install skips a missing attribute, so a renamed handler would lose its span
+    spans = runpy.run_path(str(Path(__file__).parents[1] / "perfbench" / "spans.py"))
+    prefix = "shrq.server:ServerState."
+    targets = [path[len(prefix):] for _, path in spans["SERVER_TARGETS"] if path.startswith(prefix + "_do_")]
+    assert targets and all(name in vars(ServerState) for name in targets)
+    # each well-typed request is answered, on the wire and from the log
+    for mtype, msg in _WELL_TYPED.items():
+        assert _holding_c().request(msg)["type"] != "error", mtype
+        (tmp_path / mtype).mkdir()
+        (tmp_path / mtype / "log.jsonl").write_text(_log_holding_c() + shrq.server._log_line(msg))
+        open_state(tmp_path / mtype)
+
+
 def test_rejections_before_the_deployment_is_complete(deployment):
     config, sk = deployment
     server = ServerState()
@@ -303,7 +391,7 @@ def test_hello_pinning(deployment, tmp_path, open_state):
     assert server.hello == hello_message(sk.group.params.describe(), config.levels) == hello
     log = (tmp_path / "log.jsonl").read_bytes()
     assert server.request(hello)["type"] == "ack"  # idempotent re-hello
-    assert server.request(dict(hello, N=int(hello["N"])))["type"] == "ack"  # N pins as a string
+    assert server.request(dict(hello, N=int(hello["N"])))["type"] == "error"  # N is a string on the wire
     other = dict(hello, N=str(int(hello["N"]) + 2))
     reply = server.request(other)
     assert reply["type"] == "error" and "mismatch" in reply["error"]
