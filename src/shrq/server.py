@@ -14,7 +14,8 @@ A request holds its "type" and exactly that type's _FIELDS.  A query gets
 "found": bool} and any other request {"type": "ack"}.
 
 hello_message is the one hello encoder: the client sends its output, and
-the server pins, logs and snapshots hello_message of the hello it acks.
+the server acks a first hello only if it is its group's hello_message, then
+pins, logs and snapshots it as sent; a later hello must equal the pinned one.
 A slot is the canonical encoding (Group.canonical_bytes) of a G element,
 and decode reads exactly those byte strings: a GT encoding, a
 non-canonical one or a point outside the order-N subgroup does not decode.
@@ -26,11 +27,12 @@ decode, parameters that do not build a group) gets {"type": "error",
 put_tuple needs its id's put_store first, and all tuples at a level have one
 slot count: the first tuple stored at an empty level fixes it, and a
 put_tuple with another count is an error.  So one bad tuple cannot turn
-every later query at its level into an error.  A query's work is bounded by
-the level it asks: a query whose slot count differs from its populated
-level's pinned count is an error before any slot is parsed or prepared, and
-a query at an empty level has its slots parsed, prepares none and answers no
-matches.
+every later query at its level into an error.  The work of a put_tuple or a
+query is bounded by the level it names: one whose slot count differs from
+its populated level's pinned count is an error before any slot is read.  A
+put_tuple decodes its slots only after every other check has passed (its
+record, at least one slot, an id new at its level), and a query at an empty
+level has its slots parsed, prepares none and answers no matches.
 
 A lookup digest is the first 16 bytes of SHA-256 (ces.DIGEST_BYTES), and
 the server keeps only that width.  put_lookup takes a table whose digests
@@ -38,7 +40,8 @@ are all 16 bytes, or all 32: the whole SHA-256 digest, which clients before
 the 16-byte prefix sent and which older logs hold.  Of a 32-byte digest the
 server keeps the first 16 bytes, so an old log replays to the same answers
 and shrinks at its next compaction.  Mixed widths, any other width, and two
-digests equal after truncation are errors.  A server from before the prefix
+digests equal after truncation are errors, as is a table of other than
+v + 1 digests, one per dot value in [0, v].  A server from before the prefix
 answers a 16-byte table with "lookup digests must be 32 bytes", so a current
 client fails against it at put_lookup, before it sends any tuple.
 
@@ -71,7 +74,7 @@ is.  The worker sees only what the server already holds: prepared lines and
 tuple coordinates.  handle_line holds the state lock for a whole query, so
 one scan runs at a time, on at most these two processes.  If the worker
 fails in any way (a send error, the end of its stream, a reply of the wrong
-length), main kills and reaps it, runs ces.scan on that share itself and
+length), main kills and reaps it, scans every tuple of that query itself and
 answers as without it; it never forks again.  A worker that stops without
 exiting (SIGSTOP) stalls the query that waits for it.  The
 worker ignores SIGINT and leaves through os._exit once it reads the end of
@@ -95,7 +98,9 @@ last newline.  Every other line, a blank one included, takes the wire's
 path (_dispatch), and a line that gets an error reply fails the restart
 with DataIntegrityError, as do lines that older servers acked and logged: a
 put_tuple without its put_store, and one with an extra or ill-typed field,
-which no compacted log holds, as the snapshot re-encodes every message.
+which no compacted log holds, as the snapshot re-encodes every message; a
+hello other than its group's hello_message, and a put_lookup whose v does
+not match its digests.  The repo's clients never sent either.
 
 Every _COMPACT_EVERY logged mutations the log is rewritten as a snapshot
 (compact); the count starts at the number of lines replayed at open, so a
@@ -454,25 +459,35 @@ class ServerState:
                 self.compact()
         return reply
 
-    def _check_level(self, level):
-        levels = self.hello["levels"]
+    def _level(self, msg):
+        """The level of a put_tuple or query msg and the tuples it holds, once
+        the level is in range and msg has its pinned slot count (any count at
+        an empty level); else ProtocolError, before any slot is read."""
+        level, levels = msg["level"], self.hello["levels"]
         if not 0 <= level < levels:
             raise ProtocolError(f"unknown level {level!r} (levels 0..{levels - 1})")
-        return level
+        bucket = self.db_query.get(level, {})
+        wire = msg["slots"]
+        pinned = len(next(iter(bucket.values()), wire))
+        if len(wire) != pinned:
+            what = "query" if msg["type"] == "query" else "tuple"
+            raise ProtocolError(f"{what} has {len(wire)} slots, level {level} holds {pinned}")
+        return level, bucket
 
     def _do_hello(self, msg):
         if msg["hash"] != HASH_ID:
             raise ProtocolError(f"unsupported hash {msg['hash']!r}")
-        hello = hello_message(dict(msg["backend"], N=msg["N"]), msg["levels"])
-        if hello["levels"] < 1:
+        if msg["levels"] < 1:
             raise ProtocolError("levels must be >= 1")
         if self.hello is not None:
-            if hello != self.hello:
+            if msg != self.hello:
                 raise ProtocolError("parameter mismatch with pinned hello")
             return {"type": "ack"}  # changes nothing, so nothing to log
-        group = group_from_descriptor(dict(hello["backend"], N=hello["N"]))
+        group = group_from_descriptor(dict(msg["backend"], N=msg["N"]))
+        if msg != hello_message(group.params.describe(), msg["levels"]):
+            raise ProtocolError("hello is not its group's canonical hello_message")
         self._append_log(msg)
-        self.group, self.hello = group, hello
+        self.group, self.hello = group, msg
         return {"type": "ack"}
 
     def _do_put_lookup(self, msg):
@@ -483,26 +498,25 @@ class ServerState:
         uniq = frozenset(d[:DIGEST_BYTES] for d in digests)
         if len(uniq) != len(digests):
             raise ProtocolError("duplicate lookup digests")
+        if len(digests) != msg["v"] + 1:  # one digest per dot value in [0, v]
+            raise ProtocolError(f"a table of v = {msg['v']} holds v + 1 digests, not {len(digests)}")
         lookup = LookupTable(uniq, msg["v"])
         self._append_log(msg)
         self.lookup = lookup
         return {"type": "ack"}
 
     def _do_put_tuple(self, msg):
-        level = self._check_level(msg["level"])
+        level, bucket = self._level(msg)
         rid = msg["id"]
         if rid not in self.db_store:
             raise ProtocolError(f"id {rid!r} has no record in db-store: send its put_store first")
-        read = self.group.parse if self._replaying else self.group.decode
-        slots = tuple(read(b64d(s)) for s in msg["slots"])
-        if not slots:
+        if not msg["slots"]:
             raise ProtocolError("tuple has no slots")
-        bucket = self.db_query.get(level, {})
         if rid in bucket:
             raise ProtocolError(f"duplicate id {rid!r} at level {level}")
-        pinned = len(next(iter(bucket.values()), slots))
-        if len(slots) != pinned:
-            raise ProtocolError(f"tuple has {len(slots)} slots, level {level} holds {pinned}")
+        # only now, every other check passed, is a slot read (see the module docstring)
+        read = self.group.parse if self._replaying else self.group.decode
+        slots = tuple(read(b64d(s)) for s in msg["slots"])
         self._append_log(msg)
         self.db_query.setdefault(level, {})[rid] = slots
         return {"type": "ack"}
@@ -527,15 +541,10 @@ class ServerState:
         return {"type": "ack", "found": True}
 
     def _do_query(self, msg):
-        level = self._check_level(msg["level"])
+        level, bucket = self._level(msg)
         if self.lookup is None:
             raise ProtocolError("no lookup table uploaded")
-        bucket = self.db_query.get(level, {})
-        wire = msg["slots"]
-        pinned = len(next(iter(bucket.values()), wire))
-        if len(wire) != pinned:  # before any parse or prepare (see the module docstring)
-            raise ProtocolError(f"query has {len(wire)} slots, level {level} holds {pinned}")
-        slots = [self.group.parse(b64d(s)) for s in wire]
+        slots = [self.group.parse(b64d(s)) for s in msg["slots"]]
         if not bucket:
             return {"type": "result", "matches": []}
         # prepare's walk is the slots' order check (see the module docstring)
@@ -552,31 +561,19 @@ class ServerState:
 
     def _scan(self, tuples, prepared):
         """ces.scan of the tuples, in order.  The worker takes the last half
-        of the tuples; if it fails, it is closed and this process scans its
-        share (see the module docstring)."""
-        own = len(tuples) - (len(tuples) // 2 if self._worker else 0)
-        theirs = tuples[own:]
+        of the tuples; if it fails, it is closed and this process scans them
+        all (see the module docstring)."""
+        theirs = len(tuples) // 2 if self._worker else 0
         if theirs:
             try:
-                self._worker.send(self.group.params.describe(), prepared, theirs)
-            except _WORKER_FAILED:
-                self._close_worker()
-        try:
-            digests = scan(self.group, prepared, tuples[:own])
-        except BaseException:  # the worker's reply would stay unread
-            self._close_worker()
-            raise
-        if theirs and self._worker:
-            try:
-                return digests + self._worker.receive(len(theirs))
-            except _WORKER_FAILED:
-                self._close_worker()
-        return digests + scan(self.group, prepared, theirs)
-
-    def _close_worker(self):
-        if self._worker is not None:
-            self._worker.close()
-            self._worker = None
+                self._worker.send(self.group.params.describe(), prepared, tuples[-theirs:])
+                return scan(self.group, prepared, tuples[:-theirs]) + self._worker.receive(theirs)
+            except BaseException as exc:  # any fault, or a reply left unread, ends the worker
+                self._worker.close()
+                self._worker = None
+                if not isinstance(exc, _WORKER_FAILED):
+                    raise
+        return scan(self.group, prepared, tuples)
 
 
 class _Handler(socketserver.StreamRequestHandler):
@@ -618,31 +615,23 @@ def serve(listen, state_dir):
     "host:port"} to stdout with the port it bound, so a --listen port of 0
     (any free port) can be found."""
     address = _address(listen)
-    # before the state opens: the worker inherits no thread, log or socket
-    worker = None
-    if len(os.sched_getaffinity(0)) > 1:
-        with contextlib.suppress(OSError):  # a failed fork serves without a worker
-            worker = ScanWorker.fork()
-    try:
+    with contextlib.ExitStack() as opened:  # closed in reverse: server, state, worker
+        # before the state opens: the worker inherits no thread, log or socket
+        worker = None
+        if len(os.sched_getaffinity(0)) > 1:
+            with contextlib.suppress(OSError):  # a failed fork serves without a worker
+                worker = opened.enter_context(contextlib.closing(ScanWorker.fork()))
         try:
-            state = ServerState(state_dir, worker)
+            state = opened.enter_context(contextlib.closing(ServerState(state_dir, worker)))
         except OSError as exc:  # a log that is a directory, say
             raise ShrqError(f"cannot open the state in {state_dir}: {exc}") from None
         try:
-            srv = TcpServer(address, state)
+            srv = opened.enter_context(TcpServer(address, state))
         except OSError as exc:  # the port is taken, say
-            state.close()
             raise ShrqError(f"cannot listen on {listen}: {exc}") from None
-        try:
-            host, port = srv.server_address[:2]
-            print(json.dumps({"listening": f"{host}:{port}"}), flush=True)
-            srv.serve_forever()
-        finally:
-            srv.server_close()
-            state.close()
-    finally:
-        if worker is not None:
-            worker.close()
+        host, port = srv.server_address[:2]
+        print(json.dumps({"listening": f"{host}:{port}"}), flush=True)
+        srv.serve_forever()
 
 
 class ServerConnection:

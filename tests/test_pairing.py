@@ -413,6 +413,23 @@ def test_decode_rejects_wrong_subgroup(toy_curve):
     pytest.fail("no out-of-subgroup point found")
 
 
+def test_pairing_with_a_point_is_the_pairing_with_its_g_part(toy_curve):
+    # why a put_tuple slot needs no order check for exact answers: a prepared
+    # q in G pairs any point P of E(F_p), in G or not, as it pairs P's
+    # G-part [l * (l^-1 mod N)]P, and never raises
+    grp, p = toy_curve, toy_curve.p
+    points = [GElement(None)]
+    points += [GElement((x, y)) for x in range(p) for y in range(p) if (y * y - x * x * x - x) % p == 0]
+    assert len(points) == p + 1 == grp.l * grp.N
+    g_part = {P: reference_mul(grp, P, grp.l * pow(grp.l, -1, grp.N)) for P in points}
+    subgroup = set(g_part.values())
+    assert len(subgroup) == grp.N
+    for q in subgroup:
+        prepared = (grp.prepare(q),)
+        for P in points:
+            assert grp.pair_product(prepared, (P,)) == grp.pair(q, g_part[P])
+
+
 def test_descriptor_roundtrip(toy_curve, rng):
     pub = group_from_descriptor(toy_curve.params.describe())
     assert pub.params.q1 is None  # the factorization never travels

@@ -25,7 +25,7 @@ from conftest import random_dataset
 from shrq import ces, protocols as prot
 from shrq.ces import LAYOUT_SHRQ, LAYOUT_UNIFIED
 from shrq.errors import DataIntegrityError, DuplicateIdError, ServerUnreachable
-from shrq.pairing import CURVE_A1, TRANSPARENT, CurveGroup, GElement
+from shrq.pairing import CURVE_A1, TRANSPARENT, CurveGroup, GElement, group_from_primes
 from shrq.geometry import RangeQuery, SphereQuery, make_sphere_query_component
 from shrq.keyfile import load_keyfile, save_keyfile
 from shrq.oracle import hrq_oracle, range_oracle
@@ -134,8 +134,8 @@ BAD_LINES = [
     json.dumps({"type": ["unhashable"]}),
     json.dumps(BAD_CURVE_HELLO),  # ConfigError from group_from_descriptor
     json.dumps(dict(BAD_CURVE_HELLO, backend={"backend": "nope"})),
-    json.dumps(dict(BAD_CURVE_HELLO, levels=1e400)),  # int(inf): OverflowError
-    json.dumps({"type": "put_tuple", "level": 0, "id": "a", "slots": ["AAAA"]}),  # ConfigError from decode
+    json.dumps(dict(BAD_CURVE_HELLO, levels=1e400)),  # a float where an int belongs
+    json.dumps({"type": "put_tuple", "level": 0, "id": "a", "slots": ["AAAA"]}),  # a count other than the level's
     json.dumps({"type": "query", "level": 0, "slots": ["AAAA", "AAAA"]}),  # the same, in a query
     json.dumps({"type": "put_lookup", "v": 1e400, "digests": []}),
     json.dumps(dict(BAD_CURVE_HELLO, levels=0)),
@@ -146,6 +146,9 @@ BAD_LINES = [
     json.dumps({"type": "put_lookup", "v": 1, "digests": [b64e(bytes([i]) * 33) for i in range(2)]}),
     json.dumps({"type": "put_lookup", "v": 1, "digests": [b64e(bytes(16)), b64e(bytes([1]) * 32)]}),
     json.dumps({"type": "put_lookup", "v": 1, "digests": [b64e(bytes(16) + bytes([i]) * 16) for i in range(2)]}),
+    # a table holds one digest per dot value in [0, v]
+    json.dumps({"type": "put_lookup", "v": -7, "digests": [b64e(bytes([i]) * 16) for i in range(3)]}),
+    json.dumps({"type": "put_lookup", "v": 1000, "digests": [b64e(bytes([i]) * 16) for i in range(3)]}),
     json.dumps({"type": "put_tuple", "level": 0, "id": "a", "slots": []}),
     # nested so deep that json.loads succeeds but json.dumps of the log entry
     # can exceed the recursion limit; the exact depth depends on the stack
@@ -158,18 +161,24 @@ def test_malformed_and_unknown_messages(deployment, rng, tmp_path, open_state):
     config, sk = deployment
     server = open_state(tmp_path)  # accepted mutations are serialized to the log
     fill(config, sk, [("a", (1, 1))], server, rng)
+    assert server.request(shrq.server.store_message("g", b"blob"))["type"] == "ack"  # a record, no tuple
     before = server.snapshot_messages()
     # slots holding GT encodings, which decode to nothing: GT is only hashed
-    gt = [b64e(sk.group.canonical_bytes(sk.group.pair(sk.g, sk.g)))] * len(server.db_query[0]["a"])
+    width = len(server.db_query[0]["a"])
+    gt = [b64e(sk.group.canonical_bytes(sk.group.pair(sk.g, sk.g)))] * width
     gt_lines = [
         json.dumps({"type": "put_tuple", "level": 0, "id": "a", "slots": gt}),
+        json.dumps({"type": "put_tuple", "level": 0, "id": "g", "slots": gt}),
         json.dumps({"type": "query", "level": 0, "slots": gt}),
     ]
     for line in BAD_LINES + gt_lines:
         reply = json.loads(server.handle_line(line))
         assert reply["type"] == "error", line[:80]
-        if line.startswith('{"type": "put_tuple"'):  # "a" has its record, so decode or the slot check rejects it
-            cause = "tuple has no slots" if '"slots": []' in line else "not a transparent G element encoding"
+        if line.startswith('{"type": "put_tuple"'):  # the count and the id are checked before any decode
+            count = len(json.loads(line)["slots"])
+            cause = (f"tuple has {count} slots, level 0 holds {width}" if count != width
+                     else "duplicate id 'a' at level 0" if '"id": "a"' in line
+                     else "not a transparent G element encoding")
             assert reply["error"] == cause, line[:80]
     assert server.snapshot_messages() == before
     server.close()
@@ -400,6 +409,30 @@ def test_hello_pinning(deployment, tmp_path, open_state):
     assert server.hello == hello and (tmp_path / "log.jsonl").read_bytes() == log
 
 
+def test_only_its_groups_hello_message_is_acked(tmp_path, open_state):
+    # a first hello is acked only as its group's hello_message: another
+    # spelling of the same group gets one error reply and pins and logs
+    # nothing, and as the first line of a log it fails the restart
+    hello = hello_message(group_from_primes(5, 7, TRANSPARENT).params.describe(), 1)
+    others = [
+        *(dict(hello, N=n) for n in ("035", "+35", " 35", "3_5")),
+        dict(hello, backend=dict(hello["backend"], extra="1")),
+        dict(hello, backend=dict(hello["backend"], N="35")),
+    ]
+    for i, other in enumerate(others):
+        state = open_state(tmp_path / f"wire{i}")
+        reply = json.loads(state.handle_line(json.dumps(other)))
+        assert reply == {"type": "error", "error": "hello is not its group's canonical hello_message"}, other
+        assert state.hello is None and state.snapshot_messages() == []
+        assert (tmp_path / f"wire{i}" / "log.jsonl").read_bytes() == b""
+        (tmp_path / f"log{i}").mkdir()
+        (tmp_path / f"log{i}" / "log.jsonl").write_text(json.dumps(other) + "\n")
+        with pytest.raises(DataIntegrityError, match="corrupt state log line 1:"):
+            open_state(tmp_path / f"log{i}")
+    state = open_state(tmp_path / "canonical")
+    assert state.request(hello) == {"type": "ack"} and state.snapshot_messages() == [hello]
+
+
 def test_duplicate_puts_rejected(deployment, rng):
     config, sk = deployment
     server = ServerState()
@@ -571,7 +604,7 @@ def test_torn_log_tail_restarts(deployment, rng, tmp_path, open_state):
 
 
 @pytest.mark.parametrize(
-    "damage", ["middle", "last-with-newline", "not-an-object", "rejected", "too-deep", "blank", "orphan"]
+    "damage", ["middle", "last-with-newline", "not-an-object", "rejected", "too-deep", "blank", "orphan", "lookup-v"]
 )
 def test_corrupt_log_line_fails_closed(deployment, rng, tmp_path, damage, open_state):
     config, sk = deployment
@@ -590,12 +623,16 @@ def test_corrupt_log_line_fails_closed(deployment, rng, tmp_path, damage, open_s
     elif damage == "orphan":  # a tuple without its put_store, which older servers acked and logged
         orphan = prot.point_messages(config, sk, "z", (5, 6), rng=rng)[1]
         lines.insert(2, json.dumps(orphan, sort_keys=True).encode() + b"\n")
+    elif damage == "lookup-v":  # a table whose v does not match its digests, which older servers acked
+        lookup = json.loads(lines[1])
+        lines.insert(2, json.dumps(dict(lookup, v=lookup["v"] + 1), sort_keys=True).encode() + b"\n")
     else:
         lines.insert(2, b'{"type": "frobnicate"}\n')
     (tmp_path / "log.jsonl").write_bytes(b"".join(lines))
     with pytest.raises(DataIntegrityError, match=f"corrupt state log line {number}:") as exc:
         open_state(tmp_path)
     assert damage != "orphan" or "'z' has no record in db-store" in str(exc.value)
+    assert damage != "lookup-v" or f"v = {config.v + 1} holds v + 1 digests, not {config.v + 1}" in str(exc.value)
 
 
 def test_slot_count_pinned_per_level(deployment, rng, tmp_path, open_state):
@@ -647,6 +684,29 @@ def test_query_slot_count_is_checked_before_any_prepare(curve_deployment, rng, m
     assert empty.request(dict(good, slots=["AAAA"])) == {"type": "error", "error": "not a curve G element encoding"}
     assert [m["id"] for m in populated.request(good)["matches"]] == ["a"]
     assert len(prepared) == 4
+
+
+def test_put_tuple_decodes_no_slot_before_its_other_checks(curve_deployment, rng, monkeypatch):
+    # a put_tuple's work is bounded as a query's: a wrong slot count at a
+    # populated level, or an id already held there, is an error before any
+    # slot is decoded, and a put_tuple that passes decodes each slot once
+    config, sk = curve_deployment
+    state = ServerState()
+    fill(config, sk, [("a", (5, 5))], state, rng)
+    store, good = prot.point_messages(config, sk, "b", (5, 6), rng=rng)[:2]  # b's record, its tuple at level 0
+    assert state.request(store) == {"type": "ack"}
+    width = len(good["slots"])
+    decoded = []
+    decode = CurveGroup.decode
+    monkeypatch.setattr(CurveGroup, "decode", lambda grp, data: decoded.append(data) or decode(grp, data))
+    for slots in (good["slots"][:-1], good["slots"] * 100, ["AAAA"] * (width + 1)):
+        reply = state.request(dict(good, slots=slots))
+        assert reply == {"type": "error", "error": f"tuple has {len(slots)} slots, level 0 holds {width}"}
+    for slots in (good["slots"], ["AAAA"] * width):
+        assert state.request(dict(good, id="a", slots=slots)) == {"type": "error", "error": "duplicate id 'a' at level 0"}
+    assert decoded == []
+    assert state.request(good) == {"type": "ack"}
+    assert decoded == [b64d(s) for s in good["slots"]]
 
 
 @pytest.mark.parametrize("kind", ["put_tuple", "delete"])
