@@ -22,12 +22,10 @@ class IngestionError(ShrqError):
 
 
 class QueryRejected(ShrqError):
-    """Query not supported by the deployment; carries a machine-readable reason."""
+    """Query not supported by the deployment: "reason: detail"."""
 
-    def __init__(self, reason, detail=""):
-        self.reason = reason
-        self.detail = detail
-        super().__init__(f"{reason}" + (f": {detail}" if detail else ""))
+    def __init__(self, reason, detail):
+        super().__init__(f"{reason}: {detail}")
 
 
 class ProtocolError(ShrqError):

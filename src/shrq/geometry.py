@@ -69,24 +69,19 @@ def make_data_component(coords, layout):
     raise ConfigError(f"unknown layout {layout!r}")
 
 
-def make_sphere_query_component(q, layout, cols=None):
-    """Query vector whose dot with a data component is
-    r^2 - sum_{i in cols} (m_i - q_i)^2; omitted columns contribute 0."""
+def make_sphere_query_component(q, layout, col=None):
+    """Query vector whose dot with a data component is r^2 - sum (m_i - q_i)^2
+    over every column, or over the 1-based column col alone."""
     center = tuple(int(c) for c in q.center)
     d = len(center)
-    all_cols = tuple(range(1, d + 1))
-    cols = all_cols if cols is None else tuple(sorted(set(cols)))
-    if any(c < 1 or c > d for c in cols):
-        raise ConfigError("column indices must be in [1, d]")
-    norm = sum(center[i - 1] * center[i - 1] for i in cols)
+    columns = range(1, d + 1) if col is None else (col,)
+    norm = sum(center[i - 1] * center[i - 1] for i in columns)
     if layout == LAYOUT_SHRQ:
-        if cols != all_cols:
+        if col is not None:
             raise ConfigError("column subsets need the unified layout")
         return tuple(2 * c for c in center) + (q.radius * q.radius - norm, -1)
-    if layout != LAYOUT_UNIFIED:
-        raise ConfigError(f"unknown layout {layout!r}")
     entries = [0] * layout_len(layout, d)
-    for i in cols:
+    for i in columns:
         entries[i - 1] = 2 * center[i - 1]
         entries[d + i] = -1
     entries[d] = q.radius * q.radius - norm
@@ -99,16 +94,12 @@ def range_to_sphere(rq, d):
     width = rq.hi - rq.lo
     radius = (width + 1) // 2 if width % 2 else width // 2
     center = [0] * d
-    if rq.col > d:
-        raise ConfigError(f"column {rq.col} exceeds dimension count {d}")
     center[rq.col - 1] = rq.lo + radius
     return SphereQuery(tuple(center), radius)
 
 
 def coarse_transform(coords, factor):
     """Map every coordinate to floor(x / factor)."""
-    if factor < 1:
-        raise ConfigError("coarsity factor must be >= 1")
     return tuple(int(c) // factor for c in coords)
 
 
@@ -152,8 +143,6 @@ def covering_radii(r, v, d, b_c, e_max):
     sized to reach the previous layer's true inner edge, and the plan ends
     on a layer whose scaled radius fits the table outright (a full disk).
     """
-    if b_c < 2:
-        raise ConfigError("layered plan needs a coarsity base >= 2")
     root_d = math.sqrt(d)
     layers = [Layer(0, float(r), int(r), 1)]
     if r * r <= v:

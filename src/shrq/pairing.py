@@ -158,8 +158,6 @@ def _is_prime(n):
 
 def _random_prime(bits, rng):
     """Uniform-ish random prime with exactly `bits` bits."""
-    if bits < 2:
-        raise ConfigError("prime size must be at least 2 bits")
     while True:
         cand = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
         if _is_prime(cand):

@@ -215,7 +215,7 @@ def update_point(config, sk, rid, coords, server, rng=None):
 # -- query pipeline -------------------------------------------------------------
 
 
-def plan_sphere(config, sk, query, cols=None):
+def plan_sphere(config, sk, query, col=None):
     """Check a sphere query against the deployment, without any I/O, and
     return the layers it runs at; every layer passes the wrap guard, which
     cannot fire for t or c, whose scaled r^2 <= v < q2 - margin."""
@@ -226,7 +226,7 @@ def plan_sphere(config, sk, query, cols=None):
     for c in query.center:
         if not 0 <= c <= config.x_max:
             raise QueryRejected("center-out-of-domain", f"center coordinate {c} outside [0, {config.x_max}]")
-    active = config.d if cols is None else len(set(cols))
+    active = config.d if col is None else 1
     if config.protocol == PROTOCOL_LAYERED:
         plan = covering_radii(query.radius, config.v, active, config.b_c, config.e_max)
     else:
@@ -255,7 +255,7 @@ def plan_range(config, sk, rq):
     if lo > hi:
         return None, ()
     sphere = range_to_sphere(RangeQuery(rq.col, lo, hi), config.d)
-    return sphere, plan_sphere(config, sk, sphere, cols=(rq.col,))
+    return sphere, plan_sphere(config, sk, sphere, col=rq.col)
 
 
 def query_message(config, sk, comp, level):
@@ -266,12 +266,12 @@ def query_message(config, sk, comp, level):
     }
 
 
-def _execute(config, sk, server, sphere, plan, cols):
+def _execute(config, sk, server, sphere, plan, col):
     """Run every planned layer, union the matches by id (first blob wins)."""
     raw = {}
     for layer in plan:
         coarse = SphereQuery(coarse_transform(sphere.center, layer.factor), layer.scaled_radius)
-        comp = make_sphere_query_component(coarse, config.layout, cols)
+        comp = make_sphere_query_component(coarse, config.layout, col)
         reply = _send(server, query_message(config, sk, comp, layer.index))
         if reply.get("type") != "result":
             raise ProtocolError(f"unexpected reply {reply.get('type')!r}")
@@ -309,5 +309,5 @@ def query_range(config, sk, rq, server):
     the odd-width over-cover during validation.  Clamping and rounding keep
     membership of in-domain points, so validation tests the range as given."""
     sphere, plan = plan_range(config, sk, rq)
-    raw = _execute(config, sk, server, sphere, plan, cols=(rq.col,))
+    raw = _execute(config, sk, server, sphere, plan, rq.col)
     return validate(_decrypt_all(sk, raw), lambda coords: range_contains(coords, rq))

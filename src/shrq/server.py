@@ -72,15 +72,15 @@ length-prefixed frames, marshal to the worker and raw digests back; a
 prepared line is plain data on both backends, so the frame carries it as it
 is.  The worker sees only what the server already holds: prepared lines and
 tuple coordinates.  handle_line holds the state lock for a whole query, so
-one scan runs at a time, on at most these two processes.  If the worker
-fails in any way (a send error, the end of its stream, a reply of the wrong
-length), main kills and reaps it, scans every tuple of that query itself and
-answers as without it; it never forks again.  A worker that stops without
-exiting (SIGSTOP) stalls the query that waits for it.  The
-worker ignores SIGINT and leaves through os._exit once it reads the end of
-its stream, so it goes when serve stops, fails to start or is SIGKILLed:
-serve kills and reaps it on its way out, and a killed serve's end closes
-with its process.
+one scan runs at a time, on at most these two processes.  A send waits at
+most _WORKER_FLOOR_S, and the reply at most that plus _WORKER_MULTIPLE times
+main's own share.  If the worker fails in any way (a send error, the end of
+its stream, a reply of the wrong length, a missed deadline, as when SIGSTOP
+stops it), main kills and reaps it, scans every tuple of that query itself
+and answers as without it; it never forks again.  The worker ignores SIGINT
+and leaves through os._exit once it reads the end of its stream, so it goes
+when serve stops, fails to start or is SIGKILLed: serve kills and reaps it
+on its way out, and a killed serve's end closes with its process.
 
 serve always has a state directory; ServerState() keeps nothing and is for
 in-process use only.  Mutations are appended to a write-ahead log and
@@ -92,11 +92,13 @@ directory and its parent, so the entries of a directory or log created
 there are as durable as the first ack.  If the append fails (a full disk),
 the log is cut back to its length before it, the state is left unchanged
 and the reply is an error; should that cut fail too, the line may stay, as
-after a crash before the ack.  A final log line without its newline was
-cut by a crash before its ack: replay drops it and truncates the log to the
-last newline.  Every other line, a blank one included, takes the wire's
-path (_dispatch), and a line that gets an error reply fails the restart
-with DataIntegrityError, as do lines that older servers acked and logged: a
+after a crash before the ack.  close() waits for the line in hand and closes
+the log and the worker; after it a mutation gets an error reply, and a query
+is answered from memory.  A final log line without its newline was cut by a
+crash before its ack: replay drops it and truncates the log to the last
+newline.  Every other line, a blank one included, takes the wire's path
+(_dispatch), and a line that gets an error reply fails the restart with
+DataIntegrityError, as do lines that older servers acked and logged: a
 put_tuple without its put_store, and one with an extra or ill-typed field,
 which no compacted log holds, as the snapshot re-encodes every message; a
 hello other than its group's hello_message, and a put_lookup whose v does
@@ -124,6 +126,7 @@ import socket
 import socketserver
 import struct
 import threading
+import time
 
 from .ces import DIGEST_BYTES, HASH_ID, LookupTable, lookup_contains, prepare_query, scan
 from .errors import ConfigError, DataIntegrityError, ProtocolError, ServerUnreachable, ShrqError
@@ -148,6 +151,9 @@ _SHA256_BYTES = 32
 _FRAME = struct.Struct(">Q")
 # what a scan worker that failed in any way raises on main's side
 _WORKER_FAILED = (OSError, EOFError, ValueError)
+# a scan worker's send and reply deadlines (see the module docstring)
+_WORKER_FLOOR_S = 5.0
+_WORKER_MULTIPLE = 4
 
 
 def b64e(raw):
@@ -243,9 +249,11 @@ def _send_frame(sock, data):
     sock.sendall(_FRAME.pack(len(data)) + data)
 
 
-def _recv_exactly(sock, size):
+def _recv_exactly(sock, size, deadline=None):
     data = bytearray()
     while len(data) < size:
+        if deadline is not None:  # a time.monotonic() past which recv raises TimeoutError
+            sock.settimeout(max(deadline - time.monotonic(), 1e-6))
         chunk = sock.recv(size - len(data))
         if not chunk:
             raise EOFError("scan worker socket closed")
@@ -253,13 +261,13 @@ def _recv_exactly(sock, size):
     return bytes(data)
 
 
-def _recv_frame(sock, expect=None):
-    """The next frame's bytes; EOFError at the end of the stream, and
-    ValueError for a frame of other than expect bytes."""
-    (size,) = _FRAME.unpack(_recv_exactly(sock, _FRAME.size))
+def _recv_frame(sock, expect=None, deadline=None):
+    """The next frame's bytes; EOFError at the end of the stream, ValueError
+    for a frame of other than expect bytes and TimeoutError past deadline."""
+    (size,) = _FRAME.unpack(_recv_exactly(sock, _FRAME.size, deadline))
     if expect is not None and size != expect:
         raise ValueError(f"scan worker frame of {size} bytes, expected {expect}")
-    return _recv_exactly(sock, size)
+    return _recv_exactly(sock, size, deadline)
 
 
 def _serve_scans(sock):
@@ -307,13 +315,17 @@ class ScanWorker:
 
     def send(self, descriptor, prepared, tuples):
         msg = (descriptor, prepared, [[s.value for s in t] for t in tuples])
+        self._sock.settimeout(_WORKER_FLOOR_S)
         _send_frame(self._sock, marshal.dumps(msg))
+        self._sent = time.monotonic()  # main scans its own share from here on
 
     def receive(self, count):
         """The lookup digests of the count tuples sent.  The reply is raw
         bytes checked by its length, as marshal.loads of a malformed buffer
-        may allocate gigabytes; any fault raises one of _WORKER_FAILED."""
-        joined = _recv_frame(self._sock, count * DIGEST_BYTES)
+        may allocate gigabytes; a fault or a late reply raises one of _WORKER_FAILED."""
+        now = time.monotonic()
+        deadline = now + _WORKER_FLOOR_S + _WORKER_MULTIPLE * (now - self._sent)
+        joined = _recv_frame(self._sock, count * DIGEST_BYTES, deadline)
         return [joined[i : i + DIGEST_BYTES] for i in range(0, len(joined), DIGEST_BYTES)]
 
     def close(self):
@@ -330,9 +342,7 @@ class ScanWorker:
 
 class ServerState:
     """All server-side state plus the message handler; transport-agnostic.
-    A query shares its scan with worker, a ScanWorker, if one is given.  The
-    caller closes the worker after the state, which closes it only when it
-    fails."""
+    A query shares its scan with worker (a ScanWorker), which the state closes."""
 
     def __init__(self, state_dir=None, worker=None):
         self.hello = None  # the pinned hello message
@@ -385,7 +395,9 @@ class ServerState:
         checks and before it changes any state; on OSError the log is cut
         back to its length before the append and the error propagates."""
         if self._log is None:
-            return
+            return  # no state directory, or in replay
+        if self._log.closed:
+            raise ShrqError("the state is closed")
         start = self._log.seek(0, os.SEEK_END)
         data = memoryview(_log_line(msg).encode("utf-8"))
         try:
@@ -413,7 +425,7 @@ class ServerState:
 
     def compact(self):
         """Rewrite the log as a snapshot (see the module docstring)."""
-        if self._log is None:
+        if self._log is None or self._log.closed:
             return  # no state directory, or closed
         try:
             write_durably(self._log_path, map(_log_line, self.snapshot_messages()))
@@ -423,9 +435,12 @@ class ServerState:
         self._mutations_since_compact = 0
 
     def close(self):
-        if self._log is not None:
-            self._log.close()
-            self._log = None
+        with self._lock:  # waits for the line in hand (see the module docstring)
+            if self._log is not None:
+                self._log.close()
+            if self._worker is not None:
+                self._worker.close()
+                self._worker = None
 
     # -- message handling -----------------------------------------------------
     def handle_line(self, line):

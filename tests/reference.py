@@ -262,7 +262,7 @@ def make_range_query_component(rq, d, layout=LAYOUT_UNIFIED):
     if layout != LAYOUT_UNIFIED:
         raise ConfigError("range queries need the unified layout")
     sphere = range_to_sphere(rq, d)
-    return make_sphere_query_component(sphere, layout, cols=(rq.col,)), sphere
+    return make_sphere_query_component(sphere, layout, col=rq.col), sphere
 
 
 def hrq_oracle_dot_form(dataset, query, layout=LAYOUT_UNIFIED):

@@ -218,8 +218,8 @@ def test_c07_range_queries():
     # obliviousness: same wire length for sphere/range/column choices
     comps = [
         make_sphere_query_component(SphereQuery((50, 60), 15), LAYOUT_UNIFIED),
-        make_sphere_query_component(SphereQuery((9, 0), 4), LAYOUT_UNIFIED, cols=(1,)),
-        make_sphere_query_component(SphereQuery((0, 73), 11), LAYOUT_UNIFIED, cols=(2,)),
+        make_sphere_query_component(SphereQuery((9, 0), 4), LAYOUT_UNIFIED, col=1),
+        make_sphere_query_component(SphereQuery((0, 73), 11), LAYOUT_UNIFIED, col=2),
         make_range_query_component(RangeQuery(1, 25, 50), 2)[0],
         make_range_query_component(RangeQuery(2, 3, 98), 2)[0],
     ]

@@ -150,7 +150,7 @@ def test_query_encrypt_const_slot_gets_beta(toy_transparent):
 def test_query_serialization_oblivious(sk32_unified, rng):
     grp = sk32_unified.group
     sphere = make_sphere_query_component(SphereQuery((50, 60), 15), LAYOUT_UNIFIED)
-    one_col = make_sphere_query_component(SphereQuery((12, 0), 4), LAYOUT_UNIFIED, cols=(1,))
+    one_col = make_sphere_query_component(SphereQuery((12, 0), 4), LAYOUT_UNIFIED, col=1)
     sizes = set()
     for comp in (sphere, one_col):
         enc = query_encrypt(sk32_unified, comp, 2, rng=rng)

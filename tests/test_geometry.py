@@ -48,7 +48,7 @@ def test_sphere_component_zero_radius_origin():
 
 
 def test_sphere_component_unified_subset(rng):
-    comp = make_sphere_query_component(SphereQuery((1, 2), 3), LAYOUT_UNIFIED, cols=(1, 2))
+    comp = make_sphere_query_component(SphereQuery((1, 2), 3), LAYOUT_UNIFIED)
     assert comp == (2, 4, 4, -1, -1)
     for _ in range(10):
         m = (rng.randrange(10), rng.randrange(10))
@@ -57,7 +57,7 @@ def test_sphere_component_unified_subset(rng):
 
 
 def test_sphere_component_single_column(rng):
-    comp = make_sphere_query_component(SphereQuery((7, 0), 4), LAYOUT_UNIFIED, cols=(1,))
+    comp = make_sphere_query_component(SphereQuery((7, 0), 4), LAYOUT_UNIFIED, col=1)
     for _ in range(10):
         m = (rng.randrange(20), rng.randrange(20))
         dot = plaintext_dot(make_data_component(m, LAYOUT_UNIFIED), comp)
@@ -66,7 +66,7 @@ def test_sphere_component_single_column(rng):
 
 def test_sphere_component_subset_needs_unified():
     with pytest.raises(ConfigError):
-        make_sphere_query_component(SphereQuery((1, 2), 3), LAYOUT_SHRQ, cols=(1,))
+        make_sphere_query_component(SphereQuery((1, 2), 3), LAYOUT_SHRQ, col=1)
 
 
 def test_range_component_example():

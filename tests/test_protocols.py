@@ -367,7 +367,7 @@ def test_query_messages_constant_length():
     config, sk = deployment("t", layout=LAYOUT_UNIFIED)
     comps = [
         make_sphere_query_component(SphereQuery((50, 60), 15), LAYOUT_UNIFIED),
-        make_sphere_query_component(SphereQuery((3, 0), 9), LAYOUT_UNIFIED, cols=(1,)),
+        make_sphere_query_component(SphereQuery((3, 0), 9), LAYOUT_UNIFIED, col=1),
         make_range_query_component(RangeQuery(1, 25, 50), 2)[0],
         make_range_query_component(RangeQuery(2, 0, 100), 2)[0],
     ]

@@ -14,6 +14,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -656,6 +657,7 @@ def test_slot_count_pinned_per_level(deployment, rng, tmp_path, open_state):
     fill(config, sk, [], fresh, rng)
     assert fresh.request(store)["type"] == "ack"
     assert fresh.request(dict(store, id="c"))["type"] == "ack"
+    assert fresh.request(dict(good, slots=[])) == {"type": "error", "error": "tuple has no slots"}
     assert fresh.request(short)["type"] == "ack"
     reply = fresh.request(dict(good, id="c"))
     assert reply["type"] == "error" and "slots" in reply["error"]
@@ -1323,9 +1325,9 @@ def _count_forks(monkeypatch):
     return forks
 
 
-def _stub_worker(reply):
+def _stub_worker(reply, linger=0):
     """A forked stand-in for the scan worker: it reads one request, writes
-    the raw bytes reply and exits."""
+    the raw bytes reply and exits linger seconds later."""
     ours, theirs = socket.socketpair()
     pid = os.fork()
     if pid == 0:
@@ -1333,6 +1335,7 @@ def _stub_worker(reply):
             ours.close()
             shrq.server._recv_frame(theirs)
             theirs.sendall(reply)
+            time.sleep(linger)
         finally:
             os._exit(0)
     theirs.close()
@@ -1343,10 +1346,11 @@ def _framed(data):
     return shrq.server._FRAME.pack(len(data)) + data
 
 
-@pytest.mark.parametrize("fault", ["killed", "wrong count", "not digests", "torn"])
+@pytest.mark.parametrize("fault", ["killed", "wrong count", "not digests", "torn", "silent"])
 def test_failed_scan_worker_falls_back_to_the_serial_scan(curve_deployment, rng, monkeypatch, fault):
     # the query that meets the fault is answered right and without an error
-    # reply, and later queries scan here, with no second fork
+    # reply, and later queries scan here, with no second fork; a worker that
+    # never replies costs its query the deadline, not the 5 s it lingers
     config, sk = curve_deployment
     forks = _count_forks(monkeypatch)
     if fault == "killed":
@@ -1355,8 +1359,11 @@ def test_failed_scan_worker_falls_back_to_the_serial_scan(curve_deployment, rng,
         worker = _stub_worker(_framed(bytes(ces.DIGEST_BYTES)))
     elif fault == "not digests":
         worker = _stub_worker(_framed(marshal.dumps(bytes(3 * ces.DIGEST_BYTES))))
-    else:  # a frame that promises more bytes than come before the end of the stream
+    elif fault == "torn":  # a frame that promises more bytes than come before the end of the stream
         worker = _stub_worker(_framed(bytes(3 * ces.DIGEST_BYTES))[:-1])
+    else:
+        monkeypatch.setattr(shrq.server, "_WORKER_FLOOR_S", 0.2)
+        worker = _stub_worker(b"", linger=5)
     state = ServerState(worker=worker)
     try:
         ds = [(str(i), (10 + i, 10 + 2 * i)) for i in range(7)]
@@ -1364,11 +1371,82 @@ def test_failed_scan_worker_falls_back_to_the_serial_scan(curve_deployment, rng,
         if fault == "killed":
             os.kill(worker.pid, signal.SIGKILL)
         for q in (SphereQuery((12, 14), 5), SphereQuery((14, 20), 9), SphereQuery((60, 60), 3)):
+            start = time.monotonic()
             assert prot.query_sphere(config, sk, q, state).ids == hrq_oracle(ds, q)
+            assert time.monotonic() - start < 2
             assert state._worker is None and worker.pid is None  # closed and reaped
     finally:
         worker.close()
     assert len(forks) == 1
+
+
+def test_closed_state_refuses_every_mutation(curve_deployment, rng, tmp_path, open_state):
+    # close() waits for the line in hand and closes the log and the worker;
+    # after it every mutation gets one error reply and changes nothing, a
+    # query is still answered, and a restart holds what was acked before
+    config, sk = curve_deployment
+    worker = ScanWorker.fork()
+    state = ServerState(str(tmp_path), worker=worker)
+    try:
+        ds = [("a", (10, 10)), ("b", (12, 11)), ("c", (60, 60))]
+        fill(config, sk, ds, state, rng)
+        store, tup = prot.point_messages(config, sk, "d", (11, 11), rng=rng)[:2]
+        assert state.request(store) == {"type": "ack"}  # so its put_tuple passes every check
+        with state._lock:
+            closing = threading.Thread(target=state.close)
+            closing.start()
+            closing.join(0.2)
+            assert closing.is_alive()  # it waits for the lock
+        closing.join(5)
+        assert state._worker is None and worker.pid is None
+        before, log = state.snapshot_messages(), (tmp_path / "log.jsonl").read_bytes()
+        lookup = next(m for m in before if m["type"] == "put_lookup")
+        for msg in (dict(store, id="e"), tup, {"type": "delete", "id": "a"}, lookup):
+            assert state.request(msg) == {"type": "error", "error": "the state is closed"}
+        q = SphereQuery((11, 11), 3)
+        assert prot.query_sphere(config, sk, q, state).ids == {"a", "b"}
+        state.compact()
+        state.close()  # a second close does nothing
+        assert state.snapshot_messages() == before and (tmp_path / "log.jsonl").read_bytes() == log
+    finally:
+        worker.close()
+    assert open_state(tmp_path).snapshot_messages() == before
+
+
+def test_writes_acked_around_serves_close_all_survive_a_restart(deployment, tmp_path, open_state):
+    # serve's way out on Ctrl-C: the listening socket closes, then the state,
+    # under a connection thread that keeps answering a client that writes in
+    # a loop; the restart holds exactly the acked ids
+    config, sk = deployment
+    state = ServerState(str(tmp_path))
+    state.request(hello_message(sk.group.params.describe(), config.levels))
+    srv = TcpServer(("127.0.0.1", 0), state)
+    threading.Thread(target=srv.serve_forever, daemon=True).start()
+    acked, errors, stop = [], [], threading.Event()
+
+    def client():
+        with ServerConnection(*srv.server_address[:2], timeout=5.0) as conn:
+            while not stop.is_set():
+                rid = str(len(acked) + len(errors))
+                reply = conn.request(shrq.server.store_message(rid, b"blob"))
+                if reply == {"type": "ack"}:
+                    acked.append(rid)
+                else:
+                    errors.append(reply["error"])
+
+    writer = threading.Thread(target=client, daemon=True)
+    writer.start()
+    try:
+        time.sleep(0.2)
+        srv.shutdown()
+        srv.server_close()
+        state.close()
+        time.sleep(0.1)
+    finally:
+        stop.set()
+        writer.join(5)
+    assert acked and errors and set(errors) == {"the state is closed"}
+    assert sorted(open_state(tmp_path).db_store) == sorted(acked)
 
 
 # -- TCP transport ---------------------------------------------------------------------
