@@ -73,13 +73,6 @@ class SecretKey(Record):
         return f"SecretKey({self.group.params.backend} group, {len(self.A)} slots)"
 
 
-class LookupTable(Record):
-    """digests, the frozenset of DIGEST_BYTES-byte SHA-256 prefixes, one per
-    dot value in [0, v]."""
-
-    __slots__ = ("digests", "v")
-
-
 def margin_bound(d, v, x_max):
     """Smallest value q2 must exceed for exact table membership."""
     return 2 * (v + d * x_max * x_max)
@@ -188,9 +181,10 @@ def scan(group, prepared_query, tuples):
 
 
 def create_lookup_table(sk, v):
-    """Hash e(s,s)^{(i+beta)*alpha} for i in [0, v]; abort on any
-    collision (it would mean the canonical encoding is broken).  Each entry
-    is the previous one times step = e(s,s)^alpha, one GT multiplication."""
+    """The lookup table: the frozenset of the digests of e(s,s)^{(i+beta)*alpha}
+    for i in [0, v], so v is its size less one.  Abort on any collision (it
+    would mean the canonical encoding is broken).  Each entry is the previous
+    one times step = e(s,s)^alpha, one GT multiplication."""
     group = sk.group
     step = group.pow(group.pair(sk.s, sk.s), sk.alpha)
     entry = group.pow(step, sk.beta)
@@ -201,9 +195,9 @@ def create_lookup_table(sk, v):
             raise DataIntegrityError("lookup table digest collision during build")
         digests.add(dig)
         entry = group.mul(entry, step)
-    return LookupTable(frozenset(digests), v)
+    return frozenset(digests)
 
 
 def lookup_contains(table, dig):
     """Membership test the server runs on each scan() digest."""
-    return dig in table.digests
+    return dig in table

@@ -347,7 +347,7 @@ def main(argv=None):
     except ShrqError as exc:
         print(json.dumps({"error": "failed", "reason": str(exc)}), file=sys.stderr)
         return 1
-    except KeyboardInterrupt:  # Ctrl-C: serve's finally has closed the server and its state
+    except KeyboardInterrupt:  # Ctrl-C: serve's ExitStack has closed the server, its state and worker
         return 130
 
 

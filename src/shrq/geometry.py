@@ -71,14 +71,13 @@ def make_data_component(coords, layout):
 
 def make_sphere_query_component(q, layout, col=None):
     """Query vector whose dot with a data component is r^2 - sum (m_i - q_i)^2
-    over every column, or over the 1-based column col alone."""
+    over every column, or over the 1-based column col alone, which needs the
+    unified layout (plan_range refuses any other)."""
     center = tuple(int(c) for c in q.center)
     d = len(center)
     columns = range(1, d + 1) if col is None else (col,)
     norm = sum(center[i - 1] * center[i - 1] for i in columns)
     if layout == LAYOUT_SHRQ:
-        if col is not None:
-            raise ConfigError("column subsets need the unified layout")
         return tuple(2 * c for c in center) + (q.radius * q.radius - norm, -1)
     entries = [0] * layout_len(layout, d)
     for i in columns:

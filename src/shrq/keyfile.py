@@ -77,8 +77,8 @@ def _parse(doc):
         doc["protocol"], int(doc["d"]), int(doc["v"]), int(doc["x_max"]), int(doc["e_max"]),
         params.backend, doc["layout"],
     )
-    if (config.protocol, config.b_c) != (doc["protocol"], doc["b_c"]):
-        raise KeyfileError("key file inconsistent: stored protocol or coarsity base is wrong")
+    if config.b_c != doc["b_c"]:
+        raise KeyfileError("key file inconsistent: stored coarsity base is wrong")
     g = group.decode(b64d(doc["g"]))
     u = group.decode(b64d(doc["u"]))
     s = group.decode(b64d(doc["s"]))

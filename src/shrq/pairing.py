@@ -382,12 +382,10 @@ class CurveGroup(Group):
     # -- points: affine (x, y) with None the infinity, and Jacobian (X, Y, Z, n)
     # for (X/Z^2, Y/Z^3) with Z = 0 the infinity and n/Z the slope of its step
     def _pt_mul(self, a, k):
-        # raw scalar multiplication: callers reduce mod N where appropriate
-        # (cofactor clearing and subgroup checks must not reduce)
+        # raw scalar multiplication for k >= 0: callers reduce mod N where
+        # appropriate (cofactor clearing and subgroup checks must not reduce)
         if a is None:
             return None
-        if k < 0:
-            a, k = (a[0], -a[1] % self.p), -k
         return self._affine(self._jac_mul(a, k))
 
     def _affine(self, a):

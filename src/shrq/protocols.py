@@ -89,7 +89,6 @@ class DeploymentConfig(Record):
 
 def make_config(protocol, d, v, x_max, e_max=0, backend=CURVE_A1, layout=LAYOUT_UNIFIED):
     """Validate and derive the deployment parameters."""
-    protocol = protocol.lower()
     if protocol not in (PROTOCOL_TABLE, PROTOCOL_COARSE, PROTOCOL_LAYERED):
         raise ConfigError(f"unknown protocol {protocol!r} (expected t, c or l)")
     if d < 1 or v < 0 or x_max < 1:
@@ -142,6 +141,8 @@ def decrypt_record(sk, rid, blob):
 
 
 def _send(server, msg):
+    """The server's reply to msg.  An error reply raises, and so does a
+    write's (hello, put_lookup, put_store, put_tuple) reply other than an ack."""
     reply = server.request(msg)
     if reply.get("type") == "error":
         text = reply.get("error")
@@ -150,6 +151,8 @@ def _send(server, msg):
         if "duplicate id" in text:
             raise DuplicateIdError(text)
         raise ProtocolError(f"server error: {text}")
+    if msg["type"] not in ("query", "delete") and reply != {"type": "ack"}:
+        raise ProtocolError(f"malformed reply from the server: {msg['type']} got {reply!r}, not an ack")
     return reply
 
 

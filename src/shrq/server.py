@@ -9,9 +9,12 @@ and hash it (ces.scan), check membership (ces.lookup_contains) and return
 the blob on a hit.
 
 Wire format: newline-delimited UTF-8 JSON over TCP, binary fields base64.
-A request holds its "type" and exactly that type's _FIELDS.  A query gets
-{"type": "result", "matches": [{id, blob}]}, a delete {"type": "ack",
-"found": bool} and any other request {"type": "ack"}.
+_dispatch decodes a line's bytes once, strictly as UTF-8 (RFC 8259, section
+8.1), on the wire and in replay alike: a line holding an invalid byte gets
+an error reply, as below, and fails a replay.  A request holds its "type"
+and exactly that type's _FIELDS.  A query gets {"type": "result", "matches":
+[{id, blob}]}, a delete {"type": "ack", "found": bool} and any other
+request {"type": "ack"}.
 
 hello_message is the one hello encoder: the client sends its output, and
 the server acks a first hello only if it is its group's hello_message, then
@@ -128,7 +131,7 @@ import struct
 import threading
 import time
 
-from .ces import DIGEST_BYTES, HASH_ID, LookupTable, lookup_contains, prepare_query, scan
+from .ces import DIGEST_BYTES, HASH_ID, lookup_contains, prepare_query, scan
 from .errors import ConfigError, DataIntegrityError, ProtocolError, ServerUnreachable, ShrqError
 from .pairing import GElement, group_from_descriptor
 
@@ -229,11 +232,8 @@ def store_message(rid, blob):
 
 
 def lookup_message(table):
-    return {
-        "type": "put_lookup",
-        "v": table.v,
-        "digests": [b64e(d) for d in sorted(table.digests)],
-    }
+    """The put_lookup of a table (ces.create_lookup_table): v + 1 digests."""
+    return {"type": "put_lookup", "v": len(table) - 1, "digests": [b64e(d) for d in sorted(table)]}
 
 
 def tuple_message(group, level, rid, slots):
@@ -347,7 +347,7 @@ class ServerState:
     def __init__(self, state_dir=None, worker=None):
         self.hello = None  # the pinned hello message
         self.group = None
-        self.lookup = None
+        self.lookup = None  # the frozenset of lookup digests
         self.db_store = {}  # id -> AES blob bytes
         self.db_query = {}  # level -> {id: tuple of G elements}
         self._mutations_since_compact = 0
@@ -444,22 +444,24 @@ class ServerState:
 
     # -- message handling -----------------------------------------------------
     def handle_line(self, line):
-        """Process one wire line, return one reply line (thread-safe)."""
+        """Process one wire line, return one reply line (thread-safe).  line is
+        text; a byte that is not UTF-8 is its surrogateescape code point, as
+        _Handler decodes it, so _dispatch reads the bytes that arrived."""
         with self._lock:
-            return json.dumps(self._dispatch(line), sort_keys=True)
+            return json.dumps(self._dispatch(line.encode("utf-8", "surrogateescape")), sort_keys=True)
 
     def request(self, msg):
         """In-process transport: same code path as TCP, JSON round-tripped."""
         return json.loads(self.handle_line(json.dumps(msg)))
 
-    def _dispatch(self, line):
-        """Parse one wire or log line and run its handler; returns the reply.
+    def _dispatch(self, raw):
+        """Parse one wire or log line's bytes and run its handler; returns the reply.
         Each mutation handler checks its message, logs it and only then
         applies it, so a rejected line or a failed log append changes no
         state and gets an error reply."""
         before = self._mutations_since_compact
         try:
-            msg = json.loads(line)
+            msg = json.loads(raw.decode("utf-8"))  # strictly: an invalid byte is a ValueError
             mtype = _check_fields(msg)
             if self.hello is None and mtype != "hello":
                 raise ProtocolError("no parameters pinned: send hello first")
@@ -515,9 +517,8 @@ class ServerState:
             raise ProtocolError("duplicate lookup digests")
         if len(digests) != msg["v"] + 1:  # one digest per dot value in [0, v]
             raise ProtocolError(f"a table of v = {msg['v']} holds v + 1 digests, not {len(digests)}")
-        lookup = LookupTable(uniq, msg["v"])
         self._append_log(msg)
-        self.lookup = lookup
+        self.lookup = uniq
         return {"type": "ack"}
 
     def _do_put_tuple(self, msg):
@@ -593,8 +594,8 @@ class ServerState:
 
 class _Handler(socketserver.StreamRequestHandler):
     def handle(self):
-        for raw in self.rfile:
-            reply = self.server.state.handle_line(raw.decode("utf-8", errors="replace"))
+        for raw in self.rfile:  # no byte is replaced, so _dispatch sees it (see handle_line)
+            reply = self.server.state.handle_line(raw.decode("utf-8", "surrogateescape"))
             self.wfile.write(reply.encode("utf-8") + b"\n")
             self.wfile.flush()
 

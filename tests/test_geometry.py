@@ -64,11 +64,6 @@ def test_sphere_component_single_column(rng):
         assert dot == 16 - (m[0] - 7) ** 2  # second column contributes nothing
 
 
-def test_sphere_component_subset_needs_unified():
-    with pytest.raises(ConfigError):
-        make_sphere_query_component(SphereQuery((1, 2), 3), LAYOUT_SHRQ, col=1)
-
-
 def test_range_component_example():
     comp, sphere = make_range_query_component(RangeQuery(1, 25, 50), 2)
     assert sphere == SphereQuery((38, 0), 13)

@@ -491,6 +491,23 @@ def test_query_reply_that_is_not_a_result_is_protocol_error(reply, reason):
         prot.query_sphere(config, sk, SphereQuery((5, 5), 1), _StubServer(reply))
 
 
+@pytest.mark.parametrize(
+    "reply",
+    [{"type": "result", "matches": []}, {"type": "bogus"}, {}, {"type": "ack", "found": True}],
+    ids=["result", "bogus", "empty", "ack-found"],
+)
+def test_write_reply_that_is_not_an_ack_is_protocol_error(reply, rng):
+    # hello, put_lookup, put_store and put_tuple are answered {"type": "ack"}
+    # and nothing else: the first write that gets another reply raises
+    config, sk = deployment("c", layout=LAYOUT_UNIFIED, e_max=3)
+    for run in (lambda server: prot.run_setup(config, sk, [("a", (1, 1))], server, rng=rng),
+                lambda server: prot.insert_point(config, sk, "b", (2, 2), server, rng=rng)):
+        server = RecordingServer(_StubServer(reply))
+        with pytest.raises(ProtocolError, match="^malformed reply from the server: "):
+            run(server)
+        assert server.requests == 1
+
+
 def test_tampered_blob_fails_decrypt(rng):
     ds = [("a", (5, 5))]
     config, sk = deployment("t")

@@ -434,6 +434,26 @@ def test_only_its_groups_hello_message_is_acked(tmp_path, open_state):
     assert state.request(hello) == {"type": "ack"} and state.snapshot_messages() == [hello]
 
 
+@pytest.mark.parametrize(
+    "N, l, p, rule",
+    [(35, 2, 69, "curve prime must be 3 mod 4"), (385, 4, 1539, "curve prime p is composite")],
+    ids=["p-1-mod-4", "p-composite"],
+)
+def test_first_hello_with_a_bad_curve_prime_is_refused(tmp_path, open_state, N, l, p, rule):
+    # p + 1 = l*N holds in both; 69 is 1 mod 4, and 1539 = 3^4 * 19 is 3
+    # mod 4: a fresh state answers with the rule, and pins and logs nothing,
+    # and as the first line of a log the hello fails the restart
+    hello = hello_message({"backend": CURVE_A1, "N": str(N), "p": str(p), "l": str(l)}, 1)
+    state = open_state(tmp_path / "wire")
+    assert json.loads(state.handle_line(json.dumps(hello))) == {"type": "error", "error": rule}
+    assert state.hello is None and state.snapshot_messages() == []
+    assert (tmp_path / "wire" / "log.jsonl").read_bytes() == b""
+    (tmp_path / "log").mkdir()
+    (tmp_path / "log" / "log.jsonl").write_text(json.dumps(hello) + "\n")
+    with pytest.raises(DataIntegrityError, match=f"corrupt state log line 1: {rule}$"):
+        open_state(tmp_path / "log")
+
+
 def test_duplicate_puts_rejected(deployment, rng):
     config, sk = deployment
     server = ServerState()
@@ -1266,7 +1286,7 @@ def test_split_scan_answers_as_the_serial_scan(kind, request):
     # the same line, and the worker is never given up
     group, g = _scan_group(kind, request)
     gt = group.pair(g, g)
-    table = ces.LookupTable(frozenset(ces.digest(group, group.pow(gt, k)) for k in range(7)), 6)
+    table = frozenset(ces.digest(group, group.pow(gt, k)) for k in range(7))
     setup = [hello_message(group.params.describe(), 1), shrq.server.lookup_message(table)]
 
     def slots(exponents):
@@ -1380,6 +1400,39 @@ def test_failed_scan_worker_falls_back_to_the_serial_scan(curve_deployment, rng,
     assert len(forks) == 1
 
 
+def test_scan_fault_outside_the_workers_is_raised_and_ends_the_worker(curve_deployment, rng, monkeypatch):
+    # an exception on main's own share that is no worker failure closes and
+    # reaps the worker and reaches the caller; the next query scans here
+    # and answers as a state that never had a worker
+    config, sk = curve_deployment
+    worker = ScanWorker.fork()  # before the patch, so the worker scans as ever
+    state, serial = ServerState(worker=worker), ServerState()
+    real, shares = shrq.server.scan, []
+
+    def scan_failing_once(group, prepared, tuples):
+        shares.append(len(tuples))
+        if len(shares) == 1:
+            raise RuntimeError("main's share failed")
+        return real(group, prepared, tuples)
+
+    monkeypatch.setattr(shrq.server, "scan", scan_failing_once)
+    try:
+        ds = [(str(i), (10 + i, 10 + 2 * i)) for i in range(4)]
+        for msg in prot.setup_messages(config, sk, ds, rng=rng):
+            assert state.request(msg) == serial.request(msg) == {"type": "ack"}
+        comp = make_sphere_query_component(SphereQuery((12, 14), 5), config.layout)
+        line = json.dumps(prot.query_message(config, sk, comp, 0))
+        with pytest.raises(RuntimeError, match="main's share failed"):
+            state.handle_line(line)
+        assert state._worker is None and worker.pid is None  # closed and reaped
+        reply = state.handle_line(line)
+        assert reply == serial.handle_line(line)
+        assert {m["id"] for m in json.loads(reply)["matches"]} == hrq_oracle(ds, SphereQuery((12, 14), 5))
+        assert shares == [2, 4, 4]  # main's half, then each state's serial scan
+    finally:
+        worker.close()
+
+
 def test_closed_state_refuses_every_mutation(curve_deployment, rng, tmp_path, open_state):
     # close() waits for the line in hand and closes the log and the worker;
     # after it every mutation gets one error reply and changes nothing, a
@@ -1487,6 +1540,35 @@ def test_tcp_malformed_line_keeps_connection(deployment):
     finally:
         srv.shutdown()
         srv.server_close()
+
+
+def test_tcp_line_that_is_not_utf8_gets_one_error(deployment, tmp_path, open_state):
+    # a line is read strictly as UTF-8 over TCP, as in replay: a put_store
+    # whose id holds the byte 0xff gets one error reply, stores nothing, and
+    # the connection stays open; the same bytes in a log fail the restart
+    config, sk = deployment
+    state = open_state(tmp_path / "wire")
+    hello = hello_message(sk.group.params.describe(), config.levels)
+    bad = json.dumps(shrq.server.store_message("a", b"blob")).encode().replace(b'"a"', b'"\xff"')
+    srv = TcpServer(("127.0.0.1", 0), state)
+    threading.Thread(target=srv.serve_forever, daemon=True).start()
+    try:
+        with ServerConnection(*srv.server_address[:2], timeout=5.0) as conn:
+            assert conn.request(hello) == {"type": "ack"}
+            log = (tmp_path / "wire" / "log.jsonl").read_bytes()
+            conn._file.write(bad + b"\n")
+            conn._file.flush()
+            reply = json.loads(conn._file.readline())
+            assert reply["type"] == "error" and "utf-8" in reply["error"], reply
+            assert state.db_store == {} and (tmp_path / "wire" / "log.jsonl").read_bytes() == log
+            assert conn.request(shrq.server.store_message("a", b"blob")) == {"type": "ack"}  # still usable
+    finally:
+        srv.shutdown()
+        srv.server_close()
+    (tmp_path / "log").mkdir()
+    (tmp_path / "log" / "log.jsonl").write_bytes(log + bad + b"\n")
+    with pytest.raises(DataIntegrityError, match="corrupt state log line 2: 'utf-8' codec"):
+        open_state(tmp_path / "log")
 
 
 def test_request_to_a_peer_that_hangs_up():
