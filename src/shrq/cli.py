@@ -60,28 +60,31 @@ def _read_csv(path, d=None):
 
     rows = []
     seen = set()
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None) or [""]
-        d = len(header) - 1 if d is None else d
-        if len(header) != d + 1 or header[0].strip() != "id":
-            raise IngestionError(f"{path}: expected header id,x1..x{d}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != d + 1:
-                raise IngestionError(f"{path} row {lineno}: expected {d + 1} cells")
-            rid = row[0].strip()
-            if rid in seen:
-                raise IngestionError(f"{path} row {lineno}: duplicate id {rid!r}")
-            seen.add(rid)
-            try:
-                coords = tuple(int(c.strip()) for c in row[1:])
-            except ValueError:
-                raise IngestionError(
-                    f"{path} row {lineno} (id {rid!r}): non-integer coordinate"
-                )
-            rows.append((rid, coords))
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            lines = list(csv.reader(fh))
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise IngestionError(f"{path}: cannot read it as UTF-8 CSV ({exc})") from None
+    header = lines[0] if lines and lines[0] else [""]
+    d = len(header) - 1 if d is None else d
+    if len(header) != d + 1 or header[0].strip() != "id":
+        raise IngestionError(f"{path}: expected header id,x1..x{d}")
+    for lineno, row in enumerate(lines[1:], start=2):
+        if not row or all(not c.strip() for c in row):
+            continue
+        if len(row) != d + 1:
+            raise IngestionError(f"{path} row {lineno}: expected {d + 1} cells")
+        rid = row[0].strip()
+        if rid in seen:
+            raise IngestionError(f"{path} row {lineno}: duplicate id {rid!r}")
+        seen.add(rid)
+        try:
+            coords = tuple(int(c.strip()) for c in row[1:])
+        except ValueError:
+            raise IngestionError(
+                f"{path} row {lineno} (id {rid!r}): non-integer coordinate"
+            )
+        rows.append((rid, coords))
     return d, rows
 
 

@@ -40,10 +40,10 @@ class RangeQuery(Record):
 
 
 class Layer(Record):
-    """A planned layer: its stored level index, its planning radius in base
-    units, the integer scaled_radius in its coarse space, factor b_c^index."""
+    """A planned layer: its stored level index, that level's coarsity factor
+    and the integer scaled_radius the query runs with in its coarse space."""
 
-    __slots__ = ("index", "radius", "scaled_radius", "factor")
+    __slots__ = ("index", "factor", "scaled_radius")
 
 
 def validate_point(coords, d, x_max, label=""):
@@ -120,21 +120,23 @@ def scaled_radius(r, factor, d):
     return math.ceil(r / factor + math.sqrt(d) - EPS)
 
 
-def coarse_layer(r, v, d, e_max):
-    """The layer at the minimal base-2 level whose scaled radius fits the
-    lookup table (scaled^2 <= v, an exact integer test)."""
-    for e in range(e_max + 1):
-        scaled = scaled_radius(r, 2**e, d)
+def coarse_layer(r, v, d, factors):
+    """The layer at the minimal level whose scaled radius fits the lookup
+    table (scaled^2 <= v, an exact integer test).  factors[i] is level i's
+    coarsity factor, as the deployment stored it (2^i for t and c)."""
+    for index, factor in enumerate(factors):
+        scaled = scaled_radius(r, factor, d)
         if scaled * scaled <= v:
-            return Layer(e, float(r), scaled, 2**e)
+            return Layer(index, factor, scaled)
     raise QueryRejected(
         "radius-unsupported",
-        f"r > sqrt(v) at every level up to E_max = {e_max} (r={r}, v={v}, d={d})",
+        f"r > sqrt(v) at every level up to E_max = {len(factors) - 1} (r={r}, v={v}, d={d})",
     )
 
 
-def covering_radii(r, v, d, b_c, e_max):
-    """Gap-free layer plan from the exact annulus algebra.
+def covering_radii(r, v, d, factors):
+    """Gap-free layer plan from the exact annulus algebra, over the levels
+    whose coarsity factors the deployment stored (factors[i] = b_c^i).
 
     Layer i with scaled radius rh captures coarse dist^2 in
     [max(0, rh^2 - v), rh^2] exactly, so the still-uncovered region after it
@@ -143,23 +145,19 @@ def covering_radii(r, v, d, b_c, e_max):
     on a layer whose scaled radius fits the table outright (a full disk).
     """
     root_d = math.sqrt(d)
-    layers = [Layer(0, float(r), int(r), 1)]
+    layers = [Layer(0, factors[0], int(r))]
     if r * r <= v:
         return tuple(layers)
     top = math.sqrt(r * r - v)  # points closer than this may have been missed
-    i = 1
-    while True:
-        if i > e_max:
-            raise QueryRejected(
-                "radius-unsupported", f"radius {r} needs layer {i} > E_max = {e_max}"
-            )
-        factor = b_c**i
+    for index, factor in enumerate(factors[1:], 1):
         scaled = scaled_radius(top, factor, d)
-        layers.append(Layer(i, top, scaled, factor))
+        layers.append(Layer(index, factor, scaled))
         if scaled * scaled <= v:
             return tuple(layers)
         top = factor * (math.sqrt(scaled * scaled - v) + root_d)
-        i += 1
+    raise QueryRejected(
+        "radius-unsupported", f"radius {r} needs layer {len(factors)} > E_max = {len(factors) - 1}"
+    )
 
 
 def dist_squared(a, b):

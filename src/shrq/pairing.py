@@ -386,16 +386,7 @@ class CurveGroup(Group):
         # appropriate (cofactor clearing and subgroup checks must not reduce)
         if a is None:
             return None
-        return self._affine(self._jac_mul(a, k))
-
-    def _affine(self, a):
-        """The affine form of a Jacobian a, by one inversion."""
-        p = self.p
-        x, y, z, _ = a
-        if not z:
-            return None
-        zi = pow(z, -1, p)
-        return (x * zi * zi % p, y * zi * zi * zi % p)
+        return self._affine_all([self._jac_mul(a, k)])[0]
 
     def _inverses(self, zs):
         """1/z mod p for every z in zs, 0 for z = 0, by one inversion of
@@ -502,7 +493,7 @@ class CurveGroup(Group):
             return GTElement(self._fp2_mul(x.value, y.value))
         if x.value is None or y.value is None:
             return y if x.value is None else x
-        return GElement(self._affine(self._jac_madd(x.value + (1, 0), y.value)))
+        return GElement(self._affine_all([self._jac_madd(x.value + (1, 0), y.value)])[0])
 
     def pow(self, x, k):
         k %= self.N
@@ -525,7 +516,7 @@ class CurveGroup(Group):
             if pt is not None:
                 acc = self._jac_madd(acc, pt)
             k >>= _WINDOW
-        return GElement(self._affine(acc))
+        return GElement(self._affine_all([acc])[0])
 
     def pair(self, x, y):
         return self.pair_product((self.prepare(y),), (x,))

@@ -37,6 +37,7 @@ from .errors import (
     ConfigError,
     DataIntegrityError,
     DuplicateIdError,
+    IngestionError,
     NotFoundError,
     ProtocolError,
     QueryRejected,
@@ -67,8 +68,8 @@ _NONCE_LEN = 12
 
 
 class DeploymentConfig(Record):
-    """The one home of the deployment's layout, d, v and x_max; make_config
-    validates it."""
+    """The one home of the deployment's layout, d, v, x_max and level
+    factors; make_config validates it."""
 
     __slots__ = ("protocol", "layout", "d", "v", "x_max", "e_max", "backend")
 
@@ -81,10 +82,11 @@ class DeploymentConfig(Record):
     def levels(self):
         return self.e_max + 1
 
-    def level_factor(self, level):
-        if self.protocol == PROTOCOL_LAYERED:
-            return self.b_c**level
-        return 2**level
+    @property
+    def factors(self):
+        """Level i's coarsity factor, b_c**i for "l" and 2**i otherwise, for storage and plans alike."""
+        base = self.b_c if self.protocol == PROTOCOL_LAYERED else 2
+        return tuple(base**level for level in range(self.levels))
 
 
 def make_config(protocol, d, v, x_max, e_max=0, backend=CURVE_A1, layout=LAYOUT_UNIFIED):
@@ -131,7 +133,8 @@ def decrypt_record(sk, rid, blob):
     if len(blob) < _NONCE_LEN + 16:
         raise DataIntegrityError(f"record {rid!r}: blob too short")
     try:
-        payload = AESGCM(sk.aes_key).decrypt(blob[:_NONCE_LEN], blob[_NONCE_LEN:], rid.encode("utf-8"))
+        aad = rid.encode("utf-8", "surrogatepass")  # an id no write could use fails as a forgery
+        payload = AESGCM(sk.aes_key).decrypt(blob[:_NONCE_LEN], blob[_NONCE_LEN:], aad)
     except InvalidTag:
         raise DataIntegrityError(f"record {rid!r}: AES authentication failed") from None
     return tuple(json.loads(payload)["coords"])
@@ -156,15 +159,21 @@ def _send(server, msg):
     return reply
 
 
+def _record_id(rid):
+    """rid as a str with no surrogate, so that it encodes as UTF-8 (its blob's AAD)."""
+    rid = str(rid)
+    if any("\ud800" <= ch <= "\udfff" for ch in rid):
+        raise IngestionError(f"record id {rid!r} is not UTF-8 text")
+    return rid
+
+
 def point_messages(config, sk, rid, coords, rng=None):
     """db-store blob plus one encrypted tuple per coarsity level."""
-    rid = str(rid)
+    rid = _record_id(rid)
     coords = validate_point(coords, config.d, config.x_max, label=rid)
     msgs = [store_message(rid, encrypt_record(sk, rid, coords))]
-    for level in range(config.levels):
-        comp = make_data_component(
-            coarse_transform(coords, config.level_factor(level)), config.layout
-        )
+    for level, factor in enumerate(config.factors):
+        comp = make_data_component(coarse_transform(coords, factor), config.layout)
         msgs.append(tuple_message(sk.group, level, rid, tuple_encrypt(sk, comp, rng=rng)))
     return msgs
 
@@ -210,7 +219,7 @@ def delete_point(config, sk, rid, server):
 
 def update_point(config, sk, rid, coords, server, rng=None):
     """Replace rid's point; a point that fails validation leaves the record."""
-    validate_point(coords, config.d, config.x_max, label=str(rid))
+    validate_point(coords, config.d, config.x_max, label=_record_id(rid))
     delete_point(config, sk, rid, server)
     insert_point(config, sk, rid, coords, server, rng=rng)
 
@@ -231,9 +240,9 @@ def plan_sphere(config, sk, query, col=None):
             raise QueryRejected("center-out-of-domain", f"center coordinate {c} outside [0, {config.x_max}]")
     active = config.d if col is None else 1
     if config.protocol == PROTOCOL_LAYERED:
-        plan = covering_radii(query.radius, config.v, active, config.b_c, config.e_max)
+        plan = covering_radii(query.radius, config.v, active, config.factors)
     else:
-        plan = (coarse_layer(query.radius, config.v, active, config.e_max),)
+        plan = (coarse_layer(query.radius, config.v, active, config.factors),)
     # dot values live mod q2; a layer radius whose square reaches the
     # margin would let in-range residues collide with out-of-range dots
     limit = sk.group.params.q2 - (config.v + config.d * config.x_max * config.x_max)

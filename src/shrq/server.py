@@ -569,10 +569,7 @@ class ServerState:
         matches = []
         for rid, dig in zip(ids, self._scan([bucket[rid] for rid in ids], prepared)):
             if lookup_contains(self.lookup, dig):
-                blob = self.db_store.get(rid)
-                if blob is None:
-                    raise DataIntegrityError(f"matched id {rid!r} missing from db-store")
-                matches.append({"id": rid, "blob": b64e(blob)})
+                matches.append({"id": rid, "blob": b64e(self.db_store[rid])})
         return {"type": "result", "matches": matches}
 
     def _scan(self, tuples, prepared):

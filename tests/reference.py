@@ -231,7 +231,7 @@ def layered_radii(r, v, d, b_c, e_max=None):
     if b_c < 2:
         raise ConfigError("layered plan needs a coarsity base >= 2")
     root_d, root_v = math.sqrt(d), math.sqrt(v)
-    layers = [Layer(0, float(r), int(r), 1)]
+    layers = [Layer(0, 1, int(r))]
     rem = r - root_v
     i = 1
     while rem > EPS:
@@ -241,7 +241,7 @@ def layered_radii(r, v, d, b_c, e_max=None):
             )
         factor = b_c**i
         rem += factor * root_d
-        layers.append(Layer(i, rem, math.ceil(rem / factor - EPS), factor))
+        layers.append(Layer(i, factor, math.ceil(rem / factor - EPS)))
         rem -= factor * root_v
         i += 1
     return tuple(layers)

@@ -174,7 +174,7 @@ def test_c06_layered_protocol():
     prot.run_setup(config, sk, dataset, server, rng=rng)
     for _ in range(50):
         q = SphereQuery((rng.randrange(101), rng.randrange(101)), rng.randrange(0, 201))
-        plan = covering_radii(q.radius, 400, 2, config.b_c, config.e_max)
+        plan = covering_radii(q.radius, 400, 2, config.factors)
         union = set()
         for layer in plan:
             tq = SphereQuery(coarse_transform(q.center, layer.factor), layer.scaled_radius)
@@ -192,8 +192,7 @@ def test_c06_layered_protocol():
     # scaled radii (60, 10); the executed gap-free plan uses the same layers
     trace = layered_radii(60, 400, 2, 5)
     assert [(l.index, l.scaled_radius) for l in trace] == [(0, 60), (1, 10)]
-    assert trace[1].radius == pytest.approx(47.071, abs=1e-3)
-    executed = covering_radii(60, 400, 2, 5, 3)
+    executed = covering_radii(60, 400, 2, config.factors)
     assert [l.index for l in executed] == [l.index for l in trace] == [0, 1]
 
 

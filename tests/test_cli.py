@@ -180,6 +180,10 @@ def test_insert_then_delete(workspace):
     out = run_cli("insert", "--key", ws["key"], "--id", "bad", "--point", "1,2,3",
                   "--server", ws["server"])  # d = 2: rejected, not cut to (1, 2)
     assert out.returncode == 1 and "3 coordinates" in out.stderr, out.stderr
+    out = run_cli("insert", "--key", ws["key"], "--id", os.fsdecode(b"\xff"), "--point", "1,2",
+                  "--server", ws["server"])  # byte 0xff is no UTF-8 text, so no record id
+    assert out.returncode == 1 and "Traceback" not in out.stderr, out.stderr
+    assert "not UTF-8 text" in json.loads(out.stderr)["reason"]
     assert run_cli("insert", "--key", ws["key"], "--id", "zz", "--point", "77,78",
                    "--server", ws["server"]).returncode == 0
     out = run_cli("query", "sphere", "--key", ws["key"], "--center", "77,78", "--radius", "0",
@@ -735,6 +739,8 @@ def test_keyfile_non_base64_rejected(keyfile_pair, tmp_path, field):
         ("layout", "shrq"), ("d", 3), ("v", 100), ("v", -1), ("x_max", 10**12), ("x_max", 0),
         # and of the secrets and the offset: alpha vanishing mod q2, a short AES key, one offset per column
         ("alpha", "0"), ("aes_key", shrq.server.b64e(bytes(31))), ("offset", [0]), ("offset", [0, 0, 0]),
+        # and of the group: an N that is not q1*q2
+        ("N", "35"),
     ],
 )
 def test_keyfile_bad_deployment_rejected(keyfile_pair, tmp_path, field, value):
@@ -794,6 +800,9 @@ def test_keyfile_alpha_multiple_of_q2_rejected(keyfile_pair, tmp_path):
         load_keyfile(str(bad))
 
 
+NO_FILE = object()  # a --data path where no file is
+
+
 @pytest.mark.parametrize(
     "argv, rows, code, reason",
     [
@@ -802,8 +811,12 @@ def test_keyfile_alpha_multiple_of_q2_rejected(keyfile_pair, tmp_path):
         (["setup"], "id,x1,x2\n1,2,3\n2,4\n", 1, "row 3: expected 3 cells"),
         (["setup"], "id,x1,x2\na,1,2\na,3,4\n", 1, "duplicate id"),
         (["query", "range", "--col", "1"], None, 3, "--lo and/or --hi"),
+        (["setup"], NO_FILE, 1, "No such file"),
+        (["setup"], b"id,x1,x2\n\xff,1,2\n", 1, "can't decode byte 0xff"),
+        (["setup"], "id,x1,x2\n" + "a" * 131073 + ",1,2\n", 1, "field larger than field limit"),
     ],
-    ids=["non-integer-point", "header", "short-row", "duplicate-id", "range-without-bounds"],
+    ids=["non-integer-point", "header", "short-row", "duplicate-id", "range-without-bounds",
+         "missing-file", "not-utf8", "field-over-csv-limit"],
 )
 def test_cli_ingestion_rejected(keyfile_pair, tmp_path, capsys, argv, rows, code, reason):
     # each is rejected before connecting, so no server is needed, and the key stays as it was
@@ -811,11 +824,22 @@ def test_cli_ingestion_rejected(keyfile_pair, tmp_path, capsys, argv, rows, code
     key.write_bytes(Path(keyfile_pair[0]).read_bytes())
     args = [*argv, "--key", str(key), "--server", "127.0.0.1:9"]
     if rows is not None:
-        (tmp_path / "rows.csv").write_text(rows)
+        if rows is not NO_FILE:
+            (tmp_path / "rows.csv").write_bytes(rows if isinstance(rows, bytes) else rows.encode())
         args += ["--data", str(tmp_path / "rows.csv")]
     assert cli.main(args) == code
     assert reason in json.loads(capsys.readouterr().err)["reason"]
     assert key.read_bytes() == Path(keyfile_pair[0]).read_bytes()
+
+
+def test_oracle_sphere_on_an_unreadable_csv_is_one_error_line(tmp_path, capsys):
+    data = tmp_path / "rows.csv"
+    for content, reason in ((None, "No such file"), (b"id,x1\n\xff,1\n", "can't decode byte 0xff")):
+        if content is not None:
+            data.write_bytes(content)
+        assert cli.main(["oracle", "sphere", "--data", str(data), "--center", "1", "--radius", "1"]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "failed" and str(data) in err["reason"] and reason in err["reason"]
 
 
 def test_keyfile_garbage_rejected(tmp_path):

@@ -131,12 +131,12 @@ def test_coarsity_base_values():
 
 
 def test_coarse_layer():
-    assert coarse_layer(25, 400, 2, 3) == Layer(1, 25.0, 14, 2)  # ceil(12.5 + 1.414) = 14
-    assert coarse_layer(20, 400, 2, 3) == Layer(0, 20.0, 20, 1)  # r <= sqrt(v)
+    assert coarse_layer(25, 400, 2, (1, 2, 4, 8)) == Layer(1, 2, 14)  # ceil(12.5 + 1.414) = 14
+    assert coarse_layer(20, 400, 2, (1, 2, 4, 8)) == Layer(0, 1, 20)  # r <= sqrt(v)
     with pytest.raises(QueryRejected):
-        coarse_layer(500, 400, 2, 3)  # 62.5 + 1.414 > 20
+        coarse_layer(500, 400, 2, (1, 2, 4, 8))  # 62.5 + 1.414 > 20
     with pytest.raises(QueryRejected, match=r"r > sqrt\(v\).*E_max = 0"):
-        coarse_layer(21, 400, 2, 0)  # the single-table protocol's bound
+        coarse_layer(21, 400, 2, (1,))  # the single-table protocol's bound
 
 
 def test_scaled_radius():
@@ -149,7 +149,7 @@ def test_coarse_layer_is_minimal(rng):
     root = math.isqrt(400)
     for _ in range(500):
         r = rng.randrange(0, 149)
-        e = coarse_layer(r, 400, 2, 3).index
+        e = coarse_layer(r, 400, 2, (1, 2, 4, 8)).index
         qualifying = [0] if r <= root else []
         qualifying += [k for k in range(1, 4) if r / 2**k + math.sqrt(2) <= root + 1e-9]
         assert e == min(qualifying)
@@ -162,7 +162,6 @@ def test_layered_radii_trace_r60():
     plan = layered_radii(60, 400, 2, 5)
     assert [layer.index for layer in plan] == [0, 1]
     assert plan[0].scaled_radius == 60
-    assert plan[1].radius == pytest.approx(47.0710678, abs=1e-6)
     assert plan[1].scaled_radius == 10  # ceil(47.071 / 5)
     assert plan[1].factor == 5
 
@@ -202,14 +201,17 @@ def test_scaled_radius_bounds_final_layer(rng):
             except ConfigError:
                 continue
             r = rng.randrange(1, 20 * math.isqrt(v))
-            plan = planner(r, v, d, b_c, 12)
+            if planner is layered_radii:
+                plan = planner(r, v, d, b_c, 12)
+            else:
+                plan = planner(r, v, d, tuple(b_c**i for i in range(13)))
             last = plan[-1]
             if last.index > 0:
                 assert last.scaled_radius <= math.isqrt(v) + 1
 
 
 def test_covering_radii_trace_r60():
-    plan = covering_radii(60, 400, 2, 5, 3)
+    plan = covering_radii(60, 400, 2, (1, 5, 25, 125))
     assert [layer.index for layer in plan] == [0, 1]
     assert plan[1].scaled_radius == 13  # ceil(sqrt(3200)/5 + sqrt(2))
 
@@ -239,14 +241,14 @@ def test_width_recurrence_leaves_gap_covering_does_not():
     assert dist_squared(center, pt) <= 60 * 60
     literal = layered_radii(60, v, 2, 5)
     assert not _plan_covers(literal, center, pt, v)
-    covering = covering_radii(60, v, 2, 5, 3)
+    covering = covering_radii(60, v, 2, (1, 5, 25, 125))
     assert _plan_covers(covering, center, pt, v)
 
 
 def test_covering_radii_full_coverage_grid(rng):
     v, d, b_c = 400, 2, 5
     for r in (21, 35, 60, 90, 141, 200):
-        plan = covering_radii(r, v, d, b_c, 4)
+        plan = covering_radii(r, v, d, tuple(b_c**i for i in range(5)))
         center = (rng.randrange(101), rng.randrange(101))
         for x in range(0, 101, 3):
             for y in range(0, 101, 3):
@@ -256,7 +258,7 @@ def test_covering_radii_full_coverage_grid(rng):
 
 def test_covering_radii_layer_cap():
     with pytest.raises(QueryRejected):
-        covering_radii(200, 400, 2, 5, e_max=1)
+        covering_radii(200, 400, 2, (1, 5))
 
 
 # -- sphere membership equivalence -------------------------------------------------

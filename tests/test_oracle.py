@@ -51,7 +51,7 @@ def test_layer_union_covers_sphere(rng):
     ds = random_dataset(rng, 200)
     for r in (25, 60, 120, 200):
         center = (rng.randrange(101), rng.randrange(101))
-        plan = covering_radii(r, 400, 2, 5, 4)
+        plan = covering_radii(r, 400, 2, (1, 5, 25, 125, 625))
         union = set()
         for layer in plan:
             union |= annulus_oracle(ds, center, layer.scaled_radius, 400, layer.factor)

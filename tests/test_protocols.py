@@ -28,7 +28,7 @@ from shrq.geometry import (
     make_sphere_query_component,
 )
 from shrq.oracle import hrq_oracle, range_oracle
-from shrq.server import ServerState
+from shrq.server import ServerState, b64e
 from reference import make_range_query_component
 
 _KEY_CACHE = {}
@@ -72,7 +72,7 @@ def test_setup_layered_uses_base_powers(rng):
     ds = [("1", (50, 75))]
     config, sk = deployment("l", v=400, e_max=2)
     assert config.b_c == 5
-    assert [config.level_factor(e) for e in range(3)] == [1, 5, 25]
+    assert config.factors == (1, 5, 25)
     msgs = [m for m in prot.setup_messages(config, sk, ds, rng=rng) if m["type"] == "put_tuple"]
     assert len(msgs) == 3
 
@@ -253,7 +253,7 @@ def test_planner_has_no_false_negatives(case):
     assert result.ids == want
     plan = prot.plan_range(config, sk, query)[1] if ranged else prot.plan_sphere(config, sk, query)
     assert server.query_levels == [layer.index for layer in plan]
-    assert all(layer.factor == config.level_factor(layer.index) for layer in plan)
+    assert all(layer.factor == config.factors[layer.index] for layer in plan)
 
 
 def _not_ints(x_max):
@@ -518,6 +518,24 @@ def test_tampered_blob_fails_decrypt(rng):
         prot.query_sphere(config, sk, SphereQuery((5, 5), 1), server)
 
 
+def test_reply_id_that_is_not_utf8_fails_as_a_forgery():
+    # "\ud800" is a JSON string the server accepts as an id, but no UTF-8
+    # text: no write could have bound it to a blob, so the blob cannot authenticate
+    config, sk = deployment("c", layout=LAYOUT_UNIFIED, e_max=3)
+    reply = {"type": "result", "matches": [{"id": "\ud800", "blob": b64e(bytes(40))}]}
+    with pytest.raises(DataIntegrityError, match="AES authentication failed"):
+        prot.query_sphere(config, sk, SphereQuery((5, 5), 1), _StubServer(reply))
+
+
+def test_insert_of_an_id_that_is_not_utf8_sends_nothing(rng):
+    # "\udcff" is what a command line decodes byte 0xff to
+    config, sk = deployment("c", layout=LAYOUT_UNIFIED, e_max=3)
+    server = RecordingServer(_StubServer({"type": "ack"}))
+    with pytest.raises(IngestionError, match="not UTF-8 text"):
+        prot.insert_point(config, sk, "\udcff", (2, 2), server, rng=rng)
+    assert server.requests == 0
+
+
 def test_wrap_guard_rejects_enormous_layer_radius():
     rng = random.Random(3)
     config = prot.make_config("l", 2, 400, 100, e_max=8, backend=TRANSPARENT, layout=LAYOUT_SHRQ)
@@ -532,16 +550,16 @@ def test_wrap_guard_rejects_enormous_layer_radius():
 def test_plan_shapes():
     # every protocol plans a tuple of Layer; t and c plan exactly one
     config, sk = deployment("t")
-    assert prot.plan_sphere(config, sk, SphereQuery((10, 11), 20)) == (Layer(0, 20.0, 20, 1),)
+    assert prot.plan_sphere(config, sk, SphereQuery((10, 11), 20)) == (Layer(0, 1, 20),)
     config, sk = deployment("c", e_max=3)
-    assert prot.plan_sphere(config, sk, SphereQuery((10, 11), 20)) == (Layer(0, 20.0, 20, 1),)
+    assert prot.plan_sphere(config, sk, SphereQuery((10, 11), 20)) == (Layer(0, 1, 20),)
     # one level coarser: ceil(25 / 2 + sqrt(2)) absorbs the floor error
-    assert prot.plan_sphere(config, sk, SphereQuery((10, 11), 25)) == (Layer(1, 25.0, 14, 2),)
+    assert prot.plan_sphere(config, sk, SphereQuery((10, 11), 25)) == (Layer(1, 2, 14),)
     config, sk = deployment("l", e_max=3)
-    assert prot.plan_sphere(config, sk, SphereQuery((10, 11), 60)) == covering_radii(60, 400, 2, 5, 3)
+    assert prot.plan_sphere(config, sk, SphereQuery((10, 11), 60)) == covering_radii(60, 400, 2, (1, 5, 25, 125))
     config, sk = deployment("c", layout=LAYOUT_UNIFIED, e_max=3)
     sphere, plan = prot.plan_range(config, sk, RangeQuery(2, 90, 500))
-    assert sphere == SphereQuery((0, 95), 5) and plan == (Layer(0, 5.0, 5, 1),)
+    assert sphere == SphereQuery((0, 95), 5) and plan == (Layer(0, 1, 5),)
     assert prot.plan_range(config, sk, RangeQuery(1, 300, 400)) == (None, ())
     for center in ((10,), (10, 11, 12)):  # d = 2
         with pytest.raises(ConfigError, match="coordinates"):
@@ -555,7 +573,7 @@ def test_level_count_economy():
         coarse_levels = 1 + min(
             e for e in range(1, 20) if r_max / 2**e + math.sqrt(d) <= math.isqrt(v) + 1e-9
         )
-        layered_levels = len(covering_radii(r_max, v, d, b_c, 20))
+        layered_levels = len(covering_radii(r_max, v, d, tuple(b_c**e for e in range(21))))
         assert layered_levels <= coarse_levels
 
 

@@ -486,16 +486,6 @@ def test_delete_of_unknown_id_is_not_logged(deployment, rng, tmp_path, open_stat
     assert _restarted(open_state, tmp_path) == snapshot
 
 
-def test_matched_id_missing_from_store_is_integrity_error(deployment, rng):
-    config, sk = deployment
-    server = ServerState()
-    fill(config, sk, [("a", (5, 5))], server, rng)
-    del server.db_store["a"]
-    comp = make_sphere_query_component(SphereQuery((5, 5), 1), config.layout)
-    reply = server.request(prot.query_message(config, sk, comp, 0))
-    assert reply["type"] == "error" and "db-store" in reply["error"]
-
-
 def test_tuple_without_its_record_is_rejected(deployment, rng):
     config, sk = deployment
     server = ServerState()
