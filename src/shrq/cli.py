@@ -3,14 +3,16 @@
 Coordinates may be negative.  A key's first upload fixes its per-column
 offset in the key file: `setup` records the one that lifts the least
 coordinate of each column in its CSV to 0, zeros included, and `insert`
-records zeros.  Every command shifts by it, points and queries in and
-records out, and by zeros while none is recorded (`"offset": null`, as
-keygen writes it).  The server reads what earlier uploads sent with the
-key's offset, so a recorded offset never changes: later rows that fall
-below 0 under it are rejected.  A key file written before keygen wrote
-null holds zeros, and they count as recorded, so its set-ups reject
-negative rows rather than shift them.  Every row is checked before the key
-file changes: a rejected set-up leaves it byte for byte.
+records zeros, each once the server is reached and before its first record
+is sent.  Every command shifts by it, points and queries in and records
+out, and by zeros while none is recorded (`"offset": null`, as keygen
+writes it).  The server reads what earlier uploads sent with the key's
+offset, so a recorded offset never changes: later rows that fall below 0
+under it are rejected.  A key file written before keygen wrote null holds
+zeros, and they count as recorded, so its set-ups reject negative rows
+rather than shift them.  An upload checks every point before it connects,
+so one that is rejected or cannot reach the server leaves the key file
+byte for byte.
 
 keygen writes curveA1 keys only, and serve needs --state, the directory
 whose log keeps every acknowledged mutation.
@@ -18,9 +20,9 @@ whose log keeps every acknowledged mutation.
 A restart of the server is mostly the start of its process, so `serve`
 loads only the server: this module imports at its top only what the
 argument parser and serve need (argparse, json, sys, errors, ces for the
-layout choices, and server).  A client-only module (protocols with its
-AES-GCM binding, keyfile, geometry, oracle, bench, csv, math) is imported
-in the command or helper that uses it.
+layout choices, and server), and `main` imports the client modules
+(protocols with its AES-GCM binding, keyfile, geometry, oracle, bench, csv,
+math) for every other command.
 
 Exit codes: 0 success, 1 general error, 2 query rejected by the deployment
 (a machine-readable JSON reason goes to stderr), 3 key file missing or
@@ -56,8 +58,6 @@ def _parse_coords(text):
 def _read_csv(path, d=None):
     """CSV with header id,x1..xd; returns (d, [(id, coords)]) with raw
     (unshifted) ints.  d defaults to the header's column count less one."""
-    import csv
-
     rows = []
     seen = set()
     try:
@@ -99,40 +99,44 @@ def _emit_records(records, offsets):
         print(json.dumps({"id": rid, "coords": list(_shift(coords, offsets, -1))}))
 
 
+def _upload(args, rows_of, send):
+    """The offset rule of setup and insert.  rows_of(d) gives the upload's
+    source, its rows (id, raw coords) and the offset a key with none recorded
+    takes.  Every row is shifted and checked before connecting, and that
+    offset is recorded once the connection is open, before send(config, sk,
+    dataset, conn) sends the first record; returns (dataset, what send returns)."""
+    sk, config, recorded = keyfile.load_keyfile(args.key)
+    source, rows, fresh = rows_of(config.d)
+    offsets = fresh if recorded is None else recorded  # rows below 0 under it fail here
+    after = f" after offset {offsets}" if any(offsets) else ""
+    dataset = [(rid, geometry.validate_point(_shift(coords, offsets), config.d, config.x_max,
+                                             f"{source} id {rid!r}{after}"))
+               for rid, coords in rows]
+    with connect(args.server) as conn:
+        if recorded is None:
+            keyfile.save_keyfile(args.key, sk, config, offsets)
+            print(f"recorded coordinate offset {offsets} in {args.key}", file=sys.stderr)
+        return dataset, send(config, sk, dataset, conn)
+
+
 # -- subcommand bodies ---------------------------------------------------------
 
 
 def cmd_keygen(args):
-    from . import protocols
-    from .keyfile import save_keyfile
-
     config = protocols.make_config(args.protocol, args.d, args.v, args.x_max,
                                    e_max=args.emax, layout=args.layout)
     sk, _ = ces.keygen(args.lambda_bits, args.d, args.layout, args.v, args.x_max)
-    save_keyfile(args.out, sk, config)
+    keyfile.save_keyfile(args.out, sk, config)
     print(f"wrote {args.out}", file=sys.stderr)
     return 0
 
 
 def cmd_setup(args):
-    from . import protocols
-    from .geometry import validate_point
-    from .keyfile import load_keyfile, save_keyfile
+    def rows_of(d):
+        _, rows = _read_csv(args.data, d)
+        return args.data, rows, [max(0, -min((c[i] for _, c in rows), default=0)) for i in range(d)]
 
-    sk, config, recorded = load_keyfile(args.key)
-    _, rows = _read_csv(args.data, config.d)
-    needed = [max(0, -min((c[i] for _, c in rows), default=0)) for i in range(config.d)]
-    offsets = needed if recorded is None else recorded  # rows below 0 under it fail below
-    after = f" after offset {offsets}" if any(offsets) else ""
-    dataset = []
-    for rid, coords in rows:
-        label = f"{args.data} id {rid!r}{after}"
-        dataset.append((rid, validate_point(_shift(coords, offsets), config.d, config.x_max, label)))
-    if recorded is None:  # every row passed: only now may the key change
-        save_keyfile(args.key, sk, config, offsets)
-        print(f"recorded coordinate offset {offsets} in {args.key}", file=sys.stderr)
-    with connect(args.server) as conn:
-        sent = protocols.run_setup(config, sk, dataset, conn)
+    dataset, sent = _upload(args, rows_of, protocols.run_setup)
     print(f"uploaded {len(dataset)} records ({sent} messages)", file=sys.stderr)
     return 0
 
@@ -143,14 +147,10 @@ def cmd_serve(args):
 
 
 def cmd_query_sphere(args):
-    from . import protocols
-    from .geometry import SphereQuery
-    from .keyfile import load_keyfile
-
-    sk, config, offsets = load_keyfile(args.key)
+    sk, config, offsets = keyfile.load_keyfile(args.key)
     offsets = offsets or [0] * config.d
     center = _shift(_parse_coords(args.center), offsets)
-    query = SphereQuery(center, args.radius)
+    query = geometry.SphereQuery(center, args.radius)
     protocols.plan_sphere(config, sk, query)  # reject before connecting
     with connect(args.server) as conn:
         result = protocols.query_sphere(config, sk, query, conn)
@@ -161,10 +161,6 @@ def cmd_query_sphere(args):
 def _resolve_range(args, offsets):
     """The range of --col, --lo and --hi, shifted by offsets; a missing bound
     is open (-inf or inf), and the planner clamps it to the domain."""
-    import math
-
-    from .geometry import RangeQuery
-
     if args.lo is None and args.hi is None:
         raise ConfigError("range query needs --lo and/or --hi")
     if not 1 <= args.col <= len(offsets):
@@ -172,14 +168,11 @@ def _resolve_range(args, offsets):
     lo = -math.inf if args.lo is None else args.lo
     hi = math.inf if args.hi is None else args.hi
     off = offsets[args.col - 1]
-    return RangeQuery(args.col, lo + off, hi + off)
+    return geometry.RangeQuery(args.col, lo + off, hi + off)
 
 
 def cmd_query_range(args):
-    from . import protocols
-    from .keyfile import load_keyfile
-
-    sk, config, offsets = load_keyfile(args.key)
+    sk, config, offsets = keyfile.load_keyfile(args.key)
     offsets = offsets or [0] * config.d
     rq = _resolve_range(args, offsets)
     protocols.plan_range(config, sk, rq)  # reject before connecting
@@ -190,47 +183,29 @@ def cmd_query_range(args):
 
 
 def cmd_insert(args):
-    from . import protocols
-    from .geometry import validate_point
-    from .keyfile import load_keyfile, save_keyfile
-
-    sk, config, recorded = load_keyfile(args.key)
-    offsets = [0] * config.d if recorded is None else recorded
-    coords = _shift(_parse_coords(args.point), offsets)
-    if recorded is None:  # this upload fixes the offset at zeros, once the point passes
-        validate_point(coords, config.d, config.x_max, str(args.id))
-        save_keyfile(args.key, sk, config, offsets)
-    with connect(args.server) as conn:
-        protocols.insert_point(config, sk, args.id, coords, conn)
+    _upload(args, lambda d: ("--point", [(args.id, _parse_coords(args.point))], [0] * d),
+            lambda config, sk, dataset, conn: protocols.insert_point(config, sk, *dataset[0], conn))
     return 0
 
 
 def cmd_delete(args):
-    from . import protocols
-    from .keyfile import load_keyfile
-
-    sk, config, _ = load_keyfile(args.key)
+    sk, config, _ = keyfile.load_keyfile(args.key)
     with connect(args.server) as conn:
         protocols.delete_point(config, sk, args.id, conn)
     return 0
 
 
 def cmd_oracle_sphere(args):
-    from . import oracle
-    from .geometry import SphereQuery
-
     d, rows = _read_csv(args.data)
     center = _parse_coords(args.center)
     if len(center) != d:
         raise ConfigError(f"--center has {len(center)} coordinates, the data file has {d}")
-    ids = oracle.hrq_oracle(rows, SphereQuery(center, args.radius))
+    ids = oracle.hrq_oracle(rows, geometry.SphereQuery(center, args.radius))
     _emit_records(sorted(row for row in rows if row[0] in ids), [0] * d)
     return 0
 
 
 def cmd_oracle_range(args):
-    from . import oracle
-
     d, rows = _read_csv(args.data)
     rq = _resolve_range(args, [0] * d)
     ids = oracle.range_oracle(rows, rq)
@@ -239,12 +214,8 @@ def cmd_oracle_range(args):
 
 
 def cmd_bench(args):
-    import csv
-
-    from . import bench as bench_mod
-
-    rows = bench_mod.run_bench(points=args.points, d_max=args.d, queries=args.queries)
-    writer = csv.DictWriter(sys.stdout, fieldnames=bench_mod.FIELDS)
+    rows = bench.run_bench(points=args.points, d_max=args.d, queries=args.queries)
+    writer = csv.DictWriter(sys.stdout, fieldnames=bench.FIELDS)
     writer.writeheader()
     for row in rows:
         writer.writerow({k: (f"{v:.6f}" if isinstance(v, float) else v) for k, v in row.items()})
@@ -336,6 +307,12 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    if args.func is not cmd_serve:  # serve loads only the server
+        global csv, math, bench, geometry, keyfile, oracle, protocols
+        import csv
+        import math
+
+        from . import bench, geometry, keyfile, oracle, protocols
     try:
         return args.func(args)
     except QueryRejected as exc:

@@ -210,6 +210,8 @@ def insert_point(config, sk, rid, coords, server, rng=None):
 
 def delete_point(config, sk, rid, server):
     reply = _send(server, {"type": "delete", "id": str(rid)})
+    if reply.get("type") != "ack":
+        raise ProtocolError(f"malformed reply from the server: delete got {reply!r}, not an ack")
     found = reply.get("found")
     if not isinstance(found, bool):
         raise ProtocolError(f"malformed reply from the server: found is {found!r}")

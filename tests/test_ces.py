@@ -66,6 +66,13 @@ def test_keygen_margin_violation_names_bound():
         keygen(0, 2, LAYOUT_SHRQ, 400, 100, TRANSPARENT, group=grp)
 
 
+def test_keygen_needs_the_groups_factorization():
+    # a group rebuilt from its descriptor alone knows N but not q1 and q2
+    grp = group_from_descriptor(group_from_primes(101, 103, TRANSPARENT).params.describe())
+    with pytest.raises(ConfigError, match="^keygen needs a group with its factorization$"):
+        keygen(0, 2, LAYOUT_SHRQ, 400, 100, TRANSPARENT, group=grp)
+
+
 def test_keygen_unified_vector_length():
     sk, _ = keygen(32, 3, LAYOUT_UNIFIED, 50, 10, TRANSPARENT, rng=random.Random(6))
     assert len(sk.A) == 7 == 2 * 3 + 1

@@ -311,14 +311,15 @@ def test_first_upload_fixes_the_offset(tmp_path):
     finally:
         server.terminate()
         server.wait(timeout=10)
-    # an insert records zeros before it sends anything, once its point passes
+    # an insert records zeros once the server is reached, so one that cannot
+    # reach it leaves the key file byte for byte
     other = tmp_path / "other.json"
     run_cli("keygen", *args, "--out", str(other))
     before = other.read_bytes()
     out = run_cli("insert", "--key", str(other), "--id", "x", "--point", "-1", "--server", "127.0.0.1:9")
     assert out.returncode == 1 and other.read_bytes() == before
     out = run_cli("insert", "--key", str(other), "--id", "x", "--point", "3", "--server", "127.0.0.1:9")
-    assert out.returncode == 4 and read_json(other)["offset"] == [0]
+    assert out.returncode == 4 and other.read_bytes() == before
 
 
 def test_rejected_setup_leaves_key_unchanged(tmp_path):
@@ -334,6 +335,52 @@ def test_rejected_setup_leaves_key_unchanged(tmp_path):
     assert out.returncode == 1
     assert "id 'b' after offset [5, 0]" in out.stderr
     assert key.read_bytes() == before
+
+
+def test_upload_that_cannot_reach_the_server_records_no_offset(keyfile_pair, tmp_path, capsys):
+    # a fresh key records its offset once the server is reached, so the next
+    # upload that reaches one records the offset its own rows need
+    _, sk, config = keyfile_pair
+    data = tmp_path / "rows.csv"
+    uploads = {"setup": ["setup", "--data", str(data)], "insert": ["insert", "--id", "i", "--point", "3,4"]}
+    for command, argv in uploads.items():
+        key = tmp_path / f"{command}.json"
+        save_keyfile(str(key), sk, config)  # no offset recorded, as keygen writes it
+        before = key.read_bytes()
+        data.write_text("id,x1,x2\na,-5,1\n")
+        assert cli.main([*argv, "--key", str(key), "--server", "127.0.0.1:9"]) == 4
+        assert key.read_bytes() == before
+    capsys.readouterr()
+    proc, address = _serve_any_port(tmp_path / "state")
+    try:
+        data.write_text("id,x1,x2\nb,-7,2\n")
+        key = str(tmp_path / "setup.json")
+        assert cli.main([*uploads["setup"], "--key", key, "--server", address]) == 0
+        assert read_json(key)["offset"] == [7, 0]
+        assert "recorded coordinate offset [7, 0]" in capsys.readouterr().err
+        assert cli.main(["query", "range", "--key", key, "--col", "1", "--lo", "-7", "--hi", "-7",
+                         "--server", address]) == 0
+        assert json.loads(capsys.readouterr().out) == {"id": "b", "coords": [-7, 2]}
+        key = str(tmp_path / "insert.json")
+        assert cli.main([*uploads["insert"], "--key", key, "--server", address]) == 0
+        assert read_json(key)["offset"] == [0, 0]
+        assert "recorded coordinate offset [0, 0]" in capsys.readouterr().err
+    finally:
+        proc.terminate()
+        proc.communicate(timeout=30)
+
+
+def test_insert_checks_its_point_before_connecting(keyfile_pair, capsys):
+    key = keyfile_pair[0]  # offset [1, 0] recorded, x_max 100
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        server = f"127.0.0.1:{listener.getsockname()[1]}"
+        for point in ("-2,0", "0,101"):
+            argv = ["insert", "--key", key, "--id", "a", f"--point={point}", "--server", server]
+            assert cli.main(argv) == 1
+            assert "outside [0, 100]" in json.loads(capsys.readouterr().err)["reason"]
+        listener.setblocking(False)
+        with pytest.raises(BlockingIOError):  # no connection is waiting to be accepted
+            listener.accept()
 
 
 def test_bench_emits_csv():

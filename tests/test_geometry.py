@@ -30,6 +30,8 @@ def test_data_component_layouts():
     assert make_data_component((3, 4), LAYOUT_SHRQ) == (3, 4, 1, 25)
     assert make_data_component((3, 4), LAYOUT_UNIFIED) == (3, 4, 1, 9, 16)
     assert make_data_component((0, 0), LAYOUT_SHRQ) == (0, 0, 1, 0)
+    with pytest.raises(ConfigError, match="^unknown layout 'bogus'$"):
+        make_data_component((3, 4), "bogus")
 
 
 def test_sphere_component_d1():

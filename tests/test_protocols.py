@@ -462,8 +462,9 @@ def test_error_reply_other_than_duplicate_is_protocol_error():
         ({"type": "ack"}, "found is None"),
         ({"type": "error", "error": 5}, "error is 5"),
         ({"type": "error"}, "error is None"),
+        ({"type": "result", "found": True}, "delete got {'type': 'result', 'found': True}, not an ack"),
     ],
-    ids=["found-int", "no-found", "error-int", "no-error"],
+    ids=["found-int", "no-found", "error-int", "no-error", "result-found"],
 )
 def test_malformed_delete_reply_is_protocol_error(reply, reason):
     config, sk = deployment("c", layout=LAYOUT_UNIFIED, e_max=3)

@@ -1642,6 +1642,29 @@ def test_cli_imports_only_the_server():
     assert {"dataclasses", "inspect"}.isdisjoint(added)
 
 
+def _modules_loaded_by_main(argv):
+    """cli.main(argv)'s exit code and sys.modules in a fresh interpreter."""
+    code = f"import json, sys; from shrq import cli; c = cli.main({argv!r}); print(json.dumps([c, sorted(sys.modules)]))"
+    env = dict(os.environ, PYTHONPATH="src")
+    root = Path(__file__).resolve().parent.parent
+    out = subprocess.run([sys.executable, "-c", code], cwd=root, env=env, capture_output=True, text=True, check=True)
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def test_main_loads_the_client_modules_for_every_command_but_serve(tmp_path):
+    # a bad --listen is refused before any fork or state
+    code, loaded = _modules_loaded_by_main(["serve", "--listen", "bad", "--state", str(tmp_path / "state")])
+    assert code == 3 and not (tmp_path / "state").exists()
+    assert [m for m in loaded if m.split(".")[0] == "shrq"] == [
+        "shrq", "shrq.ces", "shrq.cli", "shrq.errors", "shrq.pairing", "shrq.server"]
+    assert [m for m in loaded if m.split(".")[0] == "cryptography"] == []
+    data = tmp_path / "rows.csv"
+    data.write_text("id,x1\na,3\n")
+    code, loaded = _modules_loaded_by_main(["oracle", "range", "--data", str(data), "--col", "1", "--lo", "0"])
+    client = {"shrq.protocols", "shrq.keyfile", "shrq.geometry", "shrq.oracle", "shrq.bench", "cryptography"}
+    assert code == 0 and client <= set(loaded)
+
+
 def test_protocols_imports_neither_dataclasses_nor_inspect():
     """Every record of the package is a pairing.Record, so the client library
     loads neither dataclasses nor inspect, counted as above."""
