@@ -10,9 +10,9 @@ writes it).  The server reads what earlier uploads sent with the key's
 offset, so a recorded offset never changes: later rows that fall below 0
 under it are rejected.  A key file written before keygen wrote null holds
 zeros, and they count as recorded, so its set-ups reject negative rows
-rather than shift them.  An upload checks every point before it connects,
-so one that is rejected or cannot reach the server leaves the key file
-byte for byte.
+rather than shift them.  An upload checks every id and point before it
+connects, so one that is rejected or cannot reach the server leaves the
+key file byte for byte.
 
 keygen writes curveA1 keys only, and serve needs --state, the directory
 whose log keeps every acknowledged mutation.
@@ -102,15 +102,15 @@ def _emit_records(records, offsets):
 def _upload(args, rows_of, send):
     """The offset rule of setup and insert.  rows_of(d) gives the upload's
     source, its rows (id, raw coords) and the offset a key with none recorded
-    takes.  Every row is shifted and checked before connecting, and that
-    offset is recorded once the connection is open, before send(config, sk,
-    dataset, conn) sends the first record; returns (dataset, what send returns)."""
+    takes.  Each row's id and shifted point are checked before connecting,
+    and that offset is saved once the connection is open, before send(config,
+    sk, dataset, conn) sends the first record; returns (dataset, send's return)."""
     sk, config, recorded = keyfile.load_keyfile(args.key)
     source, rows, fresh = rows_of(config.d)
     offsets = fresh if recorded is None else recorded  # rows below 0 under it fail here
     after = f" after offset {offsets}" if any(offsets) else ""
-    dataset = [(rid, geometry.validate_point(_shift(coords, offsets), config.d, config.x_max,
-                                             f"{source} id {rid!r}{after}"))
+    dataset = [(protocols.record_id(rid), geometry.validate_point(
+                    _shift(coords, offsets), config.d, config.x_max, f"{source} id {rid!r}{after}"))
                for rid, coords in rows]
     with connect(args.server) as conn:
         if recorded is None:

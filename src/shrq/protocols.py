@@ -58,7 +58,7 @@ from .geometry import (
     validate_point,
 )
 from .pairing import CURVE_A1, Record
-from .server import b64d, b64e, hello_message, lookup_message, store_message, tuple_message
+from .server import REPLIES, b64d, b64e, hello_message, lookup_message, store_message, tuple_message
 
 PROTOCOL_TABLE = "t"
 PROTOCOL_COARSE = "c"
@@ -144,22 +144,28 @@ def decrypt_record(sk, rid, blob):
 
 
 def _send(server, msg):
-    """The server's reply to msg.  An error reply raises, and so does a
-    write's (hello, put_lookup, put_store, put_tuple) reply other than an ack."""
+    """The server's reply to msg, checked here alone: a JSON object of the type
+    and exactly the fields that REPLIES gives msg's type, each of its JSON type.
+    An error reply raises: DuplicateIdError for a duplicate id, else ProtocolError."""
     reply = server.request(msg)
-    if reply.get("type") == "error":
+    if type(reply) is dict and reply.get("type") == "error":
         text = reply.get("error")
         if not isinstance(text, str):
             raise ProtocolError(f"malformed reply from the server: error is {text!r}")
         if "duplicate id" in text:
             raise DuplicateIdError(text)
         raise ProtocolError(f"server error: {text}")
-    if msg["type"] not in ("query", "delete") and reply != {"type": "ack"}:
-        raise ProtocolError(f"malformed reply from the server: {msg['type']} got {reply!r}, not an ack")
+    rtype, fields = REPLIES[msg["type"]]
+    if type(reply) is not dict or reply.get("type") != rtype or not reply.keys() <= {"type", *fields}:
+        article = "an" if rtype == "ack" else "a"
+        raise ProtocolError(f"malformed reply from the server: {msg['type']} got {reply!r}, not {article} {rtype}")
+    for name, kind in fields.items():
+        if type(reply.get(name)) is not kind:  # a missing field is None, and a bool is no int
+            raise ProtocolError(f"malformed reply from the server: {name} is {reply.get(name)!r}")
     return reply
 
 
-def _record_id(rid):
+def record_id(rid):
     """rid as a str with no surrogate, so that it encodes as UTF-8 (its blob's AAD)."""
     rid = str(rid)
     if any("\ud800" <= ch <= "\udfff" for ch in rid):
@@ -169,7 +175,7 @@ def _record_id(rid):
 
 def point_messages(config, sk, rid, coords, rng=None):
     """db-store blob plus one encrypted tuple per coarsity level."""
-    rid = _record_id(rid)
+    rid = record_id(rid)
     coords = validate_point(coords, config.d, config.x_max, label=rid)
     msgs = [store_message(rid, encrypt_record(sk, rid, coords))]
     for level, factor in enumerate(config.factors):
@@ -209,19 +215,13 @@ def insert_point(config, sk, rid, coords, server, rng=None):
 
 
 def delete_point(config, sk, rid, server):
-    reply = _send(server, {"type": "delete", "id": str(rid)})
-    if reply.get("type") != "ack":
-        raise ProtocolError(f"malformed reply from the server: delete got {reply!r}, not an ack")
-    found = reply.get("found")
-    if not isinstance(found, bool):
-        raise ProtocolError(f"malformed reply from the server: found is {found!r}")
-    if not found:
+    if not _send(server, {"type": "delete", "id": str(rid)})["found"]:
         raise NotFoundError(f"record id {rid!r} not present")
 
 
 def update_point(config, sk, rid, coords, server, rng=None):
     """Replace rid's point; a point that fails validation leaves the record."""
-    validate_point(coords, config.d, config.x_max, label=_record_id(rid))
+    validate_point(coords, config.d, config.x_max, label=record_id(rid))
     delete_point(config, sk, rid, server)
     insert_point(config, sk, rid, coords, server, rng=rng)
 
@@ -286,14 +286,9 @@ def _execute(config, sk, server, sphere, plan, col):
     for layer in plan:
         coarse = SphereQuery(coarse_transform(sphere.center, layer.factor), layer.scaled_radius)
         comp = make_sphere_query_component(coarse, config.layout, col)
-        reply = _send(server, query_message(config, sk, comp, layer.index))
-        if reply.get("type") != "result":
-            raise ProtocolError(f"unexpected reply {reply.get('type')!r}")
-        matches = reply.get("matches")
-        if not isinstance(matches, list) or not all(
-            isinstance(m, dict) and isinstance(m.get("id"), str) and isinstance(m.get("blob"), str)
-            for m in matches
-        ):
+        matches = _send(server, query_message(config, sk, comp, layer.index))["matches"]
+        if not all(isinstance(m, dict) and isinstance(m.get("id"), str) and isinstance(m.get("blob"), str)
+                   for m in matches):
             raise ProtocolError("malformed reply from the server: matches are not [{id, blob}] strings")
         for match in matches:
             raw.setdefault(match["id"], match["blob"])

@@ -12,9 +12,10 @@ Wire format: newline-delimited UTF-8 JSON over TCP, binary fields base64.
 _dispatch decodes a line's bytes once, strictly as UTF-8 (RFC 8259, section
 8.1), on the wire and in replay alike: a line holding an invalid byte gets
 an error reply, as below, and fails a replay.  A request holds its "type"
-and exactly that type's _FIELDS.  A query gets {"type": "result", "matches":
-[{id, blob}]}, a delete {"type": "ack", "found": bool} and any other
-request {"type": "ack"}.
+and exactly that type's _FIELDS.  REPLIES gives each type's answer, its
+reply type and fields: a query gets {"type": "result", "matches": [{id,
+blob}]}, a delete {"type": "ack", "found": bool} and any other request
+{"type": "ack"}.  A handler returns the fields, and _dispatch stamps the type.
 
 hello_message is the one hello encoder: the client sends its output, and
 the server acks a first hello only if it is its group's hello_message, then
@@ -147,6 +148,11 @@ _FIELDS = {
     "put_store": {"id": str, "blob": str},
     "delete": {"id": str},
     "query": {"level": int, "slots": list},
+}
+# each request type's reply, error replies aside: its type and its fields' JSON types
+REPLIES = dict.fromkeys(_FIELDS, ("ack", {})) | {
+    "delete": ("ack", {"found": bool}),
+    "query": ("result", {"matches": list}),
 }
 # put_lookup also takes whole SHA-256 digests, as older clients sent them
 _SHA256_BYTES = 32
@@ -465,7 +471,7 @@ class ServerState:
             mtype = _check_fields(msg)
             if self.hello is None and mtype != "hello":
                 raise ProtocolError("no parameters pinned: send hello first")
-            reply = getattr(self, f"_do_{mtype}")(msg)
+            reply = {"type": REPLIES[mtype][0], **getattr(self, f"_do_{mtype}")(msg)}
         except _BAD_INPUT as exc:
             return {"type": "error", "error": str(exc)}
         except OSError as exc:
@@ -499,13 +505,13 @@ class ServerState:
         if self.hello is not None:
             if msg != self.hello:
                 raise ProtocolError("parameter mismatch with pinned hello")
-            return {"type": "ack"}  # changes nothing, so nothing to log
+            return {}  # changes nothing, so nothing to log
         group = group_from_descriptor(dict(msg["backend"], N=msg["N"]))
         if msg != hello_message(group.params.describe(), msg["levels"]):
             raise ProtocolError("hello is not its group's canonical hello_message")
         self._append_log(msg)
         self.group, self.hello = group, msg
-        return {"type": "ack"}
+        return {}
 
     def _do_put_lookup(self, msg):
         digests = [b64d(d) for d in msg["digests"]]
@@ -519,7 +525,7 @@ class ServerState:
             raise ProtocolError(f"a table of v = {msg['v']} holds v + 1 digests, not {len(digests)}")
         self._append_log(msg)
         self.lookup = uniq
-        return {"type": "ack"}
+        return {}
 
     def _do_put_tuple(self, msg):
         level, bucket = self._level(msg)
@@ -535,7 +541,7 @@ class ServerState:
         slots = tuple(read(b64d(s)) for s in msg["slots"])
         self._append_log(msg)
         self.db_query.setdefault(level, {})[rid] = slots
-        return {"type": "ack"}
+        return {}
 
     def _do_put_store(self, msg):
         rid = msg["id"]
@@ -544,17 +550,17 @@ class ServerState:
         blob = b64d(msg["blob"])
         self._append_log(msg)
         self.db_store[rid] = blob
-        return {"type": "ack"}
+        return {}
 
     def _do_delete(self, msg):
         rid = msg["id"]
         if rid not in self.db_store:
-            return {"type": "ack", "found": False}  # changes nothing, so nothing to log
+            return {"found": False}  # changes nothing, so nothing to log
         self._append_log(msg)
         del self.db_store[rid]
         for bucket in self.db_query.values():
             bucket.pop(rid, None)
-        return {"type": "ack", "found": True}
+        return {"found": True}
 
     def _do_query(self, msg):
         level, bucket = self._level(msg)
@@ -562,7 +568,7 @@ class ServerState:
             raise ProtocolError("no lookup table uploaded")
         slots = [self.group.parse(b64d(s)) for s in msg["slots"]]
         if not bucket:
-            return {"type": "result", "matches": []}
+            return {"matches": []}
         # prepare's walk is the slots' order check (see the module docstring)
         prepared = prepare_query(self.group, slots)
         ids = sorted(bucket)
@@ -570,7 +576,7 @@ class ServerState:
         for rid, dig in zip(ids, self._scan([bucket[rid] for rid in ids], prepared)):
             if lookup_contains(self.lookup, dig):
                 matches.append({"id": rid, "blob": b64e(self.db_store[rid])})
-        return {"type": "result", "matches": matches}
+        return {"matches": matches}
 
     def _scan(self, tuples, prepared):
         """ces.scan of the tuples, in order.  The worker takes the last half
@@ -658,9 +664,8 @@ class ServerConnection:
         self._file = self._sock.makefile("rwb")
 
     def request(self, msg):
-        """A reset or a timeout closes the connection and raises
-        ServerUnreachable; a reply that is not a JSON object raises
-        ProtocolError."""
+        """The reply's JSON value.  A reset or a timeout closes the connection
+        and raises ServerUnreachable; a reply that is not JSON raises ProtocolError."""
         data = json.dumps(msg).encode("utf-8") + b"\n"
         try:
             self._file.write(data)
@@ -672,12 +677,9 @@ class ServerConnection:
         if not line:
             raise ServerUnreachable("server closed the connection")
         try:
-            reply = json.loads(line)
+            return json.loads(line)
         except (ValueError, RecursionError) as exc:
             raise ProtocolError(f"malformed reply from the server: {exc}") from None
-        if not isinstance(reply, dict):
-            raise ProtocolError("malformed reply from the server: not a JSON object")
-        return reply
 
     def close(self):
         with contextlib.suppress(OSError):  # the flush of a request the peer never read

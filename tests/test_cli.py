@@ -370,14 +370,22 @@ def test_upload_that_cannot_reach_the_server_records_no_offset(keyfile_pair, tmp
         proc.communicate(timeout=30)
 
 
-def test_insert_checks_its_point_before_connecting(keyfile_pair, capsys):
-    key = keyfile_pair[0]  # offset [1, 0] recorded, x_max 100
+def test_insert_checks_its_point_before_connecting(keyfile_pair, tmp_path, capsys):
+    key, sk, config = keyfile_pair  # offset [1, 0] recorded, x_max 100
+    fresh = tmp_path / "fresh.json"
+    save_keyfile(str(fresh), sk, config)  # no offset recorded, as keygen writes it
+    before = fresh.read_bytes()
     with socket.create_server(("127.0.0.1", 0)) as listener:
         server = f"127.0.0.1:{listener.getsockname()[1]}"
         for point in ("-2,0", "0,101"):
             argv = ["insert", "--key", key, "--id", "a", f"--point={point}", "--server", server]
             assert cli.main(argv) == 1
             assert "outside [0, 100]" in json.loads(capsys.readouterr().err)["reason"]
+        # and its id, so one that is no UTF-8 text records no offset
+        argv = ["insert", "--key", str(fresh), "--id", os.fsdecode(b"\xff"), "--point", "1,2", "--server", server]
+        assert cli.main(argv) == 1
+        assert "is not UTF-8 text" in json.loads(capsys.readouterr().err)["reason"]
+        assert fresh.read_bytes() == before
         listener.setblocking(False)
         with pytest.raises(BlockingIOError):  # no connection is waiting to be accepted
             listener.accept()
@@ -391,7 +399,7 @@ def test_bench_emits_csv():
     assert len(lines) == 1 + 3 + 4  # dim sweep rows + size sweep rows
 
 
-def test_curve_backend_cli_keygen(tmp_path):
+def test_curve_backend_cli_keygen(tmp_path, capsys):
     # keygen writes curveA1 keys only: the insecure transparent backend is
     # not an option
     key = str(tmp_path / "curve.json")
@@ -399,6 +407,8 @@ def test_curve_backend_cli_keygen(tmp_path):
             "--x-max", "30", "--protocol", "t", "--emax", "0", "--out", key]
     out = run_cli(*args, "--backend", "transparent")
     assert out.returncode == 2 and "--backend" in out.stderr and not os.path.exists(key)
+    assert cli.main(["keygen", "--lambda", "2", *args[3:]]) == 3 and not os.path.exists(key)
+    assert "lambda must be at least 3 bits" in json.loads(capsys.readouterr().err)["reason"]
     out = run_cli(*args)
     assert out.returncode == 0
     doc = read_json(key)
@@ -861,9 +871,11 @@ NO_FILE = object()  # a --data path where no file is
         (["setup"], NO_FILE, 1, "No such file"),
         (["setup"], b"id,x1,x2\n\xff,1,2\n", 1, "can't decode byte 0xff"),
         (["setup"], "id,x1,x2\n" + "a" * 131073 + ",1,2\n", 1, "field larger than field limit"),
+        (["insert", "--id", os.fsdecode(b"\xff"), "--point", "1,2"], None, 1, "is not UTF-8 text"),
+        (["setup"], "id,x1,x2\na,1,2.5\n", 1, "row 2 (id 'a'): non-integer coordinate"),
     ],
     ids=["non-integer-point", "header", "short-row", "duplicate-id", "range-without-bounds",
-         "missing-file", "not-utf8", "field-over-csv-limit"],
+         "missing-file", "not-utf8", "field-over-csv-limit", "id-not-utf8", "non-integer-csv"],
 )
 def test_cli_ingestion_rejected(keyfile_pair, tmp_path, capsys, argv, rows, code, reason):
     # each is rejected before connecting, so no server is needed, and the key stays as it was

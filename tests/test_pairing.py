@@ -10,6 +10,7 @@ from shrq.pairing import (
     CURVE_A1,
     TRANSPARENT,
     GElement,
+    GroupParams,
     GTElement,
     group_from_descriptor,
     group_from_primes,
@@ -480,6 +481,8 @@ def test_group_params_validation():
         group_from_primes(5, 5, TRANSPARENT)  # q1 == q2
     with pytest.raises(ConfigError):
         group_from_primes(6, 7, TRANSPARENT)  # composite q1
+    with pytest.raises(ConfigError, match="curveA1 requires p and l"):
+        GroupParams(CURVE_A1, 35, 5, 7)
 
 
 def test_unknown_backend_rejected():

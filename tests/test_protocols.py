@@ -475,7 +475,7 @@ def test_malformed_delete_reply_is_protocol_error(reply, reason):
 @pytest.mark.parametrize(
     "reply, reason",
     [
-        ({"type": "ack"}, "unexpected reply 'ack'"),
+        ({"type": "ack"}, "query got {'type': 'ack'}, not a result"),
         ({"type": "result"}, "malformed reply"),
         ({"type": "result", "matches": 5}, "malformed reply"),
         ({"type": "result", "matches": [5]}, "malformed reply"),
