@@ -8,9 +8,10 @@ null until the key's first upload records it (see cli), and None as
 load_keyfile returns it, so saving a loaded key writes the same bytes.
 It is written through the server module's write_durably, as the state log's
 snapshot is, and its base64 fields are read strictly, as on the wire.
-Loading re-derives s = g^q1, h = u^q2 and A.B = 0 mod q1, and rebuilds the
-deployment through protocols.make_config, as `shrq keygen` builds it, so a
-tampered field fails closed instead of silently corrupting queries.
+Loading re-derives s = g^q1 and h = u^q2, neither the identity, and A.B = 0
+mod q1, and rebuilds the deployment through protocols.make_config, as `shrq
+keygen` builds it, so a tampered field fails closed instead of silently
+corrupting queries.
 """
 
 import json
@@ -87,6 +88,8 @@ def _parse(doc):
         raise KeyfileError("key file inconsistent: s != g^q1")
     if group.pow(u, params.q2) != h:
         raise KeyfileError("key file inconsistent: h != u^q2")
+    if group.is_identity(s) or group.is_identity(h):  # given the two above, s has order q2 and h order q1
+        raise KeyfileError("key file inconsistent: s or h is the identity")
 
     A = [int(a) for a in doc["A"]]
     B = [int(b) for b in doc["B"]]

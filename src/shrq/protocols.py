@@ -41,7 +41,6 @@ from .errors import (
     NotFoundError,
     ProtocolError,
     QueryRejected,
-    SetupError,
 )
 from .geometry import (
     RangeQuery,
@@ -185,15 +184,10 @@ def point_messages(config, sk, rid, coords, rng=None):
 
 
 def setup_messages(config, sk, dataset, rng=None):
-    """The full upload stream: hello, lookup table, then every record."""
+    """The full upload stream: hello, lookup table, then every record (the server refuses a repeated id)."""
     yield hello_message(sk.group.params.describe(), config.levels)
     yield lookup_message(create_lookup_table(sk, config.v))
-    seen = set()
     for rid, coords in dataset:
-        rid = str(rid)
-        if rid in seen:
-            raise SetupError(f"duplicate record id {rid!r} in dataset")
-        seen.add(rid)
         yield from point_messages(config, sk, rid, coords, rng=rng)
 
 

@@ -319,20 +319,21 @@ class ScanWorker:
         finally:
             os._exit(0)
 
-    def send(self, descriptor, prepared, tuples):
-        msg = (descriptor, prepared, [[s.value for s in t] for t in tuples])
+    def split_scan(self, group, prepared, tuples):
+        """ces.scan of n >= 2 tuples, in order: the worker scans the last n // 2
+        while this process scans the rest.  The reply is raw bytes checked by
+        its length, as marshal.loads of a malformed buffer may allocate
+        gigabytes; a fault or a late reply raises one of _WORKER_FAILED."""
+        theirs = len(tuples) // 2
+        msg = (group.params.describe(), prepared, [[s.value for s in t] for t in tuples[-theirs:]])
         self._sock.settimeout(_WORKER_FLOOR_S)
         _send_frame(self._sock, marshal.dumps(msg))
-        self._sent = time.monotonic()  # main scans its own share from here on
-
-    def receive(self, count):
-        """The lookup digests of the count tuples sent.  The reply is raw
-        bytes checked by its length, as marshal.loads of a malformed buffer
-        may allocate gigabytes; a fault or a late reply raises one of _WORKER_FAILED."""
+        start = time.monotonic()
+        ours = scan(group, prepared, tuples[:-theirs])
         now = time.monotonic()
-        deadline = now + _WORKER_FLOOR_S + _WORKER_MULTIPLE * (now - self._sent)
-        joined = _recv_frame(self._sock, count * DIGEST_BYTES, deadline)
-        return [joined[i : i + DIGEST_BYTES] for i in range(0, len(joined), DIGEST_BYTES)]
+        deadline = now + _WORKER_FLOOR_S + _WORKER_MULTIPLE * (now - start)
+        joined = _recv_frame(self._sock, theirs * DIGEST_BYTES, deadline)
+        return ours + [joined[i : i + DIGEST_BYTES] for i in range(0, len(joined), DIGEST_BYTES)]
 
     def close(self):
         """Kill and reap the worker; a second call does nothing."""
@@ -582,11 +583,9 @@ class ServerState:
         """ces.scan of the tuples, in order.  The worker takes the last half
         of the tuples; if it fails, it is closed and this process scans them
         all (see the module docstring)."""
-        theirs = len(tuples) // 2 if self._worker else 0
-        if theirs:
+        if self._worker and len(tuples) > 1:
             try:
-                self._worker.send(self.group.params.describe(), prepared, tuples[-theirs:])
-                return scan(self.group, prepared, tuples[:-theirs]) + self._worker.receive(theirs)
+                return self._worker.split_scan(self.group, prepared, tuples)
             except BaseException as exc:  # any fault, or a reply left unread, ends the worker
                 self._worker.close()
                 self._worker = None

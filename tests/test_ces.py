@@ -19,7 +19,7 @@ from shrq.ces import (
     query_encrypt,
     tuple_encrypt,
 )
-from shrq.errors import ConfigError, NotFoundError, ProtocolError
+from shrq.errors import ConfigError, DataIntegrityError, NotFoundError, ProtocolError
 from shrq.geometry import SphereQuery, make_data_component, make_sphere_query_component
 from shrq.pairing import CURVE_A1, TRANSPARENT, group_from_descriptor, group_from_primes
 from reference import (
@@ -345,6 +345,16 @@ def test_lookup_table_size_and_v0(sk32):
     assert lookup_contains(table, digest(grp, entry))
     assert len(table) == 1
     assert len(create_lookup_table(sk32, 40)) == 41
+
+
+def test_lookup_table_refuses_digests_that_collide(sk32):
+    # alpha = q2 makes the step e(s,s)^alpha the identity, as e(s,s) has order
+    # q2, so every entry is the same.  The check must stay: lookup_message
+    # takes v from the table's size, so a table whose digests collapsed would
+    # pin a smaller v without any error
+    fields = dict(zip(SecretKey.__slots__, sk32._fields()), alpha=sk32.group.params.q2)
+    with pytest.raises(DataIntegrityError, match="digest collision"):
+        create_lookup_table(SecretKey(*fields.values()), 3)
 
 
 def test_lookup_membership_sweep():

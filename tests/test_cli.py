@@ -1,5 +1,7 @@
+import contextlib
 import csv
 import errno
+import functools
 import json
 import os
 import random
@@ -21,7 +23,7 @@ from shrq import ces, cli, protocols as prot
 from shrq.errors import ConfigError, KeyfileError, ProtocolError
 from shrq.geometry import SphereQuery
 from shrq.keyfile import load_keyfile, save_keyfile
-from shrq.pairing import TRANSPARENT, group_from_primes
+from shrq.pairing import CURVE_A1, TRANSPARENT, group_from_primes
 
 CLI = [sys.executable, "-m", "shrq.cli"]
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -38,21 +40,16 @@ def read_json(path):
         return json.load(fh)
 
 
-def free_port():
-    with socket.socket() as s:
-        s.bind(("127.0.0.1", 0))
-        return s.getsockname()[1]
-
-
-def wait_for_port(port, timeout=10.0):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        try:
-            socket.create_connection(("127.0.0.1", port), timeout=0.2).close()
-            return
-        except OSError:
-            time.sleep(0.05)
-    raise RuntimeError("server did not come up")
+def launch_serve(state, stderr=subprocess.PIPE, start_new_session=False):
+    """A `shrq serve` of state on any free port, and the address its first
+    stdout line reports.  It starts with SIGINT at its default disposition,
+    as an interactive shell starts a command, even when this process ignores
+    SIGINT, which a child would otherwise inherit."""
+    proc = subprocess.Popen(CLI + ["serve", "--listen", "127.0.0.1:0", "--state", str(state)],
+                            stdout=subprocess.PIPE, stderr=stderr, text=True, env=ENV,
+                            preexec_fn=functools.partial(signal.signal, signal.SIGINT, signal.SIG_DFL),
+                            start_new_session=start_new_session)
+    return proc, json.loads(proc.stdout.readline())["listening"]
 
 
 @pytest.fixture(scope="module")
@@ -72,19 +69,14 @@ def workspace(tmp_path_factory):
         "--out", key,
     ).returncode == 0
 
-    port = free_port()
-    server = subprocess.Popen(
-        CLI + ["serve", "--listen", f"127.0.0.1:{port}", "--state", str(root / "state")],
-        stdout=subprocess.DEVNULL,
-        stderr=subprocess.DEVNULL,
-        env=ENV,
-    )
-    wait_for_port(port)
-    out = run_cli("setup", "--key", key, "--data", data, "--server", f"127.0.0.1:{port}")
-    assert out.returncode == 0, out.stderr
-    yield {"key": key, "data": data, "server": f"127.0.0.1:{port}"}
-    server.terminate()
-    server.wait(timeout=10)
+    server, address = launch_serve(root / "state", stderr=subprocess.DEVNULL)
+    try:
+        out = run_cli("setup", "--key", key, "--data", data, "--server", address)
+        assert out.returncode == 0, out.stderr
+        yield {"key": key, "data": data, "server": address}
+    finally:
+        server.terminate()
+        server.communicate(timeout=30)
 
 
 def test_query_sphere_matches_oracle(workspace):
@@ -244,18 +236,13 @@ def test_negative_coordinates_get_offset(tmp_path):
     run_cli("keygen", "--lambda", "32", "--d", "1", "--layout", "unified", "--v", "100",
             "--x-max", "50", "--protocol", "t", "--emax", "0",
             "--out", key)
-    port = free_port()
-    server = subprocess.Popen(
-        CLI + ["serve", "--listen", f"127.0.0.1:{port}", "--state", str(tmp_path / "state")],
-        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, env=ENV,
-    )
+    server, address = launch_serve(tmp_path / "state")
     try:
-        wait_for_port(port)
-        out = run_cli("setup", "--key", key, "--data", str(data), "--server", f"127.0.0.1:{port}")
+        out = run_cli("setup", "--key", key, "--data", str(data), "--server", address)
         assert out.returncode == 0
         assert read_json(key)["offset"] == [5]
         out = run_cli("query", "range", "--key", key, "--col", "1", "--lo", "-5", "--hi", "0",
-                      "--server", f"127.0.0.1:{port}")
+                      "--server", address)
         got = sorted(json.loads(line)["id"] for line in out.stdout.splitlines())
         assert got == ["a", "b"]
         coords = {json.loads(line)["id"]: json.loads(line)["coords"] for line in out.stdout.splitlines()}
@@ -263,24 +250,24 @@ def test_negative_coordinates_get_offset(tmp_path):
         # a later set-up on the same server keeps the recorded offset, even
         # when its own rows need none, so a, b and c still read as uploaded
         data.write_text("id,x1\nd,3\ne,40\n")
-        out = run_cli("setup", "--key", key, "--data", str(data), "--server", f"127.0.0.1:{port}")
+        out = run_cli("setup", "--key", key, "--data", str(data), "--server", address)
         assert out.returncode == 0, out.stderr
         assert read_json(key)["offset"] == [5]
         out = run_cli("query", "range", "--key", key, "--col", "1", "--lo", "-5", "--hi", "3",
-                      "--server", f"127.0.0.1:{port}")
+                      "--server", address)
         coords = {json.loads(line)["id"]: json.loads(line)["coords"] for line in out.stdout.splitlines()}
         assert coords == {"a": [-5], "b": [0], "d": [3]}
         # rows that need a larger offset than the recorded one are rejected,
         # and the key file is left as it was
         before = Path(key).read_bytes()
         data.write_text("id,x1\nf,-7\n")
-        out = run_cli("setup", "--key", key, "--data", str(data), "--server", f"127.0.0.1:{port}")
+        out = run_cli("setup", "--key", key, "--data", str(data), "--server", address)
         assert out.returncode == 1
         assert "id 'f' after offset [5]" in out.stderr and "coordinate -2 outside" in out.stderr
         assert Path(key).read_bytes() == before
     finally:
         server.terminate()
-        server.wait(timeout=10)
+        server.communicate(timeout=30)
 
 
 def test_first_upload_fixes_the_offset(tmp_path):
@@ -292,25 +279,20 @@ def test_first_upload_fixes_the_offset(tmp_path):
             "--protocol", "t", "--emax", "0"]
     run_cli("keygen", *args, "--out", str(key))
     assert read_json(key)["offset"] is None
-    port = free_port()
-    server = subprocess.Popen(
-        CLI + ["serve", "--listen", f"127.0.0.1:{port}", "--state", str(tmp_path / "state")],
-        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, env=ENV,
-    )
+    server, address = launch_serve(tmp_path / "state")
     try:
-        wait_for_port(port)
         data.write_text("id,x1\na,0\nb,12\n")
-        out = run_cli("setup", "--key", str(key), "--data", str(data), "--server", f"127.0.0.1:{port}")
+        out = run_cli("setup", "--key", str(key), "--data", str(data), "--server", address)
         assert out.returncode == 0, out.stderr
         assert read_json(key)["offset"] == [0]
         before = key.read_bytes()
         data.write_text("id,x1\nc,-5\n")
-        out = run_cli("setup", "--key", str(key), "--data", str(data), "--server", f"127.0.0.1:{port}")
+        out = run_cli("setup", "--key", str(key), "--data", str(data), "--server", address)
         assert out.returncode == 1 and "coordinate -5 outside" in out.stderr
         assert key.read_bytes() == before
     finally:
         server.terminate()
-        server.wait(timeout=10)
+        server.communicate(timeout=30)
     # an insert records zeros once the server is reached, so one that cannot
     # reach it leaves the key file byte for byte
     other = tmp_path / "other.json"
@@ -351,7 +333,7 @@ def test_upload_that_cannot_reach_the_server_records_no_offset(keyfile_pair, tmp
         assert cli.main([*argv, "--key", str(key), "--server", "127.0.0.1:9"]) == 4
         assert key.read_bytes() == before
     capsys.readouterr()
-    proc, address = _serve_any_port(tmp_path / "state")
+    proc, address = launch_serve(tmp_path / "state")
     try:
         data.write_text("id,x1,x2\nb,-7,2\n")
         key = str(tmp_path / "setup.json")
@@ -421,7 +403,7 @@ def test_serve_needs_a_state_directory(tmp_path):
     # a server that keeps nothing is no option, whatever the environment says
     env = dict(ENV, SHRQ_STATE_DIR=str(tmp_path / "state"))
     for environ in (ENV, env):
-        out = subprocess.run(CLI + ["serve", "--listen", f"127.0.0.1:{free_port()}"],
+        out = subprocess.run(CLI + ["serve", "--listen", "127.0.0.1:0"],
                              capture_output=True, text=True, timeout=30, env=environ)
         assert out.returncode == 2 and "--state" in out.stderr, out.stderr
     assert os.listdir(tmp_path) == []
@@ -481,15 +463,8 @@ def test_serve_start_up_failure_is_a_json_line(tmp_path, case, code, error, reas
 _HELLO = shrq.server.hello_message(group_from_primes(5, 7, TRANSPARENT).params.describe(), 1)
 
 
-def _serve_any_port(state):
-    """A `shrq serve` on port 0, and the address its first stdout line reports."""
-    proc = subprocess.Popen(CLI + ["serve", "--listen", "127.0.0.1:0", "--state", str(state)],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=ENV)
-    return proc, json.loads(proc.stdout.readline())["listening"]
-
-
 def test_serve_reports_the_port_it_bound(tmp_path):
-    proc, address = _serve_any_port(tmp_path / "state")
+    proc, address = launch_serve(tmp_path / "state")
     try:
         host, port = address.rsplit(":", 1)
         assert host == "127.0.0.1" and int(port) > 0
@@ -500,9 +475,28 @@ def test_serve_reports_the_port_it_bound(tmp_path):
         proc.communicate(timeout=30)
 
 
-def test_serve_stops_cleanly_on_ctrl_c(tmp_path):
+@contextlib.contextmanager
+def _sigint(handler):
+    """This process's SIGINT disposition set to handler, and restored after."""
+    old = signal.signal(signal.SIGINT, handler)
+    try:
+        yield
+    finally:
+        signal.signal(signal.SIGINT, old)
+
+
+# this process's own SIGINT disposition as it launches serve: Python's
+# handler, or ignored, as a shell without job control starts a job with `&`
+_LAUNCHED_UNDER = pytest.mark.parametrize(
+    "parent_sigint", [signal.default_int_handler, signal.SIG_IGN], ids=["default", "ignored"]
+)
+
+
+@_LAUNCHED_UNDER
+def test_serve_stops_cleanly_on_ctrl_c(tmp_path, parent_sigint):
     state = tmp_path / "state"
-    proc, address = _serve_any_port(state)
+    with _sigint(parent_sigint):
+        proc, address = launch_serve(state)
     try:
         with shrq.server.connect(address) as conn:
             assert conn.request(_HELLO) == {"type": "ack"}
@@ -555,11 +549,8 @@ def _session(sid):
 
 
 def _serve_in_session(state):
-    """A `shrq serve` on port 0 that leads a session of its own, and its workers."""
-    proc = subprocess.Popen(CLI + ["serve", "--listen", "127.0.0.1:0", "--state", str(state)],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=ENV,
-                            start_new_session=True)
-    json.loads(proc.stdout.readline())  # listening, so the worker is forked
+    """A `shrq serve` that leads a session of its own, and its workers."""
+    proc, _ = launch_serve(state, start_new_session=True)  # listening, so the worker is forked
     workers = _children(proc.pid)
     assert len(workers) == _WORKERS
     return proc, workers
@@ -579,9 +570,11 @@ def test_scan_worker_leaves_with_a_killed_server(tmp_path):
             os.kill(pid, signal.SIGKILL)
 
 
-def test_scan_worker_leaves_with_a_ctrl_c(tmp_path):
+@_LAUNCHED_UNDER
+def test_scan_worker_leaves_with_a_ctrl_c(tmp_path, parent_sigint):
     # Ctrl-C signals the whole foreground process group, the worker included
-    proc, workers = _serve_in_session(tmp_path / "state")
+    with _sigint(parent_sigint):
+        proc, workers = _serve_in_session(tmp_path / "state")
     try:
         os.killpg(proc.pid, signal.SIGINT)
         _, err = proc.communicate(timeout=30)
@@ -855,6 +848,23 @@ def test_keyfile_alpha_multiple_of_q2_rejected(keyfile_pair, tmp_path):
     bad.write_text(json.dumps(doc))
     with pytest.raises(KeyfileError, match="alpha vanishes mod q2"):
         load_keyfile(str(bad))
+
+
+@pytest.mark.parametrize("backend", [TRANSPARENT, CURVE_A1])
+@pytest.mark.parametrize("fields", [("g", "s"), ("u", "h")], ids=["g-and-s", "u-and-h"])
+def test_keyfile_with_an_identity_s_or_h_rejected(tmp_path, backend, fields):
+    # s = g^q1 and h = u^q2 both hold with each side the identity: a key whose
+    # s is the identity loses matches, and one whose h is blinds nothing
+    config = prot.make_config("c", 2, 400, 100, e_max=3, backend=backend)
+    sk, _ = ces.keygen(32, 2, ces.LAYOUT_UNIFIED, 400, 100, backend, rng=random.Random(8))
+    key = tmp_path / "key.json"
+    save_keyfile(str(key), sk, config)
+    doc = read_json(key)
+    for field in fields:
+        doc[field] = shrq.server.b64e(sk.group.canonical_bytes(sk.group.identity_g()))
+    key.write_text(json.dumps(doc))
+    with pytest.raises(KeyfileError, match="s or h is the identity"):
+        load_keyfile(str(key))
 
 
 NO_FILE = object()  # a --data path where no file is

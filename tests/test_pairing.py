@@ -4,6 +4,7 @@ import pytest
 import sympy
 from hypothesis import example, given, settings, strategies as st
 
+import shrq.pairing
 from shrq import ces
 from shrq.errors import ConfigError
 from shrq.pairing import (
@@ -50,6 +51,18 @@ def test_group_gen_random_32bit():
     assert sympy.isprime(q1) and sympy.isprime(q2)  # independent primality oracle
     assert grp.N == q1 * q2
     assert q1.bit_length() == q2.bit_length() == 32
+
+
+def test_is_prime_refuses_a_strong_pseudoprime_to_its_fixed_bases(monkeypatch):
+    # 399165290221 * 798330580441 passes all twelve fixed witnesses, so only
+    # the random rounds refuse it; a first hello's p reaches _is_prime
+    n = 318665857834031151167461
+    assert n == 399165290221 * 798330580441
+    monkeypatch.setattr(shrq.pairing, "_MR_ROUNDS", 0)
+    assert shrq.pairing._is_prime(n)
+    monkeypatch.undo()
+    assert not shrq.pairing._is_prime(n)
+    assert not shrq.pairing._is_prime(0) and not shrq.pairing._is_prime(1)
 
 
 def test_generator_order_filter(toy_transparent):

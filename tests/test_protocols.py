@@ -18,7 +18,6 @@ from shrq.errors import (
     NotFoundError,
     ProtocolError,
     QueryRejected,
-    SetupError,
 )
 from shrq.geometry import (
     Layer,
@@ -78,9 +77,13 @@ def test_setup_layered_uses_base_powers(rng):
 
 
 def test_setup_rejects_duplicate_ids(rng):
+    # the server refuses the repeated id at its put_store and keeps the first record
     config, sk = deployment("t")
-    with pytest.raises(SetupError, match="dup"):
-        list(prot.setup_messages(config, sk, [("dup", (1, 1)), ("dup", (2, 2))], rng=rng))
+    state = ServerState()
+    with pytest.raises(DuplicateIdError, match="dup"):
+        prot.run_setup(config, sk, [("dup", (1, 1)), ("dup", (2, 2))], state, rng=rng)
+    assert list(state.db_store) == ["dup"]
+    assert prot.decrypt_record(sk, "dup", state.db_store["dup"]) == (1, 1)
 
 
 def test_setup_rejects_out_of_domain(rng):
