@@ -176,8 +176,11 @@ def digest(group, t):
 
 
 def scan(group, prepared_query, tuples):
-    """digest(compute()) of each encrypted tuple, in order: a server's scan."""
-    return [digest(group, compute(group, t, prepared_query)) for t in tuples]
+    """digest(compute()) of each encrypted tuple, in order: a server's scan,
+    which Group.pair_products runs over all the tuples at once."""
+    if any(len(slots) != len(prepared_query) for slots in tuples):
+        raise ProtocolError("encrypted tuple/query slot counts differ")
+    return [digest(group, t) for t in group.pair_products(prepared_query, tuples)]
 
 
 def create_lookup_table(sk, v):

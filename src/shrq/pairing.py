@@ -26,7 +26,7 @@ Backends:
     exponentiation), and the final exponentiation uses
     (p^2-1)/N = (p-1)*l, i.e. f -> (conj(f) * f^{-1})^l.
 
-Products of pairings with a fixed argument (Group.prepare, pair_product).
+Products of pairings with a fixed argument (Group.prepare, pair_products).
 The server pairs every stored tuple slot m_i with the same query slot q_i,
 so it wants prod_i e(m_i, q_i) for many m and one fixed q.  Three facts let
 curveA1 do that with a fraction of the work of separate pairings:
@@ -49,12 +49,39 @@ curveA1 do that with a fraction of the work of separate pairings:
     products of pairings", ePrint 2006/172).
 
 The result is the same element of GT as the product of separate pairings,
-so its canonical bytes are identical.  Identity slots contribute 1.  The
-curve's pair(x, y) is the one-slot product, so the package has one Miller
-loop; reference_pair in tests/reference.py is the independent loop the
-tests hold it to.  The transparent backend's prepare() returns the
-exponent, so a prepared slot is plain data (ints, tuples, None) on both
-backends, and its pair_product() is one sum of exponent products mod N.
+so its canonical bytes are identical.  Identity slots contribute 1.
+pair_products takes a query's prepared slots and many tuples of points,
+and pair_product is its one-tuple case.  The curve's pair(x, y) is the
+one-slot product, so the package has one Miller loop; reference_pair in
+tests/reference.py is the independent loop the tests hold it to.  The
+transparent backend's prepare() returns the exponent, so a prepared slot is
+plain data (ints, tuples, None) on both backends, and its pair_product() is
+one sum of exponent products mod N.
+
+Kernel.  Three loops of the curve run in C when they can: decode's order
+check, prepare's walk and pair_products' Miller products.  _kernel.c does
+Montgomery arithmetic over 64-bit limbs (CIOS; Montgomery, Math. Comp. 44,
+1985) and, over it, the walk of the Miller steps by _jac_double's and
+_jac_madd's formulas and branches, and the squaring chain with each
+prepared line evaluated at (-x_m, i*y_m).  prepare builds the lines from
+the walk's points in Python, as before, and the final exponentiation stays
+in Python.  C is given only ints below p that parse has range-checked or
+that prepare has reduced, packed by Python into byte strings whose sizes
+follow from the limb count, the step count, L and the number of tuples; it
+parses no bytes from a peer, and each call writes to its own buffers.
+pair_products packs the query's lines once per call, for all its tuples.
+_kernel.py builds and loads the library on a process's first decode,
+prepare or pairing, which is when this module imports it, so a parse-only
+path (a server's replay) loads neither.  The system cc (-O2 -shared -fPIC)
+builds it into the __pycache__ directory beside this module, under a name
+that carries the source's SHA-256 and sys.implementation.cache_tag; it is
+written to a temporary file of the building process and renamed into
+place, so another process never loads a partial one.  As with bytecode,
+the library is trusted as far as the .py next to it.  Each process tries
+once: with no compiler, a failed build, a directory it cannot write, a
+big-endian host or a p wider than the kernel's limbs, the pure-Python
+loops, which stay as they were, serve instead, with the same results byte
+for byte.
 
 Points and powers.  G has one set of point formulas: the Jacobian doubling
 and mixed addition of an affine point, which invert nothing (Cohen, Miyaji
@@ -254,7 +281,7 @@ class Group:
 
     Each backend defines identity_g, identity_gt, mul, pow, fixed_pow (pow
     of a recurring G base, with the same result), pair, prepare,
-    pair_product, canonical_bytes, parse, decode and _draw,
+    pair_product, pair_products, canonical_bytes, parse, decode and _draw,
     random_generator's candidate.  decode(data) is the G element whose
     canonical bytes are data; any other byte string, a GT encoding among
     them, raises ConfigError.  parse(data) is decode less its order check,
@@ -333,6 +360,10 @@ class TransparentGroup(Group):
         """prod_i pair(points[i], x_i) for prepared[i] = prepare(x_i)."""
         return GTElement(sum(x * m.value for x, m in zip(prepared, points)) % self.N)
 
+    def pair_products(self, prepared, tuples):
+        """pair_product(prepared, points) for each points in tuples."""
+        return [self.pair_product(prepared, points) for points in tuples]
+
     def canonical_bytes(self, x):
         tag = _TAG_GT_TRANSPARENT if isinstance(x, GTElement) else _TAG_G_TRANSPARENT
         return bytes([tag]) + (x.value % self.N).to_bytes(self._width, "big")
@@ -362,6 +393,22 @@ class CurveGroup(Group):
         self._miller_steps = tuple(
             step for bit in bin(params.N)[3:] for step in ((True,) if bit == "0" else (True, False))
         )
+        # the kernel's form of the steps and the field: p, R^2 mod p for
+        # R = 2^(64 * limbs), and -p^-1 mod 2^64, as little-endian limbs
+        self._limbs = (params.p.bit_length() + 63) // 64
+        self._steps = bytes(self._miller_steps)
+        self._field = b"".join(
+            v.to_bytes(8 * self._limbs, "little") for v in (params.p, pow(2, 128 * self._limbs, params.p))
+        ) + (-pow(params.p, -1, 1 << 64) % (1 << 64)).to_bytes(8, "little")
+
+    def _pack(self, values):
+        """The kernel's limbs of ints below p, one after another."""
+        w = 8 * self._limbs
+        return b"".join([v.to_bytes(w, "little") for v in values])
+
+    def _unpack(self, data):
+        w = 8 * self._limbs
+        return [int.from_bytes(data[i : i + w], "little") for i in range(0, len(data), w)]
 
     # -- F_p^2 arithmetic on (a, b) = a + b*i, i^2 = -1 --------------------
     def _fp2_mul(self, u, v):
@@ -428,6 +475,34 @@ class CurveGroup(Group):
             multiples += row
         flat = self._affine_all(multiples)
         return [flat[j : j + _DIGITS] for j in range(0, len(flat), _DIGITS)]
+
+    def _native(self):
+        """The compiled kernel (shrq._kernel), or None for the pure-Python
+        path: none was loaded, or p is wider than it takes."""
+        from . import _kernel
+
+        kernel = _kernel.current()
+        return kernel if kernel is not None and self._limbs <= kernel.max_limbs else None
+
+    def _walk(self, b):
+        """The points of the Miller steps' walk from the affine b, b first, in
+        Jacobian form: the kernel's, or the same steps in Python."""
+        kernel = self._native()
+        if kernel is not None:
+            coords = iter(self._unpack(kernel.walk(self._limbs, self._field, self._pack(b), self._steps)))
+            return list(zip(coords, coords, coords, coords))
+        walk = [b + (1, 0)]
+        for double in self._miller_steps:
+            walk.append(self._jac_double(walk[-1]) if double else self._jac_madd(walk[-1], b))
+        return walk
+
+    def _in_g(self, b):
+        """[N]b is infinity, for an affine b: the last Z of the kernel's walk,
+        or of _jac_mul's."""
+        kernel = self._native()
+        if kernel is not None:
+            return kernel.in_g(self._limbs, self._field, self._pack(b), self._steps)
+        return not self._jac_mul(b, self.N)[2]
 
     def _jac_mul(self, a, k):
         """[k]a in Jacobian form for an affine point a and k >= 0."""
@@ -534,10 +609,7 @@ class CurveGroup(Group):
         decode raises it, unless x is in G."""
         if x.value is None:
             return None
-        p, b = self.p, x.value
-        walk = [b + (1, 0)]
-        for double in self._miller_steps:
-            walk.append(self._jac_double(walk[-1]) if double else self._jac_madd(walk[-1], b))
+        p, walk = self.p, self._walk(x.value)
         if walk[-1][2]:  # Z != 0: [N]x is not infinity
             raise ConfigError(_OUTSIDE_G)
         zinv = self._inverses([pt[2] for pt in walk])
@@ -548,9 +620,43 @@ class CurveGroup(Group):
         return tuple(lines)
 
     def pair_product(self, prepared, points):
-        """prod_i e(points[i], x_i) for prepared[i] = prepare(x_i): the Miller
+        """prod_i e(points[i], x_i) for prepared[i] = prepare(x_i)."""
+        return self.pair_products(prepared, (points,))[0]
+
+    def pair_products(self, prepared, tuples):
+        """pair_product(prepared, points) for each points in tuples: the Miller
         loops of all x_i over one squaring chain, each line evaluated at the
-        distorted point (-x_m, i*y_m), and one final exponentiation."""
+        distorted point (-x_m, i*y_m), and one final exponentiation.  The
+        kernel takes the query's lines packed once for every tuple."""
+        kernel = self._native()
+        if kernel is None:
+            fs = [self._miller(prepared, points) for points in tuples]
+        else:
+            fs = self._kernel_millers(kernel, prepared, tuples)
+        return [self._final_exp(f) for f in fs]
+
+    def _kernel_millers(self, kernel, prepared, tuples):
+        """The kernel's Miller product f of each tuple.  An identity slot or
+        a step without a line (None) packs as zeros that it skips."""
+        slots = [(None,) * len(self._steps) if slot is None else slot for slot in prepared]
+        if any(len(slot) != len(self._steps) for slot in slots):
+            raise ConfigError("prepared lines do not follow the Miller steps")
+        lines = [line for slot in slots for line in slot]
+        coords, active = [], []
+        for points in tuples:
+            for slot, pt in zip(prepared, points, strict=True):
+                on = slot is not None and pt.value is not None
+                coords += pt.value if on else (0, 0)
+                active.append(on)
+        data = kernel.miller(self._limbs, self._field, self._steps, len(prepared),
+                             self._pack([v for line in lines for v in line or (0, 0)]),
+                             bytes([line is not None for line in lines]), len(tuples), self._pack(coords),
+                             bytes(active))
+        fs = iter(self._unpack(data))
+        return list(zip(fs, fs))
+
+    def _miller(self, prepared, points):
+        """pair_products' Miller product f of one tuple, in Python."""
         p = self.p
         active = [
             (lines, pt.value)
@@ -568,7 +674,7 @@ class CurveGroup(Group):
                     # the next reduction mod p covers a as well
                     a = line[0] * xm - line[1]
                     f0, f1 = (f0 * a - f1 * ym) % p, (f0 * ym + f1 * a) % p
-        return self._final_exp((f0, f1))
+        return f0, f1
 
     def canonical_bytes(self, x):
         w = self._width
@@ -596,7 +702,7 @@ class CurveGroup(Group):
 
     def decode(self, data):
         x = self.parse(data)
-        if x.value is not None and self._jac_mul(x.value, self.N)[2]:  # [N]x is not infinity
+        if x.value is not None and not self._in_g(x.value):
             raise ConfigError(_OUTSIDE_G)
         return x
 

@@ -304,6 +304,29 @@ def test_first_upload_fixes_the_offset(tmp_path):
     assert out.returncode == 4 and other.read_bytes() == before
 
 
+def test_setup_whose_hello_is_refused_records_no_offset(tmp_path):
+    # a server pinned by key a refuses key b's hello, so b's first set-up
+    # fails before the offset its rows need (5) is recorded
+    args = ["--lambda", "32", "--d", "1", "--layout", "unified", "--v", "100", "--x-max", "50",
+            "--protocol", "t", "--emax", "0"]
+    key_a, key_b, data = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "pts.csv"
+    run_cli("keygen", *args, "--out", str(key_a))
+    run_cli("keygen", *args, "--out", str(key_b))
+    server, address = launch_serve(tmp_path / "state")
+    try:
+        data.write_text("id,x1\na,1\n")
+        out = run_cli("setup", "--key", str(key_a), "--data", str(data), "--server", address)
+        assert out.returncode == 0, out.stderr
+        before = key_b.read_bytes()
+        data.write_text("id,x1\nb,-5\n")
+        out = run_cli("setup", "--key", str(key_b), "--data", str(data), "--server", address)
+        assert out.returncode == 1 and "pinned hello" in out.stderr, out.stderr
+        assert key_b.read_bytes() == before
+    finally:
+        server.terminate()
+        server.communicate(timeout=30)
+
+
 def test_rejected_setup_leaves_key_unchanged(tmp_path):
     # a is shifted by an offset of 5; b lies outside [0, 50] with or without it
     key = tmp_path / "k.json"

@@ -498,25 +498,26 @@ def test_tuple_without_its_record_is_rejected(deployment, rng):
     assert prot.query_sphere(config, sk, SphereQuery((5, 5), 2), server).ids == {"a"}  # the level still answers
 
 
-def test_compute_call_count_is_store_size(deployment, rng, monkeypatch):
+def test_paired_tuple_count_is_store_size(deployment, rng, monkeypatch):
     config, sk = deployment
     ds = random_dataset(rng, 17)
     server = ServerState()
     fill(config, sk, ds, server, rng)
     comp = make_sphere_query_component(SphereQuery((3, 3), 5), config.layout)
-    calls = []
+    paired = []
 
-    compute = ces.compute
+    group_class = type(sk.group)
+    pair_products = group_class.pair_products
 
-    def counting_compute(*args):
-        calls.append(args)
-        return compute(*args)
+    def counting_pair_products(group, prepared, tuples):
+        paired.extend(tuples)
+        return pair_products(group, prepared, tuples)
 
-    monkeypatch.setattr(ces, "compute", counting_compute)
+    monkeypatch.setattr(group_class, "pair_products", counting_pair_products)
     server.request(prot.query_message(config, sk, comp, 0))
-    assert len(calls) == 17
+    assert len(paired) == 17
     server.request(prot.query_message(config, sk, comp, 1))
-    assert len(calls) == 34
+    assert len(paired) == 34
 
 
 def test_query_reply_deterministic(deployment, rng):
