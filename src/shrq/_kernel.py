@@ -4,6 +4,9 @@ pairing imports this module on a process's first decode, prepare or
 pairing of a curve group, so a process that only parses, as a server's
 replay does, never loads it, ctypes or the library.  pairing's module
 docstring says what runs in C, what C is given and the cache rule.
+Kernel.miller is where a server's scan runs on two CPUs: it splits a call's
+tuples between the calling thread and one helper thread, each with its own
+buffers, as _kernel.c allows.
 """
 
 import os
@@ -60,7 +63,36 @@ class Kernel:
         return bytes(out)
 
     def miller(self, n, field, steps, slots, lines, has_line, tuples, points, active):
-        """Each tuple's Miller product f as (f0, f1) limbs."""
+        """Each tuple's Miller product f as (f0, f1) limbs.  With two tuples or
+        more and more than one CPU to run on, a helper thread takes the tuples
+        from tuples // 2 on while the calling thread takes the rest; the
+        foreign call releases the GIL, so the two run at once."""
+        cut = tuples // 2
+        if not cut or len(os.sched_getaffinity(0)) < 2:
+            return self._millers(n, field, steps, slots, lines, has_line, tuples, points, active)
+        stride = len(points) // tuples  # one tuple's packed points
+        theirs = []  # the helper's output, or the exception it raised
+
+        def helper():
+            try:
+                theirs.append(self._millers(n, field, steps, slots, lines, has_line, tuples - cut,
+                                            points[cut * stride :], active[cut * slots :]))
+            except BaseException as exc:  # re-raised by the caller
+                theirs.append(exc)
+
+        thread = threading.Thread(target=helper, name="shrq-miller")
+        thread.start()
+        try:
+            ours = self._millers(n, field, steps, slots, lines, has_line, cut, points[: cut * stride],
+                                 active[: cut * slots])
+        finally:
+            thread.join()
+        if isinstance(theirs[0], BaseException):
+            raise theirs[0]
+        return ours + theirs[0]
+
+    def _millers(self, n, field, steps, slots, lines, has_line, tuples, points, active):
+        """miller's products of these tuples in one foreign call."""
         scratch = self._buffer((slots * len(steps) + slots) * 2 * n)
         out = self._buffer(tuples * 2 * n)
         self._check(self._miller(n, field, steps, len(steps), slots, lines, has_line, tuples, points,

@@ -3,17 +3,19 @@
 Coordinates may be negative.  A key's first upload fixes its per-column
 offset in the key file: `setup` records the one that lifts the least
 coordinate of each column in its CSV to 0, zeros included, and `insert`
-records zeros, each once the server acks its first message (a set-up's
-hello, an insert's put_store).  Every command shifts by it, points and
-queries in and records out, and by zeros while none is recorded
+records zeros, each once the server acks the key's hello, which every
+upload sends first.  So an insert's hello pins an empty server, as a
+set-up's does, and a server pinned by another key refuses it before
+anything is recorded or stored.  Every command shifts by the offset,
+points and queries in and records out, and by zeros while none is recorded
 (`"offset": null`, as keygen writes it).  The server reads what earlier
 uploads sent with the key's offset, so a recorded offset never changes:
 later rows that fall below 0 under it are rejected.  A key file written
 before keygen wrote null holds zeros, and they count as recorded, so its
 set-ups reject negative rows rather than shift them.  An upload checks
 every id and point before it connects, so one that is rejected, cannot
-reach the server or has its first message refused (a hello under another
-key) leaves the key file byte for byte.
+reach the server or has its hello refused leaves the key file byte for
+byte.
 
 keygen writes curveA1 keys only, and serve needs --state, the directory
 whose log keeps every acknowledged mutation.
@@ -100,27 +102,13 @@ def _emit_records(records, offsets):
         print(json.dumps({"id": rid, "coords": list(_shift(coords, offsets, -1))}))
 
 
-class _SaveOnFirstAck:
-    """A connection that runs save() once, on the first ack it receives."""
-
-    def __init__(self, conn, save):
-        self._conn, self._save = conn, save
-
-    def request(self, msg):
-        reply = self._conn.request(msg)
-        if self._save is not None and isinstance(reply, dict) and reply.get("type") == "ack":
-            self._save, save = None, self._save
-            save()
-        return reply
-
-
 def _upload(args, rows_of, send):
     """The offset rule of setup and insert.  rows_of(d) gives the upload's
     source, its rows (id, raw coords) and the offset a key with none recorded
     takes.  Each row's id and shifted point are checked before connecting,
-    and that offset is saved once the server acks the first message that
-    send(config, sk, dataset, conn) sends (a set-up's hello, an insert's
-    put_store); returns (dataset, send's return)."""
+    the upload opens with the key's hello, and that offset is saved once the
+    hello is acked; then send(config, sk, dataset, conn) runs.  Returns
+    (dataset, send's return)."""
     sk, config, recorded = keyfile.load_keyfile(args.key)
     source, rows, fresh = rows_of(config.d)
     offsets = fresh if recorded is None else recorded  # rows below 0 under it fail here
@@ -128,14 +116,11 @@ def _upload(args, rows_of, send):
     dataset = [(protocols.record_id(rid), geometry.validate_point(
                     _shift(coords, offsets), config.d, config.x_max, f"{source} id {rid!r}{after}"))
                for rid, coords in rows]
-
-    def save():
-        keyfile.save_keyfile(args.key, sk, config, offsets)
-        print(f"recorded coordinate offset {offsets} in {args.key}", file=sys.stderr)
-
     with connect(args.server) as conn:
+        protocols.send_hello(config, sk, conn)
         if recorded is None:
-            conn = _SaveOnFirstAck(conn, save)
+            keyfile.save_keyfile(args.key, sk, config, offsets)
+            print(f"recorded coordinate offset {offsets} in {args.key}", file=sys.stderr)
         return dataset, send(config, sk, dataset, conn)
 
 
@@ -347,7 +332,7 @@ def main(argv=None):
     except ShrqError as exc:
         print(json.dumps({"error": "failed", "reason": str(exc)}), file=sys.stderr)
         return 1
-    except KeyboardInterrupt:  # Ctrl-C: serve's ExitStack has closed the server, its state and worker
+    except KeyboardInterrupt:  # Ctrl-C: serve's ExitStack has closed the server and its state
         return 130
 
 

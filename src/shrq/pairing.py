@@ -70,6 +70,11 @@ that prepare has reduced, packed by Python into byte strings whose sizes
 follow from the limb count, the step count, L and the number of tuples; it
 parses no bytes from a peer, and each call writes to its own buffers.
 pair_products packs the query's lines once per call, for all its tuples.
+When there are two tuples or more and os.sched_getaffinity allows more than
+one CPU, Kernel.miller makes two calls at once: one helper thread takes the
+tuples from n // 2 on while the calling thread takes the rest, as a
+foreign call releases the GIL, and the helper's exception, if any, is raised
+in the caller once both are done.  The pure-Python loops run on one thread.
 _kernel.py builds and loads the library on a process's first decode,
 prepare or pairing, which is when this module imports it, so a parse-only
 path (a server's replay) loads neither.  The system cc (-O2 -shared -fPIC)

@@ -183,6 +183,12 @@ def point_messages(config, sk, rid, coords, rng=None):
     return msgs
 
 
+def send_hello(config, sk, server):
+    """Send the key's hello: an empty server is pinned by it, a server pinned
+    by this key acks it and logs nothing, and one pinned by another refuses it."""
+    _send(server, hello_message(sk.group.params.describe(), config.levels))
+
+
 def setup_messages(config, sk, dataset, rng=None):
     """The full upload stream: hello, lookup table, then every record (the server refuses a repeated id)."""
     yield hello_message(sk.group.params.describe(), config.levels)

@@ -60,31 +60,9 @@ compact from slots that had, and the log is the server's own file.  The
 parse still fails the restart on a slot whose bytes changed on disk, as a
 flipped coordinate bit leaves the curve.
 
-A query's scan is split between two processes when serve may run on more
-than one CPU (os.sched_getaffinity).  serve forks one scan worker
-(ScanWorker) at its start, after the address check and before the state
-opens, so the worker inherits no thread, no log and no listening socket;
-if that fork fails, serve runs without a worker.  For a query over n >= 2
-tuples, the main process parses and prepares the slots as above, so
-prepare's walk stays the order check, and sends the worker the group
-descriptor, the prepared lines and the slot values of the last n // 2
-tuples in sorted-id order.  Both shares run the one scan routine, ces.scan,
-which gives each tuple's DIGEST_BYTES-byte lookup digest: main on its own
-share meanwhile, the worker on its share.  Main then tests every digest of
-both shares against the table.  The two talk over a private socketpair in
-length-prefixed frames, marshal to the worker and raw digests back; a
-prepared line is plain data on both backends, so the frame carries it as it
-is.  The worker sees only what the server already holds: prepared lines and
-tuple coordinates.  handle_line holds the state lock for a whole query, so
-one scan runs at a time, on at most these two processes.  A send waits at
-most _WORKER_FLOOR_S, and the reply at most that plus _WORKER_MULTIPLE times
-main's own share.  If the worker fails in any way (a send error, the end of
-its stream, a reply of the wrong length, a missed deadline, as when SIGSTOP
-stops it), main kills and reaps it, scans every tuple of that query itself
-and answers as without it; it never forks again.  The worker ignores SIGINT
-and leaves through os._exit once it reads the end of its stream, so it goes
-when serve stops, fails to start or is SIGKILLed: serve kills and reaps it
-on its way out, and a killed serve's end closes with its process.
+A query's scan runs in the serving process.  Its parallelism, if any, is
+the compiled kernel's: pairing's Kernel paragraph says how the Miller
+products of a scan's tuples are shared between two threads.
 
 serve always has a state directory; ServerState() keeps nothing and is for
 in-process use only.  Mutations are appended to a write-ahead log and
@@ -97,11 +75,11 @@ there are as durable as the first ack.  If the append fails (a full disk),
 the log is cut back to its length before it, the state is left unchanged
 and the reply is an error; should that cut fail too, the line may stay, as
 after a crash before the ack.  close() waits for the line in hand and closes
-the log and the worker; after it a mutation gets an error reply, and a query
-is answered from memory.  A final log line without its newline was cut by a
-crash before its ack: replay drops it and truncates the log to the last
-newline.  Every other line, a blank one included, takes the wire's path
-(_dispatch), and a line that gets an error reply fails the restart with
+the log; after it a mutation gets an error reply, and a query is answered
+from memory.  A final log line without its newline was cut by a crash
+before its ack: replay drops it and truncates the log to the last newline.
+Every other line, a blank one included, takes the wire's path (_dispatch),
+and a line that gets an error reply fails the restart with
 DataIntegrityError, as do lines that older servers acked and logged: a
 put_tuple without its put_store, and one with an extra or ill-typed field,
 which no compacted log holds, as the snapshot re-encodes every message; a
@@ -124,17 +102,14 @@ still gets its reply, and the next mutation tries the compaction again.
 import base64
 import contextlib
 import json
-import marshal
 import os
 import socket
 import socketserver
-import struct
 import threading
-import time
 
 from .ces import DIGEST_BYTES, HASH_ID, lookup_contains, prepare_query, scan
 from .errors import ConfigError, DataIntegrityError, ProtocolError, ServerUnreachable, ShrqError
-from .pairing import GElement, group_from_descriptor
+from .pairing import group_from_descriptor
 
 _LOG_NAME = "log.jsonl"
 # logged mutations after which the log is rewritten as a snapshot
@@ -156,13 +131,6 @@ REPLIES = dict.fromkeys(_FIELDS, ("ack", {})) | {
 }
 # put_lookup also takes whole SHA-256 digests, as older clients sent them
 _SHA256_BYTES = 32
-# the byte length that leads each frame on the scan worker's socketpair
-_FRAME = struct.Struct(">Q")
-# what a scan worker that failed in any way raises on main's side
-_WORKER_FAILED = (OSError, EOFError, ValueError)
-# a scan worker's send and reply deadlines (see the module docstring)
-_WORKER_FLOOR_S = 5.0
-_WORKER_MULTIPLE = 4
 
 
 def b64e(raw):
@@ -251,107 +219,10 @@ def tuple_message(group, level, rid, slots):
     }
 
 
-def _send_frame(sock, data):
-    sock.sendall(_FRAME.pack(len(data)) + data)
-
-
-def _recv_exactly(sock, size, deadline=None):
-    data = bytearray()
-    while len(data) < size:
-        if deadline is not None:  # a time.monotonic() past which recv raises TimeoutError
-            sock.settimeout(max(deadline - time.monotonic(), 1e-6))
-        chunk = sock.recv(size - len(data))
-        if not chunk:
-            raise EOFError("scan worker socket closed")
-        data += chunk
-    return bytes(data)
-
-
-def _recv_frame(sock, expect=None, deadline=None):
-    """The next frame's bytes; EOFError at the end of the stream, ValueError
-    for a frame of other than expect bytes and TimeoutError past deadline."""
-    (size,) = _FRAME.unpack(_recv_exactly(sock, _FRAME.size, deadline))
-    if expect is not None and size != expect:
-        raise ValueError(f"scan worker frame of {size} bytes, expected {expect}")
-    return _recv_exactly(sock, size, deadline)
-
-
-def _serve_scans(sock):
-    """The scan worker's loop: for each marshal frame (group descriptor,
-    prepared query, tuples of slot values), a frame of the tuples' ces.scan
-    digests.  Returns only by raising, EOFError once main's end is closed."""
-    descriptor = group = None
-    while True:
-        desc, prepared, tuples = marshal.loads(_recv_frame(sock))
-        if desc != descriptor:
-            descriptor, group = desc, group_from_descriptor(desc)
-        _send_frame(sock, b"".join(scan(group, prepared, [tuple(map(GElement, t)) for t in tuples])))
-
-
-class ScanWorker:
-    """Main's end of the forked scan worker (see the module docstring)."""
-
-    def __init__(self, sock, pid):
-        self._sock = sock
-        self.pid = pid
-
-    @classmethod
-    def fork(cls):
-        """Fork the worker.  Returns its handle in the parent; in the child it
-        scans until main's end of the socketpair closes, then leaves through
-        os._exit, never returning.  A failed fork closes both ends first."""
-        ours, theirs = socket.socketpair()
-        try:
-            pid = os.fork()
-        except OSError:
-            ours.close()
-            theirs.close()
-            raise
-        if pid:
-            theirs.close()
-            return cls(ours, pid)
-        try:
-            import signal  # here and in close, not on serve's start-up path
-
-            ours.close()
-            signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C stops main, and main's exit stops this
-            _serve_scans(theirs)
-        finally:
-            os._exit(0)
-
-    def split_scan(self, group, prepared, tuples):
-        """ces.scan of n >= 2 tuples, in order: the worker scans the last n // 2
-        while this process scans the rest.  The reply is raw bytes checked by
-        its length, as marshal.loads of a malformed buffer may allocate
-        gigabytes; a fault or a late reply raises one of _WORKER_FAILED."""
-        theirs = len(tuples) // 2
-        msg = (group.params.describe(), prepared, [[s.value for s in t] for t in tuples[-theirs:]])
-        self._sock.settimeout(_WORKER_FLOOR_S)
-        _send_frame(self._sock, marshal.dumps(msg))
-        start = time.monotonic()
-        ours = scan(group, prepared, tuples[:-theirs])
-        now = time.monotonic()
-        deadline = now + _WORKER_FLOOR_S + _WORKER_MULTIPLE * (now - start)
-        joined = _recv_frame(self._sock, theirs * DIGEST_BYTES, deadline)
-        return ours + [joined[i : i + DIGEST_BYTES] for i in range(0, len(joined), DIGEST_BYTES)]
-
-    def close(self):
-        """Kill and reap the worker; a second call does nothing."""
-        if self.pid is None:
-            return
-        import signal
-
-        self._sock.close()
-        os.kill(self.pid, signal.SIGKILL)
-        os.waitpid(self.pid, 0)
-        self.pid = None
-
-
 class ServerState:
-    """All server-side state plus the message handler; transport-agnostic.
-    A query shares its scan with worker (a ScanWorker), which the state closes."""
+    """All server-side state plus the message handler; transport-agnostic."""
 
-    def __init__(self, state_dir=None, worker=None):
+    def __init__(self, state_dir=None):
         self.hello = None  # the pinned hello message
         self.group = None
         self.lookup = None  # the frozenset of lookup digests
@@ -360,7 +231,6 @@ class ServerState:
         self._mutations_since_compact = 0
         self._log = None
         self._lock = threading.Lock()
-        self._worker = worker
         self._replaying = False  # True in _replay, where put_tuple parses and does not decode
         if state_dir is not None:
             self._log_path = os.path.join(state_dir, _LOG_NAME)
@@ -445,9 +315,6 @@ class ServerState:
         with self._lock:  # waits for the line in hand (see the module docstring)
             if self._log is not None:
                 self._log.close()
-            if self._worker is not None:
-                self._worker.close()
-                self._worker = None
 
     # -- message handling -----------------------------------------------------
     def handle_line(self, line):
@@ -574,24 +441,10 @@ class ServerState:
         prepared = prepare_query(self.group, slots)
         ids = sorted(bucket)
         matches = []
-        for rid, dig in zip(ids, self._scan([bucket[rid] for rid in ids], prepared)):
+        for rid, dig in zip(ids, scan(self.group, prepared, [bucket[rid] for rid in ids])):
             if lookup_contains(self.lookup, dig):
                 matches.append({"id": rid, "blob": b64e(self.db_store[rid])})
         return {"matches": matches}
-
-    def _scan(self, tuples, prepared):
-        """ces.scan of the tuples, in order.  The worker takes the last half
-        of the tuples; if it fails, it is closed and this process scans them
-        all (see the module docstring)."""
-        if self._worker and len(tuples) > 1:
-            try:
-                return self._worker.split_scan(self.group, prepared, tuples)
-            except BaseException as exc:  # any fault, or a reply left unread, ends the worker
-                self._worker.close()
-                self._worker = None
-                if not isinstance(exc, _WORKER_FAILED):
-                    raise
-        return scan(self.group, prepared, tuples)
 
 
 class _Handler(socketserver.StreamRequestHandler):
@@ -627,20 +480,14 @@ def serve(listen, state_dir):
     before the server listens.  Every start-up failure is a ShrqError: a
     ConfigError for a malformed address or a state path that cannot be a
     directory, and a plain ShrqError or DataIntegrityError for a state that
-    does not open or replay, or an address that cannot be bound.  A scan
-    worker that cannot be forked is none: it is only a speed-up.  Once
+    does not open or replay, or an address that cannot be bound.  Once
     bound, and before it serves, it prints one JSON line {"listening":
     "host:port"} to stdout with the port it bound, so a --listen port of 0
     (any free port) can be found."""
     address = _address(listen)
-    with contextlib.ExitStack() as opened:  # closed in reverse: server, state, worker
-        # before the state opens: the worker inherits no thread, log or socket
-        worker = None
-        if len(os.sched_getaffinity(0)) > 1:
-            with contextlib.suppress(OSError):  # a failed fork serves without a worker
-                worker = opened.enter_context(contextlib.closing(ScanWorker.fork()))
+    with contextlib.ExitStack() as opened:  # closed in reverse: server, state
         try:
-            state = opened.enter_context(contextlib.closing(ServerState(state_dir, worker)))
+            state = opened.enter_context(contextlib.closing(ServerState(state_dir)))
         except OSError as exc:  # a log that is a directory, say
             raise ShrqError(f"cannot open the state in {state_dir}: {exc}") from None
         try:

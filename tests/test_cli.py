@@ -12,7 +12,6 @@ import subprocess
 import sys
 import tempfile
 import threading
-import time
 from pathlib import Path
 
 import pytest
@@ -21,7 +20,6 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 import shrq.server
 from shrq import ces, cli, protocols as prot
 from shrq.errors import ConfigError, KeyfileError, ProtocolError
-from shrq.geometry import SphereQuery
 from shrq.keyfile import load_keyfile, save_keyfile
 from shrq.pairing import CURVE_A1, TRANSPARENT, group_from_primes
 
@@ -40,15 +38,14 @@ def read_json(path):
         return json.load(fh)
 
 
-def launch_serve(state, stderr=subprocess.PIPE, start_new_session=False):
+def launch_serve(state, stderr=subprocess.PIPE):
     """A `shrq serve` of state on any free port, and the address its first
     stdout line reports.  It starts with SIGINT at its default disposition,
     as an interactive shell starts a command, even when this process ignores
     SIGINT, which a child would otherwise inherit."""
     proc = subprocess.Popen(CLI + ["serve", "--listen", "127.0.0.1:0", "--state", str(state)],
                             stdout=subprocess.PIPE, stderr=stderr, text=True, env=ENV,
-                            preexec_fn=functools.partial(signal.signal, signal.SIGINT, signal.SIG_DFL),
-                            start_new_session=start_new_session)
+                            preexec_fn=functools.partial(signal.signal, signal.SIGINT, signal.SIG_DFL))
     return proc, json.loads(proc.stdout.readline())["listening"]
 
 
@@ -306,7 +303,8 @@ def test_first_upload_fixes_the_offset(tmp_path):
 
 def test_setup_whose_hello_is_refused_records_no_offset(tmp_path):
     # a server pinned by key a refuses key b's hello, so b's first set-up
-    # fails before the offset its rows need (5) is recorded
+    # fails before the offset its rows need (5) is recorded, and b's first
+    # insert fails before its zeros are recorded or its record is stored
     args = ["--lambda", "32", "--d", "1", "--layout", "unified", "--v", "100", "--x-max", "50",
             "--protocol", "t", "--emax", "0"]
     key_a, key_b, data = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "pts.csv"
@@ -322,9 +320,15 @@ def test_setup_whose_hello_is_refused_records_no_offset(tmp_path):
         out = run_cli("setup", "--key", str(key_b), "--data", str(data), "--server", address)
         assert out.returncode == 1 and "pinned hello" in out.stderr, out.stderr
         assert key_b.read_bytes() == before
+        out = run_cli("insert", "--key", str(key_b), "--id", "x", "--point", "3", "--server", address)
+        assert out.returncode == 1 and "pinned hello" in out.stderr, out.stderr
+        assert key_b.read_bytes() == before
     finally:
         server.terminate()
         server.communicate(timeout=30)
+    held = shrq.server.ServerState(str(tmp_path / "state"))
+    assert set(held.db_store) == {"a"}
+    held.close()
 
 
 def test_rejected_setup_leaves_key_unchanged(tmp_path):
@@ -515,12 +519,18 @@ _LAUNCHED_UNDER = pytest.mark.parametrize(
 )
 
 
+def _children(pid):
+    with open(f"/proc/{pid}/task/{pid}/children") as fh:
+        return [int(child) for child in fh.read().split()]
+
+
 @_LAUNCHED_UNDER
 def test_serve_stops_cleanly_on_ctrl_c(tmp_path, parent_sigint):
     state = tmp_path / "state"
     with _sigint(parent_sigint):
         proc, address = launch_serve(state)
     try:
+        assert _children(proc.pid) == []  # serve forks nothing
         with shrq.server.connect(address) as conn:
             assert conn.request(_HELLO) == {"type": "ack"}
         proc.send_signal(signal.SIGINT)
@@ -532,130 +542,6 @@ def test_serve_stops_cleanly_on_ctrl_c(tmp_path, parent_sigint):
     reopened = shrq.server.ServerState(str(state))
     assert reopened.hello == _HELLO
     reopened.close()
-
-
-# -- the scan worker's lifetime: it never outlives serve -------------------------------
-
-# serve forks one scan worker when it may run on more than one CPU
-_WORKERS = 1 if len(os.sched_getaffinity(0)) > 1 else 0
-
-
-def _children(pid):
-    with open(f"/proc/{pid}/task/{pid}/children") as fh:
-        return [int(child) for child in fh.read().split()]
-
-
-def _stat(pid):
-    """The fields of /proc/<pid>/stat after the command name (state, ppid,
-    pgrp, session, ...), or None once pid is gone."""
-    try:
-        with open(f"/proc/{pid}/stat") as fh:
-            return fh.read().rpartition(")")[2].split()
-    except FileNotFoundError:
-        return None
-
-
-def _live(pid):
-    """pid names a process that is neither gone nor a zombie."""
-    stat = _stat(pid)
-    return stat is not None and stat[0] != "Z"
-
-
-def _session(sid):
-    """The live processes of session sid."""
-    members = []
-    for pid in (int(entry) for entry in os.listdir("/proc") if entry.isdigit()):
-        stat = _stat(pid)
-        if stat is not None and stat[0] != "Z" and int(stat[3]) == sid:
-            members.append(pid)
-    return members
-
-
-def _serve_in_session(state):
-    """A `shrq serve` that leads a session of its own, and its workers."""
-    proc, _ = launch_serve(state, start_new_session=True)  # listening, so the worker is forked
-    workers = _children(proc.pid)
-    assert len(workers) == _WORKERS
-    return proc, workers
-
-
-def test_scan_worker_leaves_with_a_killed_server(tmp_path):
-    proc, workers = _serve_in_session(tmp_path / "state")
-    try:
-        proc.kill()
-        proc.communicate(timeout=30)
-        deadline = time.monotonic() + 2
-        while any(map(_live, workers)) and time.monotonic() < deadline:
-            time.sleep(0.01)
-        assert not any(map(_live, workers))
-    finally:
-        for pid in filter(_live, workers):
-            os.kill(pid, signal.SIGKILL)
-
-
-@_LAUNCHED_UNDER
-def test_scan_worker_leaves_with_a_ctrl_c(tmp_path, parent_sigint):
-    # Ctrl-C signals the whole foreground process group, the worker included
-    with _sigint(parent_sigint):
-        proc, workers = _serve_in_session(tmp_path / "state")
-    try:
-        os.killpg(proc.pid, signal.SIGINT)
-        _, err = proc.communicate(timeout=30)
-    finally:
-        proc.kill()
-        proc.communicate()
-    assert proc.returncode == 130 and "Traceback" not in err, err
-    assert _session(proc.pid) == [] and not any(map(_live, workers))
-
-
-def test_serve_reaps_its_scan_worker_when_it_fails_to_start(tmp_path):
-    # in process: serve's caller lives on, so serve closes the worker itself
-    state = tmp_path / "state"
-    state.write_text("")
-    before = _children(os.getpid())
-    with pytest.raises(ConfigError, match="as the state directory"):
-        shrq.server.serve("127.0.0.1:0", str(state))
-    assert _children(os.getpid()) == before
-
-
-def test_serve_runs_without_a_worker_it_cannot_fork(tmp_path, monkeypatch):
-    # in process, with a fork that fails as it does when no process id is
-    # left (EAGAIN): serve closes both socketpair ends and answers queries
-    # without a worker, as after a worker failure
-    pairs, served = [], []
-    socketpair = socket.socketpair
-
-    def recorded_socketpair():
-        pairs.append(socketpair())
-        return pairs[-1]
-
-    def failed_fork():
-        raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
-
-    def serve_one_query(srv):  # in place of serve_forever: return once answered
-        config = prot.make_config("t", 2, 400, 100, backend=TRANSPARENT)
-        sk, _ = ces.keygen(32, 2, ces.LAYOUT_UNIFIED, 400, 100, TRANSPARENT, rng=random.Random(9))
-        prot.run_setup(config, sk, [("a", (5, 5)), ("b", (9, 9)), ("c", (50, 50))], srv.state)
-        served.append((srv.state._worker, prot.query_sphere(config, sk, SphereQuery((6, 6), 5), srv.state).ids))
-
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    monkeypatch.setattr(socket, "socketpair", recorded_socketpair)
-    monkeypatch.setattr(os, "fork", failed_fork)
-    monkeypatch.setattr(shrq.server.TcpServer, "serve_forever", serve_one_query)
-    shrq.server.serve("127.0.0.1:0", str(tmp_path / "state"))
-    assert served == [(None, {"a", "b"})]
-    assert len(pairs) == 1 and [end.fileno() for end in pairs[0]] == [-1, -1]
-
-
-def test_start_up_failure_leaves_no_scan_worker(tmp_path):
-    state = tmp_path / "state"
-    state.write_text("")
-    proc = subprocess.Popen(CLI + ["serve", "--listen", "127.0.0.1:0", "--state", str(state)],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=ENV,
-                            start_new_session=True)
-    _, err = proc.communicate(timeout=30)
-    assert proc.returncode == 3 and "as the state directory" in err, err
-    assert _session(proc.pid) == []
 
 
 # -- key file consistency ----------------------------------------------------------

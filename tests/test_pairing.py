@@ -670,6 +670,68 @@ def test_threads_load_one_kernel_and_pair_on_their_own_buffers(tmp_path, monkeyp
     assert results == [want] * len(results)
 
 
+@pytest.fixture(scope="module")
+def own_kernel(tmp_path_factory):
+    """A kernel built for this module alone, so its calls can be wrapped."""
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler on PATH")
+    return shrq._kernel.load(str(tmp_path_factory.mktemp("kernel")))
+
+
+def _split_case(count):
+    """The lambda = 64 pool's group, four prepared query slots of G and count
+    tuples of four of its points, cycling through the pool."""
+    grp, points = _PATH_POOLS[2]
+    prepared = tuple(grp.prepare(GElement(pt)) for pt in points[2:6])
+    return grp, prepared, [tuple(GElement(points[(k + j) % len(points)]) for j in range(4)) for k in range(count)]
+
+
+def _miller_threads(monkeypatch, kernel, cpus, fail_off_caller=False):
+    """The thread of each foreign Miller call that kernel makes as this
+    process's kernel, with cpus CPUs reported; a call off the calling thread
+    raises if fail_off_caller."""
+    calls, real, caller = [], kernel._miller, threading.get_ident()
+
+    def recorded(*args):
+        calls.append(threading.get_ident())
+        if fail_off_caller and calls[-1] != caller:
+            raise RuntimeError("the helper's call failed")
+        return real(*args)
+
+    monkeypatch.setattr(kernel, "_miller", recorded)
+    monkeypatch.setattr(shrq._kernel, "_handle", kernel)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    return calls
+
+
+@pytest.mark.parametrize("count", [2, 3, 41])
+def test_two_cpus_split_the_miller_products_across_two_threads(own_kernel, monkeypatch, count):
+    grp, prepared, tuples = _split_case(count)
+    calls = _miller_threads(monkeypatch, own_kernel, cpus=2)
+    split = [grp.canonical_bytes(t) for t in grp.pair_products(prepared, tuples)]
+    assert len(calls) == 2 and len(set(calls)) == 2 and threading.get_ident() in calls
+    monkeypatch.setattr(shrq._kernel, "_handle", None)
+    assert split == [grp.canonical_bytes(t) for t in grp.pair_products(prepared, tuples)]
+
+
+@pytest.mark.parametrize(("cpus", "count"), [(1, 41), (2, 1)])
+def test_one_cpu_or_one_tuple_makes_one_miller_call(own_kernel, monkeypatch, cpus, count):
+    grp, prepared, tuples = _split_case(count)
+    calls = _miller_threads(monkeypatch, own_kernel, cpus)
+    grp.pair_products(prepared, tuples)
+    assert calls == [threading.get_ident()]
+
+
+@pytest.mark.filterwarnings("error::pytest.PytestUnhandledThreadExceptionWarning")
+def test_a_fault_in_the_helpers_call_reaches_the_caller(own_kernel, monkeypatch):
+    grp, prepared, tuples = _split_case(8)
+    calls = _miller_threads(monkeypatch, own_kernel, cpus=2, fail_off_caller=True)
+    before = threading.enumerate()
+    with pytest.raises(RuntimeError, match="the helper's call failed"):
+        grp.pair_products(prepared, tuples)
+    assert len(set(calls)) == 2 and threading.enumerate() == before
+
+
 def _random_curve_points(grp, count, rng):
     """count random points of grp's curve, none of them cleared into G."""
     out = []

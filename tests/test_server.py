@@ -1,12 +1,10 @@
 import errno
 import hashlib
 import json
-import marshal
 import os
 import random
 import runpy
 import shutil
-import signal
 import socket
 import stat
 import struct
@@ -30,7 +28,7 @@ from shrq.pairing import CURVE_A1, TRANSPARENT, CurveGroup, GElement, group_from
 from shrq.geometry import RangeQuery, SphereQuery, make_sphere_query_component
 from shrq.keyfile import load_keyfile, save_keyfile
 from shrq.oracle import hrq_oracle, range_oracle
-from shrq.server import ScanWorker, ServerConnection, ServerState, TcpServer, b64d, b64e, connect, hello_message
+from shrq.server import ServerConnection, ServerState, TcpServer, b64d, b64e, connect, hello_message
 
 
 @pytest.fixture(scope="module")
@@ -1242,218 +1240,31 @@ def test_server_state_machine(deployment, tmp_path, monkeypatch):
     )
 
 
-# -- the split scan: a forked worker pairs the last half of each query's tuples -------
-
-_SLOT_EXPONENTS = st.lists(st.integers(0, 3), min_size=3, max_size=3)  # 0 is the identity
-_SCAN_OPS = st.lists(
-    st.tuples(st.sampled_from(["insert", "update", "delete", "outside G"]), st.sampled_from("abcdefg"),
-              _SLOT_EXPONENTS, _SLOT_EXPONENTS),
-    max_size=10,
-)
-
-
-def _scan_group(kind, request):
-    """A group and an element of order N in it."""
-    if kind == "curveA1":
-        sk = request.getfixturevalue("curve_deployment")[1]
-        return sk.group, sk.g
-    group = request.getfixturevalue(f"toy_{kind}")
-    return group, group.random_generator(random.Random(5))
-
-
-def _outside_g_slot(group):
-    """A query slot that is no element of G: for a curve, a point off the
-    order-N subgroup; for the transparent group, whose exponents below N are
-    all in G, the exponent N."""
-    if isinstance(group, CurveGroup):
-        return _off_g_slot(group, "order 2")
-    ident = group.canonical_bytes(group.identity_g())
-    return b64e(ident[:1] + group.N.to_bytes(len(ident) - 1, "big"))
-
-
-@pytest.mark.parametrize("kind", ["transparent", "curve", "curveA1"])
-def test_split_scan_answers_as_the_serial_scan(kind, request):
-    # the same lines to a state with a worker and one without: every reply is
-    # the same line, and the worker is never given up
-    group, g = _scan_group(kind, request)
-    gt = group.pair(g, g)
-    table = frozenset(ces.digest(group, group.pow(gt, k)) for k in range(7))
-    setup = [hello_message(group.params.describe(), 1), shrq.server.lookup_message(table)]
-
-    def slots(exponents):
-        return [group.pow(g, a) for a in exponents]
-
-    def query(exponents):
-        return {"type": "query", "level": 0, "slots": [b64e(group.canonical_bytes(s)) for s in slots(exponents)]}
-
-    off = _outside_g_slot(group)
-    sizes = set()  # tuples scanned per query
-    worker = ScanWorker.fork()
-    try:
-        @settings(max_examples=100, derandomize=True, database=None, deadline=None,
-                  suppress_health_check=[HealthCheck.too_slow])
-        @given(_SCAN_OPS)
-        def run(ops):
-            serial, split = ServerState(), ServerState(worker=worker)
-            lines = [*setup, query([1, 1, 1])]
-            for op, rid, exponents, asked in ops:
-                if op in ("update", "delete"):
-                    lines.append({"type": "delete", "id": rid})
-                if op in ("insert", "update"):
-                    lines.append(shrq.server.store_message(rid, rid.encode()))
-                    lines.append(shrq.server.tuple_message(group, 0, rid, slots(exponents)))
-                if op == "outside G":
-                    lines.append(dict(query(asked), slots=[off] + query(asked)["slots"][1:]))
-                lines.append(query(asked))
-            for msg in lines:
-                line = json.dumps(msg)
-                reply = split.handle_line(line)
-                assert reply == serial.handle_line(line)
-                if msg["type"] == "query":
-                    n = len(split.db_query.get(0, {}))
-                    sizes.add(n)
-                    if msg["slots"][0] != off:
-                        assert json.loads(reply)["type"] == "result"
-                    elif n:  # an empty level prepares no slot, so it checks none
-                        assert json.loads(reply)["type"] == "error"
-            assert split._worker is worker
-
-        run()
-    finally:
-        worker.close()
-    assert {0, 1, 2} <= sizes and any(n % 2 for n in sizes - {1})
-
-
-def _count_forks(monkeypatch):
-    forks = []
-    fork = os.fork
-
-    def counted():
-        forks.append(os.getpid())
-        return fork()
-
-    monkeypatch.setattr(os, "fork", counted)
-    return forks
-
-
-def _stub_worker(reply, linger=0):
-    """A forked stand-in for the scan worker: it reads one request, writes
-    the raw bytes reply and exits linger seconds later."""
-    ours, theirs = socket.socketpair()
-    pid = os.fork()
-    if pid == 0:
-        try:
-            ours.close()
-            shrq.server._recv_frame(theirs)
-            theirs.sendall(reply)
-            time.sleep(linger)
-        finally:
-            os._exit(0)
-    theirs.close()
-    return ScanWorker(ours, pid)
-
-
-def _framed(data):
-    return shrq.server._FRAME.pack(len(data)) + data
-
-
-@pytest.mark.parametrize("fault", ["killed", "wrong count", "not digests", "torn", "silent"])
-def test_failed_scan_worker_falls_back_to_the_serial_scan(curve_deployment, rng, monkeypatch, fault):
-    # the query that meets the fault is answered right and without an error
-    # reply, and later queries scan here, with no second fork; a worker that
-    # never replies costs its query the deadline, not the 5 s it lingers
-    config, sk = curve_deployment
-    forks = _count_forks(monkeypatch)
-    if fault == "killed":
-        worker = ScanWorker.fork()
-    elif fault == "wrong count":
-        worker = _stub_worker(_framed(bytes(ces.DIGEST_BYTES)))
-    elif fault == "not digests":
-        worker = _stub_worker(_framed(marshal.dumps(bytes(3 * ces.DIGEST_BYTES))))
-    elif fault == "torn":  # a frame that promises more bytes than come before the end of the stream
-        worker = _stub_worker(_framed(bytes(3 * ces.DIGEST_BYTES))[:-1])
-    else:
-        monkeypatch.setattr(shrq.server, "_WORKER_FLOOR_S", 0.2)
-        worker = _stub_worker(b"", linger=5)
-    state = ServerState(worker=worker)
-    try:
-        ds = [(str(i), (10 + i, 10 + 2 * i)) for i in range(7)]
-        fill(config, sk, ds, state, rng)
-        if fault == "killed":
-            os.kill(worker.pid, signal.SIGKILL)
-        for q in (SphereQuery((12, 14), 5), SphereQuery((14, 20), 9), SphereQuery((60, 60), 3)):
-            start = time.monotonic()
-            assert prot.query_sphere(config, sk, q, state).ids == hrq_oracle(ds, q)
-            assert time.monotonic() - start < 2
-            assert state._worker is None and worker.pid is None  # closed and reaped
-    finally:
-        worker.close()
-    assert len(forks) == 1
-
-
-def test_scan_fault_outside_the_workers_is_raised_and_ends_the_worker(curve_deployment, rng, monkeypatch):
-    # an exception on main's own share that is no worker failure closes and
-    # reaps the worker and reaches the caller; the next query scans here
-    # and answers as a state that never had a worker
-    config, sk = curve_deployment
-    worker = ScanWorker.fork()  # before the patch, so the worker scans as ever
-    state, serial = ServerState(worker=worker), ServerState()
-    real, shares = shrq.server.scan, []
-
-    def scan_failing_once(group, prepared, tuples):
-        shares.append(len(tuples))
-        if len(shares) == 1:
-            raise RuntimeError("main's share failed")
-        return real(group, prepared, tuples)
-
-    monkeypatch.setattr(shrq.server, "scan", scan_failing_once)
-    try:
-        ds = [(str(i), (10 + i, 10 + 2 * i)) for i in range(4)]
-        for msg in prot.setup_messages(config, sk, ds, rng=rng):
-            assert state.request(msg) == serial.request(msg) == {"type": "ack"}
-        comp = make_sphere_query_component(SphereQuery((12, 14), 5), config.layout)
-        line = json.dumps(prot.query_message(config, sk, comp, 0))
-        with pytest.raises(RuntimeError, match="main's share failed"):
-            state.handle_line(line)
-        assert state._worker is None and worker.pid is None  # closed and reaped
-        reply = state.handle_line(line)
-        assert reply == serial.handle_line(line)
-        assert {m["id"] for m in json.loads(reply)["matches"]} == hrq_oracle(ds, SphereQuery((12, 14), 5))
-        assert shares == [2, 4, 4]  # main's half, then each state's serial scan
-    finally:
-        worker.close()
-
-
 def test_closed_state_refuses_every_mutation(curve_deployment, rng, tmp_path, open_state):
-    # close() waits for the line in hand and closes the log and the worker;
-    # after it every mutation gets one error reply and changes nothing, a
-    # query is still answered, and a restart holds what was acked before
+    # close() waits for the line in hand and closes the log; after it every
+    # mutation gets one error reply and changes nothing, a query is still
+    # answered, and a restart holds what was acked before
     config, sk = curve_deployment
-    worker = ScanWorker.fork()
-    state = ServerState(str(tmp_path), worker=worker)
-    try:
-        ds = [("a", (10, 10)), ("b", (12, 11)), ("c", (60, 60))]
-        fill(config, sk, ds, state, rng)
-        store, tup = prot.point_messages(config, sk, "d", (11, 11), rng=rng)[:2]
-        assert state.request(store) == {"type": "ack"}  # so its put_tuple passes every check
-        with state._lock:
-            closing = threading.Thread(target=state.close)
-            closing.start()
-            closing.join(0.2)
-            assert closing.is_alive()  # it waits for the lock
-        closing.join(5)
-        assert state._worker is None and worker.pid is None
-        before, log = state.snapshot_messages(), (tmp_path / "log.jsonl").read_bytes()
-        lookup = next(m for m in before if m["type"] == "put_lookup")
-        for msg in (dict(store, id="e"), tup, {"type": "delete", "id": "a"}, lookup):
-            assert state.request(msg) == {"type": "error", "error": "the state is closed"}
-        q = SphereQuery((11, 11), 3)
-        assert prot.query_sphere(config, sk, q, state).ids == {"a", "b"}
-        state.compact()
-        state.close()  # a second close does nothing
-        assert state.snapshot_messages() == before and (tmp_path / "log.jsonl").read_bytes() == log
-    finally:
-        worker.close()
+    state = ServerState(str(tmp_path))
+    ds = [("a", (10, 10)), ("b", (12, 11)), ("c", (60, 60))]
+    fill(config, sk, ds, state, rng)
+    store, tup = prot.point_messages(config, sk, "d", (11, 11), rng=rng)[:2]
+    assert state.request(store) == {"type": "ack"}  # so its put_tuple passes every check
+    with state._lock:
+        closing = threading.Thread(target=state.close)
+        closing.start()
+        closing.join(0.2)
+        assert closing.is_alive()  # it waits for the lock
+    closing.join(5)
+    before, log = state.snapshot_messages(), (tmp_path / "log.jsonl").read_bytes()
+    lookup = next(m for m in before if m["type"] == "put_lookup")
+    for msg in (dict(store, id="e"), tup, {"type": "delete", "id": "a"}, lookup):
+        assert state.request(msg) == {"type": "error", "error": "the state is closed"}
+    q = SphereQuery((11, 11), 3)
+    assert prot.query_sphere(config, sk, q, state).ids == {"a", "b"}
+    state.compact()
+    state.close()  # a second close does nothing
+    assert state.snapshot_messages() == before and (tmp_path / "log.jsonl").read_bytes() == log
     assert open_state(tmp_path).snapshot_messages() == before
 
 
@@ -1632,7 +1443,7 @@ def test_server_imports_no_client_crypto():
 def test_cli_imports_only_the_server():
     """`shrq serve` loads only the server: the CLI module loads no client
     module (protocols, keyfile, geometry, oracle, bench), no AES-GCM, no
-    process pool (the scan worker is a bare fork) and neither dataclasses
+    process pool (a scan's helper is a bare thread) and neither dataclasses
     nor inspect, counted against what a bare interpreter's site loads."""
     loaded = _modules_loaded_by("shrq.cli")
     server = ["shrq", "shrq.ces", "shrq.cli", "shrq.errors", "shrq.pairing", "shrq.server"]
