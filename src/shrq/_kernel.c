@@ -2,28 +2,40 @@
  *
  * An element of F_p is n little-endian 64-bit limbs, n <= MAX_LIMBS, kept
  * in Montgomery form a*R mod p with R = 2^(64n); products are CIOS
- * (Koc, Acar & Kaliski, IEEE Micro 16(3), 1996).  Every input is a byte
+ * (Koc, Acar & Kaliski, IEEE Micro 16(3), 1996), and an inversion is
+ * Fermat's a^(p-2), once per call: many values are inverted by one
+ * inversion of their product (Montgomery's trick).  Every input is a byte
  * string of limbs in normal form, read with memcpy, and every output is
  * written in normal form.  The field arrives as p, R^2 mod p and
  * -p^-1 mod 2^64, in that order.
  *
- *   shrq_walk   the Jacobian walk of prepare and decode: from the affine
- *               point b, a doubling per nonzero step byte and a mixed
- *               addition of b per zero one, by the formulas and branches
- *               of CurveGroup._jac_double and _jac_madd.  It stores every
- *               point it reaches as (X, Y, Z, n) when walk is not NULL, and
- *               returns 1 if the last Z is 0, else 0.
- *   shrq_miller the Miller product of pair_products: per tuple, one
- *               squaring chain with every active slot's prepared line
- *               (lam, c) evaluated at its distorted point (-x, i*y), before
- *               the final exponentiation.  It writes f = f0 + f1*i per
- *               tuple.
+ *   shrq_walk    decode's order check: the Jacobian walk from the affine
+ *                point, a doubling per nonzero step byte and a mixed
+ *                addition of the point per zero one, by the formulas and
+ *                branches of CurveGroup._jac_double and _jac_madd.  It
+ *                returns 1 if the last Z is 0, else 0.
+ *   shrq_prepare prepare: the same walk, its order check, then every
+ *                step's line y = lam*x + c, from the walk's points made
+ *                affine by one inversion.  It writes a prepared slot, the
+ *                format CurveGroup.prepare gives: per step lam and c
+ *                ((0, 0) for a step from or to infinity), then one flag
+ *                byte per step, 1 where the step has a line.  It returns 1,
+ *                or 0, writing no slot, if the point is outside G.
+ *   shrq_miller  pair_products: per tuple, one squaring chain with every
+ *                active slot's line evaluated at its distorted point
+ *                (-x, i*y), giving f = f0 + f1*i, then the final
+ *                exponentiation (conj(f)/f)^l = (conj(f)^2 / N(f))^l, with
+ *                the norms N(f) = f0^2 + f1^2 of all the call's tuples
+ *                inverted at once.  It writes each tuple's GT element
+ *                (a, b) and returns 0, or returns 1, its output unfinished,
+ *                if some f is 0 (a line that vanishes at a tuple point).
  *
- * Both return -1, and write nothing, for n outside 1..MAX_LIMBS, which
+ * All return -1, and write nothing, for n outside 1..MAX_LIMBS, which
  * shrq_max_limbs gives.  The caller sizes every array from n, the step
- * count, the slot count and the tuple count, and passes only ints below p;
- * nothing here parses bytes from a peer.  Nothing is static but code, so
- * calls on separate buffers may run at once.
+ * count, the slot count and the tuple count, as the comments on the entry
+ * points below say, and passes only ints below p (a prepared slot's lines
+ * and flags may be any bytes); nothing here parses bytes from a peer.
+ * Nothing is static but code, so calls on separate buffers may run at once.
  */
 
 #include <stddef.h>
@@ -160,10 +172,64 @@ static void load(int n, const field *f, uint64_t *r, const unsigned char *src)
     mul(n, f, r, r, f->r2);
 }
 
-/* the normal form of a, to dst */
-static void store(int n, const field *f, uint64_t *dst, const uint64_t *a)
+/* the normal form of a, to the n limbs at dst */
+static void store(int n, const field *f, void *dst, const uint64_t *a)
 {
-    mul(n, f, dst, a, f->unit);
+    uint64_t t[MAX_LIMBS];
+    mul(n, f, t, a, f->unit);
+    memcpy(dst, t, sizeof(uint64_t) * n);
+}
+
+/* the bit length of the n limbs at e */
+static int bit_length(int n, const uint64_t *e)
+{
+    for (int j = n - 1; j >= 0; j--)
+        if (e[j])
+            return 64 * j + 64 - __builtin_clzll(e[j]);
+    return 0;
+}
+
+/* 1/a = a^(p-2) for a nonzero a (Fermat); r may alias a */
+static void invert(int n, const field *f, uint64_t *r, const uint64_t *a)
+{
+    uint64_t e[MAX_LIMBS], out[MAX_LIMBS], borrow = 2;
+    for (int j = 0; j < n; j++) { /* e = p - 2 */
+        e[j] = f->p[j] - borrow;
+        borrow = f->p[j] < borrow;
+    }
+    memcpy(out, f->one, sizeof(uint64_t) * n);
+    for (int i = bit_length(n, e) - 1; i >= 0; i--) {
+        mul(n, f, out, out, out);
+        if (e[i / 64] >> (i % 64) & 1)
+            mul(n, f, out, out, a);
+    }
+    memcpy(r, out, sizeof(uint64_t) * n);
+}
+
+/* out[k] = 1/a[k] for count values a[k], stride limbs apart, and 0 where
+   a[k] is 0, by one inversion of their product (Montgomery's trick) */
+static void invert_all(int n, const field *f, const uint64_t *a, size_t stride, int count,
+                       uint64_t *out)
+{
+    size_t w = sizeof(uint64_t) * n;
+    uint64_t acc[MAX_LIMBS];
+    memcpy(acc, f->one, w);
+    for (int k = 0; k < count; k++) { /* out[k]: the product of the nonzero a before a[k] */
+        memcpy(out + (size_t)k * n, acc, w);
+        if (!is_zero(n, a + k * stride))
+            mul(n, f, acc, acc, a + k * stride);
+    }
+    invert(n, f, acc, acc);
+    for (int k = count - 1; k >= 0; k--) {
+        const uint64_t *ak = a + k * stride;
+        uint64_t *ok = out + (size_t)k * n;
+        if (is_zero(n, ak)) {
+            memset(ok, 0, w);
+            continue;
+        }
+        mul(n, f, ok, acc, ok);
+        mul(n, f, acc, acc, ak);
+    }
 }
 
 /* 2a by dbl-1998-cmo-2 (curve coefficient 1), slope numerator M */
@@ -246,78 +312,180 @@ static void jac_madd(int n, const field *f, jac *out, const jac *a, const uint64
     memcpy(out->m, r, w);
 }
 
-static void store_point(int n, const field *f, uint64_t *dst, const jac *a)
+/* the walk from the affine (bx, by) over the steps; every point it reaches,
+   (bx, by) first, to points as (X, Y, Z, M) when points is not NULL; 1 if
+   the last Z is 0, else 0 */
+static int walk_n(int n, const field *f, const uint64_t *bx, const uint64_t *by,
+                  const unsigned char *steps, int nsteps, uint64_t *points)
 {
-    store(n, f, dst, a->x);
-    store(n, f, dst + n, a->y);
-    store(n, f, dst + 2 * n, a->z);
-    store(n, f, dst + 3 * n, a->m);
+    size_t w = sizeof(uint64_t) * n;
+    jac pt;
+    memcpy(pt.x, bx, w);
+    memcpy(pt.y, by, w);
+    memcpy(pt.z, f->one, w);
+    memset(pt.m, 0, w);
+    for (int k = 0;; k++) {
+        if (points) {
+            uint64_t *dst = points + (size_t)k * 4 * n;
+            memcpy(dst, pt.x, w);
+            memcpy(dst + n, pt.y, w);
+            memcpy(dst + 2 * n, pt.z, w);
+            memcpy(dst + 3 * n, pt.m, w);
+        }
+        if (k == nsteps)
+            return is_zero(n, pt.z);
+        if (steps[k])
+            jac_double(n, f, &pt, &pt);
+        else
+            jac_madd(n, f, &pt, &pt, bx, by);
+    }
 }
 
-static int walk_n(int n, const unsigned char *fieldbytes, const unsigned char *point,
-                  const unsigned char *steps, int nsteps, uint64_t *walk)
+static void load_point(int n, const field *f, uint64_t *bx, uint64_t *by,
+                       const unsigned char *point)
+{
+    load(n, f, bx, point);
+    load(n, f, by, point + sizeof(uint64_t) * n);
+}
+
+static int prepare_n(int n, const unsigned char *fieldbytes, const unsigned char *point,
+                     const unsigned char *steps, int nsteps, uint64_t *scratch,
+                     unsigned char *slot)
 {
     field f;
     load_field(n, &f, fieldbytes);
     uint64_t bx[MAX_LIMBS], by[MAX_LIMBS];
-    load(n, &f, bx, point);
-    load(n, &f, by, point + sizeof(uint64_t) * n);
-    jac pt;
-    memcpy(pt.x, bx, sizeof(uint64_t) * n);
-    memcpy(pt.y, by, sizeof(uint64_t) * n);
-    memcpy(pt.z, f.one, sizeof(uint64_t) * n);
-    memset(pt.m, 0, sizeof(uint64_t) * n);
-    if (walk)
-        store_point(n, &f, walk, &pt);
+    load_point(n, &f, bx, by, point);
+    uint64_t *points = scratch, *zinv = scratch + (size_t)(nsteps + 1) * 4 * n;
+    if (!walk_n(n, &f, bx, by, steps, nsteps, points))
+        return 0;
+    invert_all(n, &f, points + 2 * n, 4 * (size_t)n, nsteps + 1, zinv);
+    size_t w = sizeof(uint64_t) * n;
+    unsigned char *flags = slot + (size_t)nsteps * 2 * w;
     for (int k = 0; k < nsteps; k++) {
-        if (steps[k])
-            jac_double(n, &f, &pt, &pt);
-        else
-            jac_madd(n, &f, &pt, &pt, bx, by);
-        if (walk)
-            store_point(n, &f, walk + (size_t)(k + 1) * 4 * n, &pt);
+        /* the step from (X, Y, Z) to a point whose slope is M/Z3: lam = M/Z3
+           and c = y - lam*x = (Y/Z - lam*X)/Z^2 */
+        const uint64_t *from = points + (size_t)k * 4 * n, *to = from + 4 * n;
+        const uint64_t *zi = zinv + (size_t)k * n, *zi3 = zi + n;
+        unsigned char *line = slot + (size_t)k * 2 * w;
+        flags[k] = !is_zero(n, from + 2 * n) && !is_zero(n, to + 2 * n);
+        if (!flags[k]) {
+            memset(line, 0, 2 * w);
+            continue;
+        }
+        uint64_t lam[MAX_LIMBS], c[MAX_LIMBS], t[MAX_LIMBS];
+        mul(n, &f, lam, to + 3 * n, zi3);
+        mul(n, &f, t, from + n, zi);
+        mul(n, &f, c, lam, from);
+        sub(n, &f, c, t, c);
+        mul(n, &f, t, zi, zi);
+        mul(n, &f, c, c, t);
+        store(n, &f, line, lam);
+        store(n, &f, line + w, c);
     }
-    return is_zero(n, pt.z);
+    return 1;
 }
 
-static void miller_n(int n, const unsigned char *fieldbytes, const unsigned char *steps,
-                     int nsteps, int slots, const unsigned char *lines,
-                     const unsigned char *has_line, int tuples, const unsigned char *points,
-                     const unsigned char *active, uint64_t *scratch, uint64_t *out)
+/* r = a^2 in F_p^2, as (a0 + a1)(a0 - a1) + 2*a0*a1*i; r may alias a */
+static void fp2_square(int n, const field *f, uint64_t *r0, uint64_t *r1, const uint64_t *a0,
+                       const uint64_t *a1)
+{
+    uint64_t s[MAX_LIMBS], d[MAX_LIMBS];
+    add(n, f, s, a0, a1);
+    sub(n, f, d, a0, a1);
+    mul(n, f, r1, a0, a1);
+    add(n, f, r1, r1, r1);
+    mul(n, f, r0, s, d);
+}
+
+/* r = a*b in F_p^2 by three products; r may alias a or b */
+static void fp2_mul(int n, const field *f, uint64_t *r0, uint64_t *r1, const uint64_t *a0,
+                    const uint64_t *a1, const uint64_t *b0, const uint64_t *b1)
+{
+    uint64_t t0[MAX_LIMBS], t1[MAX_LIMBS], s[MAX_LIMBS], u[MAX_LIMBS];
+    mul(n, f, t0, a0, b0);
+    mul(n, f, t1, a1, b1);
+    add(n, f, s, a0, a1);
+    add(n, f, u, b0, b1);
+    mul(n, f, s, s, u);
+    sub(n, f, r0, t0, t1);
+    sub(n, f, s, s, t0);
+    sub(n, f, r1, s, t1);
+}
+
+/* the final exponentiation of the tuples' f, Montgomery form at out as
+   (f0, f1) each, into their GT elements' normal form at out, with norms
+   2 * tuples * n limbs of scratch; 1, out unfinished, if some f is 0 */
+static int final_exps(int n, const field *f, const uint64_t *l, int tuples, uint64_t *norms,
+                      uint64_t *out)
+{
+    uint64_t *inverse = norms + (size_t)tuples * n, t[MAX_LIMBS], zero[MAX_LIMBS] = {0};
+    for (int i = 0; i < tuples; i++) {
+        const uint64_t *f0 = out + (size_t)i * 2 * n, *f1 = f0 + n;
+        uint64_t *norm = norms + (size_t)i * n;
+        mul(n, f, norm, f0, f0);
+        mul(n, f, t, f1, f1);
+        add(n, f, norm, norm, t);
+        if (is_zero(n, norm)) /* N(f) = 0 only for f = 0, as -1 is no square mod p */
+            return 1;
+    }
+    invert_all(n, f, norms, n, tuples, inverse);
+    int bits = bit_length(n, l);
+    for (int i = 0; i < tuples; i++) {
+        uint64_t *f0 = out + (size_t)i * 2 * n, *f1 = f0 + n;
+        const uint64_t *ni = inverse + (size_t)i * n;
+        uint64_t g0[MAX_LIMBS], g1[MAX_LIMBS], h0[MAX_LIMBS], h1[MAX_LIMBS];
+        fp2_square(n, f, g0, g1, f0, f1); /* conj(f)^2 / N(f) = (f0^2 - f1^2, -2*f0*f1) / N(f) */
+        mul(n, f, g0, g0, ni);
+        mul(n, f, g1, g1, ni);
+        sub(n, f, g1, zero, g1);
+        memcpy(h0, f->one, sizeof(uint64_t) * n);
+        memset(h1, 0, sizeof(uint64_t) * n);
+        for (int b = bits - 1; b >= 0; b--) { /* h = g^l */
+            fp2_square(n, f, h0, h1, h0, h1);
+            if (l[b / 64] >> (b % 64) & 1)
+                fp2_mul(n, f, h0, h1, h0, h1, g0, g1);
+        }
+        store(n, f, f0, h0);
+        store(n, f, f1, h1);
+    }
+    return 0;
+}
+
+static int miller_n(int n, const unsigned char *fieldbytes, const unsigned char *cofactor,
+                    const unsigned char *steps, int nsteps, int slots,
+                    const unsigned char *prepared, int tuples, const unsigned char *points,
+                    const unsigned char *active, uint64_t *scratch, uint64_t *out)
 {
     field f;
     load_field(n, &f, fieldbytes);
-    size_t w = sizeof(uint64_t) * n;
+    size_t w = sizeof(uint64_t) * n, slotbytes = (size_t)nsteps * (2 * w + 1);
     uint64_t *mlines = scratch, *mpoints = scratch + (size_t)slots * nsteps * 2 * n;
-    for (size_t k = 0; k < (size_t)slots * nsteps; k++)
-        if (has_line[k]) {
-            load(n, &f, mlines + 2 * k * n, lines + 2 * k * w);
-            load(n, &f, mlines + (2 * k + 1) * n, lines + (2 * k + 1) * w);
+    for (int s = 0; s < slots; s++)
+        for (int k = 0; k < nsteps; k++) {
+            const unsigned char *line = prepared + s * slotbytes + (size_t)k * 2 * w;
+            uint64_t *mline = mlines + ((size_t)s * nsteps + k) * 2 * n;
+            load(n, &f, mline, line);
+            load(n, &f, mline + n, line + w);
         }
     for (int t = 0; t < tuples; t++) {
         const unsigned char *on = active + (size_t)t * slots;
         for (int s = 0; s < slots; s++)
-            if (on[s]) {
-                const unsigned char *src = points + ((size_t)t * slots + s) * 2 * w;
-                load(n, &f, mpoints + 2 * (size_t)s * n, src);
-                load(n, &f, mpoints + (2 * (size_t)s + 1) * n, src + w);
-            }
-        uint64_t f0[MAX_LIMBS], f1[MAX_LIMBS], a[MAX_LIMBS], b[MAX_LIMBS], c[MAX_LIMBS];
+            if (on[s])
+                load_point(n, &f, mpoints + 2 * (size_t)s * n, mpoints + (2 * (size_t)s + 1) * n,
+                           points + ((size_t)t * slots + s) * 2 * w);
+        uint64_t *f0 = out + (size_t)t * 2 * n, *f1 = f0 + n, a[MAX_LIMBS], b[MAX_LIMBS],
+                 c[MAX_LIMBS];
         memcpy(f0, f.one, w);
         memset(f1, 0, w);
         for (int k = 0; k < nsteps; k++) {
-            if (steps[k]) { /* f^2 = (f0 + f1)(f0 - f1) + 2*f0*f1*i */
-                add(n, &f, a, f0, f1);
-                sub(n, &f, b, f0, f1);
-                mul(n, &f, f1, f0, f1);
-                add(n, &f, f1, f1, f1);
-                mul(n, &f, f0, a, b);
-            }
+            if (steps[k]) /* f^2 */
+                fp2_square(n, &f, f0, f1, f0, f1);
             for (int s = 0; s < slots; s++) {
-                size_t line = (size_t)s * nsteps + k;
-                if (!on[s] || !has_line[line])
+                const unsigned char *has_line = prepared + s * slotbytes + (size_t)nsteps * 2 * w;
+                if (!on[s] || !has_line[k])
                     continue;
-                const uint64_t *lam = mlines + 2 * line * n, *cc = lam + n;
+                const uint64_t *lam = mlines + ((size_t)s * nsteps + k) * 2 * n, *cc = lam + n;
                 const uint64_t *xm = mpoints + 2 * (size_t)s * n, *ym = xm + n;
                 /* the line at (-xm, i*ym) is g = (lam*xm - c) + i*ym, and f*g
                    takes three products: f0*a - f1*ym and
@@ -334,34 +502,48 @@ static void miller_n(int n, const unsigned char *fieldbytes, const unsigned char
                 sub(n, &f, f1, b, c);
             }
         }
-        store(n, &f, out + (size_t)t * 2 * n, f0);
-        store(n, &f, out + ((size_t)t * 2 + 1) * n, f1);
     }
+    uint64_t l[MAX_LIMBS];
+    memcpy(l, cofactor, w);
+    return final_exps(n, &f, l, tuples, scratch + ((size_t)slots * nsteps + slots) * 2 * n, out);
 }
 
-/* point: x then y; walk: NULL, or (nsteps + 1) * 4 * n limbs */
+/* point: x then y */
 int shrq_walk(int n, const unsigned char *fieldbytes, const unsigned char *point,
-              const unsigned char *steps, int nsteps, uint64_t *walk)
+              const unsigned char *steps, int nsteps)
 {
     if (n < 1 || n > MAX_LIMBS)
         return -1;
-    return walk_n(n, fieldbytes, point, steps, nsteps, walk);
+    field f;
+    load_field(n, &f, fieldbytes);
+    uint64_t bx[MAX_LIMBS], by[MAX_LIMBS];
+    load_point(n, &f, bx, by, point);
+    return walk_n(n, &f, bx, by, steps, nsteps, NULL);
 }
 
-/* lines: slots * nsteps * (lam, c), has_line: slots * nsteps flags;
+/* point: x then y; scratch: (nsteps + 1) * 5 * n limbs;
+   slot: nsteps * (16 * n + 1) bytes, lines then flags */
+int shrq_prepare(int n, const unsigned char *fieldbytes, const unsigned char *point,
+                 const unsigned char *steps, int nsteps, uint64_t *scratch, unsigned char *slot)
+{
+    if (n < 1 || n > MAX_LIMBS)
+        return -1;
+    return prepare_n(n, fieldbytes, point, steps, nsteps, scratch, slot);
+}
+
+/* cofactor: l, n limbs; prepared: slots prepared slots of nsteps * (16 * n + 1) bytes each;
    points: tuples * slots * (x, y), active: tuples * slots flags;
-   scratch: (slots * nsteps + slots) * 2 * n limbs;
-   out: tuples * (f0, f1) */
-int shrq_miller(int n, const unsigned char *fieldbytes, const unsigned char *steps, int nsteps,
-                int slots, const unsigned char *lines, const unsigned char *has_line,
+   scratch: (slots * nsteps + slots + tuples) * 2 * n limbs;
+   out: tuples * (a, b) */
+int shrq_miller(int n, const unsigned char *fieldbytes, const unsigned char *cofactor,
+                const unsigned char *steps, int nsteps, int slots, const unsigned char *prepared,
                 int tuples, const unsigned char *points, const unsigned char *active,
                 uint64_t *scratch, uint64_t *out)
 {
     if (n < 1 || n > MAX_LIMBS)
         return -1;
-    miller_n(n, fieldbytes, steps, nsteps, slots, lines, has_line, tuples, points, active, scratch,
-             out);
-    return 0;
+    return miller_n(n, fieldbytes, cofactor, steps, nsteps, slots, prepared, tuples, points,
+                    active, scratch, out);
 }
 
 int shrq_max_limbs(void)

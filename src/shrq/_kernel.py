@@ -5,8 +5,8 @@ pairing of a curve group, so a process that only parses, as a server's
 replay does, never loads it, ctypes or the library.  pairing's module
 docstring says what runs in C, what C is given and the cache rule.
 Kernel.miller is where a server's scan runs on two CPUs: it splits a call's
-tuples between the calling thread and one helper thread, each with its own
-buffers, as _kernel.c allows.
+tuples, with their final exponentiations, between the calling thread and one
+helper thread, each with its own buffers, as _kernel.c allows.
 """
 
 import os
@@ -17,6 +17,8 @@ from .errors import ConfigError
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernel.c")
 _BUILD_TIMEOUT_S = 120
+# cc's flags for the library, which its cache name also hashes
+_CFLAGS = ("-O3", "-shared", "-fPIC")
 
 # this process's kernel: _UNTRIED until current() first runs, then the loaded
 # Kernel, or None for the pure-Python path
@@ -35,12 +37,13 @@ class Kernel:
 
         self._ctypes = ctypes
         lib = ctypes.CDLL(path)
-        limbs, text = ctypes.POINTER(ctypes.c_uint64), ctypes.c_char_p
-        self._walk, self._miller = lib.shrq_walk, lib.shrq_miller
-        self._walk.argtypes = (ctypes.c_int, text, text, text, ctypes.c_int, limbs)
-        self._miller.argtypes = (ctypes.c_int, text, text, ctypes.c_int, ctypes.c_int, text, text,
-                                 ctypes.c_int, text, text, limbs, limbs)
-        self._walk.restype = self._miller.restype = lib.shrq_max_limbs.restype = ctypes.c_int
+        limbs, text, num = ctypes.POINTER(ctypes.c_uint64), ctypes.c_char_p, ctypes.c_int
+        self._walk, self._prepare, self._miller = lib.shrq_walk, lib.shrq_prepare, lib.shrq_miller
+        self._walk.argtypes = (num, text, text, text, num)
+        self._prepare.argtypes = (num, text, text, text, num, limbs, ctypes.POINTER(ctypes.c_char))
+        self._miller.argtypes = (num, text, text, text, num, num, text, num, text, text, limbs, limbs)
+        for fn in (self._walk, self._prepare, self._miller, lib.shrq_max_limbs):
+            fn.restype = num
         self.max_limbs = lib.shrq_max_limbs()
 
     def _buffer(self, limbs):
@@ -54,28 +57,30 @@ class Kernel:
 
     def in_g(self, n, field, point, steps):
         """Whether the walk from point over steps ends at infinity."""
-        return bool(self._check(self._walk(n, field, point, steps, len(steps), None)))
+        return bool(self._check(self._walk(n, field, point, steps, len(steps))))
 
-    def walk(self, n, field, point, steps):
-        """The walk's points as (X, Y, Z, n) limbs, point's first."""
-        out = self._buffer((len(steps) + 1) * 4 * n)
-        self._check(self._walk(n, field, point, steps, len(steps), out))
-        return bytes(out)
+    def prepare(self, n, field, point, steps):
+        """point's prepared slot, in the format of pairing's prepare, or None
+        if the walk from point over steps does not end at infinity."""
+        scratch = self._buffer((len(steps) + 1) * 5 * n)
+        slot = self._ctypes.create_string_buffer(len(steps) * (16 * n + 1))
+        return slot.raw if self._check(self._prepare(n, field, point, steps, len(steps), scratch, slot)) else None
 
-    def miller(self, n, field, steps, slots, lines, has_line, tuples, points, active):
-        """Each tuple's Miller product f as (f0, f1) limbs.  With two tuples or
-        more and more than one CPU to run on, a helper thread takes the tuples
-        from tuples // 2 on while the calling thread takes the rest; the
-        foreign call releases the GIL, so the two run at once."""
+    def miller(self, n, field, cofactor, steps, slots, prepared, tuples, points, active):
+        """Each tuple's product of pairings as a GT element's (a, b) limbs, or
+        None if some tuple's Miller product f is 0.  With two tuples or more
+        and more than one CPU to run on, a helper thread takes the tuples from
+        tuples // 2 on while the calling thread takes the rest; the foreign
+        call releases the GIL, so the two run at once."""
         cut = tuples // 2
         if not cut or len(os.sched_getaffinity(0)) < 2:
-            return self._millers(n, field, steps, slots, lines, has_line, tuples, points, active)
+            return self._millers(n, field, cofactor, steps, slots, prepared, tuples, points, active)
         stride = len(points) // tuples  # one tuple's packed points
         theirs = []  # the helper's output, or the exception it raised
 
         def helper():
             try:
-                theirs.append(self._millers(n, field, steps, slots, lines, has_line, tuples - cut,
+                theirs.append(self._millers(n, field, cofactor, steps, slots, prepared, tuples - cut,
                                             points[cut * stride :], active[cut * slots :]))
             except BaseException as exc:  # re-raised by the caller
                 theirs.append(exc)
@@ -83,26 +88,28 @@ class Kernel:
         thread = threading.Thread(target=helper, name="shrq-miller")
         thread.start()
         try:
-            ours = self._millers(n, field, steps, slots, lines, has_line, cut, points[: cut * stride],
+            ours = self._millers(n, field, cofactor, steps, slots, prepared, cut, points[: cut * stride],
                                  active[: cut * slots])
         finally:
             thread.join()
         if isinstance(theirs[0], BaseException):
             raise theirs[0]
-        return ours + theirs[0]
+        return None if ours is None or theirs[0] is None else ours + theirs[0]
 
-    def _millers(self, n, field, steps, slots, lines, has_line, tuples, points, active):
+    def _millers(self, n, field, cofactor, steps, slots, prepared, tuples, points, active):
         """miller's products of these tuples in one foreign call."""
-        scratch = self._buffer((slots * len(steps) + slots) * 2 * n)
+        scratch = self._buffer((slots * len(steps) + slots + tuples) * 2 * n)
         out = self._buffer(tuples * 2 * n)
-        self._check(self._miller(n, field, steps, len(steps), slots, lines, has_line, tuples, points,
-                                 active, scratch, out))
-        return bytes(out)
+        f_is_0 = self._check(self._miller(n, field, cofactor, steps, len(steps), slots, prepared, tuples,
+                                          points, active, scratch, out))
+        return None if f_is_0 else bytes(out)
 
 
 def load(directory):
     """The kernel from directory, compiled there from _kernel.c first if it
-    is not there yet; None if it cannot be built or loaded."""
+    is not there yet; None if it cannot be built or loaded.  Its file name
+    carries the SHA-256 of _CFLAGS and the source, so a change to either
+    builds a new library."""
     import hashlib
 
     tag = sys.implementation.cache_tag
@@ -111,7 +118,8 @@ def load(directory):
     try:
         with open(_SOURCE, "rb") as src:
             source = src.read()
-        path = os.path.join(directory, f"_kernel.{hashlib.sha256(source).hexdigest()}.{tag}.so")
+        digest = hashlib.sha256(" ".join(_CFLAGS).encode() + b"\0" + source).hexdigest()
+        path = os.path.join(directory, f"_kernel.{digest}.{tag}.so")
         if not os.path.exists(path):
             _build(source, path)
         return Kernel(path)
@@ -126,7 +134,7 @@ def _build(source, path):
 
     os.makedirs(os.path.dirname(path), exist_ok=True)
     tmp = f"{path}.{os.getpid()}.tmp"
-    cmd = ["cc", "-O2", "-shared", "-fPIC", "-x", "c", "-", "-o", tmp]
+    cmd = ["cc", *_CFLAGS, "-x", "c", "-", "-o", tmp]
     try:
         subprocess.run(cmd, input=source, capture_output=True, check=True, timeout=_BUILD_TIMEOUT_S)
         os.replace(tmp, path)

@@ -55,38 +55,50 @@ and pair_product is its one-tuple case.  The curve's pair(x, y) is the
 one-slot product, so the package has one Miller loop; reference_pair in
 tests/reference.py is the independent loop the tests hold it to.  The
 transparent backend's prepare() returns the exponent, so a prepared slot is
-plain data (ints, tuples, None) on both backends, and its pair_product() is
+plain data (an int, bytes or None) on both backends, and its pair_product() is
 one sum of exponent products mod N.
 
-Kernel.  Three loops of the curve run in C when they can: decode's order
-check, prepare's walk and pair_products' Miller products.  _kernel.c does
-Montgomery arithmetic over 64-bit limbs (CIOS; Montgomery, Math. Comp. 44,
-1985) and, over it, the walk of the Miller steps by _jac_double's and
-_jac_madd's formulas and branches, and the squaring chain with each
-prepared line evaluated at (-x_m, i*y_m).  prepare builds the lines from
-the walk's points in Python, as before, and the final exponentiation stays
-in Python.  C is given only ints below p that parse has range-checked or
-that prepare has reduced, packed by Python into byte strings whose sizes
-follow from the limb count, the step count, L and the number of tuples; it
-parses no bytes from a peer, and each call writes to its own buffers.
-pair_products packs the query's lines once per call, for all its tuples.
-When there are two tuples or more and os.sched_getaffinity allows more than
-one CPU, Kernel.miller makes two calls at once: one helper thread takes the
-tuples from n // 2 on while the calling thread takes the rest, as a
-foreign call releases the GIL, and the helper's exception, if any, is raised
-in the caller once both are done.  The pure-Python loops run on one thread.
-_kernel.py builds and loads the library on a process's first decode,
-prepare or pairing, which is when this module imports it, so a parse-only
-path (a server's replay) loads neither.  The system cc (-O2 -shared -fPIC)
-builds it into the __pycache__ directory beside this module, under a name
-that carries the source's SHA-256 and sys.implementation.cache_tag; it is
-written to a temporary file of the building process and renamed into
-place, so another process never loads a partial one.  As with bytecode,
-the library is trusted as far as the .py next to it.  Each process tries
-once: with no compiler, a failed build, a directory it cannot write, a
-big-endian host or a p wider than the kernel's limbs, the pure-Python
-loops, which stay as they were, serve instead, with the same results byte
-for byte.
+Kernel.  A query's curve work runs in C when it can: decode's order check,
+prepare and pair_products.  _kernel.c does Montgomery arithmetic over
+64-bit limbs (CIOS; Montgomery, Math. Comp. 44, 1985) and, over it, the
+walk of the Miller steps by _jac_double's and _jac_madd's formulas and
+branches, prepare's lines from that walk with every Z inverted at once, and
+per tuple the squaring chain with each prepared line evaluated at
+(-x_m, i*y_m) followed by the final exponentiation, computed as
+(conj(f)^2 / N(f))^l with N(f) = f0^2 + f1^2 in F_p, so that one inversion
+serves all the norms of a call.  It writes each GT element's normal form
+(a, b), so digests and canonical bytes are those of the Python path.  A
+prepared curve slot is one byte string in one format on both paths: per
+Miller step lam and c as the kernel's limbs, (0, 0) for a step without a
+line, then one flag byte per step, 1 where the step has a line.  prepare
+returns the kernel's bytes, or the same bytes from its Python walk, and
+pair_products checks a slot's length before either path reads it.  f = 0
+(only an even N allows it, by a line through (0, 0)) has no final
+exponentiation: the kernel finds a zero norm before it inverts any, the
+Python path finds f = 0 itself, and both raise the same ValueError for the
+whole call.  C is given only ints below p that parse has range-checked or
+that prepare has reduced, and prepared slots of the checked length,
+packed by Python into byte strings whose sizes follow from the limb count,
+the step count, L and the number of tuples; it parses no bytes from a
+peer, and each call writes to its own buffers.  When there are two tuples
+or more and os.sched_getaffinity allows more than one CPU, Kernel.miller
+makes two calls at once: one helper thread takes the tuples from n // 2 on,
+with their final exponentiations, while the calling thread takes the rest,
+as a foreign call releases the GIL, and the helper's exception, if any, is
+raised in the caller once both are done.  The pure-Python loops run on one
+thread.  _kernel.py builds and loads the library on a process's first
+decode, prepare or pairing, which is when this module imports it, so a
+parse-only path (a server's replay) loads neither.  The system cc, with
+_kernel._CFLAGS (-O3 -shared -fPIC), builds it into the __pycache__
+directory beside this module, under a name that carries the SHA-256 of
+those flags and the source, and sys.implementation.cache_tag, so changed
+flags build a new library; it is written to a temporary file of the
+building process and renamed into place, so another process never loads a
+partial one.  As with bytecode, the library is trusted as far as the .py
+next to it.  Each process tries once: with no compiler, a failed build, a
+directory it cannot write, a big-endian host or a p wider than the
+kernel's limbs, the pure-Python loops serve instead, with the same results
+byte for byte.
 
 Points and powers.  G has one set of point formulas: the Jacobian doubling
 and mixed addition of an affine point, which invert nothing (Cohen, Miyaji
@@ -99,8 +111,8 @@ d = 0..15 and j = 0..ceil(log2 N / 4) - 1, so a power of x is one mixed
 addition per nonzero 4-bit window of k mod N.  The table is built on x's
 first fixed_pow and kept on the group, keyed by the point x, so it cannot
 go stale and is never part of a key, a message or the log.  _inverses
-inverts many Z by one inversion (Montgomery's trick): prepare's walk takes
-one, a table two (its row bases [16^j]x, then its entries: a mixed addition
+inverts many Z by one inversion (Montgomery's trick): prepare's Python walk
+takes one, a table two (its row bases [16^j]x, then its entries: a mixed addition
 needs its second point affine).  mul, _pt_mul and fixed_pow invert once, to
 go back to affine, and decode's order check tests Z = 0 on [N]P; _fp2_inv
 inverts once per final exponentiation.  prepare's walk runs the same steps
@@ -138,6 +150,8 @@ _DIGITS = 1 << _WINDOW
 
 # what decode and prepare raise for a curve point whose [N]P is not infinity
 _OUTSIDE_G = "point outside the order-N subgroup"
+# the ValueError of pair_products when a tuple's Miller product has no inverse
+_F_IS_0 = "a Miller product is 0: a line vanishes at a tuple point"
 
 # largest cofactor l tried for p = l*N - 1, and prime pairs drawn per group_gen
 _COFACTOR_CAP = 10**6
@@ -398,13 +412,15 @@ class CurveGroup(Group):
         self._miller_steps = tuple(
             step for bit in bin(params.N)[3:] for step in ((True,) if bit == "0" else (True, False))
         )
-        # the kernel's form of the steps and the field: p, R^2 mod p for
-        # R = 2^(64 * limbs), and -p^-1 mod 2^64, as little-endian limbs
+        # the kernel's form of the steps, the field (p, R^2 mod p for
+        # R = 2^(64 * limbs), and -p^-1 mod 2^64) and l, as little-endian
+        # limbs, and the length of a prepared slot
         self._limbs = (params.p.bit_length() + 63) // 64
         self._steps = bytes(self._miller_steps)
-        self._field = b"".join(
-            v.to_bytes(8 * self._limbs, "little") for v in (params.p, pow(2, 128 * self._limbs, params.p))
-        ) + (-pow(params.p, -1, 1 << 64) % (1 << 64)).to_bytes(8, "little")
+        self._field = self._pack([params.p, pow(2, 128 * self._limbs, params.p)]) + (
+            -pow(params.p, -1, 1 << 64) % (1 << 64)).to_bytes(8, "little")
+        self._cofactor = self._pack([params.l])
+        self._slot_bytes = len(self._steps) * (16 * self._limbs + 1)
 
     def _pack(self, values):
         """The kernel's limbs of ints below p, one after another."""
@@ -488,18 +504,6 @@ class CurveGroup(Group):
 
         kernel = _kernel.current()
         return kernel if kernel is not None and self._limbs <= kernel.max_limbs else None
-
-    def _walk(self, b):
-        """The points of the Miller steps' walk from the affine b, b first, in
-        Jacobian form: the kernel's, or the same steps in Python."""
-        kernel = self._native()
-        if kernel is not None:
-            coords = iter(self._unpack(kernel.walk(self._limbs, self._field, self._pack(b), self._steps)))
-            return list(zip(coords, coords, coords, coords))
-        walk = [b + (1, 0)]
-        for double in self._miller_steps:
-            walk.append(self._jac_double(walk[-1]) if double else self._jac_madd(walk[-1], b))
-        return walk
 
     def _in_g(self, b):
         """[N]b is infinity, for an affine b: the last Z of the kernel's walk,
@@ -602,27 +606,52 @@ class CurveGroup(Group):
         return self.pair_product((self.prepare(y),), (x,))
 
     def _final_exp(self, f):
-        """f^((p^2-1)/N) = (conj(f) / f)^l, since (p^2-1)/N = (p-1)*l."""
+        """f^((p^2-1)/N) = (conj(f) / f)^l, since (p^2-1)/N = (p-1)*l;
+        ValueError for f = 0."""
+        if f == (0, 0):
+            raise ValueError(_F_IS_0)
         conj = (f[0], (-f[1]) % self.p)
         return GTElement(self._fp2_pow(self._fp2_mul(conj, self._fp2_inv(f)), self.l))
 
     def prepare(self, x):
-        """The Miller lines of x, per loop step (lam, c) with c taken at the
-        point stepped from, or None for a step from or to infinity (a vertical
-        line); None for the identity.  One _inverses call makes them affine.
-        The walk ends at [N]x, so it is x's order check: ConfigError, as
-        decode raises it, unless x is in G."""
+        """The Miller lines of x as a prepared slot, one byte string: per loop
+        step, the line's lam and c, c taken at the point stepped from, as the
+        kernel's limbs, or (0, 0) for a step from or to infinity (a vertical
+        line), then one flag byte per step, 1 where the step has a line; None
+        for the identity.  The walk ends at [N]x, so it is x's order check:
+        ConfigError, as decode raises it, unless x is in G."""
         if x.value is None:
             return None
-        p, walk = self.p, self._walk(x.value)
-        if walk[-1][2]:  # Z != 0: [N]x is not infinity
+        kernel = self._native()
+        if kernel is None:
+            slot = self._prepare(x.value)
+        else:
+            slot = kernel.prepare(self._limbs, self._field, self._pack(x.value), self._steps)
+        if slot is None:
             raise ConfigError(_OUTSIDE_G)
+        return slot
+
+    def _prepare(self, b):
+        """prepare's slot of the affine b in Python, None unless its walk
+        ends at infinity: one _inverses call makes the walk affine."""
+        p, walk = self.p, [b + (1, 0)]
+        for double in self._miller_steps:
+            walk.append(self._jac_double(walk[-1]) if double else self._jac_madd(walk[-1], b))
+        if walk[-1][2]:  # Z != 0: [N]b is not infinity
+            return None
         zinv = self._inverses([pt[2] for pt in walk])
-        lines = []
+        lines, flags = [], []
         for (x0, y0, z0, _), zi, (_, _, z3, n), zi3 in zip(walk, zinv, walk[1:], zinv[1:]):
             lam = n * zi3 % p
-            lines.append((lam, (y0 * zi - lam * x0) * zi * zi % p) if z0 and z3 else None)
-        return tuple(lines)
+            flags.append(bool(z0 and z3))
+            lines += (lam, (y0 * zi - lam * x0) * zi * zi % p) if flags[-1] else (0, 0)
+        return self._pack(lines) + bytes(flags)
+
+    def _lines(self, slot):
+        """A prepared slot's lines, (lam, c) per step or None without one."""
+        count = len(self._steps)
+        values = iter(self._unpack(slot[:-count]))
+        return [line if on else None for line, on in zip(zip(values, values), slot[-count:])]
 
     def pair_product(self, prepared, points):
         """prod_i e(points[i], x_i) for prepared[i] = prepare(x_i)."""
@@ -631,41 +660,42 @@ class CurveGroup(Group):
     def pair_products(self, prepared, tuples):
         """pair_product(prepared, points) for each points in tuples: the Miller
         loops of all x_i over one squaring chain, each line evaluated at the
-        distorted point (-x_m, i*y_m), and one final exponentiation.  The
-        kernel takes the query's lines packed once for every tuple."""
-        kernel = self._native()
-        if kernel is None:
-            fs = [self._miller(prepared, points) for points in tuples]
-        else:
-            fs = self._kernel_millers(kernel, prepared, tuples)
-        return [self._final_exp(f) for f in fs]
-
-    def _kernel_millers(self, kernel, prepared, tuples):
-        """The kernel's Miller product f of each tuple.  An identity slot or
-        a step without a line (None) packs as zeros that it skips."""
-        slots = [(None,) * len(self._steps) if slot is None else slot for slot in prepared]
-        if any(len(slot) != len(self._steps) for slot in slots):
+        distorted point (-x_m, i*y_m), and one final exponentiation.
+        ValueError if a tuple's Miller product is 0, which only an even N
+        allows (a line through (0, 0), its own distorted image)."""
+        if any(slot is not None and len(slot) != self._slot_bytes for slot in prepared):
             raise ConfigError("prepared lines do not follow the Miller steps")
-        lines = [line for slot in slots for line in slot]
+        kernel = self._native()
+        if kernel is not None:
+            return self._kernel_products(kernel, prepared, tuples)
+        slots = [None if slot is None else self._lines(slot) for slot in prepared]
+        return [self._final_exp(self._miller(slots, points)) for points in tuples]
+
+    def _kernel_products(self, kernel, prepared, tuples):
+        """pair_products by the kernel, in one call and its helper's: the
+        slots side by side, an identity slot as zeros, which have no line."""
         coords, active = [], []
         for points in tuples:
             for slot, pt in zip(prepared, points, strict=True):
                 on = slot is not None and pt.value is not None
                 coords += pt.value if on else (0, 0)
                 active.append(on)
-        data = kernel.miller(self._limbs, self._field, self._steps, len(prepared),
-                             self._pack([v for line in lines for v in line or (0, 0)]),
-                             bytes([line is not None for line in lines]), len(tuples), self._pack(coords),
+        blank = bytes(self._slot_bytes)
+        data = kernel.miller(self._limbs, self._field, self._cofactor, self._steps, len(prepared),
+                             b"".join(slot or blank for slot in prepared), len(tuples), self._pack(coords),
                              bytes(active))
-        fs = iter(self._unpack(data))
-        return list(zip(fs, fs))
+        if data is None:
+            raise ValueError(_F_IS_0)
+        gt = iter(self._unpack(data))
+        return [GTElement(value) for value in zip(gt, gt)]
 
-    def _miller(self, prepared, points):
-        """pair_products' Miller product f of one tuple, in Python."""
+    def _miller(self, slots, points):
+        """pair_products' Miller product f of one tuple, in Python, over the
+        _lines of each prepared slot, None for the identity."""
         p = self.p
         active = [
             (lines, pt.value)
-            for lines, pt in zip(prepared, points)
+            for lines, pt in zip(slots, points, strict=True)
             if lines is not None and pt.value is not None
         ]
         f0, f1 = 1, 0

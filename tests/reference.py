@@ -12,9 +12,12 @@ None is on a query path:
 - PinnedRng stands in for an rng to fix the blinding scalar an encryption
   draws;
 - reference_pair is the Tate pairing composed with the distortion map, by
-  Miller's loop over its first argument with its own affine addition and
-  line evaluation (reference_add), so it shares no loop or slope code with
-  the prepared product that Group.pair and compute() run;
+  Miller's loop over its first argument with its own affine addition, line
+  evaluation (reference_add), F_p^2 product and final exponentiation, so it
+  shares no loop, slope or F_p^2 code with the prepared product that
+  Group.pair and compute() run;
+- prepared_lines reads a curve's prepared slot, the bytes Group.prepare
+  gives, back into reference_lines' form;
 - reference_mul is [k]x by affine double-and-add from the low bit of k over
   that same addition, so it shares no loop or formula with _power's
   Jacobian steps.
@@ -136,6 +139,43 @@ def reference_lines(group, x):
     return tuple(lines)
 
 
+def prepared_lines(group, slot):
+    """A curve's prepared slot as reference_lines gives it: the slot holds,
+    per Miller step, lam and c as little-endian words of p's width in 64-bit
+    limbs, zeros for a step without a line, then one flag byte per step, 1
+    where the step has a line; None, the identity's, stays None."""
+    if slot is None:
+        return None
+    width = 8 * ((group.p.bit_length() + 63) // 64)
+    steps, rest = divmod(len(slot), 2 * width + 1)
+    assert rest == 0, len(slot)
+    words = [int.from_bytes(slot[i : i + width], "little") for i in range(0, 2 * width * steps, width)]
+    flags = slot[2 * width * steps :]
+    assert set(flags) <= {0, 1}, flags
+    assert all(words[2 * k] == words[2 * k + 1] == 0 for k in range(steps) if not flags[k])
+    return tuple((words[2 * k], words[2 * k + 1]) if flags[k] else None for k in range(steps))
+
+
+def _fp2_mul(p, u, v):
+    """u*v in F_p^2 = F_p[i]/(i^2 + 1) by the schoolbook product."""
+    return ((u[0] * v[0] - u[1] * v[1]) % p, (u[0] * v[1] + u[1] * v[0]) % p)
+
+
+def _final_exp(group, f):
+    """f^((p^2-1)/N) as (conj(f) / f)^l, since (p^2-1)/N = (p-1)*l: 1/f is
+    conj(f)/(a^2 + b^2) for f = a + b*i, and the power of l runs from its low
+    bit.  f = 0 raises ValueError, as 0 has no inverse."""
+    p, (a, b) = group.p, f
+    norm_inv = pow(a * a + b * b, -1, p)
+    base, out, k = _fp2_mul(p, (a, -b % p), (a * norm_inv % p, -b * norm_inv % p)), (1, 0), group.l
+    while k:
+        if k & 1:
+            out = _fp2_mul(p, out, base)
+        base = _fp2_mul(p, base, base)
+        k >>= 1
+    return GTElement(out)
+
+
 def reference_pair(group, x, y):
     """e(x, y): the exponent product, or Miller's loop over x with its lines
     evaluated at the distorted image of y, then the final exponentiation."""
@@ -149,16 +189,16 @@ def reference_pair(group, x, y):
     v = x.value
     for bit in bin(group.N)[3:]:
         g = None if v is None else _line(p, v, v, xq, yq)
-        f = group._fp2_mul(f, f)
+        f = _fp2_mul(p, f, f)
         if g is not None:
-            f = group._fp2_mul(f, g)
+            f = _fp2_mul(p, f, g)
         v = _affine_add(p, v, v)
         if bit == "1":
             g = None if v is None else _line(p, v, x.value, xq, yq)
             if g is not None:
-                f = group._fp2_mul(f, g)
+                f = _fp2_mul(p, f, g)
             v = _affine_add(p, v, x.value)
-    return group._final_exp(f)
+    return _final_exp(group, f)
 
 
 # -- minimal BGN reference (validates the backends) --------------------------

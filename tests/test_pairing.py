@@ -24,7 +24,7 @@ from shrq.pairing import (
     group_from_primes,
     group_gen,
 )
-from reference import reference_add, reference_lines, reference_mul, reference_pair
+from reference import prepared_lines, reference_add, reference_lines, reference_mul, reference_pair
 
 
 def test_group_gen_toy_transparent():
@@ -214,14 +214,14 @@ def _walk_case(draw):
 @given(_walk_case())
 def test_prepare_walk_is_the_order_check(case):
     # prepare raises decode's error exactly when [N]P is not infinity, and
-    # its lines are the affine reference's otherwise; parse accepts every
-    # curve point and decode agrees with prepare
+    # its slot's lines are the affine reference's otherwise; parse accepts
+    # every curve point and decode agrees with prepare
     grp, pt = case
     x = GElement(pt)
     raw = grp.canonical_bytes(x)
     assert grp.parse(raw) == x
     if reference_mul(grp, x, grp.N).value is None:
-        assert grp.prepare(x) == reference_lines(grp, x)
+        assert prepared_lines(grp, grp.prepare(x)) == reference_lines(grp, x)
         assert grp.decode(raw) == x
     else:
         with pytest.raises(ConfigError, match="point outside the order-N subgroup"):
@@ -576,14 +576,20 @@ def _toy_answers(grp):
     return decoded, prepared, products
 
 
+def _library_name(flags):
+    """The kernel's file name for these cc flags: the SHA-256 of the flags
+    and the source, and the interpreter's cache tag."""
+    with open(shrq._kernel._SOURCE, "rb") as src:
+        digest = hashlib.sha256(" ".join(flags).encode() + b"\0" + src.read()).hexdigest()
+    return f"_kernel.{digest}.{sys.implementation.cache_tag}.so"
+
+
 @needs_cc
 def test_kernel_builds_once_into_its_directory(tmp_path, monkeypatch, toy_curve):
     kernel = shrq._kernel.load(str(tmp_path))
     assert kernel is not None
-    with open(shrq._kernel._SOURCE, "rb") as src:
-        digest = hashlib.sha256(src.read()).hexdigest()
-    # one library, named by the source and the interpreter, and no temporary file left
-    assert os.listdir(tmp_path) == [f"_kernel.{digest}.{sys.implementation.cache_tag}.so"]
+    # one library, named by the flags, the source and the interpreter, and no temporary file left
+    assert os.listdir(tmp_path) == [_library_name(shrq._kernel._CFLAGS)]
 
     def build_again(source, path):
         raise AssertionError("the library was built a second time")
@@ -592,6 +598,21 @@ def test_kernel_builds_once_into_its_directory(tmp_path, monkeypatch, toy_curve)
     again = shrq._kernel.load(str(tmp_path))
     assert again is not None and len(os.listdir(tmp_path)) == 1
     monkeypatch.setattr(shrq._kernel, "_handle", again)
+    kernel_answers = _toy_answers(toy_curve)
+    monkeypatch.setattr(shrq._kernel, "_handle", None)
+    assert kernel_answers == _toy_answers(toy_curve)
+
+
+@needs_cc
+def test_changed_flags_build_a_second_library(tmp_path, monkeypatch, toy_curve):
+    # a library built with other flags is not loaded in place of this one
+    assert shrq._kernel.load(str(tmp_path)) is not None
+    flags, first = ("-O1", "-shared", "-fPIC"), _library_name(shrq._kernel._CFLAGS)
+    monkeypatch.setattr(shrq._kernel, "_CFLAGS", flags)
+    kernel = shrq._kernel.load(str(tmp_path))
+    assert kernel is not None
+    assert sorted(os.listdir(tmp_path)) == sorted([first, _library_name(flags)])
+    monkeypatch.setattr(shrq._kernel, "_handle", kernel)
     kernel_answers = _toy_answers(toy_curve)
     monkeypatch.setattr(shrq._kernel, "_handle", None)
     assert kernel_answers == _toy_answers(toy_curve)
@@ -770,16 +791,19 @@ _OUTSIDE_G = "point outside the order-N subgroup"
 
 
 def test_decode_and_prepare_agree_on_both_paths():
-    # decode's verdict is [N]P = infinity by _jac_mul, and prepare's lines
-    # are reference_lines', on both paths at every point of the pools
+    # decode's verdict is [N]P = infinity by _jac_mul, and prepare gives the
+    # same slot on both paths, whose lines are reference_lines', at every
+    # point of the pools
     for grp, points in _PATH_POOLS:
         for pt in points:
             x = GElement(pt)
             in_g = pt is None or grp._jac_mul(pt, grp.N)[2] == 0
             want = x if in_g else _OUTSIDE_G
             assert _both_paths(lambda: _outcome(grp.decode, grp.canonical_bytes(x))) == [want, want], pt
-            want = reference_lines(grp, x) if in_g else _OUTSIDE_G
-            assert _both_paths(lambda: _outcome(grp.prepare, x)) == [want, want], pt
+            slots = _both_paths(lambda: _outcome(grp.prepare, x))
+            assert slots[0] == slots[1], pt
+            got = prepared_lines(grp, slots[0]) if in_g else slots[0]
+            assert got == (reference_lines(grp, x) if in_g else _OUTSIDE_G), pt
 
 
 @st.composite
@@ -814,6 +838,31 @@ def test_pair_products_agree_on_both_paths_and_with_reference_pair(case):
 
     want = _unless_f_is_0(reference)
     assert _both_paths(products) == [want, want]
+
+
+@pytest.mark.parametrize("bad", [0, 3, 6])
+def test_one_tuple_whose_miller_product_is_0_fails_the_call_on_both_paths(monkeypatch, bad):
+    # on the N = 22 curve a query slot whose walk has a line through (0, 0)
+    # makes f = 0 at the tuple point (0, 0).  One such tuple among six good
+    # ones, in the calling thread's half (0) or the helper's (3, 6), fails
+    # the whole call with the same ValueError on both paths, and the six
+    # good tuples alone pair as reference_pair does
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    grp, points = _PATH_POOLS[1]
+    in_g = [GElement(pt) for pt in points[1:] if grp._jac_mul(pt, grp.N)[2] == 0]
+    zero = GElement((0, 0))
+    q = next(x for x in in_g if _unless_f_is_0(lambda: reference_pair(grp, x, zero)) == "f = 0")
+    good = [(m,) for m in in_g if m != zero][:6]
+    prepared = (grp.prepare(q),)
+
+    def refused():
+        with pytest.raises(ValueError) as info:
+            grp.pair_products(prepared, good[:bad] + [(zero,)] + good[bad:])
+        return str(info.value)
+
+    assert _both_paths(refused) == [shrq.pairing._F_IS_0] * 2
+    want = [grp.canonical_bytes(reference_pair(grp, q, m)) for (m,) in good]
+    assert _both_paths(lambda: [grp.canonical_bytes(t) for t in grp.pair_products(prepared, good)]) == [want, want]
 
 
 def _unless_f_is_0(fn):
