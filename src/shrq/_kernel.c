@@ -30,11 +30,12 @@
  *                (a, b) and returns 0, or returns 1, its output unfinished,
  *                if some f is 0 (a line that vanishes at a tuple point).
  *
- * All return -1, and write nothing, for n outside 1..MAX_LIMBS, which
- * shrq_max_limbs gives.  The caller sizes every array from n, the step
- * count, the slot count and the tuple count, as the comments on the entry
- * points below say, and passes only ints below p (a prepared slot's lines
- * and flags may be any bytes); nothing here parses bytes from a peer.
+ * All return -1, and write nothing, for n outside 1..MAX_LIMBS, which the
+ * build defines (_kernel.py's _CFLAGS).  The caller sizes every array from
+ * n, the step count, the slot count and the tuple count, as the comments on
+ * the entry points below say, and passes only ints below p (a prepared
+ * slot's lines and flags may be any bytes); nothing here parses bytes from
+ * a peer.
  * Nothing is static but code, so calls on separate buffers may run at once.
  */
 
@@ -42,7 +43,9 @@
 #include <stdint.h>
 #include <string.h>
 
-#define MAX_LIMBS 32
+#ifndef MAX_LIMBS
+#error "build with -DMAX_LIMBS=<the widest p in 64-bit limbs>"
+#endif
 #define INLINE static inline __attribute__((always_inline))
 
 typedef unsigned __int128 u128;
@@ -544,9 +547,4 @@ int shrq_miller(int n, const unsigned char *fieldbytes, const unsigned char *cof
         return -1;
     return miller_n(n, fieldbytes, cofactor, steps, nsteps, slots, prepared, tuples, points,
                     active, scratch, out);
-}
-
-int shrq_max_limbs(void)
-{
-    return MAX_LIMBS;
 }

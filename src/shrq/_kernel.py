@@ -4,6 +4,12 @@ pairing imports this module on a process's first decode, prepare or
 pairing of a curve group, so a process that only parses, as a server's
 replay does, never loads it, ctypes or the library.  pairing's module
 docstring says what runs in C, what C is given and the cache rule.
+The failure rule: a process tries to build and load the kernel once, on
+that first call.  If it cannot (no cc on PATH, a failed build, a directory
+it cannot write, a library that does not load, a big-endian host), the
+ConfigError of that try, which names cc, is kept and raised again by that
+call and by every later curve decode, prepare or pairing, with no second
+build; nothing falls back to another implementation.
 Kernel.miller is where a server's scan runs on two CPUs: it splits a call's
 tuples, with their final exponentiations, between the calling thread and one
 helper thread, each with its own buffers, as _kernel.c allows.
@@ -14,14 +20,16 @@ import sys
 import threading
 
 from .errors import ConfigError
+from .pairing import _KERNEL_LIMBS
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernel.c")
 _BUILD_TIMEOUT_S = 120
-# cc's flags for the library, which its cache name also hashes
-_CFLAGS = ("-O3", "-shared", "-fPIC")
+# cc's flags for the library, which its cache name also hashes; the kernel's
+# width, the widest p in 64-bit limbs, is stated here alone
+_CFLAGS = ("-O3", f"-DMAX_LIMBS={_KERNEL_LIMBS}", "-shared", "-fPIC")
 
 # this process's kernel: _UNTRIED until current() first runs, then the loaded
-# Kernel, or None for the pure-Python path
+# Kernel, or the ConfigError that its build or load raised
 _UNTRIED = object()
 _handle = _UNTRIED
 _lock = threading.Lock()
@@ -29,8 +37,7 @@ _lock = threading.Lock()
 
 class Kernel:
     """_kernel.c's entry points through ctypes, over byte strings of
-    little-endian limbs; each call makes its own output buffers.  max_limbs
-    is the widest p, in 64-bit limbs, that it takes."""
+    little-endian limbs; each call makes its own output buffers."""
 
     def __init__(self, path):
         import ctypes
@@ -42,9 +49,8 @@ class Kernel:
         self._walk.argtypes = (num, text, text, text, num)
         self._prepare.argtypes = (num, text, text, text, num, limbs, ctypes.POINTER(ctypes.c_char))
         self._miller.argtypes = (num, text, text, text, num, num, text, num, text, text, limbs, limbs)
-        for fn in (self._walk, self._prepare, self._miller, lib.shrq_max_limbs):
+        for fn in (self._walk, self._prepare, self._miller):
             fn.restype = num
-        self.max_limbs = lib.shrq_max_limbs()
 
     def _buffer(self, limbs):
         return (self._ctypes.c_uint64 * limbs)()
@@ -107,14 +113,14 @@ class Kernel:
 
 def load(directory):
     """The kernel from directory, compiled there from _kernel.c first if it
-    is not there yet; None if it cannot be built or loaded.  Its file name
-    carries the SHA-256 of _CFLAGS and the source, so a change to either
-    builds a new library."""
+    is not there yet; ConfigError, naming cc, if it cannot be built or
+    loaded.  Its file name carries the SHA-256 of _CFLAGS and the source, so
+    a change to either builds a new library."""
     import hashlib
 
     tag = sys.implementation.cache_tag
     if tag is None or sys.byteorder != "little":
-        return None
+        raise ConfigError("curveA1 needs its kernel, which cc builds only for a little-endian CPython")
     try:
         with open(_SOURCE, "rb") as src:
             source = src.read()
@@ -123,8 +129,9 @@ def load(directory):
         if not os.path.exists(path):
             _build(source, path)
         return Kernel(path)
-    except OSError:  # no compiler, a failed build, a directory it cannot write
-        return None
+    except OSError as exc:  # no compiler, a failed build, a directory it cannot write
+        problem = f"curveA1 needs its kernel, and cc could not build or load it in {directory}: {exc}"
+        raise ConfigError(problem) from None
 
 
 def _build(source, path):
@@ -146,10 +153,16 @@ def _build(source, path):
 
 
 def current():
-    """This process's kernel, tried once, built beside this module in its
-    __pycache__; None for the pure-Python path."""
+    """This process's kernel, built beside this module in its __pycache__ on
+    the first call; the ConfigError of that first try, raised again on every
+    later call."""
     global _handle
     with _lock:
         if _handle is _UNTRIED:
-            _handle = load(os.path.join(os.path.dirname(_SOURCE), "__pycache__"))
+            try:
+                _handle = load(os.path.join(os.path.dirname(_SOURCE), "__pycache__"))
+            except ConfigError as exc:
+                _handle = exc
+        if isinstance(_handle, ConfigError):
+            raise ConfigError(*_handle.args)  # a fresh one: threads may raise it at once
         return _handle

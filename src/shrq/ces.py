@@ -81,7 +81,10 @@ def margin_bound(d, v, x_max):
 def keygen(lambda_bits, d, layout, v, x_max, backend=CURVE_A1, rng=None, group=None):
     """Generate a secret key and the group's server-shareable descriptor.
 
-    d and layout size the vectors A and B (layout_len slots each); v and
+    lambda_bits is the bit length of each prime of N = q1*q2, from 3 to
+    2038 (pairing.group_gen's bounds: the curve prime p = l*N - 1 must fit
+    the compiled kernel's 4096 bits); an explicit group skips it.  d and
+    layout size the vectors A and B (layout_len slots each); v and
     x_max only check the q2 margin.  None of the four is kept in the key.
     The B vector is solved so that A.B is a multiple of q1 mod N, which is
     what makes the blinding disappear inside compute().

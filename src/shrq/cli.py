@@ -246,7 +246,8 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("keygen", help="generate a key file")
-    sp.add_argument("--lambda", dest="lambda_bits", type=int, required=True)
+    sp.add_argument("--lambda", dest="lambda_bits", type=int, required=True,
+                    help="bits of each prime of N = q1*q2, 3 to 2038")
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--layout", choices=(ces.LAYOUT_SHRQ, ces.LAYOUT_UNIFIED), required=True)
     sp.add_argument("--v", type=int, required=True)

@@ -58,47 +58,52 @@ transparent backend's prepare() returns the exponent, so a prepared slot is
 plain data (an int, bytes or None) on both backends, and its pair_product() is
 one sum of exponent products mod N.
 
-Kernel.  A query's curve work runs in C when it can: decode's order check,
-prepare and pair_products.  _kernel.c does Montgomery arithmetic over
-64-bit limbs (CIOS; Montgomery, Math. Comp. 44, 1985) and, over it, the
-walk of the Miller steps by _jac_double's and _jac_madd's formulas and
-branches, prepare's lines from that walk with every Z inverted at once, and
-per tuple the squaring chain with each prepared line evaluated at
-(-x_m, i*y_m) followed by the final exponentiation, computed as
-(conj(f)^2 / N(f))^l with N(f) = f0^2 + f1^2 in F_p, so that one inversion
-serves all the norms of a call.  It writes each GT element's normal form
-(a, b), so digests and canonical bytes are those of the Python path.  A
-prepared curve slot is one byte string in one format on both paths: per
-Miller step lam and c as the kernel's limbs, (0, 0) for a step without a
-line, then one flag byte per step, 1 where the step has a line.  prepare
-returns the kernel's bytes, or the same bytes from its Python walk, and
-pair_products checks a slot's length before either path reads it.  f = 0
-(only an even N allows it, by a line through (0, 0)) has no final
-exponentiation: the kernel finds a zero norm before it inverts any, the
-Python path finds f = 0 itself, and both raise the same ValueError for the
-whole call.  C is given only ints below p that parse has range-checked or
-that prepare has reduced, and prepared slots of the checked length,
-packed by Python into byte strings whose sizes follow from the limb count,
-the step count, L and the number of tuples; it parses no bytes from a
-peer, and each call writes to its own buffers.  When there are two tuples
-or more and os.sched_getaffinity allows more than one CPU, Kernel.miller
-makes two calls at once: one helper thread takes the tuples from n // 2 on,
-with their final exponentiations, while the calling thread takes the rest,
-as a foreign call releases the GIL, and the helper's exception, if any, is
-raised in the caller once both are done.  The pure-Python loops run on one
-thread.  _kernel.py builds and loads the library on a process's first
+Kernel.  curveA1 needs a C compiler: decode's order check, prepare and
+pair_products run only in _kernel.c, and tests/reference.py is the
+independent Python pairing the tests hold it to.  _kernel.c does
+Montgomery arithmetic over 64-bit limbs (CIOS; Montgomery, Math. Comp. 44,
+1985) and, over it, the walk of the Miller steps by _jac_double's and
+_jac_madd's formulas and branches, prepare's lines from that walk with
+every Z inverted at once, and per tuple the squaring chain with each
+prepared line evaluated at (-x_m, i*y_m) followed by the final
+exponentiation, computed as (conj(f)^2 / N(f))^l with N(f) = f0^2 + f1^2
+in F_p, so that one inversion serves all the norms of a call.  It writes
+each GT element's normal form (a, b), which canonical_bytes and the digests
+read.  A prepared curve slot is one byte string: per Miller step lam and c
+as the kernel's limbs, (0, 0) for a step without a line, then one flag
+byte per step, 1 where the step has a line; pair_products checks a slot's
+length before the kernel reads it.  f = 0 (only an even N allows it, by a
+line through (0, 0)) has no final exponentiation: the kernel finds a zero
+norm before it inverts any, and the whole call raises ValueError.  C is
+given only ints below p that parse has range-checked, and prepared slots
+of the checked length, packed by Python into byte strings whose sizes
+follow from the limb count, the step count, L and the number of tuples; it
+parses no bytes from a peer, and each call writes to its own buffers.
+When there are two tuples or more and os.sched_getaffinity allows more
+than one CPU, Kernel.miller makes two calls at once: one helper thread
+takes the tuples from n // 2 on, with their final exponentiations, while
+the calling thread takes the rest, as a foreign call releases the GIL, and
+the helper's exception, if any, is raised in the caller once both are
+done.  _kernel.py builds and loads the library on a process's first
 decode, prepare or pairing, which is when this module imports it, so a
 parse-only path (a server's replay) loads neither.  The system cc, with
-_kernel._CFLAGS (-O3 -shared -fPIC), builds it into the __pycache__
-directory beside this module, under a name that carries the SHA-256 of
-those flags and the source, and sys.implementation.cache_tag, so changed
-flags build a new library; it is written to a temporary file of the
-building process and renamed into place, so another process never loads a
-partial one.  As with bytecode, the library is trusted as far as the .py
-next to it.  Each process tries once: with no compiler, a failed build, a
-directory it cannot write, a big-endian host or a p wider than the
-kernel's limbs, the pure-Python loops serve instead, with the same results
-byte for byte.
+_kernel._CFLAGS (-O3 -DMAX_LIMBS=64 -shared -fPIC), builds it into the
+__pycache__ directory beside this module, under a name that carries the
+SHA-256 of those flags and the source, and sys.implementation.cache_tag,
+so changed flags build a new library; it is written to a temporary file of
+the building process and renamed into place, so another process never
+loads a partial one.  As with bytecode, the library is trusted as far as
+the .py next to it.  Each process tries once: with no compiler, a failed
+build, a directory it cannot write or a big-endian host, that first curve
+operation raises a ConfigError naming cc, and every later decode, prepare
+or pairing raises it again, with no second build.  Without a compiler the
+transparent backend, parse, a server's replay of any state (c8bee39's
+among them) and mul, pow and fixed_pow still work; a curve key file, a
+put_tuple, a query and a pairing do not.  The kernel takes p of up to
+64 * _KERNEL_LIMBS = 4096 bits: GroupParams refuses a wider p before any
+primality test, and group_gen takes lambda from 3 to _MAX_LAMBDA = 2038,
+as N has up to 2*lambda bits and the cofactor l up to 20, so each group it
+makes fits.
 
 Points and powers.  G has one set of point formulas: the Jacobian doubling
 and mixed addition of an affine point, which invert nothing (Cohen, Miyaji
@@ -111,18 +116,18 @@ d = 0..15 and j = 0..ceil(log2 N / 4) - 1, so a power of x is one mixed
 addition per nonzero 4-bit window of k mod N.  The table is built on x's
 first fixed_pow and kept on the group, keyed by the point x, so it cannot
 go stale and is never part of a key, a message or the log.  _inverses
-inverts many Z by one inversion (Montgomery's trick): prepare's Python walk
-takes one, a table two (its row bases [16^j]x, then its entries: a mixed addition
-needs its second point affine).  mul, _pt_mul and fixed_pow invert once, to
-go back to affine, and decode's order check tests Z = 0 on [N]P; _fp2_inv
-inverts once per final exponentiation.  prepare's walk runs the same steps
-over the bits of N, so it ends at [N]x too: its last Z is 0 exactly when x
-is in G, and prepare raises decode's ConfigError when it is not.  A walk
-may meet infinity partway, as the order-2 point (0, 0) does at its first
-doubling; it still ends at [N]x, because a doubling keeps Z = 0 and a mixed
-addition from infinity gives the added point.  The identity has no walk
-and is in G.  So the walk is the order check of a query slot, and a
-server parses those slots (parse) and does not decode them.
+inverts many Z by one inversion (Montgomery's trick), which a table takes
+twice (its row bases [16^j]x, then its entries: a mixed addition needs its
+second point affine).  mul, _pt_mul and fixed_pow invert once, to go back
+to affine.  decode's order check is the kernel's walk of the Miller steps,
+which runs over the bits of N, so it ends at [N]x: its last Z is 0 exactly
+when x is in G.  prepare walks the same steps, and raises decode's
+ConfigError when x is not in G.  A walk may meet infinity partway, as the
+order-2 point (0, 0) does at its first doubling; it still ends at [N]x,
+because a doubling keeps Z = 0 and a mixed addition from infinity gives the
+added point.  The identity has no walk and is in G.  So the walk is the
+order check of a query slot, and a server parses those slots (parse) and
+does not decode them.
 
 Encodings.  canonical_bytes gives every element of G and GT one byte string;
 decode is its inverse on G alone: parse (tag, flag, length, coordinate
@@ -153,8 +158,14 @@ _OUTSIDE_G = "point outside the order-N subgroup"
 # the ValueError of pair_products when a tuple's Miller product has no inverse
 _F_IS_0 = "a Miller product is 0: a line vanishes at a tuple point"
 
+# the widest curve prime p, in 64-bit limbs, that the kernel takes: _kernel.py
+# builds _kernel.c for it, and GroupParams refuses a wider p
+_KERNEL_LIMBS = 64
 # largest cofactor l tried for p = l*N - 1, and prime pairs drawn per group_gen
 _COFACTOR_CAP = 10**6
+# the largest lambda group_gen takes: N has at most 2*lambda bits and l at most
+# _COFACTOR_CAP's, so every p it finds fits the kernel (4076 + 20 = 4096 bits)
+_MAX_LAMBDA = (64 * _KERNEL_LIMBS - _COFACTOR_CAP.bit_length()) // 2
 _GEN_ATTEMPTS = 32
 _MR_ROUNDS = 16  # random Miller-Rabin witnesses per _is_prime, after its fixed ones
 
@@ -248,7 +259,8 @@ class GroupParams(Record):
     q1/q2 are present only on the owner side; a server reconstructs the
     group from (backend, N, p, l) alone and can never derive them without
     factoring N.  p is the curveA1 field prime and l its cofactor,
-    p + 1 = l * N.
+    p + 1 = l * N.  A p wider than the kernel's 64 * _KERNEL_LIMBS bits is
+    refused first, before any primality test.
     """
 
     __slots__ = ("backend", "N", "q1", "q2", "p", "l")
@@ -257,6 +269,8 @@ class GroupParams(Record):
         super().__init__(backend, N, q1, q2, p, l)
         if backend not in (TRANSPARENT, CURVE_A1):
             raise ConfigError(f"unknown backend {backend!r}")
+        if backend == CURVE_A1 and p is not None and p.bit_length() > 64 * _KERNEL_LIMBS:
+            raise ConfigError(f"curve prime p has more than the kernel's {64 * _KERNEL_LIMBS} bits")
         if q1 is not None:
             if q1 == q2:
                 raise ConfigError("q1 and q2 must be distinct")
@@ -377,7 +391,7 @@ class TransparentGroup(Group):
 
     def pair_product(self, prepared, points):
         """prod_i pair(points[i], x_i) for prepared[i] = prepare(x_i)."""
-        return GTElement(sum(x * m.value for x, m in zip(prepared, points)) % self.N)
+        return GTElement(sum(x * m.value for x, m in zip(prepared, points, strict=True)) % self.N)
 
     def pair_products(self, prepared, tuples):
         """pair_product(prepared, points) for each points in tuples."""
@@ -407,16 +421,14 @@ class CurveGroup(Group):
         self.l = params.l
         self._width = (params.p.bit_length() + 7) // 8
         self._tables = {}  # fixed_pow's window table per affine base point
-        # Miller loop schedule over the bits of N after the leading one: a
-        # doubling step (True) per bit, then an addition step (False) per 1 bit
-        self._miller_steps = tuple(
-            step for bit in bin(params.N)[3:] for step in ((True,) if bit == "0" else (True, False))
-        )
-        # the kernel's form of the steps, the field (p, R^2 mod p for
-        # R = 2^(64 * limbs), and -p^-1 mod 2^64) and l, as little-endian
-        # limbs, and the length of a prepared slot
+        # Miller loop schedule over the bits of N after the leading one, a
+        # byte each: a doubling step (1) per bit, then an addition step (0)
+        # per 1 bit
+        self._steps = bytes(step for bit in bin(params.N)[3:] for step in ((1,) if bit == "0" else (1, 0)))
+        # the kernel's field (p, R^2 mod p for R = 2^(64 * limbs), and
+        # -p^-1 mod 2^64) and l, as little-endian limbs, and the length of a
+        # prepared slot
         self._limbs = (params.p.bit_length() + 63) // 64
-        self._steps = bytes(self._miller_steps)
         self._field = self._pack([params.p, pow(2, 128 * self._limbs, params.p)]) + (
             -pow(params.p, -1, 1 << 64) % (1 << 64)).to_bytes(8, "little")
         self._cofactor = self._pack([params.l])
@@ -437,12 +449,6 @@ class CurveGroup(Group):
         a, b = u
         c, d = v
         return ((a * c - b * d) % p, (a * d + b * c) % p)
-
-    def _fp2_inv(self, u):
-        p = self.p
-        a, b = u
-        norm_inv = pow(a * a + b * b, -1, p)
-        return (a * norm_inv % p, -b * norm_inv % p)
 
     def _fp2_pow(self, u, k):
         return _power(lambda f: self._fp2_mul(f, f), self._fp2_mul, (1, 0), u, k)
@@ -497,21 +503,13 @@ class CurveGroup(Group):
         flat = self._affine_all(multiples)
         return [flat[j : j + _DIGITS] for j in range(0, len(flat), _DIGITS)]
 
-    def _native(self):
-        """The compiled kernel (shrq._kernel), or None for the pure-Python
-        path: none was loaded, or p is wider than it takes."""
+    @staticmethod
+    def _kernel():
+        """This process's compiled kernel (shrq._kernel.current): built on its
+        first call, or the ConfigError, naming cc, of that build."""
         from . import _kernel
 
-        kernel = _kernel.current()
-        return kernel if kernel is not None and self._limbs <= kernel.max_limbs else None
-
-    def _in_g(self, b):
-        """[N]b is infinity, for an affine b: the last Z of the kernel's walk,
-        or of _jac_mul's."""
-        kernel = self._native()
-        if kernel is not None:
-            return kernel.in_g(self._limbs, self._field, self._pack(b), self._steps)
-        return not self._jac_mul(b, self.N)[2]
+        return _kernel.current()
 
     def _jac_mul(self, a, k):
         """[k]a in Jacobian form for an affine point a and k >= 0."""
@@ -605,14 +603,6 @@ class CurveGroup(Group):
     def pair(self, x, y):
         return self.pair_product((self.prepare(y),), (x,))
 
-    def _final_exp(self, f):
-        """f^((p^2-1)/N) = (conj(f) / f)^l, since (p^2-1)/N = (p-1)*l;
-        ValueError for f = 0."""
-        if f == (0, 0):
-            raise ValueError(_F_IS_0)
-        conj = (f[0], (-f[1]) % self.p)
-        return GTElement(self._fp2_pow(self._fp2_mul(conj, self._fp2_inv(f)), self.l))
-
     def prepare(self, x):
         """The Miller lines of x as a prepared slot, one byte string: per loop
         step, the line's lam and c, c taken at the point stepped from, as the
@@ -622,36 +612,10 @@ class CurveGroup(Group):
         ConfigError, as decode raises it, unless x is in G."""
         if x.value is None:
             return None
-        kernel = self._native()
-        if kernel is None:
-            slot = self._prepare(x.value)
-        else:
-            slot = kernel.prepare(self._limbs, self._field, self._pack(x.value), self._steps)
+        slot = self._kernel().prepare(self._limbs, self._field, self._pack(x.value), self._steps)
         if slot is None:
             raise ConfigError(_OUTSIDE_G)
         return slot
-
-    def _prepare(self, b):
-        """prepare's slot of the affine b in Python, None unless its walk
-        ends at infinity: one _inverses call makes the walk affine."""
-        p, walk = self.p, [b + (1, 0)]
-        for double in self._miller_steps:
-            walk.append(self._jac_double(walk[-1]) if double else self._jac_madd(walk[-1], b))
-        if walk[-1][2]:  # Z != 0: [N]b is not infinity
-            return None
-        zinv = self._inverses([pt[2] for pt in walk])
-        lines, flags = [], []
-        for (x0, y0, z0, _), zi, (_, _, z3, n), zi3 in zip(walk, zinv, walk[1:], zinv[1:]):
-            lam = n * zi3 % p
-            flags.append(bool(z0 and z3))
-            lines += (lam, (y0 * zi - lam * x0) * zi * zi % p) if flags[-1] else (0, 0)
-        return self._pack(lines) + bytes(flags)
-
-    def _lines(self, slot):
-        """A prepared slot's lines, (lam, c) per step or None without one."""
-        count = len(self._steps)
-        values = iter(self._unpack(slot[:-count]))
-        return [line if on else None for line, on in zip(zip(values, values), slot[-count:])]
 
     def pair_product(self, prepared, points):
         """prod_i e(points[i], x_i) for prepared[i] = prepare(x_i)."""
@@ -660,20 +624,15 @@ class CurveGroup(Group):
     def pair_products(self, prepared, tuples):
         """pair_product(prepared, points) for each points in tuples: the Miller
         loops of all x_i over one squaring chain, each line evaluated at the
-        distorted point (-x_m, i*y_m), and one final exponentiation.
-        ValueError if a tuple's Miller product is 0, which only an even N
-        allows (a line through (0, 0), its own distorted image)."""
+        distorted point (-x_m, i*y_m), and one final exponentiation, in one
+        kernel call and its helper's, with the slots side by side and an
+        identity slot as zeros, which have no line.  ValueError if a
+        tuple's Miller product is 0, which only an even N allows (a line
+        through (0, 0), its own distorted image), or if a tuple's length is
+        not the query's."""
         if any(slot is not None and len(slot) != self._slot_bytes for slot in prepared):
             raise ConfigError("prepared lines do not follow the Miller steps")
-        kernel = self._native()
-        if kernel is not None:
-            return self._kernel_products(kernel, prepared, tuples)
-        slots = [None if slot is None else self._lines(slot) for slot in prepared]
-        return [self._final_exp(self._miller(slots, points)) for points in tuples]
-
-    def _kernel_products(self, kernel, prepared, tuples):
-        """pair_products by the kernel, in one call and its helper's: the
-        slots side by side, an identity slot as zeros, which have no line."""
+        kernel = self._kernel()
         coords, active = [], []
         for points in tuples:
             for slot, pt in zip(prepared, points, strict=True):
@@ -688,28 +647,6 @@ class CurveGroup(Group):
             raise ValueError(_F_IS_0)
         gt = iter(self._unpack(data))
         return [GTElement(value) for value in zip(gt, gt)]
-
-    def _miller(self, slots, points):
-        """pair_products' Miller product f of one tuple, in Python, over the
-        _lines of each prepared slot, None for the identity."""
-        p = self.p
-        active = [
-            (lines, pt.value)
-            for lines, pt in zip(slots, points, strict=True)
-            if lines is not None and pt.value is not None
-        ]
-        f0, f1 = 1, 0
-        for k, double in enumerate(self._miller_steps):
-            if double:
-                f0, f1 = (f0 + f1) * (f0 - f1) % p, 2 * f0 * f1 % p
-            for lines, (xm, ym) in active:
-                line = lines[k]
-                if line is not None:
-                    # line y - lam*x - c at (-xm, i*ym) is (lam*xm - c) + i*ym;
-                    # the next reduction mod p covers a as well
-                    a = line[0] * xm - line[1]
-                    f0, f1 = (f0 * a - f1 * ym) % p, (f0 * ym + f1 * a) % p
-        return f0, f1
 
     def canonical_bytes(self, x):
         w = self._width
@@ -737,7 +674,10 @@ class CurveGroup(Group):
 
     def decode(self, data):
         x = self.parse(data)
-        if x.value is not None and not self._in_g(x.value):
+        if x.value is None:
+            return x
+        # the order check: [N]x is infinity, the last Z of the kernel's walk
+        if not self._kernel().in_g(self._limbs, self._field, self._pack(x.value), self._steps):
             raise ConfigError(_OUTSIDE_G)
         return x
 
@@ -772,6 +712,8 @@ def group_gen(lambda_bits, backend=CURVE_A1, rng=None):
     """Generate a fresh composite-order group with lambda_bits-bit primes."""
     if lambda_bits < 3:
         raise ConfigError("lambda must be at least 3 bits")
+    if lambda_bits > _MAX_LAMBDA:
+        raise ConfigError(f"lambda must be at most {_MAX_LAMBDA} bits, for a curve prime within the kernel's width")
     rng = rng if rng is not None else secrets.SystemRandom()
     for _ in range(_GEN_ATTEMPTS):
         q1 = _random_prime(lambda_bits, rng)

@@ -2,41 +2,9 @@ import random
 
 import pytest
 
-from shrq import _kernel, ces
+from shrq import ces
 from shrq.ces import LAYOUT_SHRQ, SecretKey
 from shrq.pairing import CURVE_A1, TRANSPARENT, GElement, group_from_primes
-
-
-def pytest_configure(config):
-    config.addinivalue_line("markers", "curve: a curve test, run on both pairing paths")
-    config.addinivalue_line("markers", "pure_path: runs with the compiled kernel off")
-
-
-def pytest_collection_modifyitems(items):
-    """Each test marked curve runs twice: as collected, on the path this
-    process has (the compiled kernel where it builds), and as a twin whose
-    id ends in pure, on the pure-Python path, so every collected test keeps
-    its id.  A parametrized case of the transparent backend has no twin, as
-    it never reaches the kernel.  Twins are made after collection, so -k
-    pure selects them and their ids do not."""
-    twins = []
-    for item in items:
-        callspec = getattr(item, "callspec", None)
-        if item.get_closest_marker("curve") is None or (callspec and callspec.params.get("backend") == TRANSPARENT):
-            continue
-        name = f"{item.name[:-1]}-pure]" if callspec else f"{item.name}[pure]"
-        twin = pytest.Function.from_parent(item.parent, name=name, callspec=callspec, callobj=item.obj,
-                                           fixtureinfo=item._fixtureinfo, originalname=item.originalname)
-        twin.add_marker(pytest.mark.pure_path)
-        twins.append(twin)
-    items.extend(twins)
-
-
-@pytest.fixture(autouse=True)
-def _pairing_path(request, monkeypatch):
-    """A pure_path test runs with the kernel handle set to None."""
-    if request.node.get_closest_marker("pure_path"):
-        monkeypatch.setattr(_kernel, "_handle", None)
 
 
 @pytest.fixture

@@ -12,10 +12,11 @@ None is on a query path:
 - PinnedRng stands in for an rng to fix the blinding scalar an encryption
   draws;
 - reference_pair is the Tate pairing composed with the distortion map, by
-  Miller's loop over its first argument with its own affine addition, line
-  evaluation (reference_add), F_p^2 product and final exponentiation, so it
-  shares no loop, slope or F_p^2 code with the prepared product that
-  Group.pair and compute() run;
+  Miller's loop over its first argument, whose lines reference_lines gives
+  by its own affine addition (reference_add's), with its own line
+  evaluation, F_p^2 product and final exponentiation, so it shares no loop,
+  slope or F_p^2 code with the prepared product that Group.pair and
+  compute() run;
 - prepared_lines reads a curve's prepared slot, the bytes Group.prepare
   gives, back into reference_lines' form;
 - reference_mul is [k]x by affine double-and-add from the low bit of k over
@@ -56,48 +57,30 @@ class PinnedRng:
 # -- the pairing by its textbook Miller loop (validates pair_product) --------
 
 
+def _chord(p, a, b):
+    """(a + b, (lam, c)) for points a, b other than infinity on y^2 = x^3 + x
+    over F_p, with y = lam*x + c the line through them (the tangent if
+    equal), by one inversion; (None, None) where that line is vertical and
+    a + b is infinity."""
+    x1, y1 = a
+    x2, y2 = b
+    if x1 == x2:
+        if (y1 + y2) % p == 0:
+            return None, None
+        lam = (3 * x1 * x1 + 1) * pow(2 * y1 % p, -1, p) % p
+    else:
+        lam = (y2 - y1) * pow((x2 - x1) % p, -1, p) % p
+    x3 = (lam * lam - x1 - x2) % p
+    return (x3, (lam * (x1 - x3) - y1) % p), (lam, (y1 - lam * x1) % p)
+
+
 def _affine_add(p, a, b):
     """a + b on y^2 = x^3 + x over F_p; None is the point at infinity."""
     if a is None:
         return b
     if b is None:
         return a
-    x1, y1 = a
-    x2, y2 = b
-    if x1 == x2:
-        if (y1 + y2) % p == 0:
-            return None
-        lam = (3 * x1 * x1 + 1) * pow(2 * y1 % p, -1, p) % p
-    else:
-        lam = (y2 - y1) * pow((x2 - x1) % p, -1, p) % p
-    x3 = (lam * lam - x1 - x2) % p
-    return (x3, (lam * (x1 - x3) - y1) % p)
-
-
-def _line_through(p, a, b):
-    """(lam, c) of the line y = lam*x + c through a, b (tangent if equal);
-    None for a vertical line."""
-    x1, y1 = a
-    x2, y2 = b
-    if x1 == x2:
-        if (y1 + y2) % p == 0:
-            return None
-        lam = (3 * x1 * x1 + 1) * pow(2 * y1 % p, -1, p) % p
-    else:
-        lam = (y2 - y1) * pow((x2 - x1) % p, -1, p) % p
-    return lam, (y1 - lam * x1) % p
-
-
-def _line(p, a, b, xq, yq):
-    """Line through a, b (tangent if equal) evaluated at (-xq, i*yq), as an
-    F_p^2 pair; None for vertical lines, which the final exponentiation
-    annihilates anyway."""
-    line = _line_through(p, a, b)
-    if line is None:
-        return None
-    lam, c = line
-    # y - lam*x - c at x = -xq, y = yq*i
-    return ((lam * xq - c) % p, yq)
+    return _chord(p, a, b)[0]
 
 
 def reference_add(group, x, y):
@@ -124,18 +107,26 @@ def reference_mul(group, x, k):
 
 def reference_lines(group, x):
     """Group.prepare(x) on the curve by affine arithmetic: per step of
-    Miller's loop over x, as reference_pair takes them, the (lam, c) of the
-    line through the point stepped from, or None for a step from infinity
-    or a vertical line; None for the identity."""
+    Miller's loop over x (a doubling per bit of N after the leading one,
+    then an addition of x per 1 bit), the (lam, c) of the line through the
+    point stepped from, or None for a step from infinity or a vertical line;
+    None for the identity."""
     if x.value is None:
         return None
     p, v, lines = group.p, x.value, []
+
+    def step(v, b):
+        if v is None:  # no line: doubling infinity gives infinity, adding x gives x
+            lines.append(None)
+            return b
+        v, line = _chord(p, v, b)
+        lines.append(line)
+        return v
+
     for bit in bin(group.N)[3:]:
-        lines.append(None if v is None else _line_through(p, v, v))
-        v = _affine_add(p, v, v)
+        v = step(v, v)
         if bit == "1":
-            lines.append(None if v is None else _line_through(p, v, x.value))
-            v = _affine_add(p, v, x.value)
+            v = step(v, x.value)
     return tuple(lines)
 
 
@@ -177,27 +168,21 @@ def _final_exp(group, f):
 
 
 def reference_pair(group, x, y):
-    """e(x, y): the exponent product, or Miller's loop over x with its lines
-    evaluated at the distorted image of y, then the final exponentiation."""
+    """e(x, y): the exponent product, or Miller's loop over x, by
+    reference_lines, with each line y = lam*x + c evaluated at the distorted
+    image (-x_y, i*y_y) of y as (lam*x_y - c) + i*y_y, then the final
+    exponentiation."""
     if group.params.backend == TRANSPARENT:
         return GTElement(x.value * y.value % group.N)
     if x.value is None or y.value is None:
         return group.identity_gt()
-    p = group.p
-    xq, yq = y.value
-    f = (1, 0)
-    v = x.value
-    for bit in bin(group.N)[3:]:
-        g = None if v is None else _line(p, v, v, xq, yq)
-        f = _fp2_mul(p, f, f)
-        if g is not None:
-            f = _fp2_mul(p, f, g)
-        v = _affine_add(p, v, v)
-        if bit == "1":
-            g = None if v is None else _line(p, v, x.value, xq, yq)
-            if g is not None:
-                f = _fp2_mul(p, f, g)
-            v = _affine_add(p, v, x.value)
+    p, (xq, yq), f = group.p, y.value, (1, 0)
+    doubles = [double for bit in bin(group.N)[3:] for double in ((True,) if bit == "0" else (True, False))]
+    for double, line in zip(doubles, reference_lines(group, x), strict=True):
+        if double:
+            f = _fp2_mul(p, f, f)
+        if line is not None:
+            f = _fp2_mul(p, f, ((line[0] * xq - line[1]) % p, yq))
     return _final_exp(group, f)
 
 

@@ -214,7 +214,6 @@ def curve_sk(request):
     return sk, request.param, 2
 
 
-@pytest.mark.curve
 def test_encryption_is_plain_pow_on_curve(curve_sk):
     # slot i is s^{x_i} * h^{r*Y_i} with r the rng's first randrange(1, N):
     # x = m and Y = A for a tuple, x = q*alpha (+ beta*alpha at slot d) and
@@ -273,7 +272,6 @@ def _one_base_case(draw):
     return sk, comp, draw(st.integers(0, len(comp) - 1)), draw(value | st.integers(1, N - 1))
 
 
-@pytest.mark.curve
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(_one_base_case())
 def test_slot_is_one_power_of_s_times_h(case):
@@ -289,7 +287,6 @@ def test_slot_is_one_power_of_s_times_h(case):
         assert [grp.canonical_bytes(e) for e in enc] == [grp.canonical_bytes(w) for w in want]
 
 
-@pytest.mark.curve
 def test_encryption_keeps_one_window_table():
     sk, _ = keygen(32, 2, LAYOUT_UNIFIED, 400, 100, CURVE_A1, rng=random.Random(33))
     grp = sk.group
@@ -298,7 +295,6 @@ def test_encryption_keeps_one_window_table():
     assert list(grp._tables) == [grp.mul(sk.s, sk.h).value]
 
 
-@pytest.mark.curve
 def test_compute_is_product_of_pairs_on_curve(curve_sk, rng):
     sk, layout, d = curve_sk
     grp = sk.group
@@ -361,7 +357,6 @@ def test_lookup_table_refuses_digests_that_collide(sk32):
         create_lookup_table(SecretKey(*fields.values()), 3)
 
 
-@pytest.mark.curve
 def test_lookup_membership_sweep():
     # the table is built by repeated multiplication; on the transparent
     # backend that is only addition, so the curve key checks GT arithmetic
@@ -417,7 +412,6 @@ def _membership_case(draw):
     return sk, v, k
 
 
-@pytest.mark.curve
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(_membership_case())
 def test_lookup_membership_is_exact(case):

@@ -19,11 +19,12 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule, run_state_machine_as_test
 
+import shrq._kernel
 import shrq.server
 from conftest import random_dataset
 from shrq import ces, protocols as prot
 from shrq.ces import LAYOUT_SHRQ, LAYOUT_UNIFIED
-from shrq.errors import DataIntegrityError, DuplicateIdError, ServerUnreachable
+from shrq.errors import ConfigError, DataIntegrityError, DuplicateIdError, ServerUnreachable
 from shrq.pairing import CURVE_A1, TRANSPARENT, CurveGroup, GElement, group_from_primes
 from shrq.geometry import RangeQuery, SphereQuery, make_sphere_query_component
 from shrq.keyfile import load_keyfile, save_keyfile
@@ -1115,6 +1116,44 @@ def test_reads_state_written_by_c8bee39(tmp_path, open_state):
     save_keyfile(str(tmp_path / "again.json"), sk, config, offsets)
     with open(tmp_path / "again.json") as again, open(tmp_path / "key.json") as old:
         assert json.load(again) == json.load(old)
+
+
+def test_no_compiler_means_a_config_error_naming_cc(curve_deployment, rng, tmp_path, open_state, monkeypatch):
+    # with no cc on PATH and no library built yet, a process's first curve
+    # decode raises a ConfigError naming cc, and so does the next, with no
+    # second build; the transparent backend, c8bee39's state and the replay
+    # of a curve state still work, and a curve put_tuple gets one error reply
+    config, sk = curve_deployment
+    state = open_state(tmp_path / "curve")
+    fill(config, sk, [("a", (5, 5))], state, rng)
+    state.close()
+    store, tup = prot.point_messages(config, sk, "b", (7, 7), rng=rng)[:2]
+    real_load, real_build, builds = shrq._kernel.load, shrq._kernel._build, []
+
+    def build(source, path):
+        builds.append(path)
+        return real_build(source, path)
+
+    monkeypatch.setattr(shrq._kernel, "_build", build)
+    monkeypatch.setattr(shrq._kernel, "load", lambda directory: real_load(str(tmp_path / "cache")))
+    monkeypatch.setattr(shrq._kernel, "_handle", shrq._kernel._UNTRIED)
+    monkeypatch.setenv("PATH", str(tmp_path / "empty"))
+    for _ in range(2):
+        with pytest.raises(ConfigError, match=r"\bcc\b"):
+            sk.group.decode(sk.group.canonical_bytes(sk.s))
+    assert len(builds) == 1 and os.listdir(tmp_path / "cache") == []
+    toy = group_from_primes(5, 7, TRANSPARENT)
+    assert toy.pair(GElement(2), GElement(3)) == toy.pow(toy.pair(GElement(1), GElement(1)), 6)
+    shutil.copytree(WRITTEN_BY_C8BEE39, tmp_path / "c8bee39")
+    old_sk, old_config, _ = load_keyfile(str(tmp_path / "c8bee39" / "key.json"))
+    q = SphereQuery((20, 20), 25)
+    assert prot.query_sphere(old_config, old_sk, q, open_state(tmp_path / "c8bee39")).ids == hrq_oracle(
+        C8BEE39_POINTS.items(), q)
+    state = open_state(tmp_path / "curve")
+    assert set(state.db_store) == {"a"} and state.request(store) == {"type": "ack"}
+    reply = state.request(tup)
+    assert reply.keys() == {"type", "error"} and reply["type"] == "error" and " cc " in reply["error"]
+    assert set(state.db_query[0]) == {"a"} and len(builds) == 1
 
 
 # -- a directory-backed server against a plaintext mirror -----------------------------
